@@ -17,8 +17,8 @@ from .grids import (
     Alignment,
     Field,
     Grid1D,
-    TimeSpec,
     build_grid,
+    check_cfl,
     init_cell_averages,
     init_point_values,
 )
@@ -36,27 +36,12 @@ from .problems import (
     problem_names,
     singular_points,
 )
-from .semi_lagrangian import (
-    ControlSet,
-    Hamiltonian,
-    LegendreTable,
-    advect_const_values,
-    hj_update_values,
-    legendre_transform,
-    p1_interpolate,
-    sl_advection_step,
-    sl_advection_step_var,
-    sl_hj_step,
-)
+from .semi_lagrangian import advect_const_values, hj_update_values, p1_interpolate
 from .ultrabee import (
-    CourantNumbers,
-    VelocityPair,
-    cfl_check,
+    LimiterState,
     ub_flux_left,
     ub_flux_limited,
     ub_flux_right,
-    ub_step,
-    ub_step_single,
     ub_step_values,
 )
 from .coupled import (
@@ -85,13 +70,16 @@ from .diagnostics import (
     tvb_allowance,
 )
 from .harness import (
+    ConvergenceRow,
     ConvergenceTable,
     LADDER_PRESETS,
     RunResult,
     SCHEMES,
+    StepOperators,
     convergence_table,
     make_operators,
     resolve_grid,
+    resolve_regularity,
     run_scheme,
     time_ladder,
 )
@@ -102,8 +90,8 @@ __all__ = [
     "Alignment",
     "Field",
     "Grid1D",
-    "TimeSpec",
     "build_grid",
+    "check_cfl",
     "init_cell_averages",
     "init_point_values",
     "ProblemSpec",
@@ -118,24 +106,13 @@ __all__ = [
     "ic_smooth_var",
     "problem_names",
     "singular_points",
-    "ControlSet",
-    "Hamiltonian",
-    "LegendreTable",
     "advect_const_values",
     "hj_update_values",
-    "legendre_transform",
     "p1_interpolate",
-    "sl_advection_step",
-    "sl_advection_step_var",
-    "sl_hj_step",
-    "CourantNumbers",
-    "VelocityPair",
-    "cfl_check",
+    "LimiterState",
     "ub_flux_left",
     "ub_flux_limited",
     "ub_flux_right",
-    "ub_step",
-    "ub_step_single",
     "ub_step_values",
     "CoupledState",
     "RegularityParams",
@@ -158,13 +135,16 @@ __all__ = [
     "total_variation",
     "tv_monitor",
     "tvb_allowance",
+    "ConvergenceRow",
     "ConvergenceTable",
     "LADDER_PRESETS",
     "RunResult",
     "SCHEMES",
+    "StepOperators",
     "convergence_table",
     "make_operators",
     "resolve_grid",
+    "resolve_regularity",
     "run_scheme",
     "time_ladder",
     "__version__",

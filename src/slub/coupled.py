@@ -18,6 +18,7 @@ import numpy as np
 
 __all__ = [
     "RegularityParams",
+    "backward_slopes",
     "classify_regularity",
     "active_cells",
     "project_to_cells",
@@ -26,8 +27,6 @@ __all__ = [
     "init_coupled_state",
     "coupled_step",
 ]
-
-_EPS_SCALE = 1e-300
 
 
 @dataclass(frozen=True)
@@ -40,6 +39,9 @@ class RegularityParams:
                slopes is sign-compatible regardless of signs
     guard      irregular flags are dilated by this many nodes, widening
                the anti-dissipative window around each detection
+
+    Runs take their thresholds from `slub.harness.resolve_regularity`,
+    which scales the problem presets by the largest initial slope.
     """
 
     delta: float
@@ -53,16 +55,6 @@ class RegularityParams:
             raise ValueError(f"need flat_tol >= 0, got {self.flat_tol}")
         if self.guard < 0:
             raise ValueError(f"need guard >= 0, got {self.guard}")
-
-    @classmethod
-    def from_initial_slope(
-        cls, values: np.ndarray, dx: float, delta_factor: float, flat_frac: float
-    ) -> "RegularityParams":
-        """Scale both thresholds by the largest initial |slope|."""
-        v = np.asarray(values, dtype=float)
-        scale = float(np.max(np.abs(np.diff(v)))) / dx
-        scale = max(scale, _EPS_SCALE)
-        return cls(delta=delta_factor * scale, flat_tol=flat_frac * scale)
 
 
 def backward_slopes(values: np.ndarray, dx: float) -> np.ndarray:

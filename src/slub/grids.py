@@ -1,15 +1,17 @@
-"""Uniform 1D grids and grid-aligned scalar fields.
+"""Uniform 1D grids, grid-aligned scalar fields, and the CFL check.
 
 Two alignments matter here: point values live on nodes x_j, cell averages
-live on cells [x_j, x_{j+1}).  Everything downstream (interpolation,
-flux updates, switching indicators) is written against these two layouts.
+live on cells [x_j, x_{j+1}).  The scheme kernels take raw arrays in one
+of these layouts; `Field` wraps an array with its grid and alignment for
+the initializers and the reference helpers.  The projections between the
+two layouts live in `slub.coupled`.
 """
 
 from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -17,9 +19,8 @@ __all__ = [
     "Alignment",
     "Grid1D",
     "Field",
-    "SupportWindow",
-    "TimeSpec",
     "build_grid",
+    "check_cfl",
     "init_point_values",
     "init_cell_averages",
 ]
@@ -124,47 +125,24 @@ class Field:
         return Field(self.grid, self.alignment, values)
 
 
-@dataclass(frozen=True)
-class SupportWindow:
-    """Closed node-index range [j_min, j_max] known to contain the support."""
+def check_cfl(nu) -> None:
+    """Reject signed Courant numbers beyond one in magnitude.
 
-    j_min: int
-    j_max: int
+    `nu` is a scalar or an array (one number per node or cell).  A
+    roundoff margin of 1e-12 is allowed.  The error names the index of
+    the worst entry.
 
-    def __post_init__(self) -> None:
-        if self.j_min > self.j_max:
-            raise ValueError(f"empty window: [{self.j_min}, {self.j_max}]")
-
-    def clip(self, n: int) -> "SupportWindow":
-        return SupportWindow(max(self.j_min, 0), min(self.j_max, n - 1))
-
-    @property
-    def node_slice(self) -> slice:
-        return slice(self.j_min, self.j_max + 1)
-
-    def __contains__(self, j: int) -> bool:
-        return self.j_min <= j <= self.j_max
-
-
-@dataclass(frozen=True)
-class TimeSpec:
-    """Step size and horizon; n_steps*dt must land on T to within one dt."""
-
-    dt: float
-    T: float
-    n_steps: int = field(init=False)
-
-    def __post_init__(self) -> None:
-        if not (self.dt > 0 and math.isfinite(self.dt)):
-            raise ValueError(f"need dt > 0, got {self.dt}")
-        if not (self.T > 0 and math.isfinite(self.T)):
-            raise ValueError(f"need T > 0, got {self.T}")
-        n = int(round(self.T / self.dt))
-        if n < 1 or abs(n * self.dt - self.T) > self.dt:
-            raise ValueError(
-                f"dt={self.dt} does not tile T={self.T} (n_steps*dt off by more than dt)"
-            )
-        object.__setattr__(self, "n_steps", n)
+    Raises
+    ------
+    ValueError
+        If any |nu| exceeds 1 + 1e-12.
+    """
+    mag = np.abs(nu)
+    if (mag > 1.0 + 1e-12).any():
+        j = int(np.argmax(mag))
+        raise ValueError(
+            f"CFL violated at index {j}: Courant number |nu| = {np.ravel(mag)[j]:.6g} > 1"
+        )
 
 
 def _eval_on(fn, x: np.ndarray) -> np.ndarray:

@@ -17,15 +17,16 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .grids import Alignment, Grid1D, build_grid, init_cell_averages, init_point_values
-from .problems import ProblemSpec, get_problem, singular_points
-from .semi_lagrangian import (
-    ControlSet,
-    Hamiltonian,
-    advect_const_values,
-    hj_update_values,
-    legendre_transform,
+from .grids import (
+    Alignment,
+    Grid1D,
+    build_grid,
+    check_cfl,
+    init_cell_averages,
+    init_point_values,
 )
+from .problems import ProblemSpec, get_problem, singular_points
+from .semi_lagrangian import advect_const_values, hj_update_values
 from .ultrabee import ub_step_values
 from .coupled import (
     CoupledState,
@@ -157,12 +158,18 @@ class StepOperators:
     two_sided: bool
 
 
-def make_operators(problem: ProblemSpec, grid: Grid1D, dt: float, n_controls: int = 201) -> StepOperators:
+def make_operators(problem: ProblemSpec, grid: Grid1D, dt: float) -> StepOperators:
+    """Per-step update maps for `problem` on `grid` with step `dt`.
+
+    Raises
+    ------
+    ValueError
+        On a CFL violation, or an unknown problem kind.
+    """
     dx = grid.dx
     if problem.kind == "advection-const":
         nu = float(problem.c) * dt / dx
-        if abs(nu) > 1.0 + 1e-12:
-            raise ValueError(f"CFL violated: |nu| = {abs(nu):.6g} > 1")
+        check_cfl(nu)
         nu_node = np.full(grid.n_nodes, nu)
         nu_cell = np.full(grid.n_cells, nu)
         return StepOperators(
@@ -173,17 +180,11 @@ def make_operators(problem: ProblemSpec, grid: Grid1D, dt: float, n_controls: in
             two_sided=False,
         )
     if problem.kind == "advection-var":
-        speeds = problem.velocity_values(grid.nodes)
-        nu_node = speeds * dt / dx
-        worst = float(np.max(np.abs(nu_node)))
-        if worst > 1.0 + 1e-12:
-            j = int(np.argmax(np.abs(nu_node)))
-            raise ValueError(
-                f"CFL violated at node {j} (x = {grid.nodes[j]:.6g}): "
-                f"|nu| = {worst:.6g} > 1"
-            )
-        feet = grid.nodes - speeds * dt
         nodes = grid.nodes
+        speeds = problem.velocity_values(nodes)
+        nu_node = speeds * dt / dx
+        check_cfl(nu_node)
+        feet = nodes - speeds * dt
         nu_cell = nu_node[:-1]  # cell k inherits its left node
         return StepOperators(
             node_update=lambda v: np.interp(feet, nodes, v),
@@ -196,17 +197,10 @@ def make_operators(problem: ProblemSpec, grid: Grid1D, dt: float, n_controls: in
         f_lo, f_hi = float(problem.f_min), float(problem.f_max)
         nu_lo = f_lo * dt / dx
         nu_hi = f_hi * dt / dx
-        if max(abs(nu_lo), abs(nu_hi)) > 1.0 + 1e-12:
-            raise ValueError(
-                f"CFL violated: max|nu| = {max(abs(nu_lo), abs(nu_hi)):.6g} > 1"
-            )
-        H = Hamiltonian(
-            lambda p: np.maximum(f_lo * p, f_hi * p), label=f"max({f_lo}p, {f_hi}p)"
-        )
-        table = legendre_transform(H, ControlSet(f_lo, f_hi, n_controls))
+        check_cfl([nu_lo, nu_hi])
         nodes = grid.nodes
         return StepOperators(
-            node_update=lambda v: hj_update_values(v, nodes, table, dt),
+            node_update=lambda v: hj_update_values(v, nodes, f_lo, f_hi, dt),
             cell_update=lambda v: np.minimum(
                 ub_step_values(v, nu_lo), ub_step_values(v, nu_hi)
             ),
@@ -259,7 +253,6 @@ def run_scheme(
     epsilon: Optional[float] = None,
     guard: Optional[int] = None,
     snapshot_steps: Sequence[int] = (),
-    n_controls: int = 201,
 ) -> RunResult:
     """Run one scheme on one ladder entry and collect diagnostics.
 
@@ -278,7 +271,7 @@ def run_scheme(
     for k in snapshot_steps:
         if not (0 <= k <= n_steps):
             raise ValueError(f"snapshot step {k} outside [0, {n_steps}]")
-    ops = make_operators(problem, grid, dt, n_controls=n_controls)
+    ops = make_operators(problem, grid, dt)
 
     witness_max = 0.0
     snapshots: dict = {}

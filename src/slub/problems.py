@@ -211,8 +211,8 @@ class ProblemSpec:
 
     kind is one of "advection-const", "advection-var", "hj".
     For "advection-const", velocity is the constant c; for
-    "advection-var" it is a callable c(x); for "hj" the Hamiltonian is
-    max(f_min * p, f_max * p) (erosion when f_min = -f_max).
+    "advection-var" it is a callable c(x); "hj" solves v_t + H(v_x) = 0
+    with H(p) = max(f_min * p, f_max * p) (erosion when f_min = -f_max).
     delta_factor / flat_frac scale the switching-indicator thresholds
     relative to the initial maximum slope.
     """
@@ -237,13 +237,23 @@ class ProblemSpec:
     sing_points_t0: tuple = ()
 
     def exact(self, x, t: float):
-        """Reference solution at time t (vectorized in x)."""
+        """Reference solution at time t (vectorized in x).
+
+        Closed form for every kind.  For "hj" it is the erosion
+        ic(|x| + r), r = max(|f_min|, |f_max|)*t: the Hopf-Lax minimum of
+        ic over [x - r, x + r] sits at the end farther from 0 when ic is
+        even and unimodal, the same assumption exact_antiderivative
+        makes.  `hopf_lax_oracle` computes that minimum directly and is
+        the cross-check.
+        """
         if self.kind == "advection-const":
             return exact_advection_const(self.ic, self.c, x, t)
         if self.kind == "advection-var":
             return exact_advection_linear_velocity(self.ic, self.x_bar, x, t)
         if self.kind == "hj":
-            return hopf_lax_oracle(self.ic, max(abs(self.f_min), abs(self.f_max)), x, t)
+            r = max(abs(self.f_min), abs(self.f_max)) * t
+            x = np.asarray(x, dtype=float)
+            return _dispatch(x, np.asarray(self.ic(np.abs(x) + r), dtype=float))
         raise ValueError(f"unknown problem kind {self.kind!r}")
 
     def exact_antiderivative(self, x, t: float):

@@ -1,107 +1,32 @@
 """Semi-Lagrangian updates on node values.
 
 Point values are advanced by tracing characteristics back one step and
-reading the piecewise-linear interpolant there.  For convex
-Hamiltonians the update minimizes over a control set, with the
-conjugate function supplying the running cost; controls whose conjugate
-is unbounded are excluded via an infinity sentinel.
+reading the piecewise-linear (P1) interpolant there, with constant
+continuation past the grid ends.  Constant-velocity transport is the
+upwind convex combination `advect_const_values`; variable-velocity
+transport reads the interpolant at per-node feet that the harness builds
+once per grid.
+
+For H(p) = max(f_min p, f_max p) the convex conjugate is 0 on
+[f_min, f_max] and +inf outside, so the Hopf-Lax update is the minimum
+of the interpolant over the feet x_j - a dt, a in [f_min, f_max].  When
+|a| dt <= dx that foot interval holds no node other than x_j, and the
+interpolant is linear on each side of x_j, so `hj_update_values` needs
+only the two endpoint feet plus the node value when 0 is a control
+(Falcone & Ferretti, SIAM 2014).
 """
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
-from typing import Callable
-
 import numpy as np
 
-from .grids import Alignment, Field
+from .grids import Alignment, Field, check_cfl
 
 __all__ = [
-    "Hamiltonian",
-    "ControlSet",
-    "LegendreTable",
     "p1_interpolate",
     "advect_const_values",
-    "sl_advection_step",
-    "sl_advection_step_var",
-    "legendre_transform",
     "hj_update_values",
-    "sl_hj_step",
 ]
-
-
-@dataclass(frozen=True)
-class Hamiltonian:
-    """Scalar Hamiltonian H(p) with a vectorized evaluator."""
-
-    fn: Callable[[np.ndarray], np.ndarray]
-    label: str = "custom"
-
-    def __call__(self, p):
-        return self.fn(np.asarray(p, dtype=float))
-
-    @staticmethod
-    def absolute(c: float = 1.0) -> "Hamiltonian":
-        """H(p) = |c p|; conjugate is 0 on |a| <= |c|, unbounded outside."""
-        c = float(c)
-        return Hamiltonian(lambda p: np.abs(c * p), label=f"abs(c={c})")
-
-    @staticmethod
-    def linear(c: float) -> "Hamiltonian":
-        """H(p) = c p; conjugate is 0 at a = c, unbounded elsewhere."""
-        c = float(c)
-        return Hamiltonian(lambda p: c * p, label=f"linear(c={c})")
-
-
-@dataclass(frozen=True)
-class ControlSet:
-    """Uniform control grid on [a_min, a_max]."""
-
-    a_min: float
-    a_max: float
-    n: int = 201
-
-    def __post_init__(self) -> None:
-        if self.a_min > self.a_max:
-            raise ValueError(f"need a_min <= a_max, got [{self.a_min}, {self.a_max}]")
-        if self.n < 1:
-            raise ValueError(f"need at least one control, got n={self.n}")
-        if self.a_min == self.a_max and self.n != 1:
-            object.__setattr__(self, "n", 1)
-
-    @property
-    def controls(self) -> np.ndarray:
-        if self.n == 1:
-            return np.array([self.a_min])
-        step = (self.a_max - self.a_min) / (self.n - 1)
-        return self.a_min + step * np.arange(self.n)
-
-
-@dataclass(frozen=True)
-class LegendreTable:
-    """Tabulated conjugate values H*(a) over a control set.
-
-    Entries are +inf where the supremum is unbounded on the search
-    interval; finite entries satisfy H*(a) >= -H(0).
-    """
-
-    controls: np.ndarray
-    values: np.ndarray
-
-    def __post_init__(self) -> None:
-        c = np.asarray(self.controls, dtype=float)
-        v = np.asarray(self.values, dtype=float)
-        if c.shape != v.shape or c.ndim != 1:
-            raise ValueError("controls and values must be matching 1-D arrays")
-        if np.any(np.isnan(v)):
-            raise ValueError("conjugate table contains NaN")
-        object.__setattr__(self, "controls", c)
-        object.__setattr__(self, "values", v)
-
-    @property
-    def finite_mask(self) -> np.ndarray:
-        return np.isfinite(self.values)
 
 
 def p1_interpolate(field: Field, x):
@@ -118,9 +43,15 @@ def p1_interpolate(field: Field, x):
 
 
 def advect_const_values(values: np.ndarray, nu: float) -> np.ndarray:
-    """One upwind step on raw node values; nu signed, |nu| <= 1."""
-    if abs(nu) > 1.0 + 1e-12:
-        raise ValueError(f"Courant number out of range: |{nu}| > 1")
+    """One constant-velocity transport step on raw node values.
+
+    The signed Courant number nu = c*dt/dx selects the upwind
+    direction: out_j = nu*in_{j-1} + (1-nu)*in_j for nu >= 0, mirrored
+    for nu < 0.  With |nu| <= 1 each output is a convex combination of
+    two upwind neighbours, so the step is monotone, TVD and max-norm
+    stable; |nu| = 1 is an exact shift.
+    """
+    check_cfl(nu)
     v = np.asarray(values, dtype=float)
     padded = np.pad(v, 1, mode="edge")
     if nu >= 0.0:
@@ -128,95 +59,27 @@ def advect_const_values(values: np.ndarray, nu: float) -> np.ndarray:
     return (-nu) * padded[2:] + (1.0 + nu) * v
 
 
-def sl_advection_step(field: Field, nu: float) -> Field:
-    """Constant-velocity transport step.
-
-    The signed Courant number nu = c*dt/dx selects the upwind
-    direction: out_j = nu*in_{j-1} + (1-nu)*in_j for nu >= 0, mirrored
-    for nu < 0.  With nu in [0, 1] the output is a convex combination
-    of the two upwind neighbors, so the step is monotone, TVD, and
-    max-norm stable; nu = 1 is an exact shift.
-    """
-    if field.alignment is not Alignment.NODE:
-        raise ValueError("sl_advection_step needs a node-aligned field")
-    return field.with_values(advect_const_values(field.values, nu))
-
-
-def sl_advection_step_var(field: Field, c: Callable, dt: float) -> Field:
-    """Variable-velocity transport step via characteristic feet.
-
-    Each node reads the interpolant at x_j - c(x_j)*dt.  Requires
-    max |c(x_j)|*dt/dx <= 1.
-    """
-    if field.alignment is not Alignment.NODE:
-        raise ValueError("sl_advection_step_var needs a node-aligned field")
-    nodes = field.grid.nodes
-    speeds = np.asarray(c(nodes), dtype=float)
-    numax = np.max(np.abs(speeds)) * dt / field.grid.dx
-    if numax > 1.0 + 1e-12:
-        j = int(np.argmax(np.abs(speeds)))
-        raise ValueError(
-            f"CFL violated for variable velocity: |c(x_{j})|*dt/dx = {numax:.6g} > 1"
-        )
-    feet = nodes - speeds * dt
-    return field.with_values(np.interp(feet, nodes, field.values))
-
-
-def legendre_transform(
-    H: Hamiltonian,
-    controls: ControlSet,
-    p_lo: float = -50.0,
-    p_hi: float = 50.0,
-    n_p: int = 4001,
-) -> LegendreTable:
-    """Tabulate the convex conjugate H*(a) = sup_p (a*p - H(p)).
-
-    The supremum is sampled on [p_lo, p_hi].  When the sampled maximum
-    sits at the boundary with genuine growth beyond it, the supremum is
-    declared unbounded and the entry is +inf; a flat boundary plateau
-    (e.g. H(p) = |p| at a = 1) stays finite.
-    """
-    if not (p_lo < p_hi):
-        raise ValueError("need p_lo < p_hi")
-    if n_p < 3:
-        raise ValueError("need at least 3 sample points")
-    a = controls.controls
-    p = np.linspace(p_lo, p_hi, n_p)
-    g = a[:, None] * p[None, :] - np.asarray(H(p), dtype=float)[None, :]
-    interior = np.max(g[:, 1:-1], axis=1)
-    tol = 1e-9 * (1.0 + np.abs(interior))
-    unbounded = (g[:, 0] > interior + tol) | (g[:, -1] > interior + tol)
-    values = np.where(unbounded, np.inf, np.max(g, axis=1))
-    return LegendreTable(a, values)
-
-
 def hj_update_values(
-    values: np.ndarray, nodes: np.ndarray, table: LegendreTable, dt: float
+    values: np.ndarray, nodes: np.ndarray, f_min: float, f_max: float, dt: float
 ) -> np.ndarray:
-    """Hopf-Lax style update on raw node values.
+    """Hopf-Lax update for H(p) = max(f_min p, f_max p) on raw node values.
 
-    out_j = min over finite controls a of
-            interp(in, x_j - a*dt) + dt * Hstar(a).
+    out_j = min over a in [f_min, f_max] of interp(in, x_j - a*dt),
+    evaluated in closed form as the minimum of the two endpoint feet,
+    and of in_j itself when f_min <= 0 <= f_max.  Exact for the P1
+    interpolant when max(|f_min|, |f_max|)*dt <= dx.
 
     Raises
     ------
     ValueError
-        If every control in the table is infeasible (+inf).
+        If f_min > f_max (the control set is empty).
     """
-    finite = table.finite_mask
-    if not np.any(finite):
-        raise ValueError("no feasible control: all conjugate values are +inf")
-    vals = np.asarray(values, dtype=float)
-    best = np.full(vals.shape, np.inf)
-    for a, hstar in zip(table.controls[finite], table.values[finite]):
-        cand = np.interp(nodes - a * dt, nodes, vals) + dt * hstar
-        np.minimum(best, cand, out=best)
-    return best
-
-
-def sl_hj_step(field: Field, table: LegendreTable, dt: float) -> Field:
-    """One Hopf-Lax style update for a convex Hamiltonian (see
-    hj_update_values)."""
-    if field.alignment is not Alignment.NODE:
-        raise ValueError("sl_hj_step needs a node-aligned field")
-    return field.with_values(hj_update_values(field.values, field.grid.nodes, table, dt))
+    if f_min > f_max:
+        raise ValueError(f"need f_min <= f_max, got [{f_min}, {f_max}]")
+    v = np.asarray(values, dtype=float)
+    out = np.minimum(
+        np.interp(nodes - f_max * dt, nodes, v), np.interp(nodes - f_min * dt, nodes, v)
+    )
+    if f_min <= 0.0 <= f_max:
+        np.minimum(out, v, out=out)
+    return out

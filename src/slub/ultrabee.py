@@ -3,28 +3,26 @@
 The flux at each interface clamps the downwind average between two
 bounds built from the upwind pair; the clamp makes the update exact on
 step profiles (no smearing) while keeping it max-norm stable and TVD.
-Two-velocity problems take a pointwise minimum of the two single
-updates, which handles Hamiltonians of the form max(f_min*p, f_max*p).
+`ub_step_values` is the one array kernel.  Two-velocity problems,
+H(p) = max(f_min*p, f_max*p), take the pointwise minimum of two kernel
+calls (Bokanowski & Zidani, J. Sci. Comput. 2007).  The scalar
+fluxes `ub_flux_left` / `ub_flux_right` and the limited-slope form
+`ub_flux_limited` are kept as references for the tests.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional
 
 import numpy as np
 
-from .grids import Alignment, Field, Grid1D
+from .grids import Alignment, Field, check_cfl
 
 __all__ = [
-    "VelocityPair",
-    "CourantNumbers",
     "LimiterState",
-    "cfl_check",
     "ub_flux_left",
     "ub_flux_right",
-    "ub_step_single",
-    "ub_step",
+    "ub_step_values",
     "ub_flux_limited",
 ]
 
@@ -88,12 +86,9 @@ def ub_step_values(values: np.ndarray, nus) -> np.ndarray:
     the sign selects the flux family.  Ghost cells continue the end
     values.
     """
+    check_cfl(nus)
     v = np.asarray(values, dtype=float)
     nu = np.broadcast_to(np.asarray(nus, dtype=float), v.shape)
-    worst = np.max(np.abs(nu))
-    if worst > 1.0 + 1e-12:
-        j = int(np.argmax(np.abs(nu)))
-        raise ValueError(f"CFL violated at cell {j}: |nu| = {worst:.6g} > 1")
     p = np.pad(v, 2, mode="edge")
     vm2, vm1, v0, vp1, vp2 = p[:-4], p[1:-3], p[2:-2], p[3:-1], p[4:]
     flux_hi_pos = _flux_pos(vm1, v0, vp1, nu)   # right interface, nu >= 0
@@ -102,76 +97,6 @@ def ub_step_values(values: np.ndarray, nus) -> np.ndarray:
     flux_lo_neg = _flux_neg(vm1, v0, vp1, nu)   # left interface, nu < 0
     diff = np.where(nu >= 0.0, flux_hi_pos - flux_lo_pos, flux_hi_neg - flux_lo_neg)
     return v - nu * diff
-
-
-def ub_step_single(field: Field, nus) -> Field:
-    """Single-velocity anti-dissipative step on a cell-average field."""
-    if field.alignment is not Alignment.CELL:
-        raise ValueError("ub_step_single needs a cell-aligned field")
-    return field.with_values(ub_step_values(field.values, nus))
-
-
-@dataclass(frozen=True)
-class VelocityPair:
-    """Lower/upper velocity fields of a two-velocity problem.
-
-    Entries may be constants or callables of position.
-    """
-
-    f_min: object
-    f_max: object
-
-    def sample(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        x = np.asarray(x, dtype=float)
-
-        def ev(f):
-            if callable(f):
-                return np.asarray(f(x), dtype=float)
-            return np.full_like(x, float(f))
-
-        return ev(self.f_min), ev(self.f_max)
-
-
-@dataclass(frozen=True)
-class CourantNumbers:
-    """Per-node Courant numbers for both velocities of a pair."""
-
-    nu_min: np.ndarray
-    nu_max: np.ndarray
-    dt: float
-    dx: float
-
-    def per_cell(self, n_cells: int) -> tuple[np.ndarray, np.ndarray]:
-        """Cell k inherits the numbers at its left node x_k."""
-        return self.nu_min[:n_cells], self.nu_max[:n_cells]
-
-
-def cfl_check(pair: VelocityPair, grid: Grid1D, dt: float) -> CourantNumbers:
-    """Build per-node Courant numbers; reject if any magnitude exceeds 1."""
-    if dt <= 0:
-        raise ValueError(f"need dt > 0, got {dt}")
-    lo, hi = pair.sample(grid.nodes)
-    nu_min = lo * dt / grid.dx
-    nu_max = hi * dt / grid.dx
-    worst = max(np.max(np.abs(nu_min)), np.max(np.abs(nu_max)))
-    if worst > 1.0 + 1e-12:
-        both = np.maximum(np.abs(nu_min), np.abs(nu_max))
-        j = int(np.argmax(both))
-        raise ValueError(
-            f"CFL violated at node {j} (x = {grid.nodes[j]:.6g}): "
-            f"|nu| = {both[j]:.6g} > 1"
-        )
-    return CourantNumbers(nu_min, nu_max, float(dt), grid.dx)
-
-
-def ub_step(field: Field, cn: CourantNumbers) -> Field:
-    """Two-velocity step: pointwise min of the two single updates."""
-    if field.alignment is not Alignment.CELL:
-        raise ValueError("ub_step needs a cell-aligned field")
-    nmin, nmax = cn.per_cell(field.grid.n_cells)
-    lo = ub_step_values(field.values, nmin)
-    hi = ub_step_values(field.values, nmax)
-    return field.with_values(np.minimum(lo, hi))
 
 
 @dataclass(frozen=True)

@@ -41,13 +41,6 @@ def test_regularity_params_validation() -> None:
         RegularityParams(delta=1.0, flat_tol=0.0, guard=-2)
 
 
-def test_params_from_initial_slope() -> None:
-    v = np.array([0.0, 1.0, 3.0, 3.0])  # max slope 2 at dx = 1
-    p = RegularityParams.from_initial_slope(v, 1.0, delta_factor=0.5, flat_frac=0.1)
-    assert p.delta == pytest.approx(1.0)
-    assert p.flat_tol == pytest.approx(0.2)
-
-
 def test_backward_slopes_pads_with_zeros() -> None:
     v = np.array([0.0, 2.0, 2.0, -1.0])
     s = backward_slopes(v, 0.5)

@@ -11,9 +11,8 @@ from slub.grids import (
     Alignment,
     Field,
     Grid1D,
-    SupportWindow,
-    TimeSpec,
     build_grid,
+    check_cfl,
     init_cell_averages,
     init_point_values,
 )
@@ -70,24 +69,16 @@ def test_field_validates_shape_and_freezes_values() -> None:
     np.testing.assert_array_equal(f.coords, g.nodes)
 
 
-def test_support_window_basics() -> None:
-    w = SupportWindow(2, 6)
-    assert 4 in w and 7 not in w
-    assert w.node_slice == slice(2, 7)
-    assert w.clip(5).j_max == 4
-    with pytest.raises(ValueError):
-        SupportWindow(3, 1)
-
-
-def test_timespec_counts_steps() -> None:
-    ts = TimeSpec(dt=0.25, T=2.0)
-    assert ts.n_steps == 8
-    # rounding to the nearest whole step is tolerated within one dt
-    assert TimeSpec(dt=0.3, T=1.0).n_steps == 3
-    with pytest.raises(ValueError):
-        TimeSpec(dt=1.0, T=0.25)  # would round to zero steps
-    with pytest.raises(ValueError):
-        TimeSpec(dt=-0.1, T=1.0)
+def test_check_cfl_names_worst_index() -> None:
+    """Scalars and per-node arrays pass up to |nu| = 1 plus roundoff; a
+    violation names the worst entry and both "CFL" and "Courant"."""
+    check_cfl(1.0)
+    check_cfl(-1.0 - 1e-13)
+    check_cfl(np.array([0.5, -1.0, 0.0]))
+    with pytest.raises(ValueError, match=r"CFL violated at index 0: Courant number \|nu\| = 1.5 > 1"):
+        check_cfl(-1.5)
+    with pytest.raises(ValueError, match=r"index 2: Courant number \|nu\| = 3 > 1"):
+        check_cfl(np.array([0.5, -1.2, 3.0, 1.1]))
 
 
 def test_init_point_values_samples_nodes() -> None:

@@ -6,7 +6,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from slub.grids import Alignment
+from slub.grids import Alignment, build_grid
 from slub.harness import (
     LADDER_PRESETS,
     SCHEMES,
@@ -89,6 +89,11 @@ def test_resolve_regularity_prefers_absolute_overrides() -> None:
     assert params.flat_tol == pytest.approx(2.0 * problem.flat_frac)
     assert params.guard == problem.guard
 
+    # the largest |slope| sets the scale: 2 here, from the middle pair
+    uneven = resolve_regularity(problem, np.array([0.0, 1.0, 3.0, 3.0]), dx=1.0)
+    assert uneven.delta == pytest.approx(2.0 * problem.delta_factor)
+    assert uneven.flat_tol == pytest.approx(2.0 * problem.flat_frac)
+
     over = resolve_regularity(problem, w0, dx=0.5, delta=7.0, epsilon=0.25, guard=0)
     assert over.delta == 7.0
     assert over.flat_tol == 0.25
@@ -105,11 +110,30 @@ def test_resolve_regularity_survives_flat_data() -> None:
 
 
 def test_make_operators_rejects_unstable_step() -> None:
-    problem = get_problem("adv-smooth")
-    g = resolve_grid(problem, 19)
-    dt, _ = time_ladder(problem, 19)
-    with pytest.raises(ValueError):
-        make_operators(problem, g, dt * 3.0)
+    for name in ("adv-smooth", "adv-var", "hj-abs"):
+        problem = get_problem(name)
+        g = resolve_grid(problem, 19)
+        dt, _ = time_ladder(problem, 19)
+        make_operators(problem, g, dt)
+        with pytest.raises(ValueError, match="CFL violated at index .*Courant"):
+            make_operators(problem, g, dt * 3.0)
+
+
+def test_make_operators_var_node_update_traces_feet() -> None:
+    """For c(x) = -(x - 1.1) each node reads the interpolant at its foot
+    x_j - c(x_j)*dt; the identity profile returns the foot itself, held
+    at the end value past the grid."""
+    problem = get_problem("adv-var")
+    g = build_grid(0.0, 1.0, 40)
+    dt = 0.015385
+    out = make_operators(problem, g, dt).node_update(g.nodes)
+    j = 10
+    assert g.nodes[j] == pytest.approx(0.25, abs=1e-12)
+    foot = 0.25 - (-(0.25 - 1.1)) * dt
+    assert foot == pytest.approx(0.2369227, abs=1e-6)
+    assert out[j] == pytest.approx(foot, abs=1e-12)
+    feet = g.nodes - problem.velocity_values(g.nodes) * dt
+    np.testing.assert_allclose(out, np.clip(feet, g.a, g.b), rtol=0, atol=1e-12)
 
 
 def test_make_operators_hj_update_draws_on_both_sides() -> None:

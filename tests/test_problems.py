@@ -15,6 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from slub.harness import resolve_grid, time_ladder
 from slub.problems import (
     REGISTRY,
     exact_advection_const,
@@ -129,6 +130,18 @@ def test_hopf_lax_oracle_matches_closed_form(x: float, t: float) -> None:
     expected = ic_smooth(abs(x) + t)
     got = hopf_lax_oracle(ic_smooth, 1.0, x, t)
     assert got == pytest.approx(expected, abs=1e-10)
+
+
+def test_hj_exact_equals_oracle_at_every_rung() -> None:
+    """The closed-form hj-abs reference reproduces the Hopf-Lax oracle
+    at the nodes of every ladder rung, at the final and a midway time."""
+    p = get_problem("hj-abs")
+    speed = max(abs(p.f_min), abs(p.f_max))
+    for m in p.m_ladder:
+        nodes = resolve_grid(p, m).nodes
+        dt, n = time_ladder(p, m)
+        for t in (dt * n, dt * (n // 2)):
+            assert np.array_equal(p.exact(nodes, t), hopf_lax_oracle(p.ic, speed, nodes, t)), (m, t)
 
 
 def test_hopf_lax_oracle_validates_arguments() -> None:

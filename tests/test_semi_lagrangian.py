@@ -1,4 +1,5 @@
-"""Node-value transport updates and the Hopf-Lax machinery."""
+"""Node-value transport updates: constant-velocity upwind and the
+closed-form Hopf-Lax step."""
 
 from __future__ import annotations
 
@@ -8,19 +9,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from slub.grids import Alignment, Field, build_grid, init_point_values
-from slub.semi_lagrangian import (
-    ControlSet,
-    Hamiltonian,
-    LegendreTable,
-    advect_const_values,
-    hj_update_values,
-    legendre_transform,
-    p1_interpolate,
-    sl_advection_step,
-    sl_advection_step_var,
-    sl_hj_step,
-)
+from slub.grids import Alignment, Field, build_grid
+from slub.harness import resolve_grid, time_ladder
+from slub.problems import get_problem
+from slub.semi_lagrangian import advect_const_values, hj_update_values, p1_interpolate
 
 FIELDS = hnp.arrays(
     dtype=np.float64,
@@ -31,6 +23,10 @@ COURANTS = st.floats(min_value=-1.0, max_value=1.0)
 
 
 def test_advect_const_convex_combination() -> None:
+    np.testing.assert_allclose(
+        advect_const_values(np.array([0.0, 1.0, 0.0, 0.0, 0.0]), 0.5),
+        [0.0, 0.5, 0.5, 0.0, 0.0],
+    )
     v = np.array([0.0, 1.0, 0.0, 2.0])
     out = advect_const_values(v, 0.25)
     np.testing.assert_allclose(out, [0.0, 0.75, 0.25, 1.5])
@@ -65,16 +61,6 @@ def test_advect_const_is_monotone_and_tvd(v: np.ndarray, nu: float) -> None:
     assert tv(out) <= tv(v) + 1e-10 * (1.0 + tv(v))
 
 
-def test_sl_advection_step_wraps_field() -> None:
-    g = build_grid(0.0, 1.0, 4)
-    f = Field(g, Alignment.NODE, np.array([0.0, 1.0, 0.0, 0.0, 0.0]))
-    out = sl_advection_step(f, 0.5)
-    np.testing.assert_allclose(out.values, [0.0, 0.5, 0.5, 0.0, 0.0])
-    cell_field = Field(g, Alignment.CELL, np.zeros(4))
-    with pytest.raises(ValueError, match="node-aligned"):
-        sl_advection_step(cell_field, 0.5)
-
-
 def test_p1_interpolate_clamps_outside() -> None:
     g = build_grid(0.0, 1.5, 3)
     f = Field(g, Alignment.NODE, np.array([1.0, 3.0, 2.0, 4.0]))
@@ -84,98 +70,47 @@ def test_p1_interpolate_clamps_outside() -> None:
     np.testing.assert_allclose(p1_interpolate(f, np.array([0.0, 0.75])), [1.0, 2.5])
 
 
-def test_sl_advection_step_var_traces_feet() -> None:
-    """For c(x) = -(x - 1.1) the foot of x = 0.25 with dt = 0.015385 sits
-    at 0.25 - (-0.85)*dt... i.e. 0.25 - 0.85*dt downstream of the node."""
-    g = build_grid(0.0, 1.0, 40)
-    f = init_point_values(g, lambda x: np.asarray(x, dtype=float))
-    dt = 0.015385
-    out = sl_advection_step_var(f, lambda x: -(np.asarray(x) - 1.1), dt)
-    j = 10
-    assert g.nodes[j] == pytest.approx(0.25, abs=1e-12)
-    foot = 0.25 - (-(0.25 - 1.1)) * dt
-    assert foot == pytest.approx(0.2369227, abs=1e-6)
-    # identity profile: interpolation returns the foot itself
-    assert out.values[j] == pytest.approx(foot, abs=1e-12)
-
-
-def test_sl_advection_step_var_rejects_cfl_violation() -> None:
-    g = build_grid(0.0, 1.0, 4)
-    f = init_point_values(g, lambda x: np.zeros_like(np.asarray(x, dtype=float)))
-    with pytest.raises(ValueError, match="CFL"):
-        sl_advection_step_var(f, lambda x: np.full_like(np.asarray(x, dtype=float), 10.0), 1.0)
-
-
-def test_control_set_grid() -> None:
-    cs = ControlSet(-1.0, 1.0, 5)
-    np.testing.assert_allclose(cs.controls, [-1.0, -0.5, 0.0, 0.5, 1.0])
-    single = ControlSet(0.7, 0.7, 99)
-    assert single.n == 1 and single.controls.tolist() == [0.7]
-    with pytest.raises(ValueError):
-        ControlSet(1.0, -1.0, 5)
-    with pytest.raises(ValueError):
-        ControlSet(0.0, 1.0, 0)
-
-
-def test_legendre_transform_two_velocity_hamiltonian() -> None:
-    """H(p) = max(-p, p): conjugate vanishes on [-1, 1], is unbounded
-    outside."""
-    H = Hamiltonian(lambda p: np.maximum(-p, p), label="max(-p,p)")
-    table = legendre_transform(H, ControlSet(-2.0, 2.0, 9))
-    inside = np.abs(table.controls) <= 1.0
-    np.testing.assert_allclose(table.values[inside], 0.0, atol=1e-12)
-    assert np.all(np.isinf(table.values[~inside]))
-
-
-def test_legendre_transform_linear_hamiltonian() -> None:
-    H = Hamiltonian.linear(0.7)
-    table = legendre_transform(H, ControlSet(0.7, 0.7, 1))
-    assert table.values[0] == pytest.approx(0.0, abs=1e-12)
-    off = legendre_transform(H, ControlSet(0.2, 0.2, 1))
-    assert np.isinf(off.values[0])
-
-
-def test_legendre_table_validation() -> None:
-    with pytest.raises(ValueError):
-        LegendreTable(np.array([0.0, 1.0]), np.array([0.0]))
-    with pytest.raises(ValueError):
-        LegendreTable(np.array([0.0]), np.array([np.nan]))
-    t = LegendreTable(np.array([0.0, 1.0]), np.array([0.0, np.inf]))
-    np.testing.assert_array_equal(t.finite_mask, [True, False])
+def _brute_force_hj(v, nodes, f_min, f_max, dt):
+    """Minimum of the P1 interpolant over the feet x_j - a*dt of 201
+    controls a sampled uniformly on [f_min, f_max]."""
+    best = np.full(v.shape, np.inf)
+    for a in np.linspace(f_min, f_max, 201):
+        np.minimum(best, np.interp(nodes - a * dt, nodes, v), out=best)
+    return best
 
 
 def test_hj_update_matches_direct_minimization() -> None:
-    """The tabulated update equals a brute-force min over the same
-    controls."""
-    g = build_grid(-2.0, 2.0, 40)
-    v = np.asarray((1.0 - np.clip(g.nodes, -1, 1) ** 2) ** 4, dtype=float)
-    H = Hamiltonian(lambda p: np.maximum(-p, p))
-    table = legendre_transform(H, ControlSet(-1.0, 1.0, 21))
-    dt = 0.05
-    out = hj_update_values(v, g.nodes, table, dt)
-    brute = np.full_like(v, np.inf)
-    for a in table.controls:
-        cand = np.interp(g.nodes - a * dt, g.nodes, v)
-        brute = np.minimum(brute, cand)
-    np.testing.assert_allclose(out, brute, rtol=0, atol=0)
+    """The closed form equals a brute-force minimum over 201 sampled
+    controls, on random data at every hj-abs rung."""
+    problem = get_problem("hj-abs")
+    rng = np.random.default_rng(7)
+    for m in problem.m_ladder:
+        nodes = resolve_grid(problem, m).nodes
+        dt, _ = time_ladder(problem, m)
+        for trial in range(12):
+            v = rng.standard_normal(nodes.size)
+            if trial % 3 == 0:
+                v[rng.random(nodes.size) < 0.5] = 0.0  # flat stretches and ties
+            out = hj_update_values(v, nodes, problem.f_min, problem.f_max, dt)
+            brute = _brute_force_hj(v, nodes, problem.f_min, problem.f_max, dt)
+            assert np.array_equal(out, brute), (m, trial)
 
 
 def test_hj_update_with_single_control_is_advection() -> None:
-    """A linear Hamiltonian has one feasible control; the Hopf-Lax update
-    degenerates to plain transport."""
+    """f_min = f_max leaves one control; the Hopf-Lax update degenerates
+    to plain transport."""
     g = build_grid(0.0, 1.0, 20)
     v = np.sin(2 * np.pi * g.nodes)
-    c, dt = 0.7, 0.02
-    table = legendre_transform(Hamiltonian.linear(c), ControlSet(c, c, 1))
-    out = hj_update_values(v, g.nodes, table, dt)
-    nu = c * dt / g.dx
-    np.testing.assert_allclose(out, advect_const_values(v, nu), atol=1e-13)
+    dt = 0.02
+    for c in (0.7, -0.4, 0.0):
+        out = hj_update_values(v, g.nodes, c, c, dt)
+        np.testing.assert_allclose(out, advect_const_values(v, c * dt / g.dx), atol=1e-13)
 
 
 def test_hj_update_rejects_all_infeasible() -> None:
-    table = LegendreTable(np.array([0.0, 1.0]), np.array([np.inf, np.inf]))
-    with pytest.raises(ValueError, match="feasible"):
-        hj_update_values(np.zeros(4), np.arange(4.0), table, 0.1)
+    """f_min > f_max leaves no control."""
+    with pytest.raises(ValueError, match="f_min <= f_max"):
+        hj_update_values(np.zeros(4), np.arange(4.0), 1.0, -1.0, 0.1)
 
 
 @given(v=FIELDS)
@@ -184,18 +119,24 @@ def test_hj_update_never_exceeds_local_max(v: np.ndarray) -> None:
     """An erosion step with zero running cost can only decrease values
     and never dips below the window minimum."""
     nodes = np.arange(v.size, dtype=float)
-    H = Hamiltonian(lambda p: np.maximum(-p, p))
-    table = legendre_transform(H, ControlSet(-1.0, 1.0, 11))
-    out = hj_update_values(v, nodes, table, 0.5)
+    out = hj_update_values(v, nodes, -1.0, 1.0, 0.5)
     assert np.all(out <= v + 1e-12)
     assert np.all(out >= v.min() - 1e-12)
 
 
-def test_sl_hj_step_requires_node_alignment() -> None:
-    g = build_grid(0.0, 1.0, 4)
-    table = legendre_transform(Hamiltonian.absolute(1.0), ControlSet(-1.0, 1.0, 5))
-    f = Field(g, Alignment.NODE, np.zeros(5))
-    out = sl_hj_step(f, table, 0.1)
-    assert out.alignment is Alignment.NODE
-    with pytest.raises(ValueError, match="node-aligned"):
-        sl_hj_step(Field(g, Alignment.CELL, np.zeros(4)), table, 0.1)
+@given(
+    v=FIELDS,
+    bump=hnp.arrays(np.float64, 60, elements=st.floats(min_value=0.0, max_value=5.0)),
+    bounds=st.tuples(COURANTS, COURANTS),
+)
+@settings(max_examples=200, deadline=None)
+def test_hj_update_is_monotone_and_tvd(v: np.ndarray, bump: np.ndarray, bounds) -> None:
+    """Raising the data never lowers the update, and total variation
+    does not grow, for any control interval within one cell."""
+    f_min, f_max = sorted(bounds)
+    nodes = np.arange(v.size, dtype=float)
+    out = hj_update_values(v, nodes, f_min, f_max, 1.0)
+    higher = hj_update_values(v + bump[: v.size], nodes, f_min, f_max, 1.0)
+    assert np.all(higher >= out - 1e-12)
+    tv = lambda u: np.sum(np.abs(np.diff(u)))
+    assert tv(out) <= tv(v) + 1e-10 * (1.0 + tv(v))

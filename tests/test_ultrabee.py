@@ -9,19 +9,9 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from slub.grids import Alignment, Field, build_grid, init_cell_averages
-from slub.problems import ic_jump
-from slub.ultrabee import (
-    CourantNumbers,
-    LimiterState,
-    VelocityPair,
-    cfl_check,
-    ub_flux_left,
-    ub_flux_limited,
-    ub_flux_right,
-    ub_step,
-    ub_step_single,
-    ub_step_values,
-)
+from slub.harness import make_operators
+from slub.problems import get_problem, ic_jump
+from slub.ultrabee import ub_flux_left, ub_flux_limited, ub_flux_right, ub_step_values
 
 TRIPLES = st.tuples(
     st.floats(min_value=-5.0, max_value=5.0),
@@ -111,43 +101,17 @@ def test_step_accepts_per_cell_courant_numbers() -> None:
     np.testing.assert_allclose(ub_step_values(v, nus), ub_step_values(v, 0.5))
 
 
-def test_ub_step_single_requires_cell_alignment() -> None:
-    g = build_grid(0.0, 1.0, 4)
-    f = Field(g, Alignment.CELL, np.array([0.0, 1.0, 0.0, 0.0]))
-    out = ub_step_single(f, 0.5)
-    assert out.alignment is Alignment.CELL
-    with pytest.raises(ValueError, match="cell-aligned"):
-        ub_step_single(Field(g, Alignment.NODE, np.zeros(5)), 0.5)
-
-
-def test_velocity_pair_samples_constants_and_callables() -> None:
-    pair = VelocityPair(f_min=-1.0, f_max=lambda x: np.asarray(x) ** 2)
-    lo, hi = pair.sample(np.array([0.0, 2.0]))
-    np.testing.assert_array_equal(lo, [-1.0, -1.0])
-    np.testing.assert_array_equal(hi, [0.0, 4.0])
-
-
-def test_cfl_check_builds_courant_numbers() -> None:
-    g = build_grid(0.0, 1.0, 10)
-    cn = cfl_check(VelocityPair(-1.0, 1.0), g, dt=0.05)
-    np.testing.assert_allclose(cn.nu_min, -0.5)
-    np.testing.assert_allclose(cn.nu_max, 0.5)
-    nmin, nmax = cn.per_cell(g.n_cells)
-    assert nmin.size == g.n_cells == nmax.size
-    with pytest.raises(ValueError, match="CFL"):
-        cfl_check(VelocityPair(-1.0, 1.0), g, dt=0.2)
-    with pytest.raises(ValueError):
-        cfl_check(VelocityPair(-1.0, 1.0), g, dt=0.0)
-
-
 def test_two_velocity_step_is_min_of_singles() -> None:
+    """The hj cell update is the pointwise min of the two single-velocity
+    kernel calls, at Courant numbers f_min*dt/dx and f_max*dt/dx."""
+    problem = get_problem("hj-abs")
     g = build_grid(-2.0, 2.0, 20)
-    f = init_cell_averages(g, ic_jump)
-    cn = cfl_check(VelocityPair(-1.0, 1.0), g, dt=0.1)
-    out = ub_step(f, cn)
-    lo = ub_step_values(f.values, cn.nu_min[:-1])
-    hi = ub_step_values(f.values, cn.nu_max[:-1])
-    np.testing.assert_array_equal(out.values, np.minimum(lo, hi))
+    dt = 0.1
+    v = init_cell_averages(g, ic_jump).values
+    out = make_operators(problem, g, dt).cell_update(v)
+    lo = ub_step_values(v, problem.f_min * dt / g.dx)
+    hi = ub_step_values(v, problem.f_max * dt / g.dx)
+    np.testing.assert_array_equal(out, np.minimum(lo, hi))
 
 
 def test_limited_flux_matches_clamp_form_on_monotone_data() -> None:
