@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -19,6 +21,8 @@ from slub.coupled import (
     project_to_cells,
     project_to_nodes,
 )
+from slub.harness import resolve_regularity
+from slub.problems import get_problem
 from slub.semi_lagrangian import advect_const_values
 from slub.ultrabee import ub_step_values
 
@@ -39,6 +43,16 @@ def test_regularity_params_validation() -> None:
         RegularityParams(delta=1.0, flat_tol=-0.1, guard=0)
     with pytest.raises(ValueError):
         RegularityParams(delta=1.0, flat_tol=0.0, guard=-2)
+
+
+def test_params_from_initial_slope() -> None:
+    """resolve_regularity scales the preset factors by the largest
+    initial |slope|: 2 here, from the middle pair at dx = 1."""
+    problem = replace(get_problem("adv-jump"), delta_factor=0.5, flat_frac=0.1)
+    v = np.array([0.0, 1.0, 3.0, 3.0])
+    p = resolve_regularity(problem, v, 1.0)
+    assert p.delta == pytest.approx(1.0)
+    assert p.flat_tol == pytest.approx(0.2)
 
 
 def test_backward_slopes_pads_with_zeros() -> None:

@@ -89,11 +89,6 @@ def test_resolve_regularity_prefers_absolute_overrides() -> None:
     assert params.flat_tol == pytest.approx(2.0 * problem.flat_frac)
     assert params.guard == problem.guard
 
-    # the largest |slope| sets the scale: 2 here, from the middle pair
-    uneven = resolve_regularity(problem, np.array([0.0, 1.0, 3.0, 3.0]), dx=1.0)
-    assert uneven.delta == pytest.approx(2.0 * problem.delta_factor)
-    assert uneven.flat_tol == pytest.approx(2.0 * problem.flat_frac)
-
     over = resolve_regularity(problem, w0, dx=0.5, delta=7.0, epsilon=0.25, guard=0)
     assert over.delta == 7.0
     assert over.flat_tol == 0.25

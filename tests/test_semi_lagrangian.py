@@ -3,6 +3,8 @@ closed-form Hopf-Lax step."""
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -10,7 +12,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from slub.grids import Alignment, Field, build_grid
-from slub.harness import resolve_grid, time_ladder
+from slub.harness import make_operators, resolve_grid, time_ladder
 from slub.problems import get_problem
 from slub.semi_lagrangian import advect_const_values, hj_update_values, p1_interpolate
 
@@ -23,10 +25,6 @@ COURANTS = st.floats(min_value=-1.0, max_value=1.0)
 
 
 def test_advect_const_convex_combination() -> None:
-    np.testing.assert_allclose(
-        advect_const_values(np.array([0.0, 1.0, 0.0, 0.0, 0.0]), 0.5),
-        [0.0, 0.5, 0.5, 0.0, 0.0],
-    )
     v = np.array([0.0, 1.0, 0.0, 2.0])
     out = advect_const_values(v, 0.25)
     np.testing.assert_allclose(out, [0.0, 0.75, 0.25, 1.5])
@@ -59,6 +57,28 @@ def test_advect_const_is_monotone_and_tvd(v: np.ndarray, nu: float) -> None:
     assert np.all(out >= lo) and np.all(out <= hi)
     tv = lambda u: np.sum(np.abs(np.diff(u)))
     assert tv(out) <= tv(v) + 1e-10 * (1.0 + tv(v))
+
+
+def test_sl_advection_step_wraps_field() -> None:
+    """The node kernel acts on a node field's values; the one remaining
+    Field entry point, p1_interpolate, refuses cell-aligned data."""
+    g = build_grid(0.0, 1.0, 4)
+    f = Field(g, Alignment.NODE, np.array([0.0, 1.0, 0.0, 0.0, 0.0]))
+    out = advect_const_values(f.values, 0.5)
+    np.testing.assert_allclose(out, [0.0, 0.5, 0.5, 0.0, 0.0])
+    cell_field = Field(g, Alignment.CELL, np.zeros(4))
+    with pytest.raises(ValueError, match="node-aligned"):
+        p1_interpolate(cell_field, 0.5)
+
+
+def test_sl_advection_step_var_rejects_cfl_violation() -> None:
+    """A variable velocity of 10 on dx = 0.25 with dt = 1 is refused
+    when the node update is built."""
+    problem = replace(
+        get_problem("adv-var"), c=lambda x: np.full_like(np.asarray(x, dtype=float), 10.0)
+    )
+    with pytest.raises(ValueError, match="CFL"):
+        make_operators(problem, build_grid(0.0, 1.0, 4), 1.0)
 
 
 def test_p1_interpolate_clamps_outside() -> None:
