@@ -71,8 +71,6 @@ class RunConfig:
             raise ValueError(f"unknown scheme {self.scheme!r}; choose from {SCHEMES}")
         if self.m < 3:
             raise ValueError(f"need m >= 3, got {self.m}")
-        if self.nu is not None and not (0.0 < self.nu <= 1.0):
-            raise ValueError(f"nu must lie in (0, 1], got {self.nu}")
         if self.snapshots is not None and any(k < 0 for k in self.snapshots):
             raise ValueError("snapshot steps must be nonnegative")
 

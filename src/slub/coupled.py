@@ -11,8 +11,8 @@ re-smeared) every step.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from typing import Callable
+from dataclasses import dataclass
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -138,6 +138,13 @@ class CoupledState:
     step_index  number of steps taken
     fresh_cell_count  cells that entered the anti-dissipative region
                       this step (their averages came from projection)
+    node_candidate    node-scheme update of the previous w, over every
+                      node (w keeps it where sigma is 1)
+    cell_source       cell averages the cell update started from: the
+                      previous w_bar where owned, else projected nodes
+
+    The last two are None on a state no step produced; the run loop
+    feeds them to the stability witnesses instead of recomputing them.
     """
 
     w: np.ndarray
@@ -147,6 +154,8 @@ class CoupledState:
     sigma_prev: np.ndarray
     step_index: int = 0
     fresh_cell_count: int = 0
+    node_candidate: Optional[np.ndarray] = None
+    cell_source: Optional[np.ndarray] = None
 
 
 def init_coupled_state(values: np.ndarray, dx: float, params: RegularityParams) -> CoupledState:
@@ -195,4 +204,6 @@ def coupled_step(
         sigma_prev=state.sigma,
         step_index=state.step_index + 1,
         fresh_cell_count=fresh,
+        node_candidate=new_w_nodes,
+        cell_source=source,
     )

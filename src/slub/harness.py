@@ -33,7 +33,6 @@ from .coupled import (
     RegularityParams,
     coupled_step,
     init_coupled_state,
-    project_to_cells,
 )
 from .diagnostics import (
     ErrorReport,
@@ -115,7 +114,16 @@ def time_ladder(problem: ProblemSpec, m: int) -> tuple[float, int]:
 
     dt0 = nu*dx/speed_scale, shrunk to dt = T/n with
     n = ceil(T/dt0) so the run lands exactly on the horizon.
+
+    Raises
+    ------
+    ValueError
+        If nu is outside (0, 1] or T is not finite and positive.
     """
+    if not (0.0 < problem.nu <= 1.0):
+        raise ValueError(f"nu must lie in (0, 1], got {problem.nu}")
+    if not (math.isfinite(problem.T) and problem.T > 0.0):
+        raise ValueError(f"T must be finite and positive, got {problem.T}")
     dx = (problem.b - problem.a) / m
     dt0 = problem.nu * dx / problem.speed_scale
     n = max(1, math.ceil(problem.T / dt0 - 1e-12))
@@ -265,71 +273,55 @@ def run_scheme(
         problem = get_problem(problem)
     if scheme not in SCHEMES:
         raise ValueError(f"unknown scheme {scheme!r}; choose from {SCHEMES}")
-    grid = resolve_grid(problem, m)
     dt, n_steps = time_ladder(problem, m)
+    grid = resolve_grid(problem, m)
     snapshot_steps = tuple(int(k) for k in snapshot_steps)
     for k in snapshot_steps:
         if not (0 <= k <= n_steps):
             raise ValueError(f"snapshot step {k} outside [0, {n_steps}]")
     ops = make_operators(problem, grid, dt)
 
-    witness_max = 0.0
-    snapshots: dict = {}
-    sigma_history = None
-    params = None
-
-    if scheme == "sl":
-        v = init_point_values(grid, problem.ic).values
-        tv_vals = [total_variation(v)]
-        if 0 in snapshot_steps:
-            snapshots[0] = v.copy()
-        for k in range(1, n_steps + 1):
-            new = ops.node_update(v)
-            witness_max = max(witness_max, _witness(v, new, ops.nu_node, ops.two_sided))
-            v = new
-            tv_vals.append(total_variation(v))
-            if k in snapshot_steps:
-                snapshots[k] = v.copy()
-        final, alignment = v, Alignment.NODE
-        allowance = 0.0
-    elif scheme == "ub":
-        v = init_cell_averages(grid, problem.ic).values
-        tv_vals = [total_variation(v)]
-        if 0 in snapshot_steps:
-            snapshots[0] = v.copy()
-        for k in range(1, n_steps + 1):
-            new = ops.cell_update(v)
-            witness_max = max(witness_max, _witness(v, new, ops.nu_cell, ops.two_sided))
-            v = new
-            tv_vals.append(total_variation(v))
-            if k in snapshot_steps:
-                snapshots[k] = v.copy()
-        final, alignment = v, Alignment.CELL
-        allowance = 0.0
-    else:
+    params = sigma_rows = None
+    allowance = 0.0
+    if scheme == "coupled":
         w0 = init_point_values(grid, problem.ic).values
         params = resolve_regularity(problem, w0, grid.dx, delta, epsilon, guard)
         state = init_coupled_state(w0, grid.dx, params)
-        tv_vals = [total_variation(state.w)]
-        sigma_rows = [state.sigma.copy()]
-        if 0 in snapshot_steps:
-            snapshots[0] = state.w.copy()
-        for k in range(1, n_steps + 1):
-            prev_w = state.w
-            prev_source = np.where(state.owned, state.w_bar, project_to_cells(state.w))
-            state = coupled_step(state, grid.dx, params, ops.node_update, ops.cell_update)
-            witness_max = max(
-                witness_max,
-                _witness(prev_w, ops.node_update(prev_w), ops.nu_node, ops.two_sided),
-                _witness(prev_source, state.w_bar, ops.nu_cell, ops.two_sided),
-            )
-            tv_vals.append(total_variation(state.w))
-            sigma_rows.append(state.sigma.copy())
-            if k in snapshot_steps:
-                snapshots[k] = state.w.copy()
-        final, alignment = state.w, Alignment.NODE
-        sigma_history = np.vstack(sigma_rows)
+        v, alignment = state.w, Alignment.NODE
+        sigma_rows = [state.sigma]
         allowance = tvb_allowance(params, grid)
+
+        def advance(s):
+            out = coupled_step(s, grid.dx, params, ops.node_update, ops.cell_update)
+            sigma_rows.append(out.sigma)
+            return out, out.w, (
+                _witness(s.w, out.node_candidate, ops.nu_node, ops.two_sided),
+                _witness(out.cell_source, out.w_bar, ops.nu_cell, ops.two_sided),
+            )
+    else:
+        if scheme == "sl":
+            v = init_point_values(grid, problem.ic).values
+            update, nus, alignment = ops.node_update, ops.nu_node, Alignment.NODE
+        else:
+            v = init_cell_averages(grid, problem.ic).values
+            update, nus, alignment = ops.cell_update, ops.nu_cell, Alignment.CELL
+        state = v
+
+        def advance(old):
+            new = update(old)
+            return new, new, (_witness(old, new, nus, ops.two_sided),)
+
+    witness_max = 0.0
+    tv_vals = [total_variation(v)]
+    snapshots = {0: v.copy()} if 0 in snapshot_steps else {}
+    for k in range(1, n_steps + 1):
+        state, v, witnesses = advance(state)
+        witness_max = max(witness_max, *witnesses)
+        tv_vals.append(total_variation(v))
+        if k in snapshot_steps:
+            snapshots[k] = v.copy()
+    final = v
+    sigma_history = None if sigma_rows is None else np.vstack(sigma_rows)
 
     t_final = dt * n_steps
     if alignment is Alignment.NODE:

@@ -46,17 +46,18 @@ def advect_const_values(values: np.ndarray, nu: float) -> np.ndarray:
     """One constant-velocity transport step on raw node values.
 
     The signed Courant number nu = c*dt/dx selects the upwind
-    direction: out_j = nu*in_{j-1} + (1-nu)*in_j for nu >= 0, mirrored
-    for nu < 0.  With |nu| <= 1 each output is a convex combination of
-    two upwind neighbours, so the step is monotone, TVD and max-norm
-    stable; |nu| = 1 is an exact shift.
+    direction: out_j = a*up_j + (1-a)*in_j with a = |nu| and up_j the
+    upwind neighbour, in_{j-1} for nu >= 0 and in_{j+1} for nu < 0.
+    With |nu| <= 1 each output is a convex combination of two upwind
+    neighbours, so the step is monotone, TVD and max-norm stable;
+    |nu| = 1 is an exact shift.
     """
     check_cfl(nu)
     v = np.asarray(values, dtype=float)
     padded = np.pad(v, 1, mode="edge")
-    if nu >= 0.0:
-        return nu * padded[:-2] + (1.0 - nu) * v
-    return (-nu) * padded[2:] + (1.0 + nu) * v
+    up = padded[:-2] if nu >= 0.0 else padded[2:]
+    a = abs(nu)
+    return a * up + (1.0 - a) * v
 
 
 def hj_update_values(

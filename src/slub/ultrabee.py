@@ -3,11 +3,15 @@
 The flux at each interface clamps the downwind average between two
 bounds built from the upwind pair; the clamp makes the update exact on
 step profiles (no smearing) while keeping it max-norm stable and TVD.
-`ub_step_values` is the one array kernel.  Two-velocity problems,
-H(p) = max(f_min*p, f_max*p), take the pointwise minimum of two kernel
-calls (Bokanowski & Zidani, J. Sci. Comput. 2007).  The scalar
-fluxes `ub_flux_left` / `ub_flux_right` and the limited-slope form
-`ub_flux_limited` are kept as references for the tests.
+There is one flux function, written for nu >= 0: a negative Courant
+number is its mirror image, so the kernels read the stencil upwind by
+the sign of nu and evaluate the same flux at |nu| (Despres &
+Lagoutiere, J. Sci. Comput. 2001).  `ub_step_values` is the one array
+kernel.  Two-velocity problems, H(p) = max(f_min*p, f_max*p), take the
+pointwise minimum of two kernel calls (Bokanowski & Zidani, J. Sci.
+Comput. 2007).  The scalar fluxes `ub_flux_left` / `ub_flux_right` and
+the limited-slope form `ub_flux_limited` are kept as references for the
+tests.
 """
 
 from __future__ import annotations
@@ -31,7 +35,9 @@ _NU_TINY = 1e-14
 
 
 def _flux_pos(prev, cur, nxt, nu):
-    """Interface value right of `cur` for nu >= 0 (vectorized)."""
+    """Value at the interface between `cur` and its downwind neighbour
+    `nxt`, for nu >= 0 (vectorized).  The nu <= 0 flux on the interface
+    left of `cur` is `_flux_pos(nxt, cur, prev, -nu)`."""
     nu = np.asarray(nu, dtype=float)
     tiny = nu < _NU_TINY
     safe = np.where(tiny, 1.0, nu)
@@ -41,20 +47,6 @@ def _flux_pos(prev, cur, nxt, nu):
     B = small + (cur - small) / safe
     clamped = np.minimum(np.maximum(nxt, b), B)
     at_rest = np.where(cur != prev, nxt, cur)
-    return np.where(tiny, at_rest, clamped)
-
-
-def _flux_neg(prev, cur, nxt, nu):
-    """Interface value left of `cur` for nu <= 0 (vectorized)."""
-    nu = np.asarray(nu, dtype=float)
-    tiny = nu > -_NU_TINY
-    safe = np.where(tiny, 1.0, -nu)
-    big = np.maximum(cur, nxt)
-    small = np.minimum(cur, nxt)
-    b = big + (cur - big) / safe
-    B = small + (cur - small) / safe
-    clamped = np.minimum(np.maximum(prev, b), B)
-    at_rest = np.where(cur != nxt, prev, cur)
     return np.where(tiny, at_rest, clamped)
 
 
@@ -75,28 +67,28 @@ def ub_flux_right(u_prev: float, u_cur: float, u_next: float, nu: float) -> floa
     """Flux at the interface left of u_cur, for nonpositive nu (mirror)."""
     if nu > 0.0:
         raise ValueError(f"ub_flux_right needs nu <= 0, got {nu}")
-    return float(_flux_neg(u_prev, u_cur, u_next, nu))
+    return float(_flux_pos(u_next, u_cur, u_prev, -nu))
 
 
 def ub_step_values(values: np.ndarray, nus) -> np.ndarray:
     """One anti-dissipative update on raw cell averages.
 
     `nus` is a signed Courant number per cell (scalar broadcasts).
-    Both interface fluxes of a cell use that cell's own Courant number;
-    the sign selects the flux family.  Ghost cells continue the end
-    values.
+    Both interface fluxes of a cell use that cell's own Courant number:
+    its sign picks the upwind side of the stencil and the flux is taken
+    at |nu|, so the update is v - |nu|*(outflow flux - inflow flux).
+    Ghost cells continue the end values.
     """
     check_cfl(nus)
     v = np.asarray(values, dtype=float)
     nu = np.broadcast_to(np.asarray(nus, dtype=float), v.shape)
     p = np.pad(v, 2, mode="edge")
-    vm2, vm1, v0, vp1, vp2 = p[:-4], p[1:-3], p[2:-2], p[3:-1], p[4:]
-    flux_hi_pos = _flux_pos(vm1, v0, vp1, nu)   # right interface, nu >= 0
-    flux_lo_pos = _flux_pos(vm2, vm1, v0, nu)   # left interface, nu >= 0
-    flux_hi_neg = _flux_neg(v0, vp1, vp2, nu)   # right interface, nu < 0
-    flux_lo_neg = _flux_neg(vm1, v0, vp1, nu)   # left interface, nu < 0
-    diff = np.where(nu >= 0.0, flux_hi_pos - flux_lo_pos, flux_hi_neg - flux_lo_neg)
-    return v - nu * diff
+    pos = nu >= 0.0
+    up1 = np.where(pos, p[1:-3], p[3:-1])
+    up2 = np.where(pos, p[:-4], p[4:])
+    down = np.where(pos, p[3:-1], p[1:-3])
+    a = np.abs(nu)
+    return v - a * (_flux_pos(up1, v, down, a) - _flux_pos(up2, up1, v, a))
 
 
 @dataclass(frozen=True)

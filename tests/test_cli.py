@@ -235,6 +235,31 @@ def test_main_unknown_compare_scheme_exits_nonzero(tmp_path: Path, capsys) -> No
     assert "unknown scheme" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["run", "--problem", "adv-smooth", "--scheme", "sl", "--T", "inf"],
+         "T must be finite and positive"),
+        (["run", "--problem", "adv-smooth", "--scheme", "sl", "--T", "0"],
+         "T must be finite and positive"),
+        (["convergence", "--problem", "adv-smooth", "--scheme", "sl", "--nu", "0"],
+         "nu must lie in (0, 1]"),
+        (["compare", "--problem", "adv-smooth", "--nu", "0"], "nu must lie in (0, 1]"),
+        (["compare", "--problem", "adv-smooth", "--T", "-0.5"],
+         "T must be finite and positive"),
+    ],
+    ids=["run-T-inf", "run-T-zero", "convergence-nu-zero", "compare-nu-zero",
+         "compare-T-negative"],
+)
+def test_main_bad_nu_or_horizon_exits_nonzero(
+    argv: list, message: str, tmp_path: Path, capsys
+) -> None:
+    assert main(argv + ["--out", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and message in err
+    assert not any(tmp_path.iterdir())
+
+
 def test_main_list_problems_shows_registry(capsys) -> None:
     assert main(["list-problems"]) == 0
     out = capsys.readouterr().out

@@ -237,6 +237,18 @@ def test_coupled_step_bookkeeping() -> None:
     np.testing.assert_array_equal(out.sigma_prev, state.sigma)
     np.testing.assert_array_equal(out.owned, active_cells(out.sigma))
     assert out.fresh_cell_count == np.count_nonzero(out.owned & ~state.owned)
+    # the step hands back the node candidate and the cell source it used
+    assert state.node_candidate is None and state.cell_source is None
+    np.testing.assert_array_equal(out.node_candidate, sl(state.w))
+    np.testing.assert_array_equal(
+        out.cell_source, np.where(state.owned, state.w_bar, project_to_cells(state.w))
+    )
+    out2 = coupled_step(out, 1.0, params, sl, ub)
+    np.testing.assert_array_equal(out2.node_candidate, sl(out.w))
+    np.testing.assert_array_equal(
+        out2.cell_source, np.where(out.owned, out.w_bar, project_to_cells(out.w))
+    )
+    np.testing.assert_array_equal(out2.w_bar, ub(out2.cell_source))
 
 
 def test_coupled_step_fills_holes_from_adjacent_averages() -> None:

@@ -3,6 +3,8 @@ and refinement tables."""
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -53,6 +55,21 @@ def test_time_ladder_anchors() -> None:
         assert n == n_want, (name, m)
         assert dt == pytest.approx(dt_want, rel=1e-12), (name, m)
         assert n * dt == pytest.approx(get_problem(name).T, rel=1e-12)
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [("nu", 0.0), ("nu", -0.5), ("nu", 1.5), ("nu", float("nan")),
+     ("T", 0.0), ("T", -0.5), ("T", float("inf")), ("T", float("nan"))],
+)
+def test_time_ladder_rejects_bad_nu_and_horizon(field: str, value: float) -> None:
+    """One check serves the library and every CLI subcommand."""
+    match = r"nu must lie in \(0, 1\]" if field == "nu" else "T must be finite and positive"
+    problem = replace(get_problem("adv-smooth"), **{field: value})
+    with pytest.raises(ValueError, match=match):
+        time_ladder(problem, 19)
+    with pytest.raises(ValueError, match=match):
+        run_scheme(problem, "sl", 19)
 
 
 def test_resolve_grid_extends_downstream_for_transport() -> None:
@@ -169,6 +186,25 @@ def test_run_scheme_smoke(name: str, scheme: str) -> None:
         np.testing.assert_array_equal(res.sigma_history[0], res.sigma_history[1])
     else:
         assert res.sigma_history is None
+
+
+def test_coupled_run_calls_node_update_once_per_step(monkeypatch) -> None:
+    """The coupled step's node candidate feeds the witness; the run
+    loop does not evaluate the node update a second time."""
+    calls = []
+
+    def counting_make_operators(*args, **kwargs):
+        ops = make_operators(*args, **kwargs)
+
+        def counted(v):
+            calls.append(1)
+            return ops.node_update(v)
+
+        return replace(ops, node_update=counted)
+
+    monkeypatch.setattr("slub.harness.make_operators", counting_make_operators)
+    res = run_scheme("adv-jump", "coupled", 79)
+    assert len(calls) == res.n_steps
 
 
 def test_run_scheme_rejects_unknown_scheme() -> None:

@@ -11,6 +11,7 @@ from hypothesis.extra import numpy as hnp
 from slub.grids import Alignment, Field, build_grid, init_cell_averages
 from slub.harness import make_operators
 from slub.problems import get_problem, ic_jump
+from slub.semi_lagrangian import advect_const_values
 from slub.ultrabee import ub_flux_left, ub_flux_limited, ub_flux_right, ub_step_values
 
 TRIPLES = st.tuples(
@@ -56,13 +57,18 @@ def test_flux_brackets_interpolating_pair(triple, nu: float) -> None:
     assert min(cur, nxt) - 1e-12 <= g <= max(cur, nxt) + 1e-12
 
 
-@given(v=CELLS, nu=st.floats(min_value=0.0, max_value=1.0))
+@given(
+    v=CELLS,
+    nu=st.floats(min_value=0.0, max_value=1.0),
+    kernel=st.sampled_from([ub_step_values, advect_const_values]),
+)
 @settings(max_examples=200, deadline=None)
-def test_step_mirror_symmetry(v: np.ndarray, nu: float) -> None:
-    """Reversing space and negating the velocity commute with the step."""
-    forward = ub_step_values(v, nu)
-    mirrored = ub_step_values(v[::-1], -nu)[::-1]
-    np.testing.assert_allclose(forward, mirrored, rtol=0, atol=1e-12)
+def test_step_mirror_symmetry(v: np.ndarray, nu: float, kernel) -> None:
+    """Reversing space and negating the velocity commute with the step,
+    exactly: both signs evaluate the same arithmetic at |nu|."""
+    forward = kernel(v, nu)
+    mirrored = kernel(v[::-1], -nu)[::-1]
+    np.testing.assert_array_equal(forward, mirrored)
 
 
 @given(v=CELLS, nu=st.floats(min_value=-1.0, max_value=1.0))
@@ -99,6 +105,24 @@ def test_step_accepts_per_cell_courant_numbers() -> None:
     v = np.array([0.0, 1.0, 1.0, 0.0, 0.0])
     nus = np.array([0.5, 0.5, 0.5, 0.5, 0.5])
     np.testing.assert_allclose(ub_step_values(v, nus), ub_step_values(v, 0.5))
+
+
+def test_step_cell_depends_only_on_its_own_courant_number() -> None:
+    """With mixed-sign per-cell Courant numbers, cell j is updated as if
+    every cell had nu_j: its sign picks the upwind side, including the
+    signed zeros and the |nu| < 1e-14 at-rest branch."""
+    rng = np.random.default_rng(11)
+    special = np.array([0.0, -0.0, 1e-15, -1e-15, 1.0, -1.0])
+    for _ in range(20):
+        n = int(rng.integers(6, 40))
+        v = rng.standard_normal(n)
+        v[rng.random(n) < 0.3] = 0.0  # flat pairs exercise the at-rest branch
+        nus = rng.uniform(-1.0, 1.0, n)
+        picks = rng.random(n) < 0.4
+        nus[picks] = rng.choice(special, int(picks.sum()))
+        out = ub_step_values(v, nus)
+        for j in range(n):
+            assert np.array_equal(out[j], ub_step_values(v, nus[j])[j]), (j, nus[j])
 
 
 def test_two_velocity_step_is_min_of_singles() -> None:
