@@ -16,6 +16,8 @@ from typing import Callable, Optional
 
 import numpy as np
 
+from .grids import edge_pad
+
 __all__ = [
     "RegularityParams",
     "backward_slopes",
@@ -122,7 +124,7 @@ def project_to_cells(node_values: np.ndarray) -> np.ndarray:
 def project_to_nodes(cell_values: np.ndarray) -> np.ndarray:
     """Node values as means of the two adjacent cell averages."""
     c = np.asarray(cell_values, dtype=float)
-    p = np.pad(c, 1, mode="edge")
+    p = edge_pad(c, 1)
     return 0.5 * (p[:-1] + p[1:])
 
 

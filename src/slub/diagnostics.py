@@ -14,7 +14,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .grids import Grid1D
+from .grids import Grid1D, edge_pad
 from .coupled import RegularityParams
 
 __all__ = [
@@ -122,7 +122,7 @@ def extract_incremental(
     new = np.asarray(u_new, dtype=float)
     if old.shape != new.shape:
         raise ValueError("u_old and u_new must have matching shapes")
-    p = np.pad(old, 1, mode="edge")
+    p = edge_pad(old, 1)
     upwind = p[:-2] if nu_sign >= 0 else p[2:]
     jump = old - upwind
     delta = old - new
@@ -150,16 +150,19 @@ def stability_witness(
 ) -> StabilityReport:
     """Check each new value against its two-point upwind bracket.
 
-    For nonnegative local Courant number the bracket at j is
-    [min, max] of u_old[j-1], u_old[j]; for negative it uses
+    `nu` is one signed Courant number for every entry or an array of
+    one per entry.  For nonnegative local Courant number the bracket at
+    j is [min, max] of u_old[j-1], u_old[j]; for negative it uses
     u_old[j], u_old[j+1].  Monotone steps of either solver family
     satisfy this with equality at most.
     """
     old = np.asarray(u_old, dtype=float)
     new = np.asarray(u_new, dtype=float)
-    nu = np.broadcast_to(np.asarray(nu, dtype=float), old.shape)
-    p = np.pad(old, 1, mode="edge")
-    other = np.where(nu >= 0.0, p[:-2], p[2:])
+    p = edge_pad(old, 1)
+    if np.ndim(nu) == 0:
+        other = p[:-2] if nu >= 0.0 else p[2:]
+    else:
+        other = np.where(np.asarray(nu, dtype=float) >= 0.0, p[:-2], p[2:])
     lo = np.minimum(old, other)
     hi = np.maximum(old, other)
     viol = np.maximum(lo - new, new - hi)
@@ -181,7 +184,7 @@ def three_point_witness(
     """
     old = np.asarray(u_old, dtype=float)
     new = np.asarray(u_new, dtype=float)
-    p = np.pad(old, 1, mode="edge")
+    p = edge_pad(old, 1)
     lo = np.minimum(np.minimum(p[:-2], old), p[2:])
     hi = np.maximum(np.maximum(p[:-2], old), p[2:])
     viol = np.maximum(lo - new, new - hi)

@@ -1,4 +1,5 @@
-"""Uniform 1D grids, grid-aligned scalar fields, and the CFL check.
+"""Uniform 1D grids, grid-aligned scalar fields, the CFL check and the
+ghost-cell convention.
 
 Two alignments matter here: point values live on nodes x_j, cell averages
 live on cells [x_j, x_{j+1}).  The scheme kernels take raw arrays in one
@@ -21,6 +22,7 @@ __all__ = [
     "Field",
     "build_grid",
     "check_cfl",
+    "edge_pad",
     "init_point_values",
     "init_cell_averages",
 ]
@@ -143,6 +145,18 @@ def check_cfl(nu) -> None:
         raise ValueError(
             f"CFL violated at index {j}: Courant number |nu| = {np.ravel(mag)[j]:.6g} > 1"
         )
+
+
+def edge_pad(values: np.ndarray, k: int) -> np.ndarray:
+    """1-D `values` with k >= 1 ghost entries at each end that continue
+    the end values (numpy's "edge" padding, without its per-call
+    overhead).  Every kernel continues its data past the grid ends this
+    way."""
+    out = np.empty(values.size + 2 * k, dtype=values.dtype)
+    out[:k] = values[0]
+    out[k:-k] = values
+    out[-k:] = values[-1]
+    return out
 
 
 def _eval_on(fn, x: np.ndarray) -> np.ndarray:

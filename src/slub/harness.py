@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field as dataclass_field
-from typing import Callable, Optional, Sequence
+from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
 
@@ -49,6 +49,7 @@ from .diagnostics import (
 __all__ = [
     "SCHEMES",
     "LADDER_PRESETS",
+    "MAX_STEPS",
     "resolve_grid",
     "time_ladder",
     "resolve_regularity",
@@ -70,6 +71,10 @@ LADDER_PRESETS = {
     "ex3": (19, 39, 79, 159, 319, 639),
     "ex4": (19, 39, 79, 159, 319, 639),
 }
+
+# Largest step count a run may take; a tinier nu or a longer horizon is
+# rejected by `time_ladder` instead of looping for ever.
+MAX_STEPS = 10_000_000
 
 _SUPPORT_PAD = 0.5
 
@@ -118,7 +123,8 @@ def time_ladder(problem: ProblemSpec, m: int) -> tuple[float, int]:
     Raises
     ------
     ValueError
-        If nu is outside (0, 1] or T is not finite and positive.
+        If nu is outside (0, 1], T is not finite and positive, or the
+        run would take more than MAX_STEPS steps.
     """
     if not (0.0 < problem.nu <= 1.0):
         raise ValueError(f"nu must lie in (0, 1], got {problem.nu}")
@@ -126,7 +132,12 @@ def time_ladder(problem: ProblemSpec, m: int) -> tuple[float, int]:
         raise ValueError(f"T must be finite and positive, got {problem.T}")
     dx = (problem.b - problem.a) / m
     dt0 = problem.nu * dx / problem.speed_scale
-    n = max(1, math.ceil(problem.T / dt0 - 1e-12))
+    steps = problem.T / dt0 if dt0 > 0.0 else math.inf
+    if steps - 1e-12 > MAX_STEPS:
+        raise ValueError(
+            f"the run would take {steps:.4g} steps, more than MAX_STEPS = {MAX_STEPS}"
+        )
+    n = max(1, math.ceil(steps - 1e-12))
     return problem.T / n, n
 
 
@@ -155,14 +166,16 @@ class StepOperators:
 
     node_update/cell_update act on raw arrays (node values / cell
     averages).  nu_node/nu_cell carry the signed Courant numbers used
-    by the stability witness; two_sided marks updates that draw on both
-    neighbors (then the witness brackets three points).
+    by the stability witness: one scalar when the velocity is uniform,
+    else one value per node / cell (None for two-sided updates).
+    two_sided marks updates that draw on both neighbors (then the
+    witness brackets three points).
     """
 
     node_update: Callable[[np.ndarray], np.ndarray]
     cell_update: Callable[[np.ndarray], np.ndarray]
-    nu_node: Optional[np.ndarray]
-    nu_cell: Optional[np.ndarray]
+    nu_node: Union[float, np.ndarray, None]
+    nu_cell: Union[float, np.ndarray, None]
     two_sided: bool
 
 
@@ -178,13 +191,11 @@ def make_operators(problem: ProblemSpec, grid: Grid1D, dt: float) -> StepOperato
     if problem.kind == "advection-const":
         nu = float(problem.c) * dt / dx
         check_cfl(nu)
-        nu_node = np.full(grid.n_nodes, nu)
-        nu_cell = np.full(grid.n_cells, nu)
         return StepOperators(
             node_update=lambda v: advect_const_values(v, nu),
             cell_update=lambda v: ub_step_values(v, nu),
-            nu_node=nu_node,
-            nu_cell=nu_cell,
+            nu_node=nu,
+            nu_cell=nu,
             two_sided=False,
         )
     if problem.kind == "advection-var":
@@ -252,6 +263,13 @@ def _witness(old, new, nus, two_sided: bool) -> float:
     return stability_witness(old, new, nus).max_violation
 
 
+def _raise_non_finite(v: np.ndarray, tv: float, k: int, alignment: Alignment) -> None:
+    bad = np.flatnonzero(~np.isfinite(v))
+    where = (f"first non-finite value at {alignment.value} {bad[0]}" if bad.size
+             else "the values are finite but their variation overflows")
+    raise ValueError(f"non-finite total variation {tv} at step {k}: {where}")
+
+
 def run_scheme(
     problem,
     scheme: str,
@@ -268,6 +286,13 @@ def run_scheme(
     override the indicator thresholds (absolute slope units); `guard`
     overrides the detection-window dilation.  Snapshots of the evolving
     field are kept at the requested step indices (0 = initial data).
+
+    Raises
+    ------
+    ValueError
+        On a bad ladder entry (see `time_ladder`), or at the first step
+        whose total variation is not finite, naming that step and the
+        first non-finite node or cell.
     """
     if isinstance(problem, str):
         problem = get_problem(problem)
@@ -317,7 +342,10 @@ def run_scheme(
     for k in range(1, n_steps + 1):
         state, v, witnesses = advance(state)
         witness_max = max(witness_max, *witnesses)
-        tv_vals.append(total_variation(v))
+        tv = total_variation(v)
+        if not math.isfinite(tv):
+            _raise_non_finite(v, tv, k, alignment)
+        tv_vals.append(tv)
         if k in snapshot_steps:
             snapshots[k] = v.copy()
     final = v

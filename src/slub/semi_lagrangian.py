@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .grids import Alignment, Field, check_cfl
+from .grids import Alignment, Field, check_cfl, edge_pad
 
 __all__ = [
     "p1_interpolate",
@@ -54,7 +54,7 @@ def advect_const_values(values: np.ndarray, nu: float) -> np.ndarray:
     """
     check_cfl(nu)
     v = np.asarray(values, dtype=float)
-    padded = np.pad(v, 1, mode="edge")
+    padded = edge_pad(v, 1)
     up = padded[:-2] if nu >= 0.0 else padded[2:]
     a = abs(nu)
     return a * up + (1.0 - a) * v

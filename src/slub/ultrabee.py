@@ -7,7 +7,8 @@ There is one flux function, written for nu >= 0: a negative Courant
 number is its mirror image, so the kernels read the stencil upwind by
 the sign of nu and evaluate the same flux at |nu| (Despres &
 Lagoutiere, J. Sci. Comput. 2001).  `ub_step_values` is the one array
-kernel.  Two-velocity problems, H(p) = max(f_min*p, f_max*p), take the
+kernel; for one Courant number on every cell it evaluates the flux once
+per interface.  Two-velocity problems, H(p) = max(f_min*p, f_max*p), take the
 pointwise minimum of two kernel calls (Bokanowski & Zidani, J. Sci.
 Comput. 2007).  The scalar fluxes `ub_flux_left` / `ub_flux_right` and
 the limited-slope form `ub_flux_limited` are kept as references for the
@@ -20,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grids import Alignment, Field, check_cfl
+from .grids import Alignment, Field, check_cfl, edge_pad
 
 __all__ = [
     "LimiterState",
@@ -37,12 +38,16 @@ _NU_TINY = 1e-14
 def _flux_pos(prev, cur, nxt, nu):
     """Value at the interface between `cur` and its downwind neighbour
     `nxt`, for nu >= 0 (vectorized).  The nu <= 0 flux on the interface
-    left of `cur` is `_flux_pos(nxt, cur, prev, -nu)`."""
+    left of `cur` is `_flux_pos(nxt, cur, prev, -nu)`.  A scalar nu
+    takes only the branch it needs."""
+    big = np.maximum(cur, prev)
+    small = np.minimum(cur, prev)
+    if np.ndim(nu) == 0 and nu >= _NU_TINY:
+        b = big + (cur - big) / nu
+        return np.minimum(np.maximum(nxt, b), small + (cur - small) / nu)
     nu = np.asarray(nu, dtype=float)
     tiny = nu < _NU_TINY
     safe = np.where(tiny, 1.0, nu)
-    big = np.maximum(cur, prev)
-    small = np.minimum(cur, prev)
     b = big + (cur - big) / safe
     B = small + (cur - small) / safe
     clamped = np.minimum(np.maximum(nxt, b), B)
@@ -73,16 +78,26 @@ def ub_flux_right(u_prev: float, u_cur: float, u_next: float, nu: float) -> floa
 def ub_step_values(values: np.ndarray, nus) -> np.ndarray:
     """One anti-dissipative update on raw cell averages.
 
-    `nus` is a signed Courant number per cell (scalar broadcasts).
-    Both interface fluxes of a cell use that cell's own Courant number:
-    its sign picks the upwind side of the stencil and the flux is taken
-    at |nu|, so the update is v - |nu|*(outflow flux - inflow flux).
-    Ghost cells continue the end values.
+    `nus` is one signed Courant number for every cell or one per cell.
+    A scalar nu >= 0 (-0.0 included) takes the flux F once on each of
+    the n+1 interfaces and returns v - |nu|*diff(F); a negative scalar
+    is the mirror call ub_step_values(v[::-1], -nu)[::-1].  Per-cell
+    numbers may change sign, so a cell takes both of its interface
+    fluxes upwind by the sign of its own nu and at its own |nu|:
+    v - |nu|*(outflow flux - inflow flux).  The two forms agree bit for
+    bit on a constant nu.  Ghost cells continue the end values.
     """
     check_cfl(nus)
     v = np.asarray(values, dtype=float)
-    nu = np.broadcast_to(np.asarray(nus, dtype=float), v.shape)
-    p = np.pad(v, 2, mode="edge")
+    if np.ndim(nus) == 0:
+        if nus < 0.0:
+            return ub_step_values(v[::-1], -nus)[::-1]
+        # abs: -0.0 must scale like 0.0, as np.abs makes it below
+        a = abs(float(nus))
+        p = edge_pad(v, 2)
+        return v - a * np.diff(_flux_pos(p[:-3], p[1:-2], p[2:-1], a))
+    p = edge_pad(v, 2)
+    nu = np.asarray(nus, dtype=float)
     pos = nu >= 0.0
     up1 = np.where(pos, p[1:-3], p[3:-1])
     up2 = np.where(pos, p[:-4], p[4:])
@@ -118,7 +133,7 @@ def ub_flux_limited(field: Field, j: int, nu: float) -> tuple[float, LimiterStat
         raise ValueError("ub_flux_limited needs a cell-aligned field")
     if not (0.0 < nu < 1.0):
         raise ValueError(f"limited flux needs 0 < nu < 1, got {nu}")
-    v = np.pad(field.values, 1, mode="edge")
+    v = edge_pad(field.values, 1)
     u_prev, u_cur, u_next = v[j], v[j + 1], v[j + 2]
     d_plus = u_next - u_cur
     if d_plus == 0.0:

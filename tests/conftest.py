@@ -2,12 +2,18 @@
 
 Collects one line per acceptance criterion as the suite runs and prints
 the pass/fail table in the terminal summary, so a single `pytest -v`
-shows both the unit results and the criterion scoreboard.
+shows both the unit results and the criterion scoreboard.  Also holds
+the fixture that injects a NaN into a run.
 """
 
 from __future__ import annotations
 
+from dataclasses import replace
+
+import numpy as np
 import pytest
+
+import slub.harness
 
 _CRITERIA: dict[int, tuple[str, bool, str]] = {}
 
@@ -20,6 +26,36 @@ def record_criterion():
         _CRITERIA[index] = (label, bool(passed), detail)
 
     return _record
+
+
+@pytest.fixture
+def nan_at_step_3(monkeypatch):
+    """Make every run's node and cell updates put a NaN at index 5 of
+    their third output, i.e. at step 3.  Returns that index."""
+    make_operators = slub.harness.make_operators
+
+    def poisoned_make_operators(*args, **kwargs):
+        ops = make_operators(*args, **kwargs)
+
+        def poison(update):
+            calls = []
+
+            def step(v):
+                out = update(v)
+                calls.append(1)
+                if len(calls) == 3:
+                    out = out.copy()
+                    out[5] = np.nan
+                return out
+
+            return step
+
+        return replace(
+            ops, node_update=poison(ops.node_update), cell_update=poison(ops.cell_update)
+        )
+
+    monkeypatch.setattr(slub.harness, "make_operators", poisoned_make_operators)
+    return 5
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config) -> None:

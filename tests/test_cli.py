@@ -247,9 +247,15 @@ def test_main_unknown_compare_scheme_exits_nonzero(tmp_path: Path, capsys) -> No
         (["compare", "--problem", "adv-smooth", "--nu", "0"], "nu must lie in (0, 1]"),
         (["compare", "--problem", "adv-smooth", "--T", "-0.5"],
          "T must be finite and positive"),
+        (["run", "--problem", "adv-smooth", "--scheme", "sl", "--nu", "1e-300"],
+         "steps, more than MAX_STEPS"),
+        (["convergence", "--problem", "adv-smooth", "--scheme", "sl", "--T", "1e300"],
+         "steps, more than MAX_STEPS"),
+        (["compare", "--problem", "adv-smooth", "--nu", "1e-300"],
+         "steps, more than MAX_STEPS"),
     ],
     ids=["run-T-inf", "run-T-zero", "convergence-nu-zero", "compare-nu-zero",
-         "compare-T-negative"],
+         "compare-T-negative", "run-nu-tiny", "convergence-T-huge", "compare-nu-tiny"],
 )
 def test_main_bad_nu_or_horizon_exits_nonzero(
     argv: list, message: str, tmp_path: Path, capsys
@@ -257,6 +263,17 @@ def test_main_bad_nu_or_horizon_exits_nonzero(
     assert main(argv + ["--out", str(tmp_path)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error:") and message in err
+    assert not any(tmp_path.iterdir())
+
+
+def test_main_run_exits_nonzero_on_non_finite_step(
+    nan_at_step_3: int, tmp_path: Path, capsys
+) -> None:
+    argv = ["run", "--problem", "adv-jump", "--scheme", "coupled", "--m", "79"]
+    assert main(argv + ["--out", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:")
+    assert f"at step 3: first non-finite value at node {nan_at_step_3}" in err
     assert not any(tmp_path.iterdir())
 
 

@@ -132,6 +132,22 @@ def test_stability_witness_mirrors_for_negative_courant() -> None:
     assert stability_witness(u, out, -0.6).ok
 
 
+@pytest.mark.parametrize("nu", [0.0, -0.0, 1e-15, -1e-15, 0.7, -0.7, 1.0, -1.0])
+def test_stability_witness_scalar_matches_per_entry_courant_numbers(nu: float) -> None:
+    """One scalar nu gives the same report as an array filled with it,
+    on updates that pass and on updates that break the bracket."""
+    rng = np.random.default_rng(17)
+    for _ in range(20):
+        n = int(rng.integers(3, 40))
+        u = rng.standard_normal(n)
+        out = advect_const_values(u, nu) + rng.normal(0.0, 0.1, n) * (rng.random(n) < 0.3)
+        scalar = stability_witness(u, out, nu)
+        array = stability_witness(u, out, np.full(n, nu))
+        assert scalar.max_violation == array.max_violation
+        assert scalar.worst_index == array.worst_index
+        assert scalar.ok == array.ok
+
+
 def test_three_point_witness_brackets_min_combined_update() -> None:
     rng = np.random.default_rng(9)
     u = rng.standard_normal(40)

@@ -13,6 +13,7 @@ from slub.grids import (
     Grid1D,
     build_grid,
     check_cfl,
+    edge_pad,
     init_cell_averages,
     init_point_values,
 )
@@ -79,6 +80,21 @@ def test_check_cfl_names_worst_index() -> None:
         check_cfl(-1.5)
     with pytest.raises(ValueError, match=r"index 2: Courant number \|nu\| = 3 > 1"):
         check_cfl(np.array([0.5, -1.2, 3.0, 1.1]))
+
+
+@pytest.mark.parametrize("k", [1, 2])
+def test_edge_pad_matches_numpy_edge_padding(k: int) -> None:
+    """Same bytes as np.pad(mode="edge"), signed zeros and short arrays
+    included, and the input is left as it was."""
+    rng = np.random.default_rng(k)
+    for n in (1, 2, 3, 7, 40):
+        v = rng.standard_normal(n)
+        v[rng.random(n) < 0.3] = -0.0
+        before = v.copy()
+        out = edge_pad(v, k)
+        assert out.dtype == v.dtype
+        assert out.tobytes() == np.pad(v, k, mode="edge").tobytes()
+        assert v.tobytes() == before.tobytes()
 
 
 def test_init_point_values_samples_nodes() -> None:

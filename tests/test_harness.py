@@ -11,6 +11,7 @@ import pytest
 from slub.grids import Alignment, build_grid
 from slub.harness import (
     LADDER_PRESETS,
+    MAX_STEPS,
     SCHEMES,
     ConvergenceTable,
     convergence_table,
@@ -57,14 +58,23 @@ def test_time_ladder_anchors() -> None:
         assert n * dt == pytest.approx(get_problem(name).T, rel=1e-12)
 
 
+# a positive nu or finite T whose step count could never finish
+ENDLESS = {("nu", 1e-300), ("nu", 5e-324), ("T", 1e300)}
+
+
 @pytest.mark.parametrize(
     "field, value",
     [("nu", 0.0), ("nu", -0.5), ("nu", 1.5), ("nu", float("nan")),
-     ("T", 0.0), ("T", -0.5), ("T", float("inf")), ("T", float("nan"))],
+     ("T", 0.0), ("T", -0.5), ("T", float("inf")), ("T", float("nan"))] + sorted(ENDLESS),
 )
 def test_time_ladder_rejects_bad_nu_and_horizon(field: str, value: float) -> None:
     """One check serves the library and every CLI subcommand."""
-    match = r"nu must lie in \(0, 1\]" if field == "nu" else "T must be finite and positive"
+    if (field, value) in ENDLESS:
+        match = r"would take ([0-9.]+e\+30[01]|inf) steps, more than MAX_STEPS = 10000000"
+    elif field == "nu":
+        match = r"nu must lie in \(0, 1\]"
+    else:
+        match = "T must be finite and positive"
     problem = replace(get_problem("adv-smooth"), **{field: value})
     with pytest.raises(ValueError, match=match):
         time_ladder(problem, 19)
@@ -205,6 +215,25 @@ def test_coupled_run_calls_node_update_once_per_step(monkeypatch) -> None:
     monkeypatch.setattr("slub.harness.make_operators", counting_make_operators)
     res = run_scheme("adv-jump", "coupled", 79)
     assert len(calls) == res.n_steps
+
+
+def test_time_ladder_step_cap_is_inclusive() -> None:
+    """A horizon of exactly MAX_STEPS steps is allowed, one more is not."""
+    problem = get_problem("adv-smooth")
+    dt0 = problem.nu * (problem.b - problem.a) / 19 / problem.speed_scale
+    assert time_ladder(replace(problem, T=MAX_STEPS * dt0), 19)[1] == MAX_STEPS
+    with pytest.raises(ValueError, match="MAX_STEPS"):
+        time_ladder(replace(problem, T=(MAX_STEPS + 1) * dt0), 19)
+
+
+@pytest.mark.parametrize("scheme", SCHEMES)
+def test_run_fails_fast_on_non_finite_values(nan_at_step_3: int, scheme: str) -> None:
+    """A NaN that enters at step 3 stops the run there, naming the step
+    and the first non-finite node or cell."""
+    where = "cell" if scheme == "ub" else "node"
+    match = rf"at step 3: first non-finite value at {where} {nan_at_step_3}$"
+    with pytest.raises(ValueError, match=match):
+        run_scheme("adv-jump", scheme, 79)
 
 
 def test_run_scheme_rejects_unknown_scheme() -> None:

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
@@ -123,6 +123,24 @@ def test_step_cell_depends_only_on_its_own_courant_number() -> None:
         out = ub_step_values(v, nus)
         for j in range(n):
             assert np.array_equal(out[j], ub_step_values(v, nus[j])[j]), (j, nus[j])
+
+
+SIGNED_ZEROS = np.array([0.0, -0.0, 1.0, 0.0, 0.0])
+
+
+@given(v=CELLS, nu=st.floats(min_value=-1.0, max_value=1.0))
+@example(v=SIGNED_ZEROS, nu=0.0)
+@example(v=SIGNED_ZEROS, nu=-0.0)
+@example(v=SIGNED_ZEROS, nu=1e-15)
+@example(v=SIGNED_ZEROS, nu=-1e-15)
+@example(v=SIGNED_ZEROS, nu=1.0)
+@example(v=SIGNED_ZEROS, nu=-1.0)
+@settings(max_examples=200, deadline=None)
+def test_scalar_courant_number_matches_per_cell_form(v: np.ndarray, nu: float) -> None:
+    """The interface-flux form for one scalar nu (mirrored for nu < 0)
+    is byte-equal to the per-cell form on an array filled with nu."""
+    per_cell = ub_step_values(v, np.full(v.size, nu))
+    assert ub_step_values(v, nu).tobytes() == per_cell.tobytes()
 
 
 def test_two_velocity_step_is_min_of_singles() -> None:
