@@ -38,13 +38,7 @@ from .problems import (
     singular_points,
 )
 from .semi_lagrangian import advect_const_values, hj_update_values, p1_interpolate
-from .ultrabee import (
-    LimiterState,
-    ub_flux_left,
-    ub_flux_limited,
-    ub_flux_right,
-    ub_step_values,
-)
+from .ultrabee import ub_flux_left, ub_flux_right, ub_step_values
 from .coupled import (
     CoupledState,
     RegularityParams,
@@ -58,12 +52,11 @@ from .coupled import (
 )
 from .diagnostics import (
     ErrorReport,
-    IncrementalForm,
     StabilityReport,
     TVSeries,
+    block_diagnostics,
     convergence_orders,
     error_norms,
-    extract_incremental,
     stability_witness,
     three_point_witness,
     total_variation,
@@ -112,9 +105,7 @@ __all__ = [
     "advect_const_values",
     "hj_update_values",
     "p1_interpolate",
-    "LimiterState",
     "ub_flux_left",
-    "ub_flux_limited",
     "ub_flux_right",
     "ub_step_values",
     "CoupledState",
@@ -127,12 +118,11 @@ __all__ = [
     "project_to_cells",
     "project_to_nodes",
     "ErrorReport",
-    "IncrementalForm",
     "StabilityReport",
     "TVSeries",
+    "block_diagnostics",
     "convergence_orders",
     "error_norms",
-    "extract_incremental",
     "stability_witness",
     "three_point_witness",
     "total_variation",

@@ -1,10 +1,13 @@
-"""Scheme diagnostics: variation bounds, incremental form, error norms.
+"""Scheme diagnostics: variation bounds, stability witnesses, error norms.
 
 These are the observables the solvers are judged by: total variation
-and its allowed growth, the incremental (flux-difference) form whose
-coefficient bounds certify a TVD step, a two-point maximum-principle
-witness, and grid error norms with optional exclusion of singular
-neighbourhoods.
+and its allowed growth, the maximum-principle witnesses that bracket
+each new value by its upwind (or both-sided) old neighbours, and grid
+error norms with optional exclusion of singular neighbourhoods.  The
+witness bracket is Harten's TVD condition: a one-coefficient update
+u_new[j] = u[j] - C[j]*(u[j] - u[j-1]) has C[j] in [0, 1] exactly when
+u_new[j] lies between u[j-1] and u[j].  `block_diagnostics` evaluates
+the TV and the witnesses of a whole block of steps at once.
 """
 
 from __future__ import annotations
@@ -22,20 +25,22 @@ __all__ = [
     "tvb_allowance",
     "TVSeries",
     "tv_monitor",
-    "IncrementalForm",
-    "extract_incremental",
     "StabilityReport",
     "stability_witness",
     "three_point_witness",
+    "block_diagnostics",
     "ErrorReport",
     "error_norms",
     "convergence_orders",
 ]
 
 
-def total_variation(values: np.ndarray) -> float:
-    v = np.asarray(values, dtype=float)
-    return float(np.sum(np.abs(np.diff(v))))
+def total_variation(values: np.ndarray):
+    """Total variation along the last axis: a float for one profile, one
+    value per row for a block of profiles (the same bits as row by row)."""
+    d = np.diff(np.asarray(values, dtype=float))
+    tv = np.sum(np.abs(d, out=d), axis=-1)
+    return float(tv) if tv.ndim == 0 else tv
 
 
 def tvb_allowance(params: RegularityParams, grid: Grid1D) -> float:
@@ -86,54 +91,6 @@ def tv_monitor(
 
 
 @dataclass(frozen=True)
-class IncrementalForm:
-    """Upwind incremental coefficients of one observed update.
-
-    For a right-going step, u_new[j] = u[j] - C[j]*(u[j] - u[j-1]) with
-    C[j] attached to the interface left of node j (C[0] uses a flat
-    ghost).  Interfaces with no jump cannot determine a coefficient;
-    there C is set to 0 and the unexplained part of the update lands in
-    `residual`.
-    """
-
-    coefficients: np.ndarray
-    residual: np.ndarray
-
-    @property
-    def max_residual(self) -> float:
-        return float(np.max(np.abs(self.residual))) if self.residual.size else 0.0
-
-    def is_tvd(self, tol: float = 1e-12) -> bool:
-        c = self.coefficients
-        return bool(np.all(c >= -tol) and np.all(c <= 1.0 + tol))
-
-
-def extract_incremental(
-    u_old: np.ndarray, u_new: np.ndarray, nu_sign: float = 1.0
-) -> IncrementalForm:
-    """Recover incremental coefficients from one observed step.
-
-    nu_sign >= 0 reads the update as upwind-left (coefficient on
-    u[j] - u[j-1]); nu_sign < 0 mirrors it.  A step is TVD in this
-    form when every recovered coefficient lies in [0, 1] and the
-    residual vanishes.
-    """
-    old = np.asarray(u_old, dtype=float)
-    new = np.asarray(u_new, dtype=float)
-    if old.shape != new.shape:
-        raise ValueError("u_old and u_new must have matching shapes")
-    p = edge_pad(old, 1)
-    upwind = p[:-2] if nu_sign >= 0 else p[2:]
-    jump = old - upwind
-    delta = old - new
-    flat = jump == 0.0
-    safe = np.where(flat, 1.0, jump)
-    coeff = np.where(flat, 0.0, delta / safe)
-    residual = np.where(flat, delta, 0.0)
-    return IncrementalForm(coefficients=coeff, residual=residual)
-
-
-@dataclass(frozen=True)
 class StabilityReport:
     """Outcome of the two-point maximum-principle check."""
 
@@ -143,6 +100,37 @@ class StabilityReport:
 
     def __bool__(self) -> bool:
         return self.ok
+
+
+def _bracket_violation(u_old, u_new, nu) -> np.ndarray:
+    """How far each new value lies outside its bracket of old values,
+    along the last axis (negative inside).  nu None brackets by
+    u_old[j-1..j+1]; otherwise by u_old[j-1], u_old[j] where the signed
+    Courant number (one, or one per entry) is >= 0 and by u_old[j],
+    u_old[j+1] where it is negative."""
+    old = np.asarray(u_old, dtype=float)
+    new = np.asarray(u_new, dtype=float)
+    p = edge_pad(old, 1)
+    left, right = p[..., :-2], p[..., 2:]
+    if nu is None:
+        lo = np.minimum(np.minimum(left, old), right)
+        hi = np.maximum(np.maximum(left, old), right)
+    else:
+        pos = np.asarray(nu, dtype=float) >= 0.0
+        other = left if pos.all() else right if not pos.any() else np.where(pos, left, right)
+        lo, hi = np.minimum(old, other), np.maximum(old, other)
+    # in place: fewer large temporaries per block, fewer page faults
+    np.subtract(lo, new, out=lo)
+    return np.maximum(lo, np.subtract(new, hi, out=hi), out=lo)
+
+
+def _report(viol: np.ndarray, tol: float) -> StabilityReport:
+    worst = int(np.argmax(viol))
+    max_violation = float(viol[worst])
+    return StabilityReport(
+        ok=max_violation <= tol, max_violation=max(max_violation, 0.0),
+        worst_index=worst,
+    )
 
 
 def stability_witness(
@@ -156,22 +144,7 @@ def stability_witness(
     u_old[j], u_old[j+1].  Monotone steps of either solver family
     satisfy this with equality at most.
     """
-    old = np.asarray(u_old, dtype=float)
-    new = np.asarray(u_new, dtype=float)
-    p = edge_pad(old, 1)
-    if np.ndim(nu) == 0:
-        other = p[:-2] if nu >= 0.0 else p[2:]
-    else:
-        other = np.where(np.asarray(nu, dtype=float) >= 0.0, p[:-2], p[2:])
-    lo = np.minimum(old, other)
-    hi = np.maximum(old, other)
-    viol = np.maximum(lo - new, new - hi)
-    worst = int(np.argmax(viol))
-    max_violation = float(viol[worst])
-    return StabilityReport(
-        ok=max_violation <= tol, max_violation=max(max_violation, 0.0),
-        worst_index=worst,
-    )
+    return _report(_bracket_violation(u_old, u_new, nu), tol)
 
 
 def three_point_witness(
@@ -182,18 +155,37 @@ def three_point_witness(
     Suits updates that draw on both neighbors, e.g. the two-velocity
     min-combined step or a Hopf-Lax minimization over signed speeds.
     """
-    old = np.asarray(u_old, dtype=float)
-    new = np.asarray(u_new, dtype=float)
-    p = edge_pad(old, 1)
-    lo = np.minimum(np.minimum(p[:-2], old), p[2:])
-    hi = np.maximum(np.maximum(p[:-2], old), p[2:])
-    viol = np.maximum(lo - new, new - hi)
-    worst = int(np.argmax(viol))
-    max_violation = float(viol[worst])
-    return StabilityReport(
-        ok=max_violation <= tol, max_violation=max(max_violation, 0.0),
-        worst_index=worst,
-    )
+    return _report(_bracket_violation(u_old, u_new, None), tol)
+
+
+def block_diagnostics(rows: np.ndarray, layers: Sequence[tuple]) -> tuple:
+    """Per-step diagnostics of a block of k steps, from one set of 2-D calls.
+
+    `rows` holds a run's solution before the block, then after each step.
+    Each layer is an (old, new, nu) triple of k-row blocks, row i being
+    one layer's input and output of step i+1, bracketed as by
+    `stability_witness` (`three_point_witness` when nu is None).  Returns
+    per step: each layer's `max_violation` (k, layers); the TV of rows[1:],
+    the same bits as `total_variation` row by row; and the first
+    non-finite index (-1 if none) of the solution row, then of each
+    layer's output (k, 1 + layers).  Floating-point errors are not
+    reported: first_bad shows the non-finite values instead.
+    """
+    with np.errstate(all="ignore"):
+        tv = total_variation(rows[1:])
+        witness = np.stack([
+            np.maximum(np.max(_bracket_violation(old, new, nu), axis=-1), 0.0)
+            for old, new, nu in layers
+        ], axis=-1)
+    first_bad = np.full((tv.size, 1 + len(layers)), -1)
+    # A non-finite entry makes its row's TV or its layer's witness
+    # non-finite, so only those rows are searched.
+    blocks = [rows[1:]] + [new for _, new, _ in layers]
+    for i, col in zip(*np.nonzero(~np.isfinite(np.column_stack([tv, witness])))):
+        bad = np.flatnonzero(~np.isfinite(blocks[col][i]))
+        if bad.size:
+            first_bad[i, col] = bad[0]
+    return witness, tv, first_bad
 
 
 @dataclass(frozen=True)

@@ -148,14 +148,14 @@ def check_cfl(nu) -> None:
 
 
 def edge_pad(values: np.ndarray, k: int) -> np.ndarray:
-    """1-D `values` with k >= 1 ghost entries at each end that continue
-    the end values (numpy's "edge" padding, without its per-call
-    overhead).  Every kernel continues its data past the grid ends this
-    way."""
-    out = np.empty(values.size + 2 * k, dtype=values.dtype)
-    out[:k] = values[0]
-    out[k:-k] = values
-    out[-k:] = values[-1]
+    """`values` with k >= 1 ghost entries at each end of the last axis
+    that continue the end values (numpy's "edge" padding, without its
+    per-call overhead).  Every kernel continues its data past the grid
+    ends this way."""
+    out = np.empty(values.shape[:-1] + (values.shape[-1] + 2 * k,), dtype=values.dtype)
+    out[..., :k] = values[..., :1]
+    out[..., k:-k] = values
+    out[..., -k:] = values[..., -1:]
     return out
 
 

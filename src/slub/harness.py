@@ -5,7 +5,7 @@ a grid ladder.  The time step is derived from the grid (dt0 =
 nu*dx/speed_scale, then rounded down so the horizon is an exact
 multiple), which is what keeps refinement ladders at constant nu.
 Drivers return a RunResult bundling the final field, error norms, the
-TV trace, and stability-witness extrema; the coupled driver also keeps
+TV trace, and the per-step stability witnesses; coupled runs also keep
 the full indicator history.
 """
 
@@ -37,10 +37,9 @@ from .coupled import (
 from .diagnostics import (
     ErrorReport,
     TVSeries,
+    block_diagnostics,
     convergence_orders,
     error_norms,
-    stability_witness,
-    three_point_witness,
     total_variation,
     tv_monitor,
     tvb_allowance,
@@ -75,6 +74,10 @@ LADDER_PRESETS = {
 # Largest step count a run may take; a tinier nu or a longer horizon is
 # rejected by `time_ladder` instead of looping for ever.
 MAX_STEPS = 10_000_000
+
+# A run is checked in blocks of max(4, _BLOCK_VALUES // n) steps of n
+# values: about 128 KiB per block array, near the size of an L2 cache.
+_BLOCK_VALUES = 16384
 
 _SUPPORT_PAD = 0.5
 
@@ -232,7 +235,11 @@ def make_operators(problem: ProblemSpec, grid: Grid1D, dt: float) -> StepOperato
 
 @dataclass(frozen=True)
 class RunResult:
-    """Everything observable about one finished run."""
+    """Everything observable about one finished run.
+
+    witnesses[k-1] holds step k's `max_violation` of each checked layer:
+    one column for sl and ub, node and cell columns for coupled.
+    """
 
     problem: ProblemSpec
     scheme: str
@@ -247,6 +254,7 @@ class RunResult:
     snapshots: dict
     sigma_history: Optional[np.ndarray] = None
     params: Optional[RegularityParams] = None
+    witnesses: Optional[np.ndarray] = None
 
     @property
     def x(self) -> np.ndarray:
@@ -257,17 +265,25 @@ class RunResult:
         return self.dt * self.n_steps
 
 
-def _witness(old, new, nus, two_sided: bool) -> float:
-    if two_sided:
-        return three_point_witness(old, new).max_violation
-    return stability_witness(old, new, nus).max_violation
+def _trap(kind: str, flag: int) -> None:
+    raise FloatingPointError(kind)
 
 
-def _raise_non_finite(v: np.ndarray, tv: float, k: int, alignment: Alignment) -> None:
-    bad = np.flatnonzero(~np.isfinite(v))
-    where = (f"first non-finite value at {alignment.value} {bad[0]}" if bad.size
+def _trapping() -> np.errstate:
+    """Raise FloatingPointError on each floating-point error that the
+    caller's numpy settings would not ignore, instead of reporting it."""
+    modes = {kind: "ignore" if mode == "ignore" else "call" for kind, mode in np.geterr().items()}
+    return np.errstate(call=_trap, **modes)
+
+
+def _raise_non_finite(k: int, tv: float, first_bad, labels) -> None:
+    """Fail at step k, whose solution row (TV `tv`) or checked layers
+    hold a non-finite value at first_bad (see `block_diagnostics`)."""
+    col = int(np.argmax(first_bad >= 0))  # 0 also when only the TV overflows
+    name, at = labels[col]
+    where = (f"first non-finite value at {at.value} {first_bad[col]}" if first_bad[col] >= 0
              else "the values are finite but their variation overflows")
-    raise ValueError(f"non-finite total variation {tv} at step {k}: {where}")
+    raise ValueError(f"non-finite {name.format(tv=tv)} at step {k}: {where}")
 
 
 def run_scheme(
@@ -287,12 +303,20 @@ def run_scheme(
     overrides the detection-window dilation.  Snapshots of the evolving
     field are kept at the requested step indices (0 = initial data).
 
+    The TV and the witnesses of a block of K = max(4, 16384 // n) steps
+    are computed at once (see `block_diagnostics`), so a bad step may
+    surface up to K - 1 steps after it was taken; the error still names
+    it, and the steps after it report no floating-point errors.  An
+    earlier step that meets one is taken again under the caller's numpy
+    settings, so it warns or raises as in a step-by-step run.
+
     Raises
     ------
     ValueError
         On a bad ladder entry (see `time_ladder`), or at the first step
-        whose total variation is not finite, naming that step and the
-        first non-finite node or cell.
+        whose total variation is not finite, or, for coupled, whose
+        node candidate or cell averages are not finite, naming that step
+        and the first non-finite node or cell.
     """
     if isinstance(problem, str):
         problem = get_problem(problem)
@@ -305,6 +329,8 @@ def run_scheme(
         if not (0 <= k <= n_steps):
             raise ValueError(f"snapshot step {k} outside [0, {n_steps}]")
     ops = make_operators(problem, grid, dt)
+    nu_node, nu_cell = (None, None) if ops.two_sided else (ops.nu_node, ops.nu_cell)
+    block_steps = max(4, _BLOCK_VALUES // (grid.m + (scheme != "ub")))
 
     params = sigma_rows = None
     allowance = 0.0
@@ -315,40 +341,75 @@ def run_scheme(
         v, alignment = state.w, Alignment.NODE
         sigma_rows = [state.sigma]
         allowance = tvb_allowance(params, grid)
+        rows, cand = np.empty((2, block_steps + 1, v.size))
+        src, bar = np.empty((2, block_steps + 1, v.size - 1))
+        labels = (("total variation {tv}", alignment), ("node candidate", Alignment.NODE),
+                  ("cell average", Alignment.CELL))
 
-        def advance(s):
+        def advance(s, i):
             out = coupled_step(s, grid.dx, params, ops.node_update, ops.cell_update)
             sigma_rows.append(out.sigma)
-            return out, out.w, (
-                _witness(s.w, out.node_candidate, ops.nu_node, ops.two_sided),
-                _witness(out.cell_source, out.w_bar, ops.nu_cell, ops.two_sided),
-            )
+            rows[i], cand[i], src[i], bar[i] = out.w, out.node_candidate, out.cell_source, out.w_bar
+            return out
+
+        def layers(count):
+            return ((rows[:count], cand[1:count + 1], nu_node),
+                    (src[1:count + 1], bar[1:count + 1], nu_cell))
     else:
         if scheme == "sl":
             v = init_point_values(grid, problem.ic).values
-            update, nus, alignment = ops.node_update, ops.nu_node, Alignment.NODE
+            update, nus, alignment = ops.node_update, nu_node, Alignment.NODE
         else:
             v = init_cell_averages(grid, problem.ic).values
-            update, nus, alignment = ops.cell_update, ops.nu_cell, Alignment.CELL
+            update, nus, alignment = ops.cell_update, nu_cell, Alignment.CELL
         state = v
+        rows = np.empty((block_steps + 1, v.size))
+        labels = (("total variation {tv}", alignment),) * 2  # the layer is the solution
 
-        def advance(old):
-            new = update(old)
-            return new, new, (_witness(old, new, nus, ops.two_sided),)
+        def advance(old, i):
+            rows[i] = new = update(old)
+            return new
 
-    witness_max = 0.0
-    tv_vals = [total_variation(v)]
+        def layers(count):
+            return ((rows[:count], rows[1:count + 1], nus),)
+
+    rows[0] = v
     snapshots = {0: v.copy()} if 0 in snapshot_steps else {}
-    for k in range(1, n_steps + 1):
-        state, v, witnesses = advance(state)
-        witness_max = max(witness_max, *witnesses)
-        tv = total_variation(v)
-        if not math.isfinite(tv):
-            _raise_non_finite(v, tv, k, alignment)
-        tv_vals.append(tv)
-        if k in snapshot_steps:
-            snapshots[k] = v.copy()
-    final = v
+    later_snapshots = sorted(set(snapshot_steps) - {0})
+    tv_parts, witness_parts = [np.array([total_variation(v)])], []
+
+    def flush(done, count):
+        """Check steps done+1..done+count, held in rows 1..count."""
+        witness, tv, first_bad = block_diagnostics(rows[:count + 1], layers(count))
+        bad = ~np.isfinite(tv) | np.any(first_bad >= 0, axis=1)
+        if bad.any():
+            i = int(np.argmax(bad))
+            _raise_non_finite(done + i + 1, float(tv[i]), first_bad[i], labels)
+        tv_parts.append(tv)
+        witness_parts.append(witness)
+        for k in later_snapshots:
+            if done < k <= done + count:
+                snapshots[k] = rows[k - done].copy()
+        rows[0] = rows[count]
+        return done + count
+
+    done = 0
+    while done < n_steps:
+        trapped = False
+        try:
+            with _trapping():
+                for count in range(1, min(block_steps, n_steps - done) + 1):
+                    state = advance(state, count)
+        except FloatingPointError:
+            trapped = True
+        if trapped:  # check the steps before, then retake it unbatched
+            done = flush(done, count - 1)
+            state, count = advance(state, 1), 1
+        done = flush(done, count)
+    final = rows[0].copy()
+    witnesses = np.concatenate(witness_parts)
+    # a NaN stays; abs makes a -0.0 maximum +0.0
+    witness_max = abs(float(np.max(witnesses, initial=0.0)))
     sigma_history = None if sigma_rows is None else np.vstack(sigma_rows)
 
     t_final = dt * n_steps
@@ -365,7 +426,7 @@ def run_scheme(
         x=grid.coords(alignment),
         singular_points=sing if sing.size else None,
     )
-    tv = tv_monitor(tv_vals, allowance)
+    tv = tv_monitor(np.concatenate(tv_parts), allowance)
     return RunResult(
         problem=problem,
         scheme=scheme,
@@ -380,6 +441,7 @@ def run_scheme(
         snapshots=snapshots,
         sigma_history=sigma_history,
         params=params,
+        witnesses=witnesses,
     )
 
 

@@ -10,25 +10,20 @@ Lagoutiere, J. Sci. Comput. 2001).  `ub_step_values` is the one array
 kernel; for one Courant number on every cell it evaluates the flux once
 per interface.  Two-velocity problems, H(p) = max(f_min*p, f_max*p), take the
 pointwise minimum of two kernel calls (Bokanowski & Zidani, J. Sci.
-Comput. 2007).  The scalar fluxes `ub_flux_left` / `ub_flux_right` and
-the limited-slope form `ub_flux_limited` are kept as references for the
-tests.
+Comput. 2007).  The scalar fluxes `ub_flux_left` / `ub_flux_right` are
+kept as references for the tests.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .grids import Alignment, Field, check_cfl, edge_pad
+from .grids import check_cfl, edge_pad
 
 __all__ = [
-    "LimiterState",
     "ub_flux_left",
     "ub_flux_right",
     "ub_step_values",
-    "ub_flux_limited",
 ]
 
 # Courant numbers below this magnitude take the zero-velocity branch.
@@ -104,49 +99,3 @@ def ub_step_values(values: np.ndarray, nus) -> np.ndarray:
     down = np.where(pos, p[3:-1], p[1:-3])
     a = np.abs(nu)
     return v - a * (_flux_pos(up1, v, down, a) - _flux_pos(up2, up1, v, a))
-
-
-@dataclass(frozen=True)
-class LimiterState:
-    """Slope ratio and limiter value behind a limited flux.
-
-    fell_back marks fluxes where the limited formula was unusable
-    (phi = 0 on a slope change, or a value outside the local range)
-    and the clamp-form flux was returned instead.
-    """
-
-    r: float
-    phi: float
-    fell_back: bool = False
-
-
-def ub_flux_limited(field: Field, j: int, nu: float) -> tuple[float, LimiterState]:
-    """Limited-slope form of the interface flux right of cell j.
-
-    Cross-validation companion to ub_flux_left: flux =
-    u_j + ((1-nu)/phi)(u_{j+1} - u_j) with
-    phi = max(0, min(2r/nu, 2/(1-nu))), r the upwind slope ratio.
-    The formula degenerates as r -> 0+ and on slope-sign changes; those
-    cases fall back to the clamp-form flux and are flagged.
-    """
-    if field.alignment is not Alignment.CELL:
-        raise ValueError("ub_flux_limited needs a cell-aligned field")
-    if not (0.0 < nu < 1.0):
-        raise ValueError(f"limited flux needs 0 < nu < 1, got {nu}")
-    v = edge_pad(field.values, 1)
-    u_prev, u_cur, u_next = v[j], v[j + 1], v[j + 2]
-    d_plus = u_next - u_cur
-    if d_plus == 0.0:
-        return float(u_cur), LimiterState(r=np.nan, phi=0.0)
-    r = (u_cur - u_prev) / d_plus
-    phi = max(0.0, min(2.0 * r / nu, 2.0 / (1.0 - nu)))
-    if phi == 0.0:
-        flux = ub_flux_left(u_prev, u_cur, u_next, nu)
-        return flux, LimiterState(r=r, phi=phi, fell_back=True)
-    flux = u_cur + (1.0 - nu) / phi * d_plus
-    lo = min(u_prev, u_cur, u_next)
-    hi = max(u_prev, u_cur, u_next)
-    if not (lo <= flux <= hi):
-        flux = ub_flux_left(u_prev, u_cur, u_next, nu)
-        return flux, LimiterState(r=r, phi=phi, fell_back=True)
-    return float(flux), LimiterState(r=r, phi=phi)

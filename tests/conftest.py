@@ -3,7 +3,7 @@
 Collects one line per acceptance criterion as the suite runs and prints
 the pass/fail table in the terminal summary, so a single `pytest -v`
 shows both the unit results and the criterion scoreboard.  Also holds
-the fixture that injects a NaN into a run.
+the fixtures that inject a NaN or an inf into a run.
 """
 
 from __future__ import annotations
@@ -56,6 +56,42 @@ def nan_at_step_3(monkeypatch):
 
     monkeypatch.setattr(slub.harness, "make_operators", poisoned_make_operators)
     return 5
+
+
+@pytest.fixture(params=[np.nan, np.inf], ids=["nan", "inf"])
+def poison_step(request, monkeypatch):
+    """Callable poison(step, index, node=True, cell=True) -> value: make
+    every run's node and/or cell update put this fixture's value (NaN or
+    inf) at `index` of its output number `step`."""
+    value = request.param
+    make_operators = slub.harness.make_operators
+
+    def poison(step: int, index: int, node: bool = True, cell: bool = True) -> float:
+        def wrap(update):
+            calls = []
+
+            def stepped(v):
+                out = update(v)
+                calls.append(1)
+                if len(calls) == step:
+                    out = out.copy()
+                    out[index] = value
+                return out
+
+            return stepped
+
+        def poisoned_make_operators(*args, **kwargs):
+            ops = make_operators(*args, **kwargs)
+            return replace(
+                ops,
+                node_update=wrap(ops.node_update) if node else ops.node_update,
+                cell_update=wrap(ops.cell_update) if cell else ops.cell_update,
+            )
+
+        monkeypatch.setattr(slub.harness, "make_operators", poisoned_make_operators)
+        return value
+
+    return poison
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config) -> None:

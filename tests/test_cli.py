@@ -9,6 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import slub.harness
 from slub.cli import (
     RunConfig,
     build_parser,
@@ -19,7 +20,7 @@ from slub.cli import (
     main,
     parse_manifest,
 )
-from slub.harness import time_ladder
+from slub.harness import resolve_grid, time_ladder
 from slub.problems import get_problem, problem_names
 
 
@@ -274,6 +275,25 @@ def test_main_run_exits_nonzero_on_non_finite_step(
     err = capsys.readouterr().err
     assert err.startswith("error:")
     assert f"at step 3: first non-finite value at node {nan_at_step_3}" in err
+    assert not any(tmp_path.iterdir())
+
+
+@pytest.mark.filterwarnings("error")
+def test_main_run_exits_nonzero_on_a_non_finite_step_in_a_later_block(
+    poison_step, tmp_path: Path, capsys
+) -> None:
+    """A NaN or inf at the first step of the second block of diagnostics
+    still exits 1 with an `error:` line naming that step and node, emits
+    no RuntimeWarning and writes nothing."""
+    m = 319
+    n = resolve_grid(get_problem("adv-jump"), m).m + 1
+    step = max(4, slub.harness._BLOCK_VALUES // n) + 1
+    poison_step(step, 5)
+    argv = ["run", "--problem", "adv-jump", "--scheme", "coupled", "--m", str(m)]
+    assert main(argv + ["--out", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:")
+    assert f"at step {step}: first non-finite value at node 5" in err
     assert not any(tmp_path.iterdir())
 
 

@@ -1,5 +1,5 @@
-"""Tests for total-variation monitoring, incremental-form extraction,
-stability witnesses, and error norms."""
+"""Tests for total-variation monitoring, the incremental form through the
+witness bracket, stability witnesses, block diagnostics, and error norms."""
 
 from __future__ import annotations
 
@@ -10,9 +10,9 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from slub.diagnostics import (
+    block_diagnostics,
     convergence_orders,
     error_norms,
-    extract_incremental,
     stability_witness,
     three_point_witness,
     total_variation,
@@ -65,43 +65,86 @@ def test_tv_monitor_short_series_is_ok() -> None:
 
 
 # ---------------------------------------------------------------------------
-# incremental form
+# incremental form, stated through the witness bracket
+#
+# Harten's one-coefficient form u_new[j] = u[j] - C[j]*(u[j] - u[j-1])
+# has C[j] in [0, 1] and no residual exactly when u_new[j] lies between
+# u[j-1] and u[j], the two-point bracket of `stability_witness`.
+
+
+def _incremental_form(u: np.ndarray, new: np.ndarray) -> tuple:
+    """Coefficients C and residual of a right-going step (flat ghost left
+    of node 0); a flat interface gets C = 0 and leaves the update in the
+    residual."""
+    up = np.concatenate([u[:1], u[:-1]])
+    jump, delta = u - up, u - new
+    flat = jump == 0.0
+    return np.where(flat, 0.0, delta / np.where(flat, 1.0, jump)), np.where(flat, delta, 0.0)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_incremental_form_agrees_with_witness_bracket(seed: int) -> None:
+    """C in [0, 1] with zero residual on every node iff the witness
+    accepts the step, and a rejected step's worst node is outside the
+    form; on random upwind steps, half of them with nodes pushed by
+    1e-6..1, some interfaces flat."""
+    rng = np.random.default_rng(seed)
+    for trial in range(100):
+        n = int(rng.integers(3, 60))
+        u = rng.standard_normal(n)
+        u[rng.random(n) < 0.2] = 0.0
+        new = advect_const_values(u, rng.random())
+        if trial % 2:
+            push = rng.random(n) < 0.2
+            new = np.where(push, new + rng.choice([-1.0, 1.0], n) * rng.uniform(1e-6, 1.0, n), new)
+        coeff, residual = _incremental_form(u, new)
+        in_form = (coeff >= -1e-12) & (coeff <= 1.0 + 1e-12) & (np.abs(residual) <= 1e-12)
+        report = stability_witness(u, new, 0.5)
+        assert report.ok == bool(in_form.all())
+        if not report.ok:
+            assert not in_form[report.worst_index]
 
 
 def test_extract_incremental_on_upwind_step() -> None:
+    """An upwind step has every incremental coefficient in [0, 1]: each
+    new value lies in its two-point bracket."""
     rng = np.random.default_rng(7)
     u = rng.standard_normal(24)
     out = advect_const_values(u, 0.4)
-    form = extract_incremental(u, out, nu_sign=1.0)
-    assert form.is_tvd()
-    assert form.max_residual < 1e-12
-    assert np.all(form.coefficients >= -1e-14)
-    assert np.all(form.coefficients <= 1.0 + 1e-14)
+    report = stability_witness(u, out, 0.4)
+    assert report.ok
+    assert report.max_violation <= 1e-14
 
 
 def test_extract_incremental_on_antidiffusive_step() -> None:
+    """The Ultra-Bee step is TVD in incremental form too: each new
+    average stays in its upwind bracket."""
     rng = np.random.default_rng(11)
     u = rng.standard_normal(30)
     out = ub_step_values(u, 0.6)
-    form = extract_incremental(u, out, nu_sign=1.0)
-    assert form.max_residual < 1e-10
-    assert form.is_tvd()
+    assert stability_witness(u, out, 0.6).ok
 
 
 def test_extract_incremental_flat_interfaces_get_zero_coefficients() -> None:
+    """Behind a flat interface the bracket is one point: the step leaves
+    those nodes as they were, and any change there is flagged."""
     u = np.array([1.0, 1.0, 1.0, 2.0, 3.0])
     out = advect_const_values(u, 0.25)
-    form = extract_incremental(u, out, nu_sign=1.0)
-    # differences across the flat interfaces vanish, coefficient is set to 0
-    assert form.coefficients[0] == 0.0
-    assert form.coefficients[1] == 0.0
+    assert stability_witness(u, out, 0.25).ok
+    np.testing.assert_array_equal(out[:2], u[:2])
+    for j in (0, 1):
+        moved = out.copy()
+        moved[j] += 1e-9
+        report = stability_witness(u, moved, 0.25)
+        assert not report.ok and report.worst_index == j
 
 
 def test_extract_incremental_detects_unstable_update() -> None:
     u = np.array([0.0, 1.0, 0.0, 0.0])
     bad = np.array([0.0, 2.5, -1.0, 0.0])  # overshoot no 2-point form explains
-    form = extract_incremental(u, bad, nu_sign=1.0)
-    assert not form.is_tvd()
+    report = stability_witness(u, bad, 1.0)
+    assert not report.ok
+    assert report.worst_index == 1 and report.max_violation == 1.5
 
 
 # ---------------------------------------------------------------------------
@@ -164,6 +207,105 @@ def test_three_point_witness_flags_values_outside_hull() -> None:
     out = np.array([0.0, 1.0, 0.0, 0.0])
     report = three_point_witness(u, out)
     assert not report.ok
+
+
+# ---------------------------------------------------------------------------
+# block diagnostics
+
+BLOCK_CASES = ("scalar", "per-entry", "two-sided", "coupled")
+
+
+def _random_block(rng, case: str, k: int, n: int) -> tuple:
+    """(rows, layers) of a random k-step block of one of the four kinds,
+    with about a tenth of the values pushed off their update."""
+
+    def noisy(a):
+        return a + rng.normal(0.0, 0.1, a.shape) * (rng.random(a.shape) < 0.1)
+
+    nu = {"scalar": float(rng.uniform(-1.0, 1.0)), "per-entry": rng.uniform(-1.0, 1.0, n),
+          "two-sided": None, "coupled": float(rng.uniform(-1.0, 1.0))}[case]
+    if case == "two-sided":
+        def update(v):
+            return np.minimum(ub_step_values(v, 0.5), ub_step_values(v, -0.5))
+    else:
+        def update(v):
+            return ub_step_values(v, nu)
+    rows = np.empty((k + 1, n))
+    rows[0] = rng.standard_normal(n)
+    for i in range(k):
+        rows[i + 1] = noisy(update(rows[i]))
+    if case != "coupled":
+        return rows, [(rows[:-1], rows[1:], nu)]
+    cand = noisy(np.array([advect_const_values(r, nu) for r in rows[:-1]]).reshape(k, n))
+    src = rng.standard_normal((k, n - 1))
+    bar = noisy(np.array([ub_step_values(r, nu) for r in src]).reshape(k, n - 1))
+    return rows, [(rows[:-1], cand, nu), (src, bar, nu)]
+
+
+def _witness_1d(old, new, nu) -> float:
+    report = three_point_witness(old, new) if nu is None else stability_witness(old, new, nu)
+    return report.max_violation
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    case=st.sampled_from(BLOCK_CASES),
+    k=st.integers(min_value=0, max_value=12),
+    n=st.integers(min_value=3, max_value=50),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_block_diagnostics_match_the_row_by_row_checks(case: str, k: int, n: int, seed: int) -> None:
+    """Each step's witness equals the 1-D `max_violation` of its layer,
+    each TV is `total_variation` of its row to the byte, and nothing is
+    flagged non-finite; for scalar, per-entry, two-sided and coupled
+    blocks."""
+    rows, layers = _random_block(np.random.default_rng(seed), case, k, n)
+    witness, tv, first_bad = block_diagnostics(rows, layers)
+    assert witness.shape == (k, len(layers)) and first_bad.shape == (k, 1 + len(layers))
+    assert tv.tobytes() == np.array([total_variation(r) for r in rows[1:]]).tobytes()
+    for col, (old, new, nu) in enumerate(layers):
+        assert list(witness[:, col]) == [_witness_1d(old[i], new[i], nu) for i in range(k)]
+    assert np.all(first_bad == -1)
+
+
+@pytest.mark.parametrize("n", [4, 129, 1601, 5000])
+def test_block_total_variation_is_bitwise_row_by_row_on_long_rows(n: int) -> None:
+    """The pairwise sum along C-contiguous rows adds in the same order as
+    on one row, also past numpy's 8- and 128-element summation blocks."""
+    rows = np.random.default_rng(n).standard_normal((6, n)) * 10.0 ** np.arange(-3, 3)[:, None]
+    assert total_variation(rows).tobytes() == np.array([total_variation(r) for r in rows]).tobytes()
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("case", BLOCK_CASES)
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_block_diagnostics_locate_non_finite_values_without_warnings(case: str, bad: float) -> None:
+    """first_bad names the first non-finite entry of each solution row and
+    layer output (-1 where finite); the TV and witness of such a row are
+    not finite; no floating-point warning is raised, however many rows
+    are spoilt."""
+    rng = np.random.default_rng(3)
+    k, n = 9, 12
+    rows, layers = _random_block(rng, case, k, n)
+    for block in [rows[1:]] + [new for _, new, _ in layers]:
+        for i in rng.choice(k, 4, replace=False):
+            block[i, rng.choice(block.shape[1], 2, replace=False)] = bad
+    witness, tv, first_bad = block_diagnostics(rows, layers)
+    blocks = [rows[1:]] + [new for _, new, _ in layers]
+    for col, block in enumerate(blocks):
+        for i in range(k):
+            spoilt = np.flatnonzero(~np.isfinite(block[i]))
+            assert first_bad[i, col] == (spoilt[0] if spoilt.size else -1)
+            if spoilt.size and col == 0:
+                assert not np.isfinite(tv[i])
+            if spoilt.size and col > 0:
+                assert not np.isfinite(witness[i, col - 1])
+
+
+def test_total_variation_acts_on_the_last_axis() -> None:
+    rows = np.array([[0.0, 2.0, 1.0, 1.0], [5.0, 5.0, 5.0, 5.0], [1.0, -1.0, 1.0, -1.0]])
+    np.testing.assert_array_equal(total_variation(rows), [3.0, 0.0, 6.0])
+    assert isinstance(total_variation(rows[0]), float)
 
 
 # ---------------------------------------------------------------------------

@@ -97,6 +97,14 @@ def test_edge_pad_matches_numpy_edge_padding(k: int) -> None:
         assert v.tobytes() == before.tobytes()
 
 
+def test_edge_pad_pads_the_last_axis_of_a_block() -> None:
+    """Each row of a 2-D block is padded as it would be on its own."""
+    rows = np.random.default_rng(5).standard_normal((4, 6))
+    for k in (1, 2):
+        np.testing.assert_array_equal(edge_pad(rows, k), np.pad(rows, ((0, 0), (k, k)), mode="edge"))
+        assert edge_pad(rows, k).tobytes() == np.array([edge_pad(r, k) for r in rows]).tobytes()
+
+
 def test_init_point_values_samples_nodes() -> None:
     g = build_grid(-1.0, 1.0, 4)
     f = init_point_values(g, lambda x: x**2)

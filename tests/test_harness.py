@@ -8,7 +8,10 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from slub.grids import Alignment, build_grid
+import slub.harness
+from slub.coupled import coupled_step, init_coupled_state
+from slub.diagnostics import stability_witness, three_point_witness, total_variation
+from slub.grids import Alignment, build_grid, init_cell_averages, init_point_values
 from slub.harness import (
     LADDER_PRESETS,
     MAX_STEPS,
@@ -234,6 +237,151 @@ def test_run_fails_fast_on_non_finite_values(nan_at_step_3: int, scheme: str) ->
     match = rf"at step 3: first non-finite value at {where} {nan_at_step_3}$"
     with pytest.raises(ValueError, match=match):
         run_scheme("adv-jump", scheme, 79)
+
+
+def _stepwise_diagnostics(name: str, scheme: str, m: int) -> tuple:
+    """(witnesses, TV series, solution rows) of a run, checked one step
+    and one layer at a time with the 1-D witnesses."""
+    problem = get_problem(name)
+    dt, n_steps = time_ladder(problem, m)
+    grid = resolve_grid(problem, m)
+    ops = make_operators(problem, grid, dt)
+
+    def witness(old, new, nu):
+        if ops.two_sided:
+            return three_point_witness(old, new).max_violation
+        return stability_witness(old, new, nu).max_violation
+
+    if scheme == "coupled":
+        w0 = init_point_values(grid, problem.ic).values
+        params = resolve_regularity(problem, w0, grid.dx)
+        state = init_coupled_state(w0, grid.dx, params)
+        tv, rows, values = [total_variation(state.w)], [], [state.w]
+        for _ in range(n_steps):
+            out = coupled_step(state, grid.dx, params, ops.node_update, ops.cell_update)
+            rows.append((witness(state.w, out.node_candidate, ops.nu_node),
+                         witness(out.cell_source, out.w_bar, ops.nu_cell)))
+            tv.append(total_variation(out.w))
+            values.append(out.w)
+            state = out
+        return np.array(rows), np.array(tv), np.array(values)
+    if scheme == "sl":
+        v, update, nu = init_point_values(grid, problem.ic).values, ops.node_update, ops.nu_node
+    else:
+        v, update, nu = init_cell_averages(grid, problem.ic).values, ops.cell_update, ops.nu_cell
+    tv, rows, values = [total_variation(v)], [], [v]
+    for _ in range(n_steps):
+        new = update(v)
+        rows.append((witness(v, new, nu),))
+        tv.append(total_variation(new))
+        values.append(new)
+        v = new
+    return np.array(rows), np.array(tv), np.array(values)
+
+
+BLOCK_RUNS = [
+    ("adv-smooth", "sl", 19), ("adv-smooth", "ub", 19),  # scalar nu
+    ("adv-var", "sl", 19), ("adv-var", "ub", 19),  # one nu per node / cell
+    ("hj-abs", "sl", 79), ("hj-abs", "ub", 79),  # three-point bracket
+    ("adv-jump", "coupled", 19), ("adv-var", "coupled", 19), ("hj-abs", "coupled", 79),
+]
+
+
+@pytest.mark.parametrize("edge", ["steps-below-K", "steps-equal-K", "steps-K-plus-1", "ragged"])
+@pytest.mark.parametrize("name, scheme, m", BLOCK_RUNS)
+def test_run_diagnostics_match_a_step_by_step_run(
+    monkeypatch, name: str, scheme: str, m: int, edge: str
+) -> None:
+    """Per-step witnesses (one column per checked layer) equal the 1-D
+    witnesses, the TV series is the row-by-row TV to the byte, and
+    witness_max is their largest value, and a snapshot of every step is
+    the step-by-step solution, with the block size K set so
+    that the run has fewer than K, exactly K, K + 1, or a ragged number
+    of steps (more than 2K, not a multiple of K)."""
+    problem = get_problem(name)
+    n_steps = time_ladder(problem, m)[1]
+    n = resolve_grid(problem, m).m + (scheme != "ub")
+    k = {"steps-below-K": n_steps + 1, "steps-equal-K": n_steps,
+         "steps-K-plus-1": n_steps - 1, "ragged": 5}[edge]
+    assert k >= 4 and (edge != "ragged" or (n_steps > 2 * k and n_steps % k))
+    monkeypatch.setattr(slub.harness, "_BLOCK_VALUES", k * n)
+    res = run_scheme(name, scheme, m, snapshot_steps=range(n_steps, -1, -1))
+    witnesses, tv, values = _stepwise_diagnostics(name, scheme, m)
+    assert res.witnesses.shape == (n_steps, 2 if scheme == "coupled" else 1)
+    np.testing.assert_array_equal(res.witnesses, witnesses)
+    assert res.tv.values.tobytes() == tv.tobytes()
+    assert res.witness_max == max(0.0, float(witnesses.max()))
+    assert list(res.snapshots) == list(range(n_steps + 1))
+    assert np.array(list(res.snapshots.values())).tobytes() == values.tobytes()
+    assert res.values.tobytes() == values[-1].tobytes()
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("where", ["K", "K+1", "n_steps"])
+@pytest.mark.parametrize("scheme", SCHEMES)
+def test_run_fails_fast_on_a_bad_step_at_a_block_edge(poison_step, scheme: str, where: str) -> None:
+    """A NaN or inf at the last step of the first block, the first step
+    of the next, or the final step raises the same ValueError, naming
+    that step and node or cell, and no RuntimeWarning (warnings are
+    errors here)."""
+    problem, m = get_problem("adv-jump"), 319
+    n_steps = time_ladder(problem, m)[1]
+    n = resolve_grid(problem, m).m + (scheme != "ub")
+    k = max(4, slub.harness._BLOCK_VALUES // n)
+    step = {"K": k, "K+1": k + 1, "n_steps": n_steps}[where]
+    assert k + 1 < n_steps
+    poison_step(step, 5)
+    at = "cell" if scheme == "ub" else "node"
+    with pytest.raises(ValueError, match=rf"total variation (nan|inf) at step {step}: first non-finite value at {at} 5$"):
+        run_scheme(problem, scheme, m)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("cell", [5, 40])
+def test_coupled_run_fails_fast_on_a_cell_average_no_node_reads(poison_step, cell: int) -> None:
+    """A non-finite cell average stops a coupled run at its step, naming
+    the cell, even where no node reads it (the nodes stay finite)."""
+    poison_step(3, cell, node=False)
+    with pytest.raises(ValueError, match=rf"^non-finite cell average at step 3: first non-finite value at cell {cell}$"):
+        run_scheme("adv-jump", "coupled", 79)
+
+
+def _overflowing_make_operators(calls: list):
+    """make_operators whose node update also overflows a throw-away
+    product on every call; its output stays the clean one."""
+
+    def patched(*args, **kwargs):
+        ops = make_operators(*args, **kwargs)
+
+        def node_update(v):
+            calls.append(1)
+            np.array([1e308]) * 10.0
+            return ops.node_update(v)
+
+        return replace(ops, node_update=node_update)
+
+    return patched
+
+
+def test_floating_point_errors_before_a_bad_step_are_reported_as_unbatched(monkeypatch) -> None:
+    """A step that meets a floating-point error is taken again under the
+    caller's numpy settings: it warns, or raises, as a step-by-step run
+    does, and the run's results are unchanged.  Ignored errors are not
+    trapped, so no step is taken twice."""
+    clean = run_scheme("adv-smooth", "sl", 39)
+    calls = []
+    monkeypatch.setattr(slub.harness, "make_operators", _overflowing_make_operators(calls))
+    with pytest.warns(RuntimeWarning, match="overflow"):
+        res = run_scheme("adv-smooth", "sl", 39)
+    assert res.values.tobytes() == clean.values.tobytes()
+    assert res.tv.values.tobytes() == clean.tv.values.tobytes()
+    np.testing.assert_array_equal(res.witnesses, clean.witnesses)
+    with np.errstate(over="raise"), pytest.raises(FloatingPointError, match="overflow"):
+        run_scheme("adv-smooth", "sl", 39)
+    calls.clear()
+    with np.errstate(over="ignore"):
+        run_scheme("adv-smooth", "sl", 39)
+    assert len(calls) == res.n_steps
 
 
 def test_run_scheme_rejects_unknown_scheme() -> None:

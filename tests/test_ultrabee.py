@@ -2,17 +2,19 @@
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from slub.grids import Alignment, Field, build_grid, init_cell_averages
+from slub.grids import Alignment, Field, build_grid, edge_pad, init_cell_averages
 from slub.harness import make_operators
 from slub.problems import get_problem, ic_jump
 from slub.semi_lagrangian import advect_const_values
-from slub.ultrabee import ub_flux_left, ub_flux_limited, ub_flux_right, ub_step_values
+from slub.ultrabee import ub_flux_left, ub_flux_right, ub_step_values
 
 TRIPLES = st.tuples(
     st.floats(min_value=-5.0, max_value=5.0),
@@ -154,6 +156,52 @@ def test_two_velocity_step_is_min_of_singles() -> None:
     lo = ub_step_values(v, problem.f_min * dt / g.dx)
     hi = ub_step_values(v, problem.f_max * dt / g.dx)
     np.testing.assert_array_equal(out, np.minimum(lo, hi))
+
+
+@dataclass(frozen=True)
+class LimiterState:
+    """Slope ratio and limiter value behind a limited flux.
+
+    fell_back marks fluxes where the limited formula was unusable
+    (phi = 0 on a slope change, or a value outside the local range)
+    and the clamp-form flux was returned instead.
+    """
+
+    r: float
+    phi: float
+    fell_back: bool = False
+
+
+def ub_flux_limited(field: Field, j: int, nu: float) -> tuple[float, LimiterState]:
+    """Limited-slope form of the interface flux right of cell j.
+
+    Cross-validation reference for ub_flux_left: flux =
+    u_j + ((1-nu)/phi)(u_{j+1} - u_j) with
+    phi = max(0, min(2r/nu, 2/(1-nu))), r the upwind slope ratio.
+    The formula degenerates as r -> 0+ and on slope-sign changes; those
+    cases fall back to the clamp-form flux and are flagged.
+    """
+    if field.alignment is not Alignment.CELL:
+        raise ValueError("ub_flux_limited needs a cell-aligned field")
+    if not (0.0 < nu < 1.0):
+        raise ValueError(f"limited flux needs 0 < nu < 1, got {nu}")
+    v = edge_pad(field.values, 1)
+    u_prev, u_cur, u_next = v[j], v[j + 1], v[j + 2]
+    d_plus = u_next - u_cur
+    if d_plus == 0.0:
+        return float(u_cur), LimiterState(r=np.nan, phi=0.0)
+    r = (u_cur - u_prev) / d_plus
+    phi = max(0.0, min(2.0 * r / nu, 2.0 / (1.0 - nu)))
+    if phi == 0.0:
+        flux = ub_flux_left(u_prev, u_cur, u_next, nu)
+        return flux, LimiterState(r=r, phi=phi, fell_back=True)
+    flux = u_cur + (1.0 - nu) / phi * d_plus
+    lo = min(u_prev, u_cur, u_next)
+    hi = max(u_prev, u_cur, u_next)
+    if not (lo <= flux <= hi):
+        flux = ub_flux_left(u_prev, u_cur, u_next, nu)
+        return flux, LimiterState(r=r, phi=phi, fell_back=True)
+    return float(flux), LimiterState(r=r, phi=phi)
 
 
 def test_limited_flux_matches_clamp_form_on_monotone_data() -> None:
