@@ -53,7 +53,7 @@ class RegularityParams:
     def __post_init__(self) -> None:
         if not (self.delta >= 0):
             raise ValueError(f"need delta >= 0, got {self.delta}")
-        if self.flat_tol < 0:
+        if not (self.flat_tol >= 0):
             raise ValueError(f"need flat_tol >= 0, got {self.flat_tol}")
         if self.guard < 0:
             raise ValueError(f"need guard >= 0, got {self.guard}")
@@ -67,16 +67,16 @@ def backward_slopes(values: np.ndarray, dx: float) -> np.ndarray:
     """
     v = np.asarray(values, dtype=float)
     s = np.empty(v.size + 1)
-    s[0] = 0.0
-    s[-1] = 0.0
-    s[1:-1] = np.diff(v) / dx
+    s[0] = s[-1] = 0.0
+    np.subtract(v[1:], v[:-1], out=s[1:-1])
+    s[1:-1] /= dx
     return s
 
 
 def classify_regularity(
     values: np.ndarray, dx: float, params: RegularityParams
 ) -> np.ndarray:
-    """Per-node indicator: 1 where the profile is locally regular.
+    """Per-node indicator (int8): 1 where the profile is locally regular.
 
     Node j is regular when its backward slope is below delta in
     magnitude and both neighbouring slope pairs are sign-compatible.
@@ -84,35 +84,31 @@ def classify_regularity(
     are flat (magnitude <= flat_tol).  Requiring both keeps a large
     slope next to an exactly flat one incompatible, which is what flags
     a kink sitting inside a cell: its straddling slope vanishes while
-    the flanks stay steep.
+    the flanks stay steep.  A guard g > 0 marks irregular every node
+    within g of an irregular one, by 2*g shifted in-place ANDs.
     """
     s = backward_slopes(values, dx)
-    flat = np.abs(s) <= params.flat_tol
-    same_sign = s[:-1] * s[1:] > 0.0
-    compat = (flat[:-1] & flat[1:]) | same_sign
-    small = np.abs(s[:-1]) < params.delta
+    mag = np.abs(s)
+    flat = mag <= params.flat_tol
     # pair k couples slopes s_k and s_{k+1}; node j needs pairs j-1, j
-    left_ok = np.concatenate([[True], compat[:-1]])
-    sigma = small & left_ok & compat
+    compat = flat[:-1] & flat[1:]
+    compat |= s[:-1] * s[1:] > 0.0
+    sigma = mag[:-1] < params.delta
+    sigma &= compat
+    sigma[1:] &= compat[:-1]
     if params.guard > 0 and not sigma.all():
-        # full convolution trimmed to center: mode="same" would return
-        # kernel-length output on fields shorter than the kernel
-        kernel = np.ones(2 * params.guard + 1)
-        hits = np.convolve((~sigma).astype(float), kernel, mode="full")
-        sigma = hits[params.guard : params.guard + sigma.size] == 0.0
-    return sigma.astype(np.int8)
+        regular = sigma.copy()
+        for k in range(1, params.guard + 1):
+            sigma[k:] &= regular[:-k]
+            sigma[:-k] &= regular[k:]
+    return sigma.view(np.int8)
 
 
 def active_cells(sigma: np.ndarray) -> np.ndarray:
-    """Cells adjacent to at least one irregular node."""
-    sigma = np.asarray(sigma)
-    n_cells = sigma.size - 1
-    act = np.zeros(n_cells, dtype=bool)
-    bad = np.flatnonzero(sigma == 0)
-    left = bad - 1
-    act[left[left >= 0]] = True
-    act[bad[bad < n_cells]] = True
-    return act
+    """Cells adjacent to at least one irregular node: cell k lies
+    between nodes k and k+1, so it is active unless both are regular."""
+    regular = np.asarray(sigma) != 0
+    return ~(regular[:-1] & regular[1:])
 
 
 def project_to_cells(node_values: np.ndarray) -> np.ndarray:

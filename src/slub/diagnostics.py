@@ -81,7 +81,8 @@ def tv_monitor(
 ) -> TVSeries:
     """Check per-step TV growth of a trajectory against an allowance."""
     tv = np.asarray(tv_values, dtype=float)
-    envelope = tv[0] + allowance * np.arange(tv.size) if tv.size else tv.copy()
+    envelope = np.repeat(tv[:1], tv.size)  # [0] is TV(w0): inf * 0 would be NaN
+    envelope[1:] += allowance * np.arange(1, tv.size)
     if tv.size < 2:
         return TVSeries(tv, envelope, np.zeros(tv.size, dtype=bool))
     growth = np.diff(tv)

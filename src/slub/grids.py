@@ -30,6 +30,9 @@ __all__ = [
 # 5-point Gauss-Legendre on [-1, 1]; exact for polynomials up to degree 9.
 _GL_X, _GL_W = np.polynomial.legendre.leggauss(5)
 
+# Largest |Courant number| `check_cfl` accepts: one plus a roundoff margin.
+_CFL_LIMIT = 1.0 + 1e-12
+
 
 class Alignment(enum.Enum):
     NODE = "node"
@@ -96,8 +99,8 @@ def build_grid(a: float, b: float, m: int) -> Grid1D:
 class Field:
     """Scalar field attached to a grid, node- or cell-aligned.
 
-    Values are copied on construction and frozen; updates produce new
-    Field instances, so snapshots can be shared safely.
+    Values are copied on construction and frozen, so snapshots can be
+    shared safely.
     """
 
     grid: Grid1D
@@ -123,28 +126,28 @@ class Field:
     def coords(self) -> np.ndarray:
         return self.grid.coords(self.alignment)
 
-    def with_values(self, values: np.ndarray) -> "Field":
-        return Field(self.grid, self.alignment, values)
-
 
 def check_cfl(nu) -> None:
-    """Reject signed Courant numbers beyond one in magnitude.
+    """Reject signed Courant numbers beyond one in magnitude, or NaN.
 
     `nu` is a scalar or an array (one number per node or cell).  A
     roundoff margin of 1e-12 is allowed.  The error names the index of
-    the worst entry.
+    the worst entry, or of the first NaN.
 
     Raises
     ------
     ValueError
-        If any |nu| exceeds 1 + 1e-12.
+        If any |nu| exceeds 1 + 1e-12 or is NaN.
     """
-    mag = np.abs(nu)
-    if (mag > 1.0 + 1e-12).any():
-        j = int(np.argmax(mag))
-        raise ValueError(
-            f"CFL violated at index {j}: Courant number |nu| = {np.ravel(mag)[j]:.6g} > 1"
-        )
+    if isinstance(nu, float) and abs(nu) <= _CFL_LIMIT:
+        return  # the kernels' usual argument (np.float64 too), accepted without numpy
+    mags = np.abs(nu)
+    if (mags <= _CFL_LIMIT).all():
+        return
+    j = int(np.argmax(mags))  # argmax stops at the first NaN
+    mag = np.ravel(mags)[j]
+    bound = "> 1" if mag > 1.0 else "is not finite"
+    raise ValueError(f"CFL violated at index {j}: Courant number |nu| = {mag:.6g} {bound}")
 
 
 def edge_pad(values: np.ndarray, k: int) -> np.ndarray:

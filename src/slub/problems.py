@@ -290,16 +290,6 @@ class ProblemSpec:
             return np.asarray(self.c(x), dtype=float)
         raise ValueError("velocity_values only applies to advection problems")
 
-    @property
-    def speed_bound(self) -> float:
-        """Supremum of |velocity| used for CFL checks."""
-        if self.kind == "advection-const":
-            return abs(float(self.c))
-        if self.kind == "advection-var":
-            # affine velocity: extremes at the domain ends
-            return float(max(abs(self.c(self.a)), abs(self.c(self.b))))
-        return max(abs(self.f_min), abs(self.f_max))
-
 
 def singular_points(problem: ProblemSpec, t: float) -> np.ndarray:
     """Positions of transported kinks/jumps of the reference at time t."""

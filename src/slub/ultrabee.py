@@ -33,11 +33,12 @@ _NU_TINY = 1e-14
 def _flux_pos(prev, cur, nxt, nu):
     """Value at the interface between `cur` and its downwind neighbour
     `nxt`, for nu >= 0 (vectorized).  The nu <= 0 flux on the interface
-    left of `cur` is `_flux_pos(nxt, cur, prev, -nu)`.  A scalar nu
-    takes only the branch it needs."""
+    left of `cur` is `_flux_pos(nxt, cur, prev, -nu)`.  A nu that is at
+    least _NU_TINY everywhere takes only the branch it needs."""
     big = np.maximum(cur, prev)
     small = np.minimum(cur, prev)
-    if np.ndim(nu) == 0 and nu >= _NU_TINY:
+    # a plain comparison for a float: np.min on one costs more than the flux
+    if (nu if isinstance(nu, float) else np.min(nu, initial=np.inf)) >= _NU_TINY:
         b = big + (cur - big) / nu
         return np.minimum(np.maximum(nxt, b), small + (cur - small) / nu)
     nu = np.asarray(nu, dtype=float)
@@ -79,23 +80,31 @@ def ub_step_values(values: np.ndarray, nus) -> np.ndarray:
     is the mirror call ub_step_values(v[::-1], -nu)[::-1].  Per-cell
     numbers may change sign, so a cell takes both of its interface
     fluxes upwind by the sign of its own nu and at its own |nu|:
-    v - |nu|*(outflow flux - inflow flux).  The two forms agree bit for
-    bit on a constant nu.  Ghost cells continue the end values.
+    v - |nu|*(outflow flux - inflow flux); when all share one sign the
+    stencil is three slices, else it is picked by np.where.  The two
+    forms agree bit for bit on a constant nu.  Ghost cells continue
+    the end values.
     """
     check_cfl(nus)
     v = np.asarray(values, dtype=float)
-    if np.ndim(nus) == 0:
+    if isinstance(nus, float) or np.ndim(nus) == 0:  # np.ndim is slow on a float
         if nus < 0.0:
             return ub_step_values(v[::-1], -nus)[::-1]
         # abs: -0.0 must scale like 0.0, as np.abs makes it below
         a = abs(float(nus))
         p = edge_pad(v, 2)
-        return v - a * np.diff(_flux_pos(p[:-3], p[1:-2], p[2:-1], a))
+        F = _flux_pos(p[:-3], p[1:-2], p[2:-1], a)
+        return v - a * (F[1:] - F[:-1])
     p = edge_pad(v, 2)
     nu = np.asarray(nus, dtype=float)
     pos = nu >= 0.0
-    up1 = np.where(pos, p[1:-3], p[3:-1])
-    up2 = np.where(pos, p[:-4], p[4:])
-    down = np.where(pos, p[3:-1], p[1:-3])
+    if pos.all():  # adv-var: every cell reads its stencil from the left
+        up1, up2, down = p[1:-3], p[:-4], p[3:-1]
+    elif not pos.any():
+        up1, up2, down = p[3:-1], p[4:], p[1:-3]
+    else:
+        up1 = np.where(pos, p[1:-3], p[3:-1])
+        up2 = np.where(pos, p[:-4], p[4:])
+        down = np.where(pos, p[3:-1], p[1:-3])
     a = np.abs(nu)
     return v - a * (_flux_pos(up1, v, down, a) - _flux_pos(up2, up1, v, a))

@@ -267,6 +267,29 @@ def test_main_bad_nu_or_horizon_exits_nonzero(
     assert not any(tmp_path.iterdir())
 
 
+def test_main_run_rejects_a_nan_epsilon(tmp_path: Path, capsys) -> None:
+    argv = ["run", "--problem", "adv-jump", "--scheme", "coupled", "--m", "79",
+            "--epsilon", "nan"]
+    assert main(argv + ["--out", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "need flat_tol >= 0, got nan" in err
+    assert not any(tmp_path.iterdir())
+
+
+@pytest.mark.filterwarnings("error")
+def test_main_run_with_infinite_delta_writes_a_finite_first_bound(tmp_path: Path) -> None:
+    """--delta inf (every node regular by size) writes bound = tv at
+    step 0 and inf after it, never nan."""
+    argv = ["run", "--problem", "adv-jump", "--scheme", "coupled", "--m", "79",
+            "--delta", "inf", "--out", str(tmp_path)]
+    assert main(argv) == 0
+    rows = [line.split(",") for line in (tmp_path / "tv_trace.csv").read_text().splitlines()]
+    assert rows[0] == ["step", "tv", "bound"]
+    assert rows[1][0] == "0" and rows[1][2] == rows[1][1]
+    assert all(row[2] == "inf" for row in rows[2:])
+    assert "delta=inf" in (tmp_path / "manifest.txt").read_text()
+
+
 def test_main_run_exits_nonzero_on_non_finite_step(
     nan_at_step_3: int, tmp_path: Path, capsys
 ) -> None:

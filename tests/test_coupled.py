@@ -6,7 +6,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
@@ -43,6 +43,10 @@ def test_regularity_params_validation() -> None:
         RegularityParams(delta=1.0, flat_tol=-0.1, guard=0)
     with pytest.raises(ValueError):
         RegularityParams(delta=1.0, flat_tol=0.0, guard=-2)
+    RegularityParams(delta=np.inf, flat_tol=np.inf, guard=0)  # every node regular by size
+    for bad in ({"delta": np.nan, "flat_tol": 0.0}, {"delta": 1.0, "flat_tol": np.nan}):
+        with pytest.raises(ValueError, match=r"need (delta|flat_tol) >= 0, got nan"):
+            RegularityParams(guard=0, **bad)
 
 
 def test_params_from_initial_slope() -> None:
@@ -155,6 +159,73 @@ def test_active_cells_touch_irregular_nodes() -> None:
     sigma = np.array([1, 1, 0, 1, 1, 0], dtype=np.int8)
     act = active_cells(sigma)
     np.testing.assert_array_equal(act, [False, True, True, False, True])
+
+
+# ---------------------------------------------------------------------------
+# the indicator against its earlier concatenate / convolve / flatnonzero form
+
+
+def _classify_reference(values, dx, params):
+    """`classify_regularity` as first written: slopes by np.diff, the
+    left pair by np.concatenate, the guard by a float convolution."""
+    v = np.asarray(values, dtype=float)
+    s = np.concatenate([[0.0], np.diff(v) / dx, [0.0]])
+    flat = np.abs(s) <= params.flat_tol
+    same_sign = s[:-1] * s[1:] > 0.0
+    compat = (flat[:-1] & flat[1:]) | same_sign
+    small = np.abs(s[:-1]) < params.delta
+    left_ok = np.concatenate([[True], compat[:-1]])
+    sigma = small & left_ok & compat
+    if params.guard > 0 and not sigma.all():
+        kernel = np.ones(2 * params.guard + 1)
+        hits = np.convolve((~sigma).astype(float), kernel, mode="full")
+        sigma = hits[params.guard : params.guard + sigma.size] == 0.0
+    return sigma.astype(np.int8)
+
+
+def _active_reference(sigma):
+    n_cells = sigma.size - 1
+    act = np.zeros(n_cells, dtype=bool)
+    bad = np.flatnonzero(sigma == 0)
+    left = bad - 1
+    act[left[left >= 0]] = True
+    act[bad[bad < n_cells]] = True
+    return act
+
+
+# Node values on a coarse lattice, so slopes land exactly on the
+# thresholds below, plus signed zeros and non-finite entries.
+SPECIAL_NODES = hnp.arrays(
+    dtype=np.float64,
+    shape=st.integers(min_value=1, max_value=20),
+    elements=st.sampled_from([0.0, -0.0, 0.5, -0.5, 1.0, -1.0, 2.0, 3.0,
+                              np.nan, np.inf, -np.inf]),
+)
+THRESHOLDS = st.sampled_from([0.0, 0.5, 1.0, 2.0, 4.0, np.inf])
+
+
+@given(v=SPECIAL_NODES, dx=st.sampled_from([1.0, 0.5]), delta=THRESHOLDS,
+       flat_tol=THRESHOLDS, guard=st.integers(min_value=0, max_value=6))
+@example(v=np.array([0.0, 0.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 2.0]),
+         dx=1.0, delta=1.0, flat_tol=0.0, guard=6)
+@example(v=np.array([0.0, 3.0]), dx=1.0, delta=3.0, flat_tol=3.0, guard=6)
+@settings(max_examples=400, deadline=None)
+def test_classify_and_active_cells_match_their_earlier_form(
+    v: np.ndarray, dx: float, delta: float, flat_tol: float, guard: int
+) -> None:
+    """Byte-equal to the concatenate / convolve / flatnonzero code for
+    guards 0-6 on 1 to 20 nodes (so some fields are shorter than the
+    guard window), with NaN, +-inf and +-0.0 entries and slopes exactly
+    at flat_tol and at delta."""
+    params = RegularityParams(delta=delta, flat_tol=flat_tol, guard=guard)
+    with np.errstate(all="ignore"):  # inf - inf; both forms take the same ops
+        sigma = classify_regularity(v, dx, params)
+        expected = _classify_reference(v, dx, params)
+    assert sigma.dtype == np.int8
+    assert sigma.tobytes() == expected.tobytes()
+    act = active_cells(sigma)
+    assert act.dtype == bool
+    assert act.tobytes() == _active_reference(expected).tobytes()
 
 
 def test_projections_pinned_values() -> None:

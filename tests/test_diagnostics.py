@@ -64,6 +64,20 @@ def test_tv_monitor_short_series_is_ok() -> None:
     assert tv_monitor(np.array([]), allowance=0.0).ok
 
 
+@pytest.mark.filterwarnings("error")
+def test_tv_monitor_envelope_starts_at_the_first_tv() -> None:
+    """envelope[0] is TV(w0) exactly, also for an infinite allowance
+    (inf * 0 would make it NaN and warn); later entries are
+    TV(w0) + k*allowance, as one broadcast expression computes them."""
+    tv = np.array([2.0, 1.5, 1.75, 1.0])
+    for allowance in (0.0, 0.3, 1e300, np.inf):
+        env = tv_monitor(tv, allowance).envelope
+        assert env[0] == 2.0
+        assert env[1:].tobytes() == (2.0 + allowance * np.arange(1.0, 4.0)).tobytes()
+    assert tv_monitor(tv, np.inf).ok
+    assert tv_monitor(np.array([]), np.inf).envelope.size == 0
+
+
 # ---------------------------------------------------------------------------
 # incremental form, stated through the witness bracket
 #

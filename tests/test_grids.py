@@ -65,7 +65,7 @@ def test_field_validates_shape_and_freezes_values() -> None:
         Field(g, Alignment.NODE, np.arange(4.0))
     with pytest.raises(ValueError):
         Field(g, Alignment.CELL, np.array([0.0, 1.0, np.nan, 2.0]))
-    g2 = f.with_values(f.values + 1.0)
+    g2 = Field(g, Alignment.NODE, f.values + 1.0)
     np.testing.assert_array_equal(g2.values, np.arange(5.0) + 1.0)
     np.testing.assert_array_equal(f.coords, g.nodes)
 
@@ -80,6 +80,40 @@ def test_check_cfl_names_worst_index() -> None:
         check_cfl(-1.5)
     with pytest.raises(ValueError, match=r"index 2: Courant number \|nu\| = 3 > 1"):
         check_cfl(np.array([0.5, -1.2, 3.0, 1.1]))
+
+
+def _cfl_outcome(nu):
+    try:
+        check_cfl(nu)
+    except ValueError as exc:
+        return str(exc)
+    return None
+
+
+@pytest.mark.parametrize(
+    "nu", [0.5, -1.0, 1.0 + 1e-12, -(1.0 + 1e-12), 1.0 + 3e-12, -1.5, np.inf, -np.inf, np.nan],
+    ids=["half", "minus-one", "margin", "minus-margin", "past-margin", "minus-1.5",
+         "inf", "minus-inf", "nan"],
+)
+def test_check_cfl_scalar_and_array_paths_agree(nu: float) -> None:
+    """A Python float and np.float64 take the scalar path; a 0-d array,
+    a one-entry array and a list the array path: same outcome, same
+    message."""
+    outcomes = {_cfl_outcome(x) for x in
+                (float(nu), np.float64(nu), np.array(nu), np.array([nu]), [nu])}
+    assert len(outcomes) == 1
+    (outcome,) = outcomes
+    assert (outcome is None) == (abs(nu) <= 1.0 + 1e-12)
+
+
+def test_check_cfl_rejects_nan_naming_its_index() -> None:
+    with pytest.raises(ValueError, match=r"index 0: Courant number \|nu\| = nan is not finite"):
+        check_cfl(float("nan"))
+    with pytest.raises(ValueError, match=r"index 1: Courant number \|nu\| = nan is not finite"):
+        check_cfl([0.5, np.nan])
+    # the first NaN is named even when a larger |nu| follows it
+    with pytest.raises(ValueError, match=r"index 2: .* = nan is not finite"):
+        check_cfl(np.array([0.5, -0.5, np.nan, 7.0, np.nan]))
 
 
 @pytest.mark.parametrize("k", [1, 2])

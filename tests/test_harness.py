@@ -144,6 +144,22 @@ def test_make_operators_rejects_unstable_step() -> None:
             make_operators(problem, g, dt * 3.0)
 
 
+def test_make_operators_rejects_a_nan_velocity_naming_its_node() -> None:
+    """An advection-var velocity that is NaN at one node fails the CFL
+    check there, instead of passing (nan > 1 is False) into the run."""
+
+    def velocity(x):
+        c = 1.1 - np.asarray(x, dtype=float)
+        c[7] = np.nan
+        return c
+
+    problem = replace(get_problem("adv-var"), c=velocity)
+    g = resolve_grid(problem, 19)
+    dt, _ = time_ladder(problem, 19)
+    with pytest.raises(ValueError, match=r"CFL violated at index 7: .* = nan is not finite"):
+        make_operators(problem, g, dt)
+
+
 def test_make_operators_var_node_update_traces_feet() -> None:
     """For c(x) = -(x - 1.1) each node reads the interpolant at its foot
     x_j - c(x_j)*dt; the identity profile returns the foot itself, held
@@ -407,6 +423,16 @@ def test_run_scheme_tv_monitoring_coupled_smooth() -> None:
     res = run_scheme("adv-smooth", "coupled", 39)
     assert res.tv.ok
     assert res.tv.n_violations == 0
+
+
+@pytest.mark.filterwarnings("error")
+def test_run_scheme_with_infinite_delta_keeps_a_finite_envelope_start() -> None:
+    """delta = +inf gives an infinite TV allowance; the envelope still
+    starts at TV(w0) itself, not at TV(w0) + inf*0 = NaN with a warning."""
+    res = run_scheme("adv-jump", "coupled", 39, delta=np.inf)
+    assert res.tv.envelope[0] == res.tv.values[0]
+    assert np.all(res.tv.envelope[1:] == np.inf)
+    assert res.tv.ok
 
 
 def test_run_scheme_pure_schemes_have_zero_allowance() -> None:

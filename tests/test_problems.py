@@ -213,6 +213,13 @@ def test_singular_points_transport() -> None:
 
 
 def test_speed_bound() -> None:
-    assert get_problem("adv-smooth").speed_bound == 1.0
-    assert get_problem("adv-var").speed_bound == pytest.approx(1.1)
-    assert get_problem("hj-abs").speed_bound == 1.0
+    """The largest |velocity| on the grid nodes, which is what the CFL
+    check sees; hj problems have controls instead of a velocity."""
+    for name, bound in (("adv-smooth", 1.0), ("adv-var", 1.1)):
+        p = get_problem(name)
+        speeds = p.velocity_values(resolve_grid(p, 40).nodes)
+        assert np.max(np.abs(speeds)) == pytest.approx(bound)
+    hj = get_problem("hj-abs")
+    with pytest.raises(ValueError, match="only applies to advection"):
+        hj.velocity_values(resolve_grid(hj, 40).nodes)
+    assert max(abs(hj.f_min), abs(hj.f_max)) == 1.0

@@ -145,6 +145,51 @@ def test_scalar_courant_number_matches_per_cell_form(v: np.ndarray, nu: float) -
     assert ub_step_values(v, nu).tobytes() == per_cell.tobytes()
 
 
+def _flux_pos_reference(prev, cur, nxt, nu):
+    """The flux for an array nu >= 0 as first written: every entry goes
+    through the |nu| < 1e-14 test and both branches."""
+    big, small = np.maximum(cur, prev), np.minimum(cur, prev)
+    tiny = nu < 1e-14
+    safe = np.where(tiny, 1.0, nu)
+    clamped = np.minimum(np.maximum(nxt, big + (cur - big) / safe), small + (cur - small) / safe)
+    return np.where(tiny, np.where(cur != prev, nxt, cur), clamped)
+
+
+def _per_cell_reference(v: np.ndarray, nus: np.ndarray) -> np.ndarray:
+    """The per-cell `ub_step_values` as first written: the stencil is
+    always read through three np.where calls on the sign of nu."""
+    p = np.pad(v, 2, mode="edge")
+    pos = nus >= 0.0
+    up1 = np.where(pos, p[1:-3], p[3:-1])
+    up2 = np.where(pos, p[:-4], p[4:])
+    down = np.where(pos, p[3:-1], p[1:-3])
+    a = np.abs(nus)
+    return v - a * (_flux_pos_reference(up1, v, down, a) - _flux_pos_reference(up2, up1, v, a))
+
+
+@given(
+    v=CELLS,
+    signs=st.sampled_from(["positive", "negative", "mixed", "tiny"]),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+@settings(max_examples=300, deadline=None)
+def test_per_cell_step_matches_its_three_where_form(v: np.ndarray, signs: str, seed: int) -> None:
+    """Byte-equal to the three-np.where form for per-cell Courant numbers
+    all positive (the stencil read by slices, adv-var's case), all
+    negative (mirrored slices), of mixed sign, and with some |nu| below
+    1e-14 (the at-rest branch), signed zeros included."""
+    rng = np.random.default_rng(seed)
+    nus = rng.uniform(-1.0, 1.0, v.size)
+    if signs == "positive":
+        nus = np.abs(nus)
+    elif signs == "negative":
+        nus = -np.abs(nus)
+    elif signs == "tiny":
+        picks = rng.random(v.size) < 0.4
+        nus[picks] = rng.choice([0.0, -0.0, 1e-15, -1e-15, 1e-300], int(picks.sum()))
+    assert ub_step_values(v, nus).tobytes() == _per_cell_reference(v, nus).tobytes()
+
+
 def test_two_velocity_step_is_min_of_singles() -> None:
     """The hj cell update is the pointwise min of the two single-velocity
     kernel calls, at Courant numbers f_min*dt/dx and f_max*dt/dx."""
