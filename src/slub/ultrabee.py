@@ -80,7 +80,7 @@ def ub_step_values(values: np.ndarray, nus) -> np.ndarray:
     is the mirror call ub_step_values(v[::-1], -nu)[::-1].  Per-cell
     numbers may change sign, so a cell takes both of its interface
     fluxes upwind by the sign of its own nu and at its own |nu|:
-    v - |nu|*(outflow flux - inflow flux); when all share one sign the
+    v - |nu|*(outflow flux - inflow flux); when every nu >= 0 the
     stencil is three slices, else it is picked by np.where.  The two
     forms agree bit for bit on a constant nu.  Ghost cells continue
     the end values.
@@ -100,8 +100,6 @@ def ub_step_values(values: np.ndarray, nus) -> np.ndarray:
     pos = nu >= 0.0
     if pos.all():  # adv-var: every cell reads its stencil from the left
         up1, up2, down = p[1:-3], p[:-4], p[3:-1]
-    elif not pos.any():
-        up1, up2, down = p[3:-1], p[4:], p[1:-3]
     else:
         up1 = np.where(pos, p[1:-3], p[3:-1])
         up2 = np.where(pos, p[:-4], p[4:])

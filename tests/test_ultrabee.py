@@ -176,7 +176,7 @@ def _per_cell_reference(v: np.ndarray, nus: np.ndarray) -> np.ndarray:
 def test_per_cell_step_matches_its_three_where_form(v: np.ndarray, signs: str, seed: int) -> None:
     """Byte-equal to the three-np.where form for per-cell Courant numbers
     all positive (the stencil read by slices, adv-var's case), all
-    negative (mirrored slices), of mixed sign, and with some |nu| below
+    negative and of mixed sign (np.where), and with some |nu| below
     1e-14 (the at-rest branch), signed zeros included."""
     rng = np.random.default_rng(seed)
     nus = rng.uniform(-1.0, 1.0, v.size)
