@@ -26,16 +26,9 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .coupled import project_to_nodes
-from .grids import init_point_values
-from .harness import (
-    LADDER_PRESETS,
-    SCHEMES,
-    convergence_table,
-    resolve_grid,
-    resolve_regularity,
-    run_scheme,
-    time_ladder,
-)
+from .harness import LADDER_PRESETS, SCHEMES, convergence_table, run_scheme, time_ladder
+# unused here, but benchmarks/tests/test_bench.py asserts it is harness's
+from .harness import resolve_grid
 from .problems import REGISTRY, get_problem, problem_names
 
 __all__ = [
@@ -65,14 +58,6 @@ class RunConfig:
     epsilon: Optional[float] = None
     snapshots: Optional[tuple] = None
     out: str = "runs"
-
-    def validate(self) -> None:
-        if self.scheme not in SCHEMES:
-            raise ValueError(f"unknown scheme {self.scheme!r}; choose from {SCHEMES}")
-        if self.m < 3:
-            raise ValueError(f"need m >= 3, got {self.m}")
-        if self.snapshots is not None and any(k < 0 for k in self.snapshots):
-            raise ValueError("snapshot steps must be nonnegative")
 
 
 @dataclass(frozen=True)
@@ -138,15 +123,15 @@ def parse_manifest(text: str) -> RunConfig:
     )
 
 
-def _apply_overrides(config: RunConfig):
-    prob = get_problem(config.problem)
+def _apply_overrides(problem_name: str, nu=None, T=None, domain=None):
+    prob = get_problem(problem_name)
     updates = {}
-    if config.nu is not None:
-        updates["nu"] = float(config.nu)
-    if config.T is not None:
-        updates["T"] = float(config.T)
-    if config.domain is not None:
-        updates["a"], updates["b"] = map(float, config.domain)
+    if nu is not None:
+        updates["nu"] = float(nu)
+    if T is not None:
+        updates["T"] = float(T)
+    if domain is not None:
+        updates["a"], updates["b"] = map(float, domain)
     return replace(prob, **updates) if updates else prob
 
 
@@ -158,17 +143,19 @@ def cmd_run(config: RunConfig) -> OutputBundle:
     actual snapshot step list), so re-running from the manifest yields
     byte-identical files.
     """
-    config.validate()
-    prob = _apply_overrides(config)
-    dt, n_steps = time_ladder(prob, config.m)
-    snapshots = config.snapshots if config.snapshots is not None else (0, n_steps)
-    for k in snapshots:
-        if k > n_steps:
-            raise ValueError(f"snapshot step {k} exceeds n_steps = {n_steps}")
-
-    grid = resolve_grid(prob, config.m)
-    w0 = init_point_values(grid, prob.ic).values
-    params = resolve_regularity(prob, w0, grid.dx, config.delta, config.epsilon)
+    prob = _apply_overrides(config.problem, config.nu, config.T, config.domain)
+    snapshots = config.snapshots
+    if snapshots is None:
+        snapshots = (0, time_ladder(prob, config.m)[1])
+    result = run_scheme(
+        prob,
+        config.scheme,
+        config.m,
+        delta=config.delta,
+        epsilon=config.epsilon,
+        snapshot_steps=snapshots,
+    )
+    prob, params = result.problem, result.params
     resolved = replace(
         config,
         nu=prob.nu,
@@ -177,15 +164,6 @@ def cmd_run(config: RunConfig) -> OutputBundle:
         delta=params.delta,
         epsilon=params.flat_tol,
         snapshots=tuple(snapshots),
-    )
-
-    result = run_scheme(
-        prob,
-        config.scheme,
-        config.m,
-        delta=params.delta,
-        epsilon=params.flat_tol,
-        snapshot_steps=snapshots,
     )
 
     out = Path(config.out)
@@ -249,8 +227,6 @@ def _parse_ladder(arg: Optional[str], problem) -> tuple:
             f"bad ladder {arg!r}: expected a preset name "
             f"({', '.join(sorted(LADDER_PRESETS))}) or comma-separated m values"
         ) from None
-    if not ladder or any(m < 3 for m in ladder):
-        raise ValueError(f"bad ladder {arg!r}: every m must be >= 3")
     return ladder
 
 
@@ -263,30 +239,17 @@ def cmd_convergence(
     out: str = "runs",
 ) -> tuple:
     """Run a refinement ladder; write text + CSV tables, return paths."""
-    prob = _apply_overrides(RunConfig(problem_name, scheme, m=ladder[0], nu=nu, T=T))
-    table = convergence_table(prob, scheme, ladder)
+    table = convergence_table(_apply_overrides(problem_name, nu, T), scheme, ladder)
     out_dir = Path(out)
     out_dir.mkdir(parents=True, exist_ok=True)
     stem = f"conv_{problem_name}_{scheme}"
     txt_path = out_dir / f"{stem}.txt"
     txt_path.write_text(table.format_text() + "\n", encoding="ascii", newline="\n")
     csv_path = out_dir / f"{stem}.csv"
-    headers = ["m", "dt", "dx", "l1", "l2", "linf"]
-    if table.has_reg_column:
-        headers.append("linf_reg")
-    multi = len(table.rows) > 1
-    if multi:
-        headers.append("l1_order")
-    ords = table.orders("l1") if multi else ()
-    lines = [",".join(headers)]
-    for i, r in enumerate(table.rows):
-        cells = [str(r.m), _fmt(r.dt), _fmt(r.dx), _fmt(r.l1), _fmt(r.l2), _fmt(r.linf)]
-        if table.has_reg_column:
-            cells.append(_fmt(r.linf_reg))
-        if multi:
-            cells.append("" if i == 0 else _fmt(ords[i - 1]))
-        lines.append(",".join(cells))
-    _write(csv_path, lines)
+    headers, rows = table.columns()
+    # _fmt prints an integer m as str(m) does
+    lines = [",".join("" if v is None else _fmt(v) for v in row) for row in rows]
+    _write(csv_path, [",".join(headers)] + lines)
     return table, txt_path, csv_path
 
 
@@ -301,7 +264,7 @@ def cmd_compare(
     """Run several schemes at one resolution; write co-sampled solution
     columns (x, exact, then one column per scheme, node-sampled) and a
     per-scheme error table."""
-    prob = _apply_overrides(RunConfig(problem_name, schemes[0], m=m, nu=nu, T=T))
+    prob = _apply_overrides(problem_name, nu, T)
     results = [run_scheme(prob, s, m) for s in schemes]
     grid = results[0].grid
     exact = np.asarray(prob.exact(grid.nodes, results[0].t_final), dtype=float)

@@ -76,17 +76,16 @@ class TVSeries:
         return int(np.count_nonzero(self.flags))
 
 
-def tv_monitor(
-    tv_values: Sequence[float], allowance: float, rtol: float = 1e-12
-) -> TVSeries:
-    """Check per-step TV growth of a trajectory against an allowance."""
+def tv_monitor(tv_values: Sequence[float], allowance: float) -> TVSeries:
+    """Check per-step TV growth of a trajectory against an allowance,
+    with a roundoff margin of 1e-12 relative to the previous TV."""
     tv = np.asarray(tv_values, dtype=float)
     envelope = np.repeat(tv[:1], tv.size)  # [0] is TV(w0): inf * 0 would be NaN
     envelope[1:] += allowance * np.arange(1, tv.size)
     if tv.size < 2:
         return TVSeries(tv, envelope, np.zeros(tv.size, dtype=bool))
     growth = np.diff(tv)
-    limit = allowance + rtol * (1.0 + np.abs(tv[:-1]))
+    limit = allowance + 1e-12 * (1.0 + np.abs(tv[:-1]))
     flags = np.concatenate([[False], growth > limit])
     return TVSeries(tv, envelope, flags)
 
@@ -205,12 +204,11 @@ def error_norms(
     dx: float,
     x: Optional[np.ndarray] = None,
     singular_points: Optional[Sequence[float]] = None,
-    exclusion_radius: Optional[float] = None,
 ) -> ErrorReport:
     """Weighted l1/l2 and max norms of the pointwise error.
 
-    linf_reg drops points within `exclusion_radius` (default 3*dx) of
-    any listed singular point; it equals linf when nothing is excluded.
+    linf_reg drops points within 3*dx of any listed singular point; it
+    equals linf when nothing is excluded.
     """
     num = np.asarray(numeric, dtype=float)
     err = np.abs(num - np.asarray(exact, dtype=float))
@@ -219,11 +217,10 @@ def error_norms(
     linf = float(np.max(err))
     linf_reg = linf
     if singular_points is not None and len(singular_points) and x is not None:
-        radius = 3.0 * dx if exclusion_radius is None else exclusion_radius
         xx = np.asarray(x, dtype=float)
         keep = np.ones(xx.shape, dtype=bool)
         for p in singular_points:
-            keep &= np.abs(xx - p) > radius
+            keep &= np.abs(xx - p) > 3.0 * dx
         linf_reg = float(np.max(err[keep])) if np.any(keep) else 0.0
     return ErrorReport(l1=l1, l2=l2, linf=linf, linf_reg=linf_reg)
 

@@ -79,42 +79,31 @@ MAX_STEPS = 10_000_000
 # values: about 128 KiB per block array, near the size of an L2 cache.
 _BLOCK_VALUES = 16384
 
+# Length an extended grid keeps past the transported support, for smearing.
 _SUPPORT_PAD = 0.5
-
-
-def _support_bounds(ic: Callable, a: float, b: float) -> tuple[float, float]:
-    xs = np.linspace(a, b, 20001)
-    nz = np.flatnonzero(np.abs(np.asarray(ic(xs), dtype=float)) > 0.0)
-    if nz.size == 0:
-        return a, a
-    return float(xs[nz[0]]), float(xs[nz[-1]])
 
 
 def resolve_grid(problem: ProblemSpec, m: int) -> Grid1D:
     """Grid for a ladder entry, extended downstream when the transported
-    support would leave the stated window.
+    support (`ProblemSpec.support_t0`) would leave the stated window.
 
     Extension keeps dx and adds whole cells past the final support
     (plus a smearing margin), so ladder spacings stay comparable across
     problems with and without extension.
     """
-    if m < 3:
-        raise ValueError(f"need m >= 3 cells, got {m}")
-    a, b = problem.a, problem.b
-    dx = (b - a) / m
-    if not problem.extend_support or problem.kind != "advection-const":
-        return build_grid(a, b, m)
+    grid = build_grid(problem.a, problem.b, m)
+    if problem.support_t0 is None or problem.kind != "advection-const":
+        return grid
+    a, b, dx = grid.a, grid.b, grid.dx
     shift = problem.c * problem.T
-    if shift == 0.0:
-        return build_grid(a, b, m)
-    lo, hi = _support_bounds(problem.ic, a, b)
+    lo, hi = problem.support_t0
     if shift > 0:
-        needed = hi + shift + _SUPPORT_PAD - b
-        extra = max(0, math.ceil(needed / dx - 1e-12))
+        extra = max(0, math.ceil((hi + shift + _SUPPORT_PAD - b) / dx - 1e-12))
         return build_grid(a, b + extra * dx, m + extra)
-    needed = a - (lo + shift - _SUPPORT_PAD)
-    extra = max(0, math.ceil(needed / dx - 1e-12))
-    return build_grid(a - extra * dx, b, m + extra)
+    if shift < 0:
+        extra = max(0, math.ceil((a - (lo + shift - _SUPPORT_PAD)) / dx - 1e-12))
+        return build_grid(a - extra * dx, b, m + extra)
+    return grid
 
 
 def time_ladder(problem: ProblemSpec, m: int) -> tuple[float, int]:
@@ -126,14 +115,15 @@ def time_ladder(problem: ProblemSpec, m: int) -> tuple[float, int]:
     Raises
     ------
     ValueError
-        If nu is outside (0, 1], T is not finite and positive, or the
-        run would take more than MAX_STEPS steps.
+        If nu is outside (0, 1], T is not finite and positive, the grid
+        is invalid (see `Grid1D`), or the run would take more than
+        MAX_STEPS steps.
     """
     if not (0.0 < problem.nu <= 1.0):
         raise ValueError(f"nu must lie in (0, 1], got {problem.nu}")
     if not (math.isfinite(problem.T) and problem.T > 0.0):
         raise ValueError(f"T must be finite and positive, got {problem.T}")
-    dx = (problem.b - problem.a) / m
+    dx = build_grid(problem.a, problem.b, m).dx  # rejects m < 3 and a >= b
     dt0 = problem.nu * dx / problem.speed_scale
     steps = problem.T / dt0 if dt0 > 0.0 else math.inf
     if steps - 1e-12 > MAX_STEPS:
@@ -238,7 +228,9 @@ class RunResult:
     """Everything observable about one finished run.
 
     witnesses[k-1] holds step k's `max_violation` of each checked layer:
-    one column for sl and ub, node and cell columns for coupled.
+    one column for sl and ub, node and cell columns for coupled.  params
+    holds the indicator thresholds resolved from the initial node values
+    for every scheme, though only coupled runs switch on them.
     """
 
     problem: ProblemSpec
@@ -313,10 +305,12 @@ def run_scheme(
     Raises
     ------
     ValueError
-        On a bad ladder entry (see `time_ladder`), or at the first step
-        whose total variation is not finite, or, for coupled, whose
-        node candidate or cell averages are not finite, naming that step
-        and the first non-finite node or cell.
+        On an unknown scheme, a bad ladder entry (see `time_ladder`), a
+        bad threshold (see `RegularityParams`) or a snapshot step outside
+        [0, n_steps]; or at the first step whose total variation is not
+        finite, or, for coupled, whose node candidate or cell averages
+        are not finite, naming that step and the first non-finite node
+        or cell.
     """
     if isinstance(problem, str):
         problem = get_problem(problem)
@@ -332,11 +326,11 @@ def run_scheme(
     nu_node, nu_cell = (None, None) if ops.two_sided else (ops.nu_node, ops.nu_cell)
     block_steps = max(4, _BLOCK_VALUES // (grid.m + (scheme != "ub")))
 
-    params = sigma_rows = None
+    w0 = init_point_values(grid, problem.ic).values
+    params = resolve_regularity(problem, w0, grid.dx, delta, epsilon, guard)
+    sigma_rows = None
     allowance = 0.0
     if scheme == "coupled":
-        w0 = init_point_values(grid, problem.ic).values
-        params = resolve_regularity(problem, w0, grid.dx, delta, epsilon, guard)
         state = init_coupled_state(w0, grid.dx, params)
         v, alignment = state.w, Alignment.NODE
         sigma_rows = [state.sigma]
@@ -357,7 +351,7 @@ def run_scheme(
                     (src[1:count + 1], bar[1:count + 1], nu_cell))
     else:
         if scheme == "sl":
-            v = init_point_values(grid, problem.ic).values
+            v = w0
             update, nus, alignment = ops.node_update, nu_node, Alignment.NODE
         else:
             v = init_cell_averages(grid, problem.ic).values
@@ -457,6 +451,10 @@ class ConvergenceRow:
     linf_reg: Optional[float] = None
 
 
+# `ConvergenceTable.format_text` column formats; the error norms use ".2E".
+_TEXT_FORMATS = {"m": "d", "dt": ".6f", "dx": ".6f", "l1_order": ".2f"}
+
+
 @dataclass(frozen=True)
 class ConvergenceTable:
     """Refinement study of one scheme on one problem."""
@@ -472,23 +470,31 @@ class ConvergenceTable:
     def orders(self, norm: str = "l1") -> np.ndarray:
         return convergence_orders(self.errors(norm), [r.dx for r in self.rows])
 
-    def format_text(self) -> str:
+    def columns(self) -> tuple:
+        """(headers, rows): per rung m, dt, dx and the error norms, then
+        linf_reg when the problem has singular points and, with two rungs
+        or more, the observed l1 order (None on the first rung)."""
         headers = ["m", "dt", "dx", "l1", "l2", "linf"]
         if self.has_reg_column:
             headers.append("linf_reg")
         with_orders = len(self.rows) > 1
         if with_orders:
             headers.append("l1_order")
-        ords = self.orders("l1") if with_orders else ()
-        lines = []
-        for i, r in enumerate(self.rows):
-            cells = [f"{r.m:d}", f"{r.dt:.6f}", f"{r.dx:.6f}",
-                     f"{r.l1:.2E}", f"{r.l2:.2E}", f"{r.linf:.2E}"]
+        ords = [None, *self.orders("l1")]
+        rows = []
+        for r, order in zip(self.rows, ords):
+            row = [r.m, r.dt, r.dx, r.l1, r.l2, r.linf]
             if self.has_reg_column:
-                cells.append(f"{r.linf_reg:.2E}")
+                row.append(r.linf_reg)
             if with_orders:
-                cells.append("" if i == 0 else f"{ords[i - 1]:.2f}")
-            lines.append(cells)
+                row.append(order)
+            rows.append(row)
+        return headers, rows
+
+    def format_text(self) -> str:
+        headers, rows = self.columns()
+        lines = [["" if v is None else format(v, _TEXT_FORMATS.get(h, ".2E"))
+                  for h, v in zip(headers, row)] for row in rows]
         widths = [max(len(h), *(len(row[j]) for row in lines))
                   for j, h in enumerate(headers)]
         fmt = "  ".join(f"{{:>{w}}}" for w in widths)

@@ -214,7 +214,10 @@ class ProblemSpec:
     "advection-var" it is a callable c(x); "hj" solves v_t + H(v_x) = 0
     with H(p) = max(f_min * p, f_max * p) (erosion when f_min = -f_max).
     delta_factor / flat_frac scale the switching-indicator thresholds
-    relative to the initial maximum slope.
+    relative to the initial maximum slope.  support_t0, when set, is the
+    (lo, hi) support of the initial profile; `slub.harness.resolve_grid`
+    then extends an "advection-const" domain downstream, so the
+    transported support stays on the grid.
     """
 
     name: str
@@ -233,7 +236,7 @@ class ProblemSpec:
     delta_factor: float = 1.05
     flat_frac: float = 0.12
     guard: int = 0
-    extend_support: bool = False
+    support_t0: Optional[tuple] = None
     sing_points_t0: tuple = ()
 
     def exact(self, x, t: float):
@@ -324,7 +327,7 @@ REGISTRY = {
         c=1.0,
         delta_factor=1.05,
         flat_frac=0.25,
-        extend_support=True,
+        support_t0=(-1.0, 1.0),
     ),
     "adv-jump": ProblemSpec(
         name="adv-jump",
@@ -340,7 +343,7 @@ REGISTRY = {
         delta_factor=0.3,
         flat_frac=0.12,
         guard=3,
-        extend_support=True,
+        support_t0=(-1.0, 1.0),
         sing_points_t0=(-1.0, 1.0),
     ),
     "adv-mix": ProblemSpec(

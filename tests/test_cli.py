@@ -9,6 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import slub.cli
 import slub.harness
 from slub.cli import (
     RunConfig,
@@ -20,8 +21,8 @@ from slub.cli import (
     main,
     parse_manifest,
 )
-from slub.harness import resolve_grid, time_ladder
-from slub.problems import get_problem, problem_names
+from slub.harness import ConvergenceRow, ConvergenceTable, resolve_grid, time_ladder
+from slub.problems import REGISTRY, get_problem, problem_names
 
 
 def _resolved_config(out: str) -> RunConfig:
@@ -118,11 +119,14 @@ def test_cmd_run_rerun_from_manifest_is_byte_identical(tmp_path: Path) -> None:
 
 
 def test_cmd_run_rejects_snapshot_beyond_final_step(tmp_path: Path) -> None:
-    config = RunConfig(
-        problem="adv-smooth", scheme="sl", m=19, snapshots=(0, 9999), out=str(tmp_path)
-    )
-    with pytest.raises(ValueError):
-        cmd_run(config)
+    """`run_scheme` checks the steps; a negative one is refused alike."""
+    for snapshots in ((0, 9999), (12,), (-1, 11)):
+        config = RunConfig(
+            problem="adv-smooth", scheme="sl", m=19, snapshots=snapshots, out=str(tmp_path)
+        )
+        with pytest.raises(ValueError, match=r"snapshot step -?\d+ outside \[0, 11\]"):
+            cmd_run(config)
+    assert not any(tmp_path.iterdir())
 
 
 # ---------------------------------------------------------------------------
@@ -139,6 +143,36 @@ def test_cmd_convergence_writes_tables(tmp_path: Path) -> None:
     assert header == ["m", "dt", "dx", "l1", "l2", "linf", "linf_reg", "l1_order"]
     assert len(csv_path.read_text().splitlines()) == 3
     assert "linf_reg" in txt_path.read_text().splitlines()[0]
+
+
+def test_convergence_text_and_csv_share_one_row_builder(
+    tmp_path: Path, monkeypatch
+) -> None:
+    """The bytes of both tables, for a table built by hand: the text
+    widths and formats, the blank first order, and the CSV numbers."""
+    rows = (
+        ConvergenceRow(m=19, dx=0.21052631578947367, dt=0.18181818181818182, n_steps=11,
+                       l1=0.123456789012345, l2=0.05, linf=0.9, linf_reg=0.25),
+        ConvergenceRow(m=39, dx=0.10256410256410256, dt=0.09090909090909091, n_steps=22,
+                       l1=0.0625, l2=0.025, linf=0.5, linf_reg=0.125),
+        ConvergenceRow(m=79, dx=0.05063291139240506, dt=0.045454545454545456, n_steps=44,
+                       l1=0.0625, l2=0.0125, linf=0.5, linf_reg=1e-20),
+    )
+    table = ConvergenceTable("adv-jump", "sl", rows, has_reg_column=True)
+    monkeypatch.setattr(slub.cli, "convergence_table", lambda *args, **kwargs: table)
+    _, txt_path, csv_path = cmd_convergence("adv-jump", "sl", (19, 39, 79), out=str(tmp_path))
+    assert txt_path.read_text() == (
+        " m        dt        dx        l1        l2      linf  linf_reg  l1_order\n"
+        "19  0.181818  0.210526  1.23E-01  5.00E-02  9.00E-01  2.50E-01          \n"
+        "39  0.090909  0.102564  6.25E-02  2.50E-02  5.00E-01  1.25E-01      0.95\n"
+        "79  0.045455  0.050633  6.25E-02  1.25E-02  5.00E-01  1.00E-20      0.00\n"
+    )
+    assert csv_path.read_text() == (
+        "m,dt,dx,l1,l2,linf,linf_reg,l1_order\n"
+        "19,0.181818181818,0.210526315789,0.123456789012,0.05,0.9,0.25,\n"
+        "39,0.0909090909091,0.102564102564,0.0625,0.025,0.5,0.125,0.946604359498\n"
+        "79,0.0454545454545,0.0506329113924,0.0625,0.0125,0.5,1e-20,0\n"
+    )
 
 
 def test_cmd_convergence_single_row_has_no_order_column(tmp_path: Path) -> None:
@@ -264,6 +298,42 @@ def test_main_bad_nu_or_horizon_exits_nonzero(
     assert main(argv + ["--out", str(tmp_path)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error:") and message in err
+    assert not any(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["run", "--problem", "adv-smooth", "--scheme", "sl", "--m", "2"],
+         "need at least 3 cells (stencil width), got m=2"),
+        (["run", "--problem", "adv-smooth", "--scheme", "coupled", "--m", "0",
+          "--snapshots", "0"], "got m=0"),
+        (["compare", "--problem", "adv-smooth", "--m", "0"], "got m=0"),
+        (["compare", "--problem", "adv-jump", "--m", "-5"], "got m=-5"),
+        (["convergence", "--problem", "adv-smooth", "--scheme", "sl", "--ladder", "19,1"],
+         "got m=1"),
+    ],
+    ids=["run-m-2", "run-m-0-with-snapshots", "compare-m-0", "compare-m-negative",
+         "convergence-m-1"],
+)
+def test_main_bad_cell_count_exits_nonzero(
+    argv: list, message: str, tmp_path: Path, capsys
+) -> None:
+    assert main(argv + ["--out", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and message in err
+    assert not any(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("command", [["run", "--scheme", "ub"], ["compare"],
+                                     ["convergence", "--scheme", "sl"]])
+def test_main_reversed_domain_exits_nonzero(
+    command: list, tmp_path: Path, capsys, monkeypatch
+) -> None:
+    monkeypatch.setitem(REGISTRY, "adv-smooth", replace(REGISTRY["adv-smooth"], a=2.0, b=-2.0))
+    assert main(command + ["--problem", "adv-smooth", "--out", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "need a < b, got a=2.0, b=-2.0" in err
     assert not any(tmp_path.iterdir())
 
 

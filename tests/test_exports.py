@@ -12,7 +12,7 @@ import slub
 MODULES = ("grids", "problems", "semi_lagrangian", "ultrabee", "coupled", "diagnostics", "harness")
 
 
-@pytest.mark.parametrize("name", ("slub",) + tuple(f"slub.{m}" for m in MODULES))
+@pytest.mark.parametrize("name", ("slub", "slub.cli") + tuple(f"slub.{m}" for m in MODULES))
 def test_every_listed_name_resolves(name: str) -> None:
     module = importlib.import_module(name)
     assert len(set(module.__all__)) == len(module.__all__)

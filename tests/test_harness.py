@@ -95,6 +95,37 @@ def test_resolve_grid_extends_downstream_for_transport() -> None:
     assert g.dx == pytest.approx((problem.b - problem.a) / 79)
 
 
+# (b, m) of the extended adv-smooth and adv-jump grids (a = -2) as they
+# were when the support was found by sampling the initial profile at 20001
+# points, before `ProblemSpec.support_t0` declared it.  Every error norm of
+# these problems is taken on these grids, so they must not move.  At
+# m = 2506 adv-smooth's last nonzero sample (0.9998) still gives the grid
+# of the declared edge 1; at some larger m the two differ by one cell.
+EXTENDED_GRIDS = {
+    19: (3.6842105263157894, 27),
+    39: (3.5384615384615383, 54),
+    79: (3.518987341772152, 109),
+    159: (3.509433962264151, 219),
+    319: (3.5047021943573666, 439),
+    639: (3.5023474178403755, 879),
+    2506: (3.5003990422984836, 3446),
+}
+
+
+@pytest.mark.parametrize("m", sorted(EXTENDED_GRIDS))
+@pytest.mark.parametrize("name", ["adv-smooth", "adv-jump"])
+def test_extended_grids_are_pinned(name: str, m: int) -> None:
+    g = resolve_grid(get_problem(name), m)
+    assert (g.a, g.b, g.m) == (-2.0, *EXTENDED_GRIDS[m])
+
+
+def test_resolve_grid_extends_upstream_for_a_negative_velocity() -> None:
+    problem = replace(get_problem("adv-jump"), c=-1.0)
+    g = resolve_grid(problem, 79)
+    mirrored = resolve_grid(get_problem("adv-jump"), 79)
+    assert (g.a, g.b, g.m) == (-mirrored.b, problem.b, mirrored.m)
+
+
 def test_resolve_grid_keeps_bounded_domains() -> None:
     problem = get_problem("hj-abs")
     g = resolve_grid(problem, 19)
@@ -105,10 +136,30 @@ def test_resolve_grid_keeps_bounded_domains() -> None:
 
 
 def test_resolve_grid_rejects_tiny_m() -> None:
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="need at least 3 cells"):
         resolve_grid(get_problem("adv-smooth"), 1)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="need at least 3 cells"):
         resolve_grid(get_problem("adv-smooth"), 2)
+
+
+@pytest.mark.parametrize(
+    "m, domain, match",
+    [(2, None, r"need at least 3 cells \(stencil width\), got m=2"),
+     (0, None, "need at least 3 cells"),
+     (-5, None, "got m=-5"),
+     (19, (2.0, -2.0), "need a < b, got a=2.0, b=-2.0"),
+     (19, (1.0, 1.0), "need a < b")],
+    ids=["m-2", "m-0", "m-negative", "reversed", "empty"],
+)
+def test_time_ladder_rejects_a_bad_grid_as_the_grid_does(m, domain, match) -> None:
+    """`Grid1D` is the one check of the cell count and the domain."""
+    problem = get_problem("adv-smooth")
+    if domain is not None:
+        problem = replace(problem, a=domain[0], b=domain[1])
+    with pytest.raises(ValueError, match=match):
+        time_ladder(problem, m)
+    with pytest.raises(ValueError, match=match):
+        run_scheme(problem, "coupled", m)
 
 
 def test_resolve_regularity_prefers_absolute_overrides() -> None:
@@ -408,6 +459,21 @@ def test_run_scheme_rejects_unknown_scheme() -> None:
 def test_run_scheme_rejects_out_of_range_snapshot() -> None:
     with pytest.raises(ValueError):
         run_scheme("adv-smooth", "sl", 19, snapshot_steps=(500,))
+
+
+@pytest.mark.parametrize("overrides", [{}, {"delta": 0.7}, {"delta": 0.7, "epsilon": 0.01}],
+                         ids=["preset", "delta", "delta-epsilon"])
+@pytest.mark.parametrize("scheme", SCHEMES)
+@pytest.mark.parametrize("name", ["adv-jump", "hj-abs"])
+def test_run_result_params_resolve_from_the_initial_nodes(
+    name: str, scheme: str, overrides: dict
+) -> None:
+    """Every scheme records the thresholds a coupled run would use."""
+    problem = get_problem(name)
+    grid = resolve_grid(problem, 39)
+    w0 = init_point_values(grid, problem.ic).values
+    want = resolve_regularity(problem, w0, grid.dx, **overrides)
+    assert run_scheme(problem, scheme, 39, **overrides).params == want
 
 
 def test_run_scheme_snapshot_keys_and_shapes() -> None:
