@@ -11,6 +11,7 @@ re-smeared) every step.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -39,8 +40,9 @@ class RegularityParams:
                0 marks every node irregular, +inf none (by magnitude)
     flat_tol   slopes at or below this count as flat; a pair of flat
                slopes is sign-compatible regardless of signs
-    guard      irregular flags are dilated by this many nodes, widening
-               the anti-dissipative window around each detection
+    guard      irregular flags are dilated by this many nodes (an
+               integer), widening the anti-dissipative window around
+               each detection
 
     Runs take their thresholds from `slub.harness.resolve_regularity`,
     which scales the problem presets by the largest initial slope.
@@ -55,8 +57,8 @@ class RegularityParams:
             raise ValueError(f"need delta >= 0, got {self.delta}")
         if not (self.flat_tol >= 0):
             raise ValueError(f"need flat_tol >= 0, got {self.flat_tol}")
-        if self.guard < 0:
-            raise ValueError(f"need guard >= 0, got {self.guard}")
+        if not isinstance(self.guard, numbers.Integral) or self.guard < 0:
+            raise ValueError(f"need an integer guard >= 0, got {self.guard!r}")
 
 
 def backward_slopes(values: np.ndarray, dx: float) -> np.ndarray:
@@ -133,7 +135,6 @@ class CoupledState:
     owned       cells whose averages were evolved, not re-projected
     sigma       indicator used for the step that produced this state
     sigma_prev  indicator of the previous step (sigma at n = 0)
-    step_index  number of steps taken
     fresh_cell_count  cells that entered the anti-dissipative region
                       this step (their averages came from projection)
     node_candidate    node-scheme update of the previous w, over every
@@ -150,7 +151,6 @@ class CoupledState:
     owned: np.ndarray
     sigma: np.ndarray
     sigma_prev: np.ndarray
-    step_index: int = 0
     fresh_cell_count: int = 0
     node_candidate: Optional[np.ndarray] = None
     cell_source: Optional[np.ndarray] = None
@@ -200,7 +200,6 @@ def coupled_step(
         owned=act,
         sigma=sigma,
         sigma_prev=state.sigma,
-        step_index=state.step_index + 1,
         fresh_cell_count=fresh,
         node_candidate=new_w_nodes,
         cell_source=source,

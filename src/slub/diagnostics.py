@@ -27,7 +27,6 @@ __all__ = [
     "tv_monitor",
     "StabilityReport",
     "stability_witness",
-    "three_point_witness",
     "block_diagnostics",
     "ErrorReport",
     "error_norms",
@@ -92,7 +91,7 @@ def tv_monitor(tv_values: Sequence[float], allowance: float) -> TVSeries:
 
 @dataclass(frozen=True)
 class StabilityReport:
-    """Outcome of the two-point maximum-principle check."""
+    """Outcome of the maximum-principle check."""
 
     ok: bool
     max_violation: float
@@ -136,26 +135,18 @@ def _report(viol: np.ndarray, tol: float) -> StabilityReport:
 def stability_witness(
     u_old: np.ndarray, u_new: np.ndarray, nu, tol: float = 1e-12
 ) -> StabilityReport:
-    """Check each new value against its two-point upwind bracket.
+    """Check each new value against its bracket of old values.
 
     `nu` is one signed Courant number for every entry or an array of
     one per entry.  For nonnegative local Courant number the bracket at
     j is [min, max] of u_old[j-1], u_old[j]; for negative it uses
     u_old[j], u_old[j+1].  Monotone steps of either solver family
-    satisfy this with equality at most.
+    satisfy this with equality at most.  `nu` None brackets by the three
+    points u_old[j-1..j+1], which suits updates that draw on both
+    neighbours (the two-velocity min-combined step, or a Hopf-Lax
+    minimization over signed speeds).
     """
     return _report(_bracket_violation(u_old, u_new, nu), tol)
-
-
-def three_point_witness(
-    u_old: np.ndarray, u_new: np.ndarray, tol: float = 1e-12
-) -> StabilityReport:
-    """Symmetric variant: bracket at j spans u_old[j-1..j+1].
-
-    Suits updates that draw on both neighbors, e.g. the two-velocity
-    min-combined step or a Hopf-Lax minimization over signed speeds.
-    """
-    return _report(_bracket_violation(u_old, u_new, None), tol)
 
 
 def block_diagnostics(rows: np.ndarray, layers: Sequence[tuple]) -> tuple:
@@ -164,12 +155,12 @@ def block_diagnostics(rows: np.ndarray, layers: Sequence[tuple]) -> tuple:
     `rows` holds a run's solution before the block, then after each step.
     Each layer is an (old, new, nu) triple of k-row blocks, row i being
     one layer's input and output of step i+1, bracketed as by
-    `stability_witness` (`three_point_witness` when nu is None).  Returns
-    per step: each layer's `max_violation` (k, layers); the TV of rows[1:],
-    the same bits as `total_variation` row by row; and the first
-    non-finite index (-1 if none) of the solution row, then of each
-    layer's output (k, 1 + layers).  Floating-point errors are not
-    reported: first_bad shows the non-finite values instead.
+    `stability_witness`.  Returns per step: each layer's `max_violation`
+    (k, layers); the TV of rows[1:], the same bits as `total_variation`
+    row by row; and the first non-finite index (-1 if none) of the
+    solution row, then of each layer's output (k, 1 + layers).
+    Floating-point errors are not reported: first_bad shows the
+    non-finite values instead.
     """
     with np.errstate(all="ignore"):
         tv = total_variation(rows[1:])

@@ -27,9 +27,6 @@ __all__ = [
     "init_cell_averages",
 ]
 
-# 5-point Gauss-Legendre on [-1, 1]; exact for polynomials up to degree 9.
-_GL_X, _GL_W = np.polynomial.legendre.leggauss(5)
-
 # Largest |Courant number| `check_cfl` accepts: one plus a roundoff margin.
 _CFL_LIMIT = 1.0 + 1e-12
 
@@ -193,30 +190,26 @@ def init_point_values(grid: Grid1D, ic) -> Field:
     return Field(grid, Alignment.NODE, vals)
 
 
-def init_cell_averages(grid: Grid1D, ic, antiderivative=None) -> Field:
-    """Cell averages of an initial condition.
-
-    Uses the exact antiderivative when one is supplied (or attached to
-    ``ic`` as ``ic.antiderivative``); otherwise a fixed 5-point
-    Gauss-Legendre rule per cell, which is exact for polynomials of
-    degree <= 9.
+def init_cell_averages(grid: Grid1D, ic) -> Field:
+    """Exact cell averages of an initial condition, from the antiderivative
+    attached to it as ``ic.antiderivative``.
 
     Returns
     -------
     Field
         Cell-aligned field of averages.
+
+    Raises
+    ------
+    ValueError
+        If ``ic`` has no ``antiderivative``, or the averages are not finite.
     """
+    antiderivative = getattr(ic, "antiderivative", None)
     if antiderivative is None:
-        antiderivative = getattr(ic, "antiderivative", None)
-    nodes = grid.nodes
-    if antiderivative is not None:
-        prim = _eval_on(antiderivative, nodes)
-        vals = np.diff(prim) / grid.dx
-    else:
-        half = 0.5 * grid.dx
-        pts = grid.centers[:, None] + half * _GL_X[None, :]
-        fv = _eval_on(ic, pts.ravel()).reshape(pts.shape)
-        vals = fv @ _GL_W * 0.5
+        raise ValueError(
+            "cell averages need an exact antiderivative attached as ic.antiderivative"
+        )
+    vals = np.diff(_eval_on(antiderivative, grid.nodes)) / grid.dx
     if not np.all(np.isfinite(vals)):
         raise ValueError("initial condition produced non-finite cell averages")
     return Field(grid, Alignment.CELL, vals)

@@ -140,16 +140,16 @@ def resolve_regularity(
     dx: float,
     delta: Optional[float] = None,
     epsilon: Optional[float] = None,
-    guard: Optional[int] = None,
 ) -> RegularityParams:
     """Indicator thresholds for a run; absolute overrides win over the
-    preset factors (which scale with the largest initial slope)."""
+    preset factors (which scale with the largest initial slope).  The
+    guard is the problem's."""
     scale = float(np.max(np.abs(np.diff(np.asarray(w0, dtype=float))))) / dx
     scale = max(scale, 1e-300)
     return RegularityParams(
         delta=scale * problem.delta_factor if delta is None else float(delta),
         flat_tol=scale * problem.flat_frac if epsilon is None else float(epsilon),
-        guard=problem.guard if guard is None else int(guard),
+        guard=problem.guard,
     )
 
 
@@ -160,16 +160,14 @@ class StepOperators:
     node_update/cell_update act on raw arrays (node values / cell
     averages).  nu_node/nu_cell carry the signed Courant numbers used
     by the stability witness: one scalar when the velocity is uniform,
-    else one value per node / cell (None for two-sided updates).
-    two_sided marks updates that draw on both neighbors (then the
-    witness brackets three points).
+    else one value per node / cell, or None for updates that draw on
+    both neighbours (then the witness brackets three points).
     """
 
     node_update: Callable[[np.ndarray], np.ndarray]
     cell_update: Callable[[np.ndarray], np.ndarray]
     nu_node: Union[float, np.ndarray, None]
     nu_cell: Union[float, np.ndarray, None]
-    two_sided: bool
 
 
 def make_operators(problem: ProblemSpec, grid: Grid1D, dt: float) -> StepOperators:
@@ -189,7 +187,6 @@ def make_operators(problem: ProblemSpec, grid: Grid1D, dt: float) -> StepOperato
             cell_update=lambda v: ub_step_values(v, nu),
             nu_node=nu,
             nu_cell=nu,
-            two_sided=False,
         )
     if problem.kind == "advection-var":
         nodes = grid.nodes
@@ -203,7 +200,6 @@ def make_operators(problem: ProblemSpec, grid: Grid1D, dt: float) -> StepOperato
             cell_update=lambda v: ub_step_values(v, nu_cell),
             nu_node=nu_node,
             nu_cell=nu_cell,
-            two_sided=False,
         )
     if problem.kind == "hj":
         f_lo, f_hi = float(problem.f_min), float(problem.f_max)
@@ -218,7 +214,6 @@ def make_operators(problem: ProblemSpec, grid: Grid1D, dt: float) -> StepOperato
             ),
             nu_node=None,
             nu_cell=None,
-            two_sided=True,
         )
     raise ValueError(f"unknown problem kind {problem.kind!r}")
 
@@ -285,15 +280,15 @@ def run_scheme(
     *,
     delta: Optional[float] = None,
     epsilon: Optional[float] = None,
-    guard: Optional[int] = None,
     snapshot_steps: Sequence[int] = (),
 ) -> RunResult:
     """Run one scheme on one ladder entry and collect diagnostics.
 
     `problem` is a registry name or a ProblemSpec.  `delta`/`epsilon`
-    override the indicator thresholds (absolute slope units); `guard`
-    overrides the detection-window dilation.  Snapshots of the evolving
-    field are kept at the requested step indices (0 = initial data).
+    override the indicator thresholds (absolute slope units); the
+    detection-window dilation is the problem's `guard`.  Snapshots of the
+    evolving field are kept at the requested step indices (0 = initial
+    data).
 
     The TV and the witnesses of a block of K = max(4, 16384 // n) steps
     are computed at once (see `block_diagnostics`), so a bad step may
@@ -323,11 +318,10 @@ def run_scheme(
         if not (0 <= k <= n_steps):
             raise ValueError(f"snapshot step {k} outside [0, {n_steps}]")
     ops = make_operators(problem, grid, dt)
-    nu_node, nu_cell = (None, None) if ops.two_sided else (ops.nu_node, ops.nu_cell)
     block_steps = max(4, _BLOCK_VALUES // (grid.m + (scheme != "ub")))
 
     w0 = init_point_values(grid, problem.ic).values
-    params = resolve_regularity(problem, w0, grid.dx, delta, epsilon, guard)
+    params = resolve_regularity(problem, w0, grid.dx, delta, epsilon)
     sigma_rows = None
     allowance = 0.0
     if scheme == "coupled":
@@ -347,15 +341,15 @@ def run_scheme(
             return out
 
         def layers(count):
-            return ((rows[:count], cand[1:count + 1], nu_node),
-                    (src[1:count + 1], bar[1:count + 1], nu_cell))
+            return ((rows[:count], cand[1:count + 1], ops.nu_node),
+                    (src[1:count + 1], bar[1:count + 1], ops.nu_cell))
     else:
         if scheme == "sl":
             v = w0
-            update, nus, alignment = ops.node_update, nu_node, Alignment.NODE
+            update, nus, alignment = ops.node_update, ops.nu_node, Alignment.NODE
         else:
             v = init_cell_averages(grid, problem.ic).values
-            update, nus, alignment = ops.cell_update, nu_cell, Alignment.CELL
+            update, nus, alignment = ops.cell_update, ops.nu_cell, Alignment.CELL
         state = v
         rows = np.empty((block_steps + 1, v.size))
         labels = (("total variation {tv}", alignment),) * 2  # the layer is the solution

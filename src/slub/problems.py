@@ -212,7 +212,9 @@ class ProblemSpec:
     kind is one of "advection-const", "advection-var", "hj".
     For "advection-const", velocity is the constant c; for
     "advection-var" it is a callable c(x); "hj" solves v_t + H(v_x) = 0
-    with H(p) = max(f_min * p, f_max * p) (erosion when f_min = -f_max).
+    with H(p) = max(f_min * p, f_max * p) and f_min = -f_max <= 0
+    (erosion, the one case the closed-form reference covers; any other
+    pair is rejected).
     delta_factor / flat_frac scale the switching-indicator thresholds
     relative to the initial maximum slope.  support_t0, when set, is the
     (lo, hi) support of the initial profile; `slub.harness.resolve_grid`
@@ -239,22 +241,31 @@ class ProblemSpec:
     support_t0: Optional[tuple] = None
     sing_points_t0: tuple = ()
 
+    def __post_init__(self) -> None:
+        if self.kind == "hj" and not (
+            self.f_max is not None and self.f_max >= 0.0 and self.f_min == -self.f_max
+        ):
+            raise ValueError(
+                "an hj problem needs f_min = -f_max <= 0 (its reference is the erosion "
+                f"ic(|x| + f_max*t)), got f_min={self.f_min}, f_max={self.f_max}"
+            )
+
     def exact(self, x, t: float):
         """Reference solution at time t (vectorized in x).
 
         Closed form for every kind.  For "hj" it is the erosion
-        ic(|x| + r), r = max(|f_min|, |f_max|)*t: the Hopf-Lax minimum of
-        ic over [x - r, x + r] sits at the end farther from 0 when ic is
-        even and unimodal, the same assumption exact_antiderivative
-        makes.  `hopf_lax_oracle` computes that minimum directly and is
-        the cross-check.
+        ic(|x| + r), r = f_max*t: the Hopf-Lax minimum of ic over
+        [x - r, x + r] sits at the end farther from 0 when ic is even and
+        unimodal, the same assumption exact_antiderivative makes.
+        `hopf_lax_oracle` computes that minimum directly and is the
+        cross-check.
         """
         if self.kind == "advection-const":
             return exact_advection_const(self.ic, self.c, x, t)
         if self.kind == "advection-var":
             return exact_advection_linear_velocity(self.ic, self.x_bar, x, t)
         if self.kind == "hj":
-            r = max(abs(self.f_min), abs(self.f_max)) * t
+            r = self.f_max * t
             x = np.asarray(x, dtype=float)
             return _dispatch(x, np.asarray(self.ic(np.abs(x) + r), dtype=float))
         raise ValueError(f"unknown problem kind {self.kind!r}")
@@ -275,9 +286,9 @@ class ProblemSpec:
                 x, np.asarray(F(self.x_bar + (x - self.x_bar) * lam), dtype=float) / lam
             )
         if self.kind == "hj":
-            # erosion of an even unimodal profile: v(x,t) = ic(|x| + t),
+            # erosion of an even unimodal profile: v(x,t) = ic(|x| + r),
             # integrated piecewise on each side of the kink at 0
-            r = max(abs(self.f_min), abs(self.f_max)) * t
+            r = self.f_max * t
             Fp = np.asarray(F(x + r), dtype=float)
             Fm = np.asarray(F(r - x), dtype=float)
             F0 = float(F(np.asarray(r, dtype=float)))

@@ -43,6 +43,11 @@ def test_regularity_params_validation() -> None:
         RegularityParams(delta=1.0, flat_tol=-0.1, guard=0)
     with pytest.raises(ValueError):
         RegularityParams(delta=1.0, flat_tol=0.0, guard=-2)
+    # the guard dilation loops over range(guard): numpy integers qualify
+    assert RegularityParams(delta=1.0, flat_tol=0.1, guard=np.int64(3)).guard == 3
+    for bad in (1.5, 2.0, np.float64(2.0), "2", None):
+        with pytest.raises(ValueError, match="need an integer guard >= 0"):
+            RegularityParams(delta=1.0, flat_tol=0.1, guard=bad)
     RegularityParams(delta=np.inf, flat_tol=np.inf, guard=0)  # every node regular by size
     for bad in ({"delta": np.nan, "flat_tol": 0.0}, {"delta": 1.0, "flat_tol": np.nan}):
         with pytest.raises(ValueError, match=r"need (delta|flat_tol) >= 0, got nan"):
@@ -257,7 +262,6 @@ def test_init_coupled_state() -> None:
     np.testing.assert_array_equal(state.w, v)
     np.testing.assert_allclose(state.w_bar, project_to_cells(v))
     assert not state.owned.any()
-    assert state.step_index == 0
     np.testing.assert_array_equal(state.sigma, state.sigma_prev)
 
 
@@ -304,7 +308,6 @@ def test_coupled_step_bookkeeping() -> None:
     sl = lambda u: advect_const_values(u, 0.5)
     ub = lambda u: ub_step_values(u, 0.5)
     out = coupled_step(state, 1.0, params, sl, ub)
-    assert out.step_index == 1
     np.testing.assert_array_equal(out.sigma_prev, state.sigma)
     np.testing.assert_array_equal(out.owned, active_cells(out.sigma))
     assert out.fresh_cell_count == np.count_nonzero(out.owned & ~state.owned)

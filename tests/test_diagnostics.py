@@ -14,7 +14,6 @@ from slub.diagnostics import (
     convergence_orders,
     error_norms,
     stability_witness,
-    three_point_witness,
     total_variation,
     tv_monitor,
     tvb_allowance,
@@ -211,7 +210,7 @@ def test_three_point_witness_brackets_min_combined_update() -> None:
     fwd = ub_step_values(u, 0.5)
     bwd = ub_step_values(u, -0.5)
     out = np.minimum(fwd, bwd)
-    report = three_point_witness(u, out)
+    report = stability_witness(u, out, None)
     assert report.ok
     assert report.max_violation <= 1e-14
 
@@ -219,7 +218,7 @@ def test_three_point_witness_brackets_min_combined_update() -> None:
 def test_three_point_witness_flags_values_outside_hull() -> None:
     u = np.array([0.0, 0.0, 0.0, 0.0])
     out = np.array([0.0, 1.0, 0.0, 0.0])
-    report = three_point_witness(u, out)
+    report = stability_witness(u, out, None)
     assert not report.ok
 
 
@@ -257,8 +256,7 @@ def _random_block(rng, case: str, k: int, n: int) -> tuple:
 
 
 def _witness_1d(old, new, nu) -> float:
-    report = three_point_witness(old, new) if nu is None else stability_witness(old, new, nu)
-    return report.max_violation
+    return stability_witness(old, new, nu).max_violation
 
 
 @settings(max_examples=120, deadline=None)

@@ -10,7 +10,7 @@ import pytest
 
 import slub.harness
 from slub.coupled import coupled_step, init_coupled_state
-from slub.diagnostics import stability_witness, three_point_witness, total_variation
+from slub.diagnostics import stability_witness, total_variation
 from slub.grids import Alignment, build_grid, init_cell_averages, init_point_values
 from slub.harness import (
     LADDER_PRESETS,
@@ -170,10 +170,13 @@ def test_resolve_regularity_prefers_absolute_overrides() -> None:
     assert params.flat_tol == pytest.approx(2.0 * problem.flat_frac)
     assert params.guard == problem.guard
 
-    over = resolve_regularity(problem, w0, dx=0.5, delta=7.0, epsilon=0.25, guard=0)
+    over = resolve_regularity(problem, w0, dx=0.5, delta=7.0, epsilon=0.25)
     assert over.delta == 7.0
     assert over.flat_tol == 0.25
-    assert over.guard == 0
+    assert over.guard == problem.guard
+    # the guard has no override: it is always the problem's
+    with pytest.raises(TypeError):
+        run_scheme("adv-jump", "coupled", 39, guard=0)
 
 
 def test_resolve_regularity_survives_flat_data() -> None:
@@ -233,7 +236,7 @@ def test_make_operators_hj_update_draws_on_both_sides() -> None:
     g = resolve_grid(problem, 19)
     dt, _ = time_ladder(problem, 19)
     ops = make_operators(problem, g, dt)
-    assert ops.two_sided
+    assert ops.nu_node is None and ops.nu_cell is None  # the witnesses bracket three points
 
 
 # ---------------------------------------------------------------------------
@@ -315,8 +318,6 @@ def _stepwise_diagnostics(name: str, scheme: str, m: int) -> tuple:
     ops = make_operators(problem, grid, dt)
 
     def witness(old, new, nu):
-        if ops.two_sided:
-            return three_point_witness(old, new).max_violation
         return stability_witness(old, new, nu).max_violation
 
     if scheme == "coupled":
@@ -474,6 +475,24 @@ def test_run_result_params_resolve_from_the_initial_nodes(
     w0 = init_point_values(grid, problem.ic).values
     want = resolve_regularity(problem, w0, grid.dx, **overrides)
     assert run_scheme(problem, scheme, 39, **overrides).params == want
+
+
+def test_cell_run_without_an_antiderivative_fails_before_stepping(monkeypatch) -> None:
+    """A ub run starts from and is scored against exact cell averages, so
+    an ic without `.antiderivative` is rejected before any cell update."""
+    calls = []
+    kernel = slub.harness.ub_step_values
+    monkeypatch.setattr(slub.harness, "ub_step_values", lambda *a: calls.append(1) or kernel(*a))
+    problem = get_problem("adv-smooth")
+
+    def ic(x):
+        return problem.ic(x)
+
+    with pytest.raises(ValueError, match=r"ic\.antiderivative"):
+        run_scheme(replace(problem, ic=ic), "ub", 39)
+    assert calls == []
+    n_steps = run_scheme(problem, "ub", 39).n_steps
+    assert len(calls) == n_steps  # the count sees every step
 
 
 def test_run_scheme_snapshot_keys_and_shapes() -> None:

@@ -9,6 +9,7 @@ contracting-velocity solution).
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -142,6 +143,20 @@ def test_hj_exact_equals_oracle_at_every_rung() -> None:
         dt, n = time_ladder(p, m)
         for t in (dt * n, dt * (n // 2)):
             assert np.array_equal(p.exact(nodes, t), hopf_lax_oracle(p.ic, speed, nodes, t)), (m, t)
+
+
+def test_hj_spec_needs_opposite_speed_bounds() -> None:
+    """The closed-form hj reference is the erosion ic(|x| + f_max*t),
+    which holds only for f_min = -f_max.  With f_min = 0, f_max = 1 it is
+    off by up to 0.73 at t = 0.5 from the Hopf-Lax minimum over
+    [x - t, x]."""
+    hj = get_problem("hj-abs")
+    for f_min, f_max in ((0.0, 1.0), (-1.0, 0.5), (1.0, -1.0), (None, 1.0), (-1.0, None)):
+        with pytest.raises(ValueError, match=r"f_min = -f_max <= 0.*got f_min="):
+            replace(hj, f_min=f_min, f_max=f_max)
+    faster = replace(hj, f_min=-2.0, f_max=2.0)
+    assert faster.exact(0.25, 0.25) == ic_smooth(0.75)
+    assert faster.exact(0.25, 0.25) == hopf_lax_oracle(ic_smooth, 2.0, 0.25, 0.25)
 
 
 def test_hopf_lax_oracle_validates_arguments() -> None:
