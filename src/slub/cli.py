@@ -71,8 +71,16 @@ class OutputBundle:
     manifest_file: Path
 
 
-def _fmt(v: float) -> str:
-    return f"{float(v):.12g}"
+# The one format of every number in the CSV files.
+_NUM = "{:.12g}"
+_fmt = _NUM.format
+
+
+def _csv_rows(*columns) -> map:
+    """One line per row of `columns`, by one format string over Python
+    values; integers print as str() does (below 1e12)."""
+    line = ",".join([_NUM] * len(columns)).format
+    return map(line, *(np.asarray(c).tolist() for c in columns))
 
 
 def _write(path: Path, lines) -> None:
@@ -172,26 +180,18 @@ def cmd_run(config: RunConfig) -> OutputBundle:
     sol_files = []
     for k in sorted(result.snapshots):
         path = out / f"sol_{config.scheme}_step{k}.csv"
-        vals = result.snapshots[k]
-        _write(path, ["x,value"] + [f"{_fmt(xi)},{_fmt(vi)}" for xi, vi in zip(x, vals)])
+        _write(path, ["x,value", *_csv_rows(x, result.snapshots[k])])
         sol_files.append(path)
     sigma_files = []
     if config.scheme == "coupled":
         nodes = result.grid.nodes
         for k in sorted(result.snapshots):
             path = out / f"sigma_step{k}.csv"
-            sig = result.sigma_history[k]
-            _write(path, ["x,sigma"] + [f"{_fmt(xi)},{si:d}" for xi, si in zip(nodes, sig)])
+            _write(path, ["x,sigma", *_csv_rows(nodes, result.sigma_history[k])])
             sigma_files.append(path)
     tv_file = out / "tv_trace.csv"
-    _write(
-        tv_file,
-        ["step,tv,bound"]
-        + [
-            f"{k},{_fmt(tv)},{_fmt(bound)}"
-            for k, (tv, bound) in enumerate(zip(result.tv.values, result.tv.envelope))
-        ],
-    )
+    steps = range(result.tv.values.size)
+    _write(tv_file, ["step,tv,bound", *_csv_rows(steps, result.tv.values, result.tv.envelope)])
     error_file = out / "errors.csv"
     e = result.errors
     _write(
@@ -276,10 +276,7 @@ def cmd_compare(
     out_dir.mkdir(parents=True, exist_ok=True)
     sol_path = out_dir / f"compare_{problem_name}_m{m}.csv"
     header = ",".join(["x", "exact"] + list(schemes))
-    rows = [header]
-    for vals in zip(*columns):
-        rows.append(",".join(_fmt(v) for v in vals))
-    _write(sol_path, rows)
+    _write(sol_path, [header, *_csv_rows(*columns)])
     err_path = out_dir / f"compare_{problem_name}_m{m}_errors.csv"
     lines = ["scheme,l1,l2,linf,linf_reg"]
     for s, res in zip(schemes, results):

@@ -17,8 +17,6 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .grids import edge_pad
-
 __all__ = [
     "RegularityParams",
     "backward_slopes",
@@ -116,14 +114,21 @@ def active_cells(sigma: np.ndarray) -> np.ndarray:
 def project_to_cells(node_values: np.ndarray) -> np.ndarray:
     """Trapezoidal cell averages of a node profile."""
     v = np.asarray(node_values, dtype=float)
-    return 0.5 * (v[:-1] + v[1:])
+    out = np.add(v[:-1], v[1:])
+    out *= 0.5
+    return out
 
 
 def project_to_nodes(cell_values: np.ndarray) -> np.ndarray:
-    """Node values as means of the two adjacent cell averages."""
+    """Node values as means of the two adjacent cell averages (an end
+    node's ghost cell continues its one cell), summed and halved in place."""
     c = np.asarray(cell_values, dtype=float)
-    p = edge_pad(c, 1)
-    return 0.5 * (p[:-1] + p[1:])
+    out = np.empty(c.size + 1)
+    np.add(c[:-1], c[1:], out=out[1:-1])
+    out[0] = c[0] + c[0]
+    out[-1] = c[-1] + c[-1]
+    out *= 0.5
+    return out
 
 
 @dataclass(frozen=True)
@@ -182,16 +187,20 @@ def coupled_step(
     averages to cell averages.  Both are applied to full arrays, so a
     run with sigma identically 1 reproduces the node scheme bit for
     bit, and one with sigma identically 0 reproduces the cell scheme.
+    The cell source is w_bar where owned, else the projected nodes; the
+    new nodes are the node update where sigma is 1, else the projected
+    cells.  Both are masked copies into fresh projections: no input is written.
     """
     sigma = classify_regularity(state.w, dx, params)
     act = active_cells(sigma)
 
-    source = np.where(state.owned, state.w_bar, project_to_cells(state.w))
+    source = project_to_cells(state.w)
+    np.copyto(source, state.w_bar, where=state.owned)
     new_bar = ub_update(source)
     new_w_nodes = sl_update(state.w)
 
-    fill = project_to_nodes(new_bar)
-    w_next = np.where(sigma == 1, new_w_nodes, fill)
+    w_next = project_to_nodes(new_bar)
+    np.copyto(w_next, new_w_nodes, where=sigma.view(bool))
 
     fresh = int(np.count_nonzero(act & ~state.owned))
     return CoupledState(

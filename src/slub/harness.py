@@ -273,6 +273,22 @@ def _raise_non_finite(k: int, tv: float, first_bad, labels) -> None:
     raise ValueError(f"non-finite {name.format(tv=tv)} at step {k}: {where}")
 
 
+def _check_erosion_ic(ic, nodes: np.ndarray, values: np.ndarray) -> None:
+    """Reject an hj `ic` its reference ic(|x| + r) does not cover: on the
+    run's nodes it must be even and nonincreasing along sorted |x|."""
+    odd = np.asarray(ic(-nodes), dtype=float) != values
+    order = np.argsort(np.abs(nodes), kind="stable")
+    rises = np.diff(values[order]) > 0.0
+    if odd.any():
+        j, need = int(np.argmax(odd)), "ic(-x) == ic(x)"
+    elif rises.any():
+        j, need = int(order[np.argmax(rises) + 1]), "ic nonincreasing in |x|"
+    else:
+        return
+    raise ValueError(f"the hj reference ic(|x| + r) needs {need}; it fails "
+                     f"at node {j} (x = {float(nodes[j])!r})")
+
+
 def run_scheme(
     problem,
     scheme: str,
@@ -302,10 +318,11 @@ def run_scheme(
     ValueError
         On an unknown scheme, a bad ladder entry (see `time_ladder`), a
         bad threshold (see `RegularityParams`) or a snapshot step outside
-        [0, n_steps]; or at the first step whose total variation is not
-        finite, or, for coupled, whose node candidate or cell averages
-        are not finite, naming that step and the first non-finite node
-        or cell.
+        [0, n_steps], or an hj `ic` that is not even or not nonincreasing
+        in |x| on the nodes (see `ProblemSpec.exact`); or at the first
+        step whose total variation is not finite, or, for coupled, whose
+        node candidate or cell averages are not finite, naming that step
+        and the first non-finite node or cell.
     """
     if isinstance(problem, str):
         problem = get_problem(problem)
@@ -321,6 +338,8 @@ def run_scheme(
     block_steps = max(4, _BLOCK_VALUES // (grid.m + (scheme != "ub")))
 
     w0 = init_point_values(grid, problem.ic).values
+    if problem.kind == "hj":
+        _check_erosion_ic(problem.ic, grid.nodes, w0)
     params = resolve_regularity(problem, w0, grid.dx, delta, epsilon)
     sigma_rows = None
     allowance = 0.0

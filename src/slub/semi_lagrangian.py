@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .grids import Alignment, Field, check_cfl, edge_pad
+from .grids import Alignment, Field, check_cfl
 
 __all__ = [
     "p1_interpolate",
@@ -50,14 +50,22 @@ def advect_const_values(values: np.ndarray, nu: float) -> np.ndarray:
     upwind neighbour, in_{j-1} for nu >= 0 and in_{j+1} for nu < 0.
     With |nu| <= 1 each output is a convex combination of two upwind
     neighbours, so the step is monotone, TVD and max-norm stable;
-    |nu| = 1 is an exact shift.
+    |nu| = 1 is an exact shift.  The upwind term is added in place to
+    (1-a)*in, the end node's from its own value (the ghost continues
+    it), without padding; addition commutes, so the values are those of
+    a*up + (1-a)*in.
     """
     check_cfl(nu)
     v = np.asarray(values, dtype=float)
-    padded = edge_pad(v, 1)
-    up = padded[:-2] if nu >= 0.0 else padded[2:]
     a = abs(nu)
-    return a * up + (1.0 - a) * v
+    out = (1.0 - a) * v
+    if nu >= 0.0:
+        out[1:] += a * v[:-1]
+        out[0] += a * v[0]
+    else:
+        out[:-1] += a * v[1:]
+        out[-1] += a * v[-1]
+    return out
 
 
 def hj_update_values(

@@ -30,25 +30,34 @@ __all__ = [
 _NU_TINY = 1e-14
 
 
-def _flux_pos(prev, cur, nxt, nu):
+def _flux_pos(prev, cur, nxt, nu, tiny=None):
     """Value at the interface between `cur` and its downwind neighbour
-    `nxt`, for nu >= 0 (vectorized).  The nu <= 0 flux on the interface
-    left of `cur` is `_flux_pos(nxt, cur, prev, -nu)`.  A nu that is at
-    least _NU_TINY everywhere takes only the branch it needs."""
+    `nxt`, for nu >= 0, on arrays; the nu <= 0 flux left of `cur` is
+    `_flux_pos(nxt, cur, prev, -nu)`.  Where `tiny` (a bool, an array, or
+    None for nowhere) marks nu < _NU_TINY the flux is the at-rest value,
+    and the clamp is still evaluated, at nu = 1, so it warns as before.
+    The clamp runs in place in three fresh temporaries."""
+    if tiny is not None:
+        nu = np.where(tiny, 1.0, nu)
     big = np.maximum(cur, prev)
     small = np.minimum(cur, prev)
-    # a plain comparison for a float: np.min on one costs more than the flux
-    if (nu if isinstance(nu, float) else np.min(nu, initial=np.inf)) >= _NU_TINY:
-        b = big + (cur - big) / nu
-        return np.minimum(np.maximum(nxt, b), small + (cur - small) / nu)
-    nu = np.asarray(nu, dtype=float)
-    tiny = nu < _NU_TINY
-    safe = np.where(tiny, 1.0, nu)
-    b = big + (cur - big) / safe
-    B = small + (cur - small) / safe
-    clamped = np.minimum(np.maximum(nxt, b), B)
-    at_rest = np.where(cur != prev, nxt, cur)
-    return np.where(tiny, at_rest, clamped)
+    b = np.subtract(cur, big)
+    b /= nu
+    np.add(big, b, out=b)  # b = big + (cur - big)/nu
+    np.maximum(nxt, b, out=b)
+    B = np.subtract(cur, small, out=big)
+    B /= nu
+    np.add(small, B, out=B)  # B = small + (cur - small)/nu
+    np.minimum(b, B, out=b)
+    if tiny is not None:
+        np.copyto(b, np.where(cur != prev, nxt, cur), where=tiny)
+    return b
+
+
+def _scalar_flux(prev: float, cur: float, nxt: float, nu: float) -> float:
+    """`_flux_pos` on one interface, through one-element arrays."""
+    ends = np.array([[prev], [cur], [nxt]], dtype=float)
+    return float(_flux_pos(*ends, nu, (nu < _NU_TINY) or None)[0])
 
 
 def ub_flux_left(u_prev: float, u_cur: float, u_next: float, nu: float) -> float:
@@ -61,14 +70,14 @@ def ub_flux_left(u_prev: float, u_cur: float, u_next: float, nu: float) -> float
     """
     if nu < 0.0:
         raise ValueError(f"ub_flux_left needs nu >= 0, got {nu}")
-    return float(_flux_pos(u_prev, u_cur, u_next, nu))
+    return _scalar_flux(u_prev, u_cur, u_next, nu)
 
 
 def ub_flux_right(u_prev: float, u_cur: float, u_next: float, nu: float) -> float:
     """Flux at the interface left of u_cur, for nonpositive nu (mirror)."""
     if nu > 0.0:
         raise ValueError(f"ub_flux_right needs nu <= 0, got {nu}")
-    return float(_flux_pos(u_next, u_cur, u_prev, -nu))
+    return _scalar_flux(u_next, u_cur, u_prev, -nu)
 
 
 def ub_step_values(values: np.ndarray, nus) -> np.ndarray:
@@ -81,9 +90,10 @@ def ub_step_values(values: np.ndarray, nus) -> np.ndarray:
     numbers may change sign, so a cell takes both of its interface
     fluxes upwind by the sign of its own nu and at its own |nu|:
     v - |nu|*(outflow flux - inflow flux); when every nu >= 0 the
-    stencil is three slices, else it is picked by np.where.  The two
-    forms agree bit for bit on a constant nu.  Ghost cells continue
-    the end values.
+    stencil is three slices, else it is picked by np.where, and one
+    np.min per call decides whether any |nu| is at rest.  The two forms
+    agree bit for bit on a constant nu.  The update is written in place
+    into the flux difference.  Ghost cells continue the end values.
     """
     check_cfl(nus)
     v = np.asarray(values, dtype=float)
@@ -93,16 +103,21 @@ def ub_step_values(values: np.ndarray, nus) -> np.ndarray:
         # abs: -0.0 must scale like 0.0, as np.abs makes it below
         a = abs(float(nus))
         p = edge_pad(v, 2)
-        F = _flux_pos(p[:-3], p[1:-2], p[2:-1], a)
-        return v - a * (F[1:] - F[:-1])
-    p = edge_pad(v, 2)
-    nu = np.asarray(nus, dtype=float)
-    pos = nu >= 0.0
-    if pos.all():  # adv-var: every cell reads its stencil from the left
-        up1, up2, down = p[1:-3], p[:-4], p[3:-1]
+        F = _flux_pos(p[:-3], p[1:-2], p[2:-1], a, (a < _NU_TINY) or None)
+        out = np.subtract(F[1:], F[:-1])
     else:
-        up1 = np.where(pos, p[1:-3], p[3:-1])
-        up2 = np.where(pos, p[:-4], p[4:])
-        down = np.where(pos, p[3:-1], p[1:-3])
-    a = np.abs(nu)
-    return v - a * (_flux_pos(up1, v, down, a) - _flux_pos(up2, up1, v, a))
+        p = edge_pad(v, 2)
+        nu = np.asarray(nus, dtype=float)
+        pos = nu >= 0.0
+        if pos.all():  # adv-var: every cell reads its stencil from the left
+            up1, up2, down = p[1:-3], p[:-4], p[3:-1]
+        else:
+            up1 = np.where(pos, p[1:-3], p[3:-1])
+            up2 = np.where(pos, p[:-4], p[4:])
+            down = np.where(pos, p[3:-1], p[1:-3])
+        a = np.abs(nu)
+        tiny = None if np.min(a, initial=np.inf) >= _NU_TINY else a < _NU_TINY
+        out = _flux_pos(up1, v, down, a, tiny)
+        out -= _flux_pos(up2, up1, v, a, tiny)
+    out *= a
+    return np.subtract(v, out, out=out)

@@ -24,6 +24,8 @@ from slub.cli import (
 from slub.harness import ConvergenceRow, ConvergenceTable, resolve_grid, time_ladder
 from slub.problems import REGISTRY, get_problem, problem_names
 
+RUNS = Path(__file__).resolve().parents[1] / "runs"
+
 
 def _resolved_config(out: str) -> RunConfig:
     return RunConfig(
@@ -196,6 +198,47 @@ def test_cmd_compare_columns_are_co_sampled(tmp_path: Path) -> None:
     err_lines = err_path.read_text().splitlines()
     assert err_lines[0] == "scheme,l1,l2,linf,linf_reg"
     assert [ln.split(",")[0] for ln in err_lines[1:]] == ["sl", "sl", "coupled"]
+
+
+def test_tracked_run_files_regenerate_byte_for_byte(tmp_path: Path) -> None:
+    """The four files under runs/ come from these two commands."""
+    cmd_compare("adv-smooth", 39, ("sl", "ub", "coupled"), out=str(tmp_path))
+    cmd_convergence("adv-jump", "coupled", (19, 39, 79), out=str(tmp_path))
+    for name in ("compare_adv-smooth_m39.csv", "compare_adv-smooth_m39_errors.csv",
+                 "conv_adv-jump_coupled.csv", "conv_adv-jump_coupled.txt"):
+        assert (tmp_path / name).read_bytes() == (RUNS / name).read_bytes(), name
+
+
+def _per_value_lines(header, *columns) -> str:
+    """CSV text with every value formatted on its own, as `slub run`
+    first wrote it: floats by .12g, integers (steps, sigma) by str."""
+    fmt = lambda v: str(v) if isinstance(v, (int, np.integer)) else f"{float(v):.12g}"
+    return "\n".join([header] + [",".join(map(fmt, row)) for row in zip(*columns)]) + "\n"
+
+
+def test_cmd_run_rows_match_per_value_formatting(tmp_path: Path) -> None:
+    """Solution, sigma and TV files of a coupled run with snapshots,
+    against each value formatted separately."""
+    snaps = (0, 3, 8, 20)
+    bundle = cmd_run(RunConfig(problem="adv-jump", scheme="coupled", m=79,
+                               snapshots=snaps, out=str(tmp_path)))
+    res = slub.harness.run_scheme("adv-jump", "coupled", 79, snapshot_steps=snaps)
+    for k, sol, sig in zip(snaps, bundle.solution_files, bundle.sigma_files):
+        assert sol.read_text() == _per_value_lines("x,value", res.x, res.snapshots[k])
+        assert sig.read_text() == _per_value_lines("x,sigma", res.x, res.sigma_history[k])
+    steps = list(range(res.n_steps + 1))
+    assert bundle.tv_file.read_text() == _per_value_lines(
+        "step,tv,bound", steps, res.tv.values, res.tv.envelope
+    )
+
+
+def test_csv_rows_format_special_values_as_per_value_formatting() -> None:
+    x = np.array([-0.0, 5e-324, 2.2250738585072014e-308, np.inf, -np.inf, np.nan,
+                  1e-7, 0.1 + 0.2, 123456789012.5, 1e300])
+    k = np.arange(x.size) * 99991
+    lines = list(slub.cli._csv_rows(k, x, x[::-1]))
+    assert "\n".join(["k,a,b", *lines]) + "\n" == _per_value_lines("k,a,b", k, x, x[::-1])
+    assert lines[0] == "0,-0,1e+300" and lines[1] == "99991,4.94065645841e-324,123456789012"
 
 
 # ---------------------------------------------------------------------------

@@ -24,7 +24,7 @@ from slub.harness import (
     run_scheme,
     time_ladder,
 )
-from slub.problems import REGISTRY, get_problem
+from slub.problems import REGISTRY, get_problem, ic_mix
 
 
 # ---------------------------------------------------------------------------
@@ -493,6 +493,29 @@ def test_cell_run_without_an_antiderivative_fails_before_stepping(monkeypatch) -
     assert calls == []
     n_steps = run_scheme(problem, "ub", 39).n_steps
     assert len(calls) == n_steps  # the count sees every step
+
+
+def test_hj_run_checks_that_its_reference_covers_the_ic(monkeypatch) -> None:
+    """The erosion reference ic(|x| + r) holds for an ic that is even and
+    nonincreasing in |x|.  A run checks both on its nodes before its
+    first node update, names the first node that fails, and hj-abs
+    passes exactly at every rung."""
+    hj = get_problem("hj-abs")
+    for m in hj.m_ladder:
+        nodes = resolve_grid(hj, m).nodes
+        slub.harness._check_erosion_ic(hj.ic, nodes, hj.ic(nodes))
+    calls = []
+    kernel = slub.harness.hj_update_values
+    monkeypatch.setattr(slub.harness, "hj_update_values", lambda *a: calls.append(1) or kernel(*a))
+    # ic_mix is not even; folded onto |x| it is, but rises with |x|
+    wide = replace(hj, a=-4.5, b=4.5, T=0.25)
+    with pytest.raises(ValueError, match=r"ic\(-x\) == ic\(x\); it fails at node 5 \(x = -3\.93"):
+        run_scheme(replace(wide, ic=ic_mix), "sl", 79)
+    with pytest.raises(ValueError, match=r"in \|x\|; it fails at node 58 \(x = 2\.10"):
+        run_scheme(replace(wide, ic=lambda x: ic_mix(np.abs(x))), "coupled", 79)
+    assert calls == []
+    n_steps = run_scheme(hj, "sl", 39).n_steps
+    assert len(calls) == n_steps > 0  # the count sees every step
 
 
 def test_run_scheme_snapshot_keys_and_shapes() -> None:

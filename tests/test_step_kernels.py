@@ -1,0 +1,260 @@
+"""The step path's kernels against their earlier numpy expressions.
+
+Each kernel of a coupled step writes into fresh temporaries in place
+instead of padding, re-selecting with np.where or allocating one array
+per term.  These tests keep the earlier expressions, written out here,
+and require of each kernel, on values that include NaN, infinities,
+signed zeros and overflowing magnitudes:
+- the same bytes, every NaN read as one NaN: numpy gives a NaN from two
+  NaN operands the sign of one or the other by its position in a
+  vectorized loop, so splitting a loop differently may flip it;
+- the same kinds of floating-point warning, and the same overflow
+  error under np.errstate(over="raise");
+- its input left unwritten, contiguous or a reversed view.
+"""
+
+from __future__ import annotations
+
+import warnings
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
+
+from slub.coupled import (
+    CoupledState,
+    RegularityParams,
+    active_cells,
+    classify_regularity,
+    coupled_step,
+    project_to_cells,
+    project_to_nodes,
+)
+from slub.semi_lagrangian import advect_const_values
+from slub.ultrabee import ub_flux_left, ub_flux_right, ub_step_values
+
+# NaN of both signs, infinities, signed zeros, a subnormal, values whose
+# sums or quotients overflow, and a few plain ones.
+LATTICE = st.sampled_from(
+    [np.nan, -np.nan, np.inf, -np.inf, 0.0, -0.0, 5e-324, 1e-300,
+     1.0, -1.0, 0.5, -2.5, 3.0, 1e308, -1e308]
+)
+SPECIAL_NU = [0.0, -0.0, 1e-15, -1e-15, 1.0, -1.0]
+SCALAR_NU = st.sampled_from(SPECIAL_NU) | st.floats(min_value=-1.0, max_value=1.0)
+PER_CELL_NU = {
+    "positive": st.floats(min_value=0.01, max_value=1.0),
+    "mixed": st.floats(min_value=-1.0, max_value=1.0),
+    "tiny": st.sampled_from(SPECIAL_NU + [1e-300, 0.5, -0.5]),
+}
+
+
+def _values(min_size: int = 1, max_size: int = 24):
+    return hnp.arrays(np.float64, st.integers(min_size, max_size), elements=LATTICE)
+
+
+# ---------------------------------------------------------------------------
+# the earlier expressions
+
+
+def _pad(v, k):
+    return np.pad(v, k, mode="edge")
+
+
+def _old_flux_pos(prev, cur, nxt, nu):
+    big = np.maximum(cur, prev)
+    small = np.minimum(cur, prev)
+    if (nu if isinstance(nu, float) else np.min(nu, initial=np.inf)) >= 1e-14:
+        b = big + (cur - big) / nu
+        return np.minimum(np.maximum(nxt, b), small + (cur - small) / nu)
+    nu = np.asarray(nu, dtype=float)
+    tiny = nu < 1e-14
+    safe = np.where(tiny, 1.0, nu)
+    b = big + (cur - big) / safe
+    B = small + (cur - small) / safe
+    clamped = np.minimum(np.maximum(nxt, b), B)
+    at_rest = np.where(cur != prev, nxt, cur)
+    return np.where(tiny, at_rest, clamped)
+
+
+def _old_ub_step_values(values, nus):
+    v = np.asarray(values, dtype=float)
+    if np.ndim(nus) == 0:
+        if nus < 0.0:
+            return _old_ub_step_values(v[::-1], -nus)[::-1]
+        a = abs(float(nus))
+        p = _pad(v, 2)
+        F = _old_flux_pos(p[:-3], p[1:-2], p[2:-1], a)
+        return v - a * (F[1:] - F[:-1])
+    p = _pad(v, 2)
+    nu = np.asarray(nus, dtype=float)
+    pos = nu >= 0.0
+    if pos.all():
+        up1, up2, down = p[1:-3], p[:-4], p[3:-1]
+    else:
+        up1 = np.where(pos, p[1:-3], p[3:-1])
+        up2 = np.where(pos, p[:-4], p[4:])
+        down = np.where(pos, p[3:-1], p[1:-3])
+    a = np.abs(nu)
+    return v - a * (_old_flux_pos(up1, v, down, a) - _old_flux_pos(up2, up1, v, a))
+
+
+def _old_advect_const_values(values, nu):
+    v = np.asarray(values, dtype=float)
+    padded = _pad(v, 1)
+    up = padded[:-2] if nu >= 0.0 else padded[2:]
+    a = abs(nu)
+    return a * up + (1.0 - a) * v
+
+
+def _old_project_to_cells(v):
+    return 0.5 * (v[:-1] + v[1:])
+
+
+def _old_project_to_nodes(c):
+    p = _pad(c, 1)
+    return 0.5 * (p[:-1] + p[1:])
+
+
+def _old_coupled_step(state, dx, params, sl_update, ub_update):
+    sigma = classify_regularity(state.w, dx, params)
+    act = active_cells(sigma)
+    source = np.where(state.owned, state.w_bar, _old_project_to_cells(state.w))
+    new_bar = ub_update(source)
+    new_w_nodes = sl_update(state.w)
+    fill = _old_project_to_nodes(new_bar)
+    w_next = np.where(sigma == 1, new_w_nodes, fill)
+    return CoupledState(
+        w=w_next,
+        w_bar=new_bar,
+        owned=act,
+        sigma=sigma,
+        sigma_prev=state.sigma,
+        fresh_cell_count=int(np.count_nonzero(act & ~state.owned)),
+        node_candidate=new_w_nodes,
+        cell_source=source,
+    )
+
+
+# ---------------------------------------------------------------------------
+# comparison helpers
+
+
+def _bytes(x) -> bytes:
+    """The bytes of x, with every NaN the same NaN."""
+    x = np.asarray(x)
+    return (np.where(np.isnan(x), np.nan, x) if x.dtype.kind == "f" else x).tobytes()
+
+
+def _kind(message) -> str:
+    """'overflow' of 'overflow encountered in (scalar) add', and so on."""
+    return str(message).split(" encountered")[0]
+
+
+def _outcome(fn, *args):
+    """(result bytes, kinds of floating-point warning, kind of the
+    overflow error or None) of fn(*args): first under numpy's default
+    error handling, then with overflow raising."""
+    with warnings.catch_warnings(record=True) as caught, np.errstate(
+        divide="warn", over="warn", invalid="warn", under="ignore"
+    ):
+        warnings.simplefilter("always")
+        out = _bytes(fn(*args))
+        raised = None
+        with np.errstate(over="raise"):
+            try:
+                fn(*args)
+            except FloatingPointError as exc:
+                raised = _kind(exc)
+    return out, {_kind(w.message) for w in caught}, raised
+
+
+def _assert_same_and_unwritten(new, old, values, *args) -> None:
+    """new(x, *args) matches old(x, *args) for x = `values` and for a
+    reversed view, and writes into neither."""
+    base = values.copy()
+    for x in (values, base[::-1]):
+        before = x.tobytes()
+        assert _outcome(new, x, *args) == _outcome(old, x, *args)
+        assert x.tobytes() == before
+
+
+# ---------------------------------------------------------------------------
+# the kernels
+
+
+@given(v=_values(), nu=SCALAR_NU)
+@settings(max_examples=200, deadline=None)
+def test_scalar_ub_step_matches_its_earlier_form(v: np.ndarray, nu: float) -> None:
+    _assert_same_and_unwritten(ub_step_values, _old_ub_step_values, v, nu)
+
+
+@given(v=_values(), kind=st.sampled_from(sorted(PER_CELL_NU)), data=st.data())
+@settings(max_examples=200, deadline=None)
+def test_per_cell_ub_step_matches_its_earlier_form(
+    v: np.ndarray, kind: str, data
+) -> None:
+    """Per-cell Courant numbers all positive (stencil by slices, no
+    at-rest entry), of mixed sign, or with zero and tiny entries."""
+    nus = data.draw(hnp.arrays(np.float64, v.size, elements=PER_CELL_NU[kind]))
+    _assert_same_and_unwritten(ub_step_values, _old_ub_step_values, v, nus)
+
+
+@given(
+    triple=st.tuples(LATTICE, LATTICE, LATTICE),
+    nu=st.sampled_from([0.0, 1e-15, 1.0]) | st.floats(min_value=0.0, max_value=1.0),
+)
+@settings(max_examples=200, deadline=None)
+def test_reference_fluxes_match_the_earlier_scalar_flux(triple, nu: float) -> None:
+    """ub_flux_left / ub_flux_right run the array flux on one interface;
+    their value is the scalar evaluation of the earlier flux."""
+    prev, cur, nxt = triple
+    with np.errstate(all="ignore"):
+        left = float(_old_flux_pos(prev, cur, nxt, nu))
+        right = float(_old_flux_pos(nxt, cur, prev, nu))
+        assert _bytes(ub_flux_left(prev, cur, nxt, nu)) == _bytes(left)
+        assert _bytes(ub_flux_right(prev, cur, nxt, -nu)) == _bytes(right)
+
+
+@given(v=_values(), nu=SCALAR_NU)
+@settings(max_examples=200, deadline=None)
+def test_advect_const_matches_its_earlier_form(v: np.ndarray, nu: float) -> None:
+    """n = 1, 2, 3 and up: the ghost entry is the end value."""
+    _assert_same_and_unwritten(advect_const_values, _old_advect_const_values, v, nu)
+
+
+@given(c=_values())
+@settings(max_examples=200, deadline=None)
+def test_projections_match_their_earlier_form(c: np.ndarray) -> None:
+    _assert_same_and_unwritten(project_to_nodes, _old_project_to_nodes, c)
+    _assert_same_and_unwritten(project_to_cells, _old_project_to_cells, c)
+
+
+@given(
+    w=_values(min_size=4),
+    data=st.data(),
+    nu=SCALAR_NU,
+    thresholds=st.sampled_from([(0.5, 0.1, 0), (2.0, 0.5, 1), (np.inf, np.inf, 0), (0.0, 0.0, 0)]),
+)
+@settings(max_examples=200, deadline=None)
+def test_coupled_step_matches_its_np_where_form(
+    w: np.ndarray, data, nu: float, thresholds
+) -> None:
+    """Both masks picked by np.copyto give the np.where form's state,
+    field by field, and the incoming state's arrays stay as they were."""
+    n = w.size
+    w_bar = data.draw(hnp.arrays(np.float64, n - 1, elements=LATTICE))
+    owned = data.draw(hnp.arrays(np.bool_, n - 1))
+    params = RegularityParams(*thresholds)
+    sigma = classify_regularity(np.zeros(n), 1.0, params)
+    state = CoupledState(w=w, w_bar=w_bar, owned=owned, sigma=sigma, sigma_prev=sigma)
+    before = [a.tobytes() for a in (w, w_bar, owned, sigma)]
+    sl = lambda u: advect_const_values(u, nu)
+    ub = lambda u: ub_step_values(u, nu)
+    with np.errstate(all="ignore"):
+        new = coupled_step(state, 0.5, params, sl, ub)
+        old = _old_coupled_step(state, 0.5, params, sl, ub)
+    for name in ("w", "w_bar", "owned", "sigma", "sigma_prev", "node_candidate", "cell_source"):
+        assert _bytes(getattr(new, name)) == _bytes(getattr(old, name)), name
+    assert new.fresh_cell_count == old.fresh_cell_count
+    assert [a.tobytes() for a in (w, w_bar, owned, sigma)] == before
