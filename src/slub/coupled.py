@@ -136,7 +136,8 @@ class CoupledState:
     """One time level of the coupled scheme.
 
     w           node values (the solution)
-    w_bar       cell averages; trusted only where `owned` is True
+    w_bar       cell averages; trusted only where `owned` is True, and
+                the cell source itself after a step with no active cell
     owned       cells whose averages were evolved, not re-projected
     sigma       indicator used for the step that produced this state
     sigma_prev  indicator of the previous step (sigma at n = 0)
@@ -190,17 +191,25 @@ def coupled_step(
     The cell source is w_bar where owned, else the projected nodes; the
     new nodes are the node update where sigma is 1, else the projected
     cells.  Both are masked copies into fresh projections: no input is written.
+    A step with no active cell skips ub_update and the projection: its
+    w is a copy of the node update and its w_bar is the cell source, the
+    same array, so it warns of no floating-point error in cells that no
+    node would read.
     """
     sigma = classify_regularity(state.w, dx, params)
     act = active_cells(sigma)
+    evolve = np.count_nonzero(act) > 0
 
     source = project_to_cells(state.w)
     np.copyto(source, state.w_bar, where=state.owned)
-    new_bar = ub_update(source)
+    new_bar = ub_update(source) if evolve else source
     new_w_nodes = sl_update(state.w)
 
-    w_next = project_to_nodes(new_bar)
-    np.copyto(w_next, new_w_nodes, where=sigma.view(bool))
+    if evolve:
+        w_next = project_to_nodes(new_bar)
+        np.copyto(w_next, new_w_nodes, where=sigma.view(bool))
+    else:  # every node regular: the masked copy would take every node
+        w_next = new_w_nodes.copy()
 
     fresh = int(np.count_nonzero(act & ~state.owned))
     return CoupledState(

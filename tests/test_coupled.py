@@ -265,20 +265,50 @@ def test_init_coupled_state() -> None:
     np.testing.assert_array_equal(state.sigma, state.sigma_prev)
 
 
+def _counting(update):
+    """update, and the list it appends one entry to per call."""
+    calls = []
+    return (lambda u: calls.append(1) or update(u)), calls
+
+
 def test_coupled_step_with_all_regular_matches_node_scheme() -> None:
-    """sigma identically 1 must reproduce the node update bit for bit."""
+    """sigma identically 1 must reproduce the node update bit for bit.
+    No cell is active, so ub_update is never called and w_bar is the
+    cell source; the input state is unwritten."""
     rng = np.random.default_rng(3)
     v = np.concatenate([[0.0], rng.uniform(0, 1, 8), [0.0]])
     params = RegularityParams(delta=np.inf, flat_tol=np.inf, guard=0)
-    state = init_coupled_state(v, 1.0, params)
+    owned = np.arange(9) % 3 == 0  # carried averages still feed the source
+    state = replace(init_coupled_state(v, 1.0, params), w_bar=rng.uniform(0, 1, 9), owned=owned)
+    before = [a.tobytes() for a in (state.w, state.w_bar, state.owned, state.sigma)]
     nu = 0.6
     sl = lambda u: advect_const_values(u, nu)
-    ub = lambda u: ub_step_values(u, nu)
+    ub, calls = _counting(lambda u: ub_step_values(u, nu))
     out = coupled_step(state, 1.0, params, sl, ub)
     np.testing.assert_array_equal(out.w, sl(v))
     np.testing.assert_array_equal(out.sigma, 1)
     assert not out.owned.any()
     assert out.fresh_cell_count == 0
+    assert calls == []
+    np.testing.assert_array_equal(out.w, out.node_candidate)
+    assert out.w is not out.node_candidate
+    np.testing.assert_array_equal(out.cell_source, np.where(owned, state.w_bar, project_to_cells(v)))
+    np.testing.assert_array_equal(out.w_bar, out.cell_source)
+    assert [a.tobytes() for a in (state.w, state.w_bar, state.owned, state.sigma)] == before
+
+
+def test_coupled_step_with_one_irregular_node_calls_the_cell_update_once() -> None:
+    """One slope above delta between flat ones marks one node irregular;
+    its two cells are active, and the cell update runs once."""
+    v = np.array([0.0, 0.0, 0.0, 0.0, 5.0, 5.0, 5.0, 5.0])
+    params = RegularityParams(delta=3.0, flat_tol=10.0, guard=0)
+    np.testing.assert_array_equal(np.flatnonzero(classify_regularity(v, 1.0, params) == 0), [4])
+    ub, calls = _counting(lambda u: ub_step_values(u, 0.5))
+    out = coupled_step(init_coupled_state(v, 1.0, params), 1.0, params,
+                       lambda u: advect_const_values(u, 0.5), ub)
+    assert len(calls) == 1
+    np.testing.assert_array_equal(np.flatnonzero(out.owned), [3, 4])
+    np.testing.assert_array_equal(out.w_bar, ub_step_values(out.cell_source, 0.5))
 
 
 def test_coupled_step_with_all_irregular_matches_cell_scheme() -> None:

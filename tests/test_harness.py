@@ -495,6 +495,20 @@ def test_cell_run_without_an_antiderivative_fails_before_stepping(monkeypatch) -
     assert len(calls) == n_steps  # the count sees every step
 
 
+def test_coupled_runs_evolve_cells_only_on_steps_with_an_active_cell(monkeypatch) -> None:
+    """adv-var keeps every node regular on every step, so its coupled run
+    never calls the cell kernel and its cell witness reads exactly 0;
+    adv-jump has an active cell on every step and calls it once a step."""
+    calls = []
+    kernel = slub.harness.ub_step_values
+    monkeypatch.setattr(slub.harness, "ub_step_values", lambda *a: calls.append(1) or kernel(*a))
+    res = run_scheme("adv-var", "coupled", 79)
+    assert calls == []
+    assert res.n_steps > 0 and np.all(res.witnesses[:, 1] == 0.0)
+    n_steps = run_scheme("adv-jump", "coupled", 79).n_steps
+    assert len(calls) == n_steps
+
+
 def test_hj_run_checks_that_its_reference_covers_the_ic(monkeypatch) -> None:
     """The erosion reference ic(|x| + r) holds for an ic that is even and
     nonincreasing in |x|.  A run checks both on its nodes before its

@@ -120,7 +120,8 @@ def _old_coupled_step(state, dx, params, sl_update, ub_update):
     sigma = classify_regularity(state.w, dx, params)
     act = active_cells(sigma)
     source = np.where(state.owned, state.w_bar, _old_project_to_cells(state.w))
-    new_bar = ub_update(source)
+    # with no active cell, every node is regular and the cells stay as sourced
+    new_bar = ub_update(source) if act.any() else source
     new_w_nodes = sl_update(state.w)
     fill = _old_project_to_nodes(new_bar)
     w_next = np.where(sigma == 1, new_w_nodes, fill)
@@ -241,7 +242,10 @@ def test_coupled_step_matches_its_np_where_form(
     w: np.ndarray, data, nu: float, thresholds
 ) -> None:
     """Both masks picked by np.copyto give the np.where form's state,
-    field by field, and the incoming state's arrays stay as they were."""
+    field by field, and the incoming state's arrays stay as they were.
+    Both forms keep the cell source as w_bar on a step with no active
+    cell, which the (inf, inf, 0) thresholds give on every draw whose
+    slopes are finite."""
     n = w.size
     w_bar = data.draw(hnp.arrays(np.float64, n - 1, elements=LATTICE))
     owned = data.draw(hnp.arrays(np.bool_, n - 1))

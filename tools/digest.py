@@ -11,6 +11,8 @@ same digests produce bit-identical runs, so a performance change can
 cite this one command as its evidence:
 
     PYTHONPATH=src python3 tools/digest.py
+
+`tests/test_digest.py` pins both lines.
 """
 
 import hashlib
