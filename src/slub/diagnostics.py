@@ -36,9 +36,14 @@ __all__ = [
 
 def total_variation(values: np.ndarray):
     """Total variation along the last axis: a float for one profile, one
-    value per row for a block of profiles (the same bits as row by row)."""
-    d = np.diff(np.asarray(values, dtype=float))
-    tv = np.sum(np.abs(d, out=d), axis=-1)
+    value per row for a block of profiles (the same bits as row by row).
+    One subtraction covers the flat values; the difference across two
+    rows lands in a row's last slot, which the sum leaves out."""
+    v = np.ascontiguousarray(values, dtype=float).reshape(-1)
+    d = np.empty(np.shape(values))
+    flat = d.reshape(-1)[:-1]
+    np.abs(np.subtract(v[1:], v[:-1], out=flat), out=flat)
+    tv = np.sum(d[..., :-1], axis=-1)
     return float(tv) if tv.ndim == 0 else tv
 
 
@@ -106,18 +111,36 @@ def _bracket_violation(u_old, u_new, nu) -> np.ndarray:
     along the last axis (negative inside).  nu None brackets by
     u_old[j-1..j+1]; otherwise by u_old[j-1], u_old[j] where the signed
     Courant number (one, or one per entry) is >= 0 and by u_old[j],
-    u_old[j+1] where it is negative."""
-    old = np.asarray(u_old, dtype=float)
+    u_old[j+1] where it is negative.  Each bound is one slice op over
+    the flat values; each row's first and last entry, whose flat
+    neighbour lies in another row, then take their ghost instead."""
+    old = np.ascontiguousarray(u_old, dtype=float)
     new = np.asarray(u_new, dtype=float)
-    p = edge_pad(old, 1)
-    left, right = p[..., :-2], p[..., 2:]
-    if nu is None:
-        lo = np.minimum(np.minimum(left, old), right)
-        hi = np.maximum(np.maximum(left, old), right)
-    else:
-        pos = np.asarray(nu, dtype=float) >= 0.0
-        other = left if pos.all() else right if not pos.any() else np.where(pos, left, right)
-        lo, hi = np.minimum(old, other), np.maximum(old, other)
+    o = old.reshape(-1)
+    pos = None if nu is None else np.asarray(nu, dtype=float) >= 0.0
+    if pos is not None and pos.any() and not pos.all():  # signs mixed
+        p = edge_pad(old, 1)
+        other = np.where(pos, p[..., :-2], p[..., 2:])
+    bounds = []
+    for op in (np.minimum, np.maximum):
+        b = np.empty_like(old)
+        f = b.reshape(-1)
+        if pos is None:  # op(op(left, old), right)
+            op(o[:-1], o[1:], out=f[1:])
+            b[..., 0] = old[..., 0]
+            last = op(b[..., -1], old[..., -1])
+            op(f[:-1], o[1:], out=f[:-1])
+            b[..., -1] = last
+        elif pos.all():  # op(old, left)
+            op(o[1:], o[:-1], out=f[1:])
+            b[..., 0] = old[..., 0]
+        elif not pos.any():  # op(old, right)
+            op(o[:-1], o[1:], out=f[:-1])
+            b[..., -1] = old[..., -1]
+        else:
+            op(old, other, out=b)
+        bounds.append(b)
+    lo, hi = bounds
     # in place: fewer large temporaries per block, fewer page faults
     np.subtract(lo, new, out=lo)
     return np.maximum(lo, np.subtract(new, hi, out=hi), out=lo)

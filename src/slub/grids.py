@@ -150,8 +150,8 @@ def check_cfl(nu) -> None:
 def edge_pad(values: np.ndarray, k: int) -> np.ndarray:
     """`values` with k >= 1 ghost entries at each end of the last axis
     that continue the end values (numpy's "edge" padding, without its
-    per-call overhead).  The cell kernel and the witnesses pad with it;
-    the node step and `project_to_nodes` continue the end values unpadded."""
+    per-call overhead).  The cell kernel pads with it, the witnesses only
+    for nu of mixed sign; the node step and `project_to_nodes` do not."""
     out = np.empty(values.shape[:-1] + (values.shape[-1] + 2 * k,), dtype=values.dtype)
     out[..., :k] = values[..., :1]
     out[..., k:-k] = values

@@ -26,7 +26,9 @@ from .grids import (
     init_point_values,
 )
 from .problems import ProblemSpec, get_problem, singular_points
-from .semi_lagrangian import advect_const_values, hj_update_values
+from .semi_lagrangian import advect_const_stepper, hj_update_values
+from .ultrabee import ub_min_stepper, ub_stepper
+# unused here, but benchmarks/tests/test_bench.py asserts it is ultrabee's
 from .ultrabee import ub_step_values
 from .coupled import (
     CoupledState,
@@ -157,15 +159,18 @@ def resolve_regularity(
 class StepOperators:
     """One problem discretized on one grid: the per-step update maps.
 
-    node_update/cell_update act on raw arrays (node values / cell
-    averages).  nu_node/nu_cell carry the signed Courant numbers used
-    by the stability witness: one scalar when the velocity is uniform,
-    else one value per node / cell, or None for updates that draw on
-    both neighbours (then the witness brackets three points).
+    node_update/cell_update are steppers on raw arrays (node values /
+    cell averages), prepared once per run (the CFL check included):
+    update(v, out=None) writes into `out`, which must not overlap `v`
+    (a fresh array when None), returns it, and never writes into `v`.
+    nu_node/nu_cell carry the signed Courant numbers used by the
+    stability witness: one scalar when the velocity is uniform, else one
+    value per node / cell, or None for updates that draw on both
+    neighbours (then the witness brackets three points).
     """
 
-    node_update: Callable[[np.ndarray], np.ndarray]
-    cell_update: Callable[[np.ndarray], np.ndarray]
+    node_update: Callable[..., np.ndarray]
+    cell_update: Callable[..., np.ndarray]
     nu_node: Union[float, np.ndarray, None]
     nu_cell: Union[float, np.ndarray, None]
 
@@ -181,10 +186,9 @@ def make_operators(problem: ProblemSpec, grid: Grid1D, dt: float) -> StepOperato
     dx = grid.dx
     if problem.kind == "advection-const":
         nu = float(problem.c) * dt / dx
-        check_cfl(nu)
         return StepOperators(
-            node_update=lambda v: advect_const_values(v, nu),
-            cell_update=lambda v: ub_step_values(v, nu),
+            node_update=advect_const_stepper(nu),
+            cell_update=ub_stepper(nu),
             nu_node=nu,
             nu_cell=nu,
         )
@@ -195,23 +199,26 @@ def make_operators(problem: ProblemSpec, grid: Grid1D, dt: float) -> StepOperato
         check_cfl(nu_node)
         feet = nodes - speeds * dt
         nu_cell = nu_node[:-1]  # cell k inherits its left node
+
+        def node_update(v, out=None):
+            new = np.interp(feet, nodes, v)  # np.interp has no out=
+            if out is None:
+                return new
+            out[...] = new
+            return out
+
         return StepOperators(
-            node_update=lambda v: np.interp(feet, nodes, v),
-            cell_update=lambda v: ub_step_values(v, nu_cell),
+            node_update=node_update,
+            cell_update=ub_stepper(nu_cell),
             nu_node=nu_node,
             nu_cell=nu_cell,
         )
     if problem.kind == "hj":
         f_lo, f_hi = float(problem.f_min), float(problem.f_max)
-        nu_lo = f_lo * dt / dx
-        nu_hi = f_hi * dt / dx
-        check_cfl([nu_lo, nu_hi])
         nodes = grid.nodes
         return StepOperators(
-            node_update=lambda v: hj_update_values(v, nodes, f_lo, f_hi, dt),
-            cell_update=lambda v: np.minimum(
-                ub_step_values(v, nu_lo), ub_step_values(v, nu_hi)
-            ),
+            node_update=lambda v, out=None: hj_update_values(v, nodes, f_lo, f_hi, dt, out),
+            cell_update=ub_min_stepper(f_lo * dt / dx, f_hi * dt / dx),
             nu_node=None,
             nu_cell=None,
         )
@@ -350,6 +357,8 @@ def run_scheme(
         allowance = tvb_allowance(params, grid)
         rows, cand = np.empty((2, block_steps + 1, v.size))
         src, bar = np.empty((2, block_steps + 1, v.size - 1))
+        # a layer of step i reads row i - 1 of its first block and writes row i of its second
+        layers = ((rows, cand, ops.nu_node), (src[1:], bar, ops.nu_cell))
         labels = (("total variation {tv}", alignment), ("node candidate", Alignment.NODE),
                   ("cell average", Alignment.CELL))
 
@@ -358,10 +367,6 @@ def run_scheme(
             sigma_rows.append(out.sigma)
             rows[i], cand[i], src[i], bar[i] = out.w, out.node_candidate, out.cell_source, out.w_bar
             return out
-
-        def layers(count):
-            return ((rows[:count], cand[1:count + 1], ops.nu_node),
-                    (src[1:count + 1], bar[1:count + 1], ops.nu_cell))
     else:
         if scheme == "sl":
             v = w0
@@ -369,16 +374,13 @@ def run_scheme(
         else:
             v = init_cell_averages(grid, problem.ic).values
             update, nus, alignment = ops.cell_update, ops.nu_cell, Alignment.CELL
-        state = v
+        state = None  # the state is the row before the step
         rows = np.empty((block_steps + 1, v.size))
+        layers = ((rows, rows, nus),)
         labels = (("total variation {tv}", alignment),) * 2  # the layer is the solution
 
-        def advance(old, i):
-            rows[i] = new = update(old)
-            return new
-
-        def layers(count):
-            return ((rows[:count], rows[1:count + 1], nus),)
+        def advance(s, i):  # a retaken step reads rows[0], which flush has set
+            return update(rows[i - 1], out=rows[i])
 
     rows[0] = v
     snapshots = {0: v.copy()} if 0 in snapshot_steps else {}
@@ -387,7 +389,8 @@ def run_scheme(
 
     def flush(done, count):
         """Check steps done+1..done+count, held in rows 1..count."""
-        witness, tv, first_bad = block_diagnostics(rows[:count + 1], layers(count))
+        witness, tv, first_bad = block_diagnostics(
+            rows[:count + 1], [(old[:count], new[1:count + 1], nu) for old, new, nu in layers])
         bad = ~np.isfinite(tv) | np.any(first_bad >= 0, axis=1)
         if bad.any():
             i = int(np.argmax(bad))

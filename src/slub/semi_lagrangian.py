@@ -3,9 +3,9 @@
 Point values are advanced by tracing characteristics back one step and
 reading the piecewise-linear (P1) interpolant there, with constant
 continuation past the grid ends.  Constant-velocity transport is the
-upwind convex combination `advect_const_values`; variable-velocity
-transport reads the interpolant at per-node feet that the harness builds
-once per grid.
+upwind convex combination `advect_const_values`, prepared once per
+run by `advect_const_stepper`; variable-velocity transport reads the
+interpolant at per-node feet that the harness builds once per grid.
 
 For H(p) = max(f_min p, f_max p) the convex conjugate is 0 on
 [f_min, f_max] and +inf outside, so the Hopf-Lax update is the minimum
@@ -24,6 +24,7 @@ from .grids import Alignment, Field, check_cfl
 
 __all__ = [
     "p1_interpolate",
+    "advect_const_stepper",
     "advect_const_values",
     "hj_update_values",
 ]
@@ -42,8 +43,11 @@ def p1_interpolate(field: Field, x):
     return out if x.ndim else float(out)
 
 
-def advect_const_values(values: np.ndarray, nu: float) -> np.ndarray:
-    """One constant-velocity transport step on raw node values.
+def advect_const_stepper(nu: float):
+    """One constant-velocity transport step on raw node values, prepared
+    once for a fixed nu: the CFL check, |nu| and the upwind side are
+    taken here.  Returns update(values, out=None), which writes the new
+    values into `out` (a fresh array when None) and returns it.
 
     The signed Courant number nu = c*dt/dx selects the upwind
     direction: out_j = a*up_j + (1-a)*in_j with a = |nu| and up_j the
@@ -56,27 +60,34 @@ def advect_const_values(values: np.ndarray, nu: float) -> np.ndarray:
     a*up + (1-a)*in.
     """
     check_cfl(nu)
-    v = np.asarray(values, dtype=float)
     a = abs(nu)
-    out = (1.0 - a) * v
-    if nu >= 0.0:
-        out[1:] += a * v[:-1]
-        out[0] += a * v[0]
-    else:
-        out[:-1] += a * v[1:]
-        out[-1] += a * v[-1]
-    return out
+    to, up, end = (np.s_[1:], np.s_[:-1], 0) if nu >= 0.0 else (np.s_[:-1], np.s_[1:], -1)
+
+    def update(values, out=None):
+        v = np.asarray(values, dtype=float)
+        out = np.multiply(1.0 - a, v, out=out)
+        out[to] += a * v[up]
+        out[end] += a * v[end]
+        return out
+
+    return update
+
+
+def advect_const_values(values: np.ndarray, nu: float) -> np.ndarray:
+    """`advect_const_stepper(nu)` applied once: each call checks nu."""
+    return advect_const_stepper(nu)(values)
 
 
 def hj_update_values(
-    values: np.ndarray, nodes: np.ndarray, f_min: float, f_max: float, dt: float
+    values: np.ndarray, nodes: np.ndarray, f_min: float, f_max: float, dt: float, out=None
 ) -> np.ndarray:
     """Hopf-Lax update for H(p) = max(f_min p, f_max p) on raw node values.
 
     out_j = min over a in [f_min, f_max] of interp(in, x_j - a*dt),
     evaluated in closed form as the minimum of the two endpoint feet,
     and of in_j itself when f_min <= 0 <= f_max.  Exact for the P1
-    interpolant when max(|f_min|, |f_max|)*dt <= dx.
+    interpolant when max(|f_min|, |f_max|)*dt <= dx.  Written into
+    `out` (a fresh array when None), which is returned.
 
     Raises
     ------
@@ -87,7 +98,7 @@ def hj_update_values(
         raise ValueError(f"need f_min <= f_max, got [{f_min}, {f_max}]")
     v = np.asarray(values, dtype=float)
     out = np.minimum(
-        np.interp(nodes - f_max * dt, nodes, v), np.interp(nodes - f_min * dt, nodes, v)
+        np.interp(nodes - f_max * dt, nodes, v), np.interp(nodes - f_min * dt, nodes, v), out=out
     )
     if f_min <= 0.0 <= f_max:
         np.minimum(out, v, out=out)

@@ -31,7 +31,8 @@ def record_criterion():
 @pytest.fixture
 def nan_at_step_3(monkeypatch):
     """Make every run's node and cell updates put a NaN at index 5 of
-    their third output, i.e. at step 3.  Returns that index."""
+    their third output, i.e. at step 3, in the array they return (the
+    caller's `out` row when one is given).  Returns that index."""
     make_operators = slub.harness.make_operators
 
     def poisoned_make_operators(*args, **kwargs):
@@ -40,11 +41,10 @@ def nan_at_step_3(monkeypatch):
         def poison(update):
             calls = []
 
-            def step(v):
-                out = update(v)
+            def step(v, out=None):
+                out = update(v, out=out)
                 calls.append(1)
                 if len(calls) == 3:
-                    out = out.copy()
                     out[5] = np.nan
                 return out
 
@@ -62,7 +62,7 @@ def nan_at_step_3(monkeypatch):
 def poison_step(request, monkeypatch):
     """Callable poison(step, index, node=True, cell=True) -> value: make
     every run's node and/or cell update put this fixture's value (NaN or
-    inf) at `index` of its output number `step`."""
+    inf) at `index` of its output number `step`, in the array it returns."""
     value = request.param
     make_operators = slub.harness.make_operators
 
@@ -70,11 +70,10 @@ def poison_step(request, monkeypatch):
         def wrap(update):
             calls = []
 
-            def stepped(v):
-                out = update(v)
+            def stepped(v, out=None):
+                out = update(v, out=out)
                 calls.append(1)
                 if len(calls) == step:
-                    out = out.copy()
                     out[index] = value
                 return out
 

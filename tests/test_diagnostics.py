@@ -314,6 +314,61 @@ def test_block_diagnostics_locate_non_finite_values_without_warnings(case: str, 
                 assert not np.isfinite(witness[i, col - 1])
 
 
+def _loop_witness(old: np.ndarray, new: np.ndarray, nu, j: int, left: float, right: float) -> float:
+    """How far new[j] lies outside its bracket, by the rule written out:
+    old[j-1..j+1] for nu None, else old[j] and its upwind neighbour by
+    the sign of nu at j; `left` and `right` are old[j]'s neighbours."""
+    if nu is None:
+        bracket = (left, old[j], right)
+    else:
+        bracket = (old[j], left if (nu if np.ndim(nu) == 0 else nu[j]) >= 0.0 else right)
+    return max(min(bracket) - new[j], new[j] - max(bracket))
+
+
+ROW_END_NUS = {"three-point": None, "scalar+": 0.5, "scalar-": -0.5,
+               "per-entry+": np.full(7, 0.5), "per-entry-": np.full(7, -0.5),
+               "per-entry-mixed": np.array([0.5, -0.5, 0.5, 0.5, -0.5, 0.5, -0.5])}
+
+
+@pytest.mark.parametrize("case", sorted(ROW_END_NUS))
+def test_block_witness_at_the_row_ends_matches_a_written_out_loop(case: str) -> None:
+    """Each row's worst violation sits at an end whose bracket takes a
+    ghost (its first entry when it reads its left neighbour, its last
+    when it reads its right one), and the flat neighbour in the row
+    before or after would widen that bracket and hide the violation.
+    Every block witness equals the written-out loop's, which brackets
+    each entry within its own row."""
+    nu = ROW_END_NUS[case]
+    rng = np.random.default_rng(5)
+    k, n = 6, 7
+    old = rng.uniform(0.0, 1.0, (k, n))
+    old[:, 0], old[:, -1] = -5.0, 5.0  # the flat neighbours across each row boundary
+    new = old.copy()
+    signs = np.broadcast_to(1.0 if nu is None else np.asarray(nu), n)
+    reads_left, reads_right = signs[0] >= 0.0, nu is None or signs[-1] < 0.0
+    ends = []
+    for i in range(k):
+        # alternate between the ends that read across, where there is a row to read
+        usable = [j for j, ok in ((0, reads_left and i > 0), (n - 1, reads_right and i < k - 1)) if ok]
+        ends.append(usable[i % len(usable)] if usable else 0 if reads_left else n - 1)
+        new[i, ends[-1]] = 3.0 if ends[-1] == 0 else -3.0  # outside its own bracket
+    rows = np.vstack([old[:1], new])  # the solution layer: rows[i] -> rows[i + 1]
+    layers = [(old, new, nu), (rows[:-1], rows[1:], nu)]
+    witness, _, _ = block_diagnostics(rows, layers)
+    flat, flat_nu = old.ravel(), nu if np.ndim(nu) == 0 else np.tile(nu, k)
+    for col, (o, w, _) in enumerate(layers):
+        for i in range(k):
+            own = [_loop_witness(o[i], w[i], nu, j, o[i, max(j - 1, 0)], o[i, min(j + 1, n - 1)])
+                   for j in range(n)]
+            assert witness[i, col] == max(0.0, max(own)), (col, i)
+    for i, j in enumerate(ends):
+        own = _loop_witness(old[i], new[i], nu, j, old[i, max(j - 1, 0)], old[i, min(j + 1, n - 1)])
+        assert own == witness[i, 0] > 1.0
+        f = i * n + j  # the same entry, bracketed across the row boundary
+        if 0 < f < flat.size - 1:
+            assert _loop_witness(flat, new.ravel(), flat_nu, f, flat[f - 1], flat[f + 1]) < own
+
+
 def test_total_variation_acts_on_the_last_axis() -> None:
     rows = np.array([[0.0, 2.0, 1.0, 1.0], [5.0, 5.0, 5.0, 5.0], [1.0, -1.0, 1.0, -1.0]])
     np.testing.assert_array_equal(total_variation(rows), [3.0, 0.0, 6.0])

@@ -271,21 +271,29 @@ def test_run_scheme_smoke(name: str, scheme: str) -> None:
         assert res.sigma_history is None
 
 
-def test_coupled_run_calls_node_update_once_per_step(monkeypatch) -> None:
-    """The coupled step's node candidate feeds the witness; the run
-    loop does not evaluate the node update a second time."""
+def _count_updates(monkeypatch, layer: str) -> list:
+    """Make every run's `layer` ("node_update" or "cell_update") stepper
+    append to the returned list on each call."""
     calls = []
 
     def counting_make_operators(*args, **kwargs):
         ops = make_operators(*args, **kwargs)
+        update = getattr(ops, layer)
 
-        def counted(v):
+        def counted(v, out=None):
             calls.append(1)
-            return ops.node_update(v)
+            return update(v, out=out)
 
-        return replace(ops, node_update=counted)
+        return replace(ops, **{layer: counted})
 
-    monkeypatch.setattr("slub.harness.make_operators", counting_make_operators)
+    monkeypatch.setattr(slub.harness, "make_operators", counting_make_operators)
+    return calls
+
+
+def test_coupled_run_calls_node_update_once_per_step(monkeypatch) -> None:
+    """The coupled step's node candidate feeds the witness; the run
+    loop does not evaluate the node update a second time."""
+    calls = _count_updates(monkeypatch, "node_update")
     res = run_scheme("adv-jump", "coupled", 79)
     assert len(calls) == res.n_steps
 
@@ -421,10 +429,10 @@ def _overflowing_make_operators(calls: list):
     def patched(*args, **kwargs):
         ops = make_operators(*args, **kwargs)
 
-        def node_update(v):
+        def node_update(v, out=None):
             calls.append(1)
             np.array([1e308]) * 10.0
-            return ops.node_update(v)
+            return ops.node_update(v, out=out)
 
         return replace(ops, node_update=node_update)
 
@@ -450,6 +458,46 @@ def test_floating_point_errors_before_a_bad_step_are_reported_as_unbatched(monke
     with np.errstate(over="ignore"):
         run_scheme("adv-smooth", "sl", 39)
     assert len(calls) == res.n_steps
+
+
+@pytest.mark.parametrize("where", ["2", "K+2"])
+@pytest.mark.parametrize("scheme", SCHEMES)
+def test_a_trap_on_a_later_step_of_a_block_is_retaken_bit_identically(
+    monkeypatch, scheme: str, where: str
+) -> None:
+    """A floating-point error on step 2 of the first block, or on step
+    K + 2 (step 2 of the second), is retaken from the last checked row,
+    not from the row being written: the values, the TV bytes and the
+    witnesses are those of a run without the error."""
+    name, m, k = "adv-smooth", 39, 5
+    n = resolve_grid(get_problem(name), m).m + (scheme != "ub")
+    monkeypatch.setattr(slub.harness, "_BLOCK_VALUES", k * n)
+    clean = run_scheme(name, scheme, m)
+    step = {"2": 2, "K+2": k + 2}[where]
+    assert step < clean.n_steps
+    layer = "cell_update" if scheme == "ub" else "node_update"
+    calls = _count_updates(monkeypatch, layer)
+    counted = slub.harness.make_operators
+
+    def overflowing_make_operators(*args, **kwargs):
+        ops = counted(*args, **kwargs)
+        update = getattr(ops, layer)
+
+        def stepped(v, out=None):
+            out = update(v, out=out)
+            if len(calls) in (step, step + 1):  # the step and its retake
+                np.array([1e308]) * 10.0
+            return out
+
+        return replace(ops, **{layer: stepped})
+
+    monkeypatch.setattr(slub.harness, "make_operators", overflowing_make_operators)
+    with pytest.warns(RuntimeWarning, match="overflow"):
+        res = run_scheme(name, scheme, m)
+    assert len(calls) == clean.n_steps + 1
+    assert res.values.tobytes() == clean.values.tobytes()
+    assert res.tv.values.tobytes() == clean.tv.values.tobytes()
+    assert res.witnesses.tobytes() == clean.witnesses.tobytes()
 
 
 def test_run_scheme_rejects_unknown_scheme() -> None:
@@ -480,9 +528,7 @@ def test_run_result_params_resolve_from_the_initial_nodes(
 def test_cell_run_without_an_antiderivative_fails_before_stepping(monkeypatch) -> None:
     """A ub run starts from and is scored against exact cell averages, so
     an ic without `.antiderivative` is rejected before any cell update."""
-    calls = []
-    kernel = slub.harness.ub_step_values
-    monkeypatch.setattr(slub.harness, "ub_step_values", lambda *a: calls.append(1) or kernel(*a))
+    calls = _count_updates(monkeypatch, "cell_update")
     problem = get_problem("adv-smooth")
 
     def ic(x):
@@ -497,11 +543,9 @@ def test_cell_run_without_an_antiderivative_fails_before_stepping(monkeypatch) -
 
 def test_coupled_runs_evolve_cells_only_on_steps_with_an_active_cell(monkeypatch) -> None:
     """adv-var keeps every node regular on every step, so its coupled run
-    never calls the cell kernel and its cell witness reads exactly 0;
+    never calls the cell update and its cell witness reads exactly 0;
     adv-jump has an active cell on every step and calls it once a step."""
-    calls = []
-    kernel = slub.harness.ub_step_values
-    monkeypatch.setattr(slub.harness, "ub_step_values", lambda *a: calls.append(1) or kernel(*a))
+    calls = _count_updates(monkeypatch, "cell_update")
     res = run_scheme("adv-var", "coupled", 79)
     assert calls == []
     assert res.n_steps > 0 and np.all(res.witnesses[:, 1] == 0.0)

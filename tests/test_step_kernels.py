@@ -11,6 +11,11 @@ signed zeros and overflowing magnitudes:
 - the same kinds of floating-point warning, and the same overflow
   error under np.errstate(over="raise");
 - its input left unwritten, contiguous or a reversed view.
+
+The prepared steppers (`ub_stepper`, `ub_min_stepper`,
+`advect_const_stepper` and those of `make_operators`) are held to the
+same, called as a run calls them: into one row of a block, given
+another row of it, and writing no entry outside the row.
 """
 
 from __future__ import annotations
@@ -18,6 +23,7 @@ from __future__ import annotations
 import warnings
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
@@ -31,8 +37,17 @@ from slub.coupled import (
     project_to_cells,
     project_to_nodes,
 )
-from slub.semi_lagrangian import advect_const_values
-from slub.ultrabee import ub_flux_left, ub_flux_right, ub_step_values
+from slub.grids import build_grid
+from slub.harness import make_operators, time_ladder
+from slub.problems import REGISTRY, get_problem
+from slub.semi_lagrangian import advect_const_stepper, advect_const_values
+from slub.ultrabee import (
+    ub_flux_left,
+    ub_flux_right,
+    ub_min_stepper,
+    ub_step_values,
+    ub_stepper,
+)
 
 # NaN of both signs, infinities, signed zeros, a subnormal, values whose
 # sums or quotients overflow, and a few plain ones.
@@ -180,6 +195,28 @@ def _assert_same_and_unwritten(new, old, values, *args) -> None:
         assert x.tobytes() == before
 
 
+def _assert_stepper_matches(update, old, values) -> None:
+    """update(x, out=row) gives old(x) as `_assert_same_and_unwritten`
+    requires, for x a row of a block and a reversed view of that row; it
+    returns `row` itself and writes no entry of the block outside `row`.
+    update(x) without `out` gives the same bytes."""
+    n = values.size
+    for flip in (False, True):
+        block = np.full((3, n), 0.375)
+        block[0] = values
+        x, row = (block[0][::-1] if flip else block[0]), block[1]
+        others = np.delete(block, 1, axis=0).tobytes()
+
+        def into_row(v):
+            out = update(v, out=row)
+            assert out is row
+            return out
+
+        assert _outcome(into_row, x) == _outcome(old, x)
+        assert np.delete(block, 1, axis=0).tobytes() == others
+        assert _outcome(update, x) == _outcome(old, x)
+
+
 # ---------------------------------------------------------------------------
 # the kernels
 
@@ -262,3 +299,58 @@ def test_coupled_step_matches_its_np_where_form(
         assert _bytes(getattr(new, name)) == _bytes(getattr(old, name)), name
     assert new.fresh_cell_count == old.fresh_cell_count
     assert [a.tobytes() for a in (w, w_bar, owned, sigma)] == before
+
+
+# ---------------------------------------------------------------------------
+# the prepared steppers
+
+
+@given(v=_values(), nu=SCALAR_NU)
+@settings(max_examples=200, deadline=None)
+def test_scalar_ub_stepper_matches_the_earlier_kernel(v: np.ndarray, nu: float) -> None:
+    """A negative nu takes the mirrored stencil on the forward padding,
+    not the reversed call of the earlier form."""
+    _assert_stepper_matches(ub_stepper(nu), lambda x: _old_ub_step_values(x, nu), v)
+
+
+@given(v=_values(), kind=st.sampled_from(sorted(PER_CELL_NU)), data=st.data())
+@settings(max_examples=200, deadline=None)
+def test_per_cell_ub_stepper_matches_the_earlier_kernel(v: np.ndarray, kind: str, data) -> None:
+    nus = data.draw(hnp.arrays(np.float64, v.size, elements=PER_CELL_NU[kind]))
+    _assert_stepper_matches(ub_stepper(nus), lambda x: _old_ub_step_values(x, nus), v)
+
+
+@given(v=_values(), nu_lo=SCALAR_NU, nu_hi=SCALAR_NU)
+@settings(max_examples=200, deadline=None)
+def test_two_velocity_stepper_is_the_minimum_of_two_earlier_kernels(
+    v: np.ndarray, nu_lo: float, nu_hi: float
+) -> None:
+    """One padding, both updates, then np.minimum in the earlier order;
+    also for nu_lo = -nu_hi, the hj pair, and for -0.0."""
+    for lo, hi in ((nu_lo, nu_hi), (-abs(nu_hi), abs(nu_hi))):
+        old = lambda x: np.minimum(_old_ub_step_values(x, lo), _old_ub_step_values(x, hi))
+        _assert_stepper_matches(ub_min_stepper(lo, hi), old, v)
+
+
+@given(v=_values(), nu=SCALAR_NU)
+@settings(max_examples=200, deadline=None)
+def test_advect_const_stepper_matches_its_earlier_form(v: np.ndarray, nu: float) -> None:
+    _assert_stepper_matches(
+        advect_const_stepper(nu), lambda x: _old_advect_const_values(x, nu), v
+    )
+
+
+@pytest.mark.parametrize("name", sorted(REGISTRY))
+def test_run_steppers_write_into_the_row_what_they_return_fresh(name: str) -> None:
+    """Every problem's node and cell steppers, on its own grid, and on
+    values with NaN, infinities and signed zeros: writing into a row gives
+    the bytes and warnings of the fresh call."""
+    problem = get_problem(name)
+    m = problem.m_ladder[0]
+    grid = build_grid(problem.a, problem.b, m)
+    ops = make_operators(problem, grid, time_ladder(problem, m)[0])
+    rng = np.random.default_rng(m)
+    for update, n in ((ops.node_update, m + 1), (ops.cell_update, m)):
+        v = rng.choice([np.nan, np.inf, -np.inf, 0.0, -0.0, 1.0, -2.5, 1e308], n)
+        v[rng.random(n) < 0.5] = 0.5
+        _assert_stepper_matches(update, update, v)

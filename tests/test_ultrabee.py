@@ -47,6 +47,18 @@ def test_flux_right_pinned_values() -> None:
         ub_flux_right(0.0, 1.0, 1.0, 0.5)
 
 
+@pytest.mark.parametrize("nu", [np.nan, 3.0, 1.0 + 1e-9])
+def test_reference_fluxes_reject_a_nan_or_too_large_courant_number(nu: float) -> None:
+    """NaN passes both sign checks (nan < 0 is False), so the CFL check
+    rejects it, and |nu| > 1, as the kernels do."""
+    with pytest.raises(ValueError, match="CFL violated"):
+        ub_flux_left(0.0, 1.0, 2.0, nu)
+    with pytest.raises(ValueError, match="CFL violated"):
+        ub_flux_right(2.0, 1.0, 0.0, -nu)
+    # |nu| = 1 is allowed: the flux is u_cur, an exact shift
+    assert ub_flux_left(0.0, 1.0, 2.0, 1.0) == ub_flux_right(2.0, 1.0, 0.0, -1.0) == 1.0
+
+
 @given(triple=TRIPLES, nu=st.floats(min_value=0.0, max_value=1.0))
 @settings(max_examples=300, deadline=None)
 def test_flux_brackets_interpolating_pair(triple, nu: float) -> None:
