@@ -26,6 +26,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .coupled import project_to_nodes
+from .grids import Alignment
 from .harness import LADDER_PRESETS, SCHEMES, convergence_table, run_scheme, time_ladder
 # unused here, but benchmarks/tests/test_bench.py asserts it is harness's
 from .harness import resolve_grid
@@ -71,16 +72,26 @@ class OutputBundle:
     manifest_file: Path
 
 
-# The one format of every number in the CSV files.
+# The one format of every number in the CSV files; like the `{:d}` of a
+# 0/1 column, it prints an integer below 1e12 as str() does.
 _NUM = "{:.12g}"
 _fmt = _NUM.format
 
 
-def _csv_rows(*columns) -> map:
-    """One line per row of `columns`, by one format string over Python
-    values; integers print as str() does (below 1e12)."""
-    line = ",".join([_NUM] * len(columns)).format
-    return map(line, *(np.asarray(c).tolist() for c in columns))
+def _row_template(lead, *fields: str) -> str:
+    """The rows of one CSV layout, one per line: each value of the
+    leading column `lead` formatted once by _NUM, then "," and one of
+    `fields` per remaining column. `_rows` fills in those columns.
+    Numbers print no braces, so the template escapes none."""
+    tail = "".join("," + f for f in fields)
+    return (tail + "\n").join(map(_fmt, np.asarray(lead).tolist())) + tail
+
+
+def _rows(template: str, *columns) -> str:
+    """`template` filled with `columns`, passed row-major. They take one
+    dtype (np.column_stack), so a `{:d}` field needs integer or boolean
+    columns only."""
+    return template.format(*np.column_stack(columns).ravel().tolist())
 
 
 def _write(path: Path, lines) -> None:
@@ -176,22 +187,24 @@ def cmd_run(config: RunConfig) -> OutputBundle:
 
     out = Path(config.out)
     out.mkdir(parents=True, exist_ok=True)
-    x = result.x
+    snaps = sorted(result.snapshots)
     sol_files = []
-    for k in sorted(result.snapshots):
+    template = _row_template(result.x, _NUM)
+    for k in snaps:
         path = out / f"sol_{config.scheme}_step{k}.csv"
-        _write(path, ["x,value", *_csv_rows(x, result.snapshots[k])])
+        _write(path, ["x,value", _rows(template, result.snapshots[k])])
         sol_files.append(path)
     sigma_files = []
     if config.scheme == "coupled":
-        nodes = result.grid.nodes
-        for k in sorted(result.snapshots):
+        template = _row_template(result.grid.nodes, "{:d}")
+        for k in snaps:
             path = out / f"sigma_step{k}.csv"
-            _write(path, ["x,sigma", *_csv_rows(nodes, result.sigma_history[k])])
+            _write(path, ["x,sigma", _rows(template, result.sigma_history[k])])
             sigma_files.append(path)
     tv_file = out / "tv_trace.csv"
-    steps = range(result.tv.values.size)
-    _write(tv_file, ["step,tv,bound", *_csv_rows(steps, result.tv.values, result.tv.envelope)])
+    tv = result.tv
+    template = _row_template(range(tv.values.size), _NUM, _NUM)
+    _write(tv_file, ["step,tv,bound", _rows(template, tv.values, tv.envelope)])
     error_file = out / "errors.csv"
     e = result.errors
     _write(
@@ -268,15 +281,16 @@ def cmd_compare(
     results = [run_scheme(prob, s, m) for s in schemes]
     grid = results[0].grid
     exact = np.asarray(prob.exact(grid.nodes, results[0].t_final), dtype=float)
-    columns = [grid.nodes, exact]
+    columns = [exact]
     for res in results:
-        vals = res.values if res.alignment.name == "NODE" else project_to_nodes(res.values)
+        vals = res.values if res.alignment is Alignment.NODE else project_to_nodes(res.values)
         columns.append(vals)
     out_dir = Path(out)
     out_dir.mkdir(parents=True, exist_ok=True)
     sol_path = out_dir / f"compare_{problem_name}_m{m}.csv"
     header = ",".join(["x", "exact"] + list(schemes))
-    _write(sol_path, [header, *_csv_rows(*columns)])
+    template = _row_template(grid.nodes, *[_NUM] * len(columns))
+    _write(sol_path, [header, _rows(template, *columns)])
     err_path = out_dir / f"compare_{problem_name}_m{m}_errors.csv"
     lines = ["scheme,l1,l2,linf,linf_reg"]
     for s, res in zip(schemes, results):

@@ -217,28 +217,54 @@ def _per_value_lines(header, *columns) -> str:
 
 
 def test_cmd_run_rows_match_per_value_formatting(tmp_path: Path) -> None:
-    """Solution, sigma and TV files of a coupled run with snapshots,
-    against each value formatted separately."""
-    snaps = (0, 3, 8, 20)
-    bundle = cmd_run(RunConfig(problem="adv-jump", scheme="coupled", m=79,
-                               snapshots=snaps, out=str(tmp_path)))
-    res = slub.harness.run_scheme("adv-jump", "coupled", 79, snapshot_steps=snaps)
-    for k, sol, sig in zip(snaps, bundle.solution_files, bundle.sigma_files):
-        assert sol.read_text() == _per_value_lines("x,value", res.x, res.snapshots[k])
-        assert sig.read_text() == _per_value_lines("x,sigma", res.x, res.sigma_history[k])
-    steps = list(range(res.n_steps + 1))
-    assert bundle.tv_file.read_text() == _per_value_lines(
-        "step,tv,bound", steps, res.tv.values, res.tv.envelope
-    )
+    """Solution, sigma and TV files of three runs with snapshots, one
+    after another, against each value formatted separately: coupled
+    (sigma on the nodes), ub (solution on the cell centres) and sl on
+    another grid (no sigma file). A row template built from the wrong
+    coordinates, or kept from an earlier run, fails here."""
+    runs = (("adv-jump", "coupled", 79, (0, 3, 8, 20)),
+            ("adv-jump", "ub", 79, (0, 5, 20)),
+            ("adv-smooth", "sl", 39, (0, 4, 9)))
+    for problem, scheme, m, snaps in runs:
+        bundle = cmd_run(RunConfig(problem=problem, scheme=scheme, m=m, snapshots=snaps,
+                                   out=str(tmp_path / scheme)))
+        res = slub.harness.run_scheme(problem, scheme, m, snapshot_steps=snaps)
+        assert len(bundle.solution_files) == len(snaps)
+        for k, sol in zip(snaps, bundle.solution_files):
+            assert sol.read_text() == _per_value_lines("x,value", res.x, res.snapshots[k])
+        if scheme == "coupled":
+            assert len(bundle.sigma_files) == len(snaps)
+            for k, sig in zip(snaps, bundle.sigma_files):
+                assert sig.read_text() == _per_value_lines(
+                    "x,sigma", res.grid.nodes, res.sigma_history[k]
+                )
+        else:
+            assert bundle.sigma_files == ()
+        steps = list(range(res.n_steps + 1))
+        assert bundle.tv_file.read_text() == _per_value_lines(
+            "step,tv,bound", steps, res.tv.values, res.tv.envelope
+        )
 
 
 def test_csv_rows_format_special_values_as_per_value_formatting() -> None:
+    """The row template and its fill, on values whose text is easy to
+    get wrong: in the filled columns, in the leading column (formatted
+    once, by the template) and in a `{:d}` integer column."""
     x = np.array([-0.0, 5e-324, 2.2250738585072014e-308, np.inf, -np.inf, np.nan,
                   1e-7, 0.1 + 0.2, 123456789012.5, 1e300])
     k = np.arange(x.size) * 99991
-    lines = list(slub.cli._csv_rows(k, x, x[::-1]))
-    assert "\n".join(["k,a,b", *lines]) + "\n" == _per_value_lines("k,a,b", k, x, x[::-1])
+    num = slub.cli._NUM
+    rows = slub.cli._rows(slub.cli._row_template(k, num, num), x, x[::-1])
+    assert "k,a,b\n" + rows + "\n" == _per_value_lines("k,a,b", k, x, x[::-1])
+    lines = rows.split("\n")
     assert lines[0] == "0,-0,1e+300" and lines[1] == "99991,4.94065645841e-324,123456789012"
+    rows = slub.cli._rows(slub.cli._row_template(x, num), x[::-1])
+    assert "a,b\n" + rows + "\n" == _per_value_lines("a,b", x, x[::-1])
+    rows = slub.cli._rows(slub.cli._row_template(x, "{:d}"), k)
+    assert "a,k\n" + rows + "\n" == _per_value_lines("a,k", x, k)
+    flags = np.arange(x.size) % 3 == 0
+    rows = slub.cli._rows(slub.cli._row_template(x[::-1], "{:d}"), flags)
+    assert "b,sigma\n" + rows + "\n" == _per_value_lines("b,sigma", x[::-1], flags)
 
 
 # ---------------------------------------------------------------------------
