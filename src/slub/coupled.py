@@ -140,7 +140,6 @@ class CoupledState:
                 the cell source itself after a step with no active cell
     owned       cells whose averages were evolved, not re-projected
     sigma       indicator used for the step that produced this state
-    sigma_prev  indicator of the previous step (sigma at n = 0)
     fresh_cell_count  cells that entered the anti-dissipative region
                       this step (their averages came from projection)
     node_candidate    node-scheme update of the previous w, over every
@@ -156,7 +155,6 @@ class CoupledState:
     w_bar: np.ndarray
     owned: np.ndarray
     sigma: np.ndarray
-    sigma_prev: np.ndarray
     fresh_cell_count: int = 0
     node_candidate: Optional[np.ndarray] = None
     cell_source: Optional[np.ndarray] = None
@@ -165,13 +163,11 @@ class CoupledState:
 def init_coupled_state(values: np.ndarray, dx: float, params: RegularityParams) -> CoupledState:
     """Initial state from node values; averages start as projections."""
     w = np.asarray(values, dtype=float).copy()
-    sigma = classify_regularity(w, dx, params)
     return CoupledState(
         w=w,
         w_bar=project_to_cells(w),
         owned=np.zeros(w.size - 1, dtype=bool),
-        sigma=sigma,
-        sigma_prev=sigma.copy(),
+        sigma=classify_regularity(w, dx, params),
     )
 
 
@@ -217,7 +213,6 @@ def coupled_step(
         w_bar=new_bar,
         owned=act,
         sigma=sigma,
-        sigma_prev=state.sigma,
         fresh_cell_count=fresh,
         node_candidate=new_w_nodes,
         cell_source=source,

@@ -1,11 +1,10 @@
-"""Uniform 1D grids, grid-aligned scalar fields, the CFL check and the
+"""Uniform 1D grids, the initial data on them, the CFL check and the
 ghost-cell convention.
 
 Two alignments matter here: point values live on nodes x_j, cell averages
-live on cells [x_j, x_{j+1}).  The scheme kernels take raw arrays in one
-of these layouts; `Field` wraps an array with its grid and alignment for
-the initializers and the reference helpers.  The projections between the
-two layouts live in `slub.coupled`.
+live on cells [x_j, x_{j+1}).  Every kernel, initializer and driver takes
+and returns raw float arrays in one of these layouts.  The projections
+between the two layouts live in `slub.coupled`.
 """
 
 from __future__ import annotations
@@ -19,7 +18,6 @@ import numpy as np
 __all__ = [
     "Alignment",
     "Grid1D",
-    "Field",
     "build_grid",
     "check_cfl",
     "edge_pad",
@@ -57,14 +55,6 @@ class Grid1D:
         return (self.b - self.a) / self.m
 
     @property
-    def n_nodes(self) -> int:
-        return self.m + 1
-
-    @property
-    def n_cells(self) -> int:
-        return self.m
-
-    @property
     def nodes(self) -> np.ndarray:
         """Node coordinates x_j = a + j*dx, j = 0..m."""
         return self.a + self.dx * np.arange(self.m + 1)
@@ -73,9 +63,6 @@ class Grid1D:
     def centers(self) -> np.ndarray:
         """Cell midpoints x_j + dx/2."""
         return self.a + self.dx * (np.arange(self.m) + 0.5)
-
-    def size(self, alignment: Alignment) -> int:
-        return self.n_nodes if alignment is Alignment.NODE else self.n_cells
 
     def coords(self, alignment: Alignment) -> np.ndarray:
         return self.nodes if alignment is Alignment.NODE else self.centers
@@ -90,38 +77,6 @@ def build_grid(a: float, b: float, m: int) -> Grid1D:
         If b <= a or m < 3.
     """
     return Grid1D(float(a), float(b), int(m))
-
-
-@dataclass(frozen=True)
-class Field:
-    """Scalar field attached to a grid, node- or cell-aligned.
-
-    Values are copied on construction and frozen, so snapshots can be
-    shared safely.
-    """
-
-    grid: Grid1D
-    alignment: Alignment
-    values: np.ndarray
-
-    def __post_init__(self) -> None:
-        vals = np.asarray(self.values, dtype=float).copy()
-        if vals.ndim != 1:
-            raise ValueError(f"field values must be 1-D, got shape {vals.shape}")
-        expected = self.grid.size(self.alignment)
-        if vals.shape[0] != expected:
-            raise ValueError(
-                f"{self.alignment.value}-aligned field needs {expected} values, "
-                f"got {vals.shape[0]}"
-            )
-        if not np.all(np.isfinite(vals)):
-            raise ValueError("field values must be finite")
-        vals.flags.writeable = False
-        object.__setattr__(self, "values", vals)
-
-    @property
-    def coords(self) -> np.ndarray:
-        return self.grid.coords(self.alignment)
 
 
 def check_cfl(nu) -> None:
@@ -170,34 +125,24 @@ def _eval_on(fn, x: np.ndarray) -> np.ndarray:
     return np.array([float(fn(xi)) for xi in x])
 
 
-def init_point_values(grid: Grid1D, ic) -> Field:
-    """Sample an initial condition at the nodes.
+def init_point_values(grid: Grid1D, ic) -> np.ndarray:
+    """The node values ic(x_j) of an initial condition (vectorized or
+    scalar `ic`), as a float array.
 
-    Parameters
-    ----------
-    grid : Grid1D
-    ic : callable
-        Initial profile; vectorized or scalar.
-
-    Returns
-    -------
-    Field
-        Node-aligned field with values ic(x_j).
+    Raises
+    ------
+    ValueError
+        If a value is not finite.
     """
     vals = _eval_on(ic, grid.nodes)
     if not np.all(np.isfinite(vals)):
         raise ValueError("initial condition produced non-finite node values")
-    return Field(grid, Alignment.NODE, vals)
+    return vals
 
 
-def init_cell_averages(grid: Grid1D, ic) -> Field:
-    """Exact cell averages of an initial condition, from the antiderivative
-    attached to it as ``ic.antiderivative``.
-
-    Returns
-    -------
-    Field
-        Cell-aligned field of averages.
+def init_cell_averages(grid: Grid1D, ic) -> np.ndarray:
+    """Exact cell averages of an initial condition, as a float array, from
+    the antiderivative attached to it as ``ic.antiderivative``.
 
     Raises
     ------
@@ -212,4 +157,4 @@ def init_cell_averages(grid: Grid1D, ic) -> Field:
     vals = np.diff(_eval_on(antiderivative, grid.nodes)) / grid.dx
     if not np.all(np.isfinite(vals)):
         raise ValueError("initial condition produced non-finite cell averages")
-    return Field(grid, Alignment.CELL, vals)
+    return vals

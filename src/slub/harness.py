@@ -214,11 +214,11 @@ def make_operators(problem: ProblemSpec, grid: Grid1D, dt: float) -> StepOperato
             nu_cell=nu_cell,
         )
     if problem.kind == "hj":
-        f_lo, f_hi = float(problem.f_min), float(problem.f_max)
+        r = float(problem.c) * dt
         nodes = grid.nodes
         return StepOperators(
-            node_update=lambda v, out=None: hj_update_values(v, nodes, f_lo, f_hi, dt, out),
-            cell_update=ub_min_stepper(f_lo * dt / dx, f_hi * dt / dx),
+            node_update=lambda v, out=None: hj_update_values(v, nodes, r, out),
+            cell_update=ub_min_stepper(r / dx),
             nu_node=None,
             nu_cell=None,
         )
@@ -344,7 +344,7 @@ def run_scheme(
     ops = make_operators(problem, grid, dt)
     block_steps = max(4, _BLOCK_VALUES // (grid.m + (scheme != "ub")))
 
-    w0 = init_point_values(grid, problem.ic).values
+    w0 = init_point_values(grid, problem.ic)
     if problem.kind == "hj":
         _check_erosion_ic(problem.ic, grid.nodes, w0)
     params = resolve_regularity(problem, w0, grid.dx, delta, epsilon)
@@ -372,7 +372,7 @@ def run_scheme(
             v = w0
             update, nus, alignment = ops.node_update, ops.nu_node, Alignment.NODE
         else:
-            v = init_cell_averages(grid, problem.ic).values
+            v = init_cell_averages(grid, problem.ic)
             update, nus, alignment = ops.cell_update, ops.nu_cell, Alignment.CELL
         state = None  # the state is the row before the step
         rows = np.empty((block_steps + 1, v.size))

@@ -4,7 +4,9 @@ Each registered problem bundles an initial condition (with an exact
 antiderivative so cell averages carry no quadrature error), the exact
 solution used as the error reference, the transported singular points,
 and the run presets (grid ladder, target Courant number, horizon,
-switching-indicator thresholds).
+switching-indicator thresholds).  Each kind has one velocity law, the
+one its closed-form reference covers: a constant c, the contracting
+c(x) = -(x - x_bar), or the erosion v_t + |c v_x| = 0 with speed c.
 
 Registry keys: "adv-smooth", "adv-jump", "adv-mix", "adv-var", "hj-abs".
 """
@@ -12,6 +14,7 @@ Registry keys: "adv-smooth", "adv-jump", "adv-mix", "adv-var", "hj-abs".
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
@@ -211,10 +214,10 @@ class ProblemSpec:
 
     kind is one of "advection-const", "advection-var", "hj".
     For "advection-const", velocity is the constant c; for
-    "advection-var" it is a callable c(x); "hj" solves v_t + H(v_x) = 0
-    with H(p) = max(f_min * p, f_max * p) and f_min = -f_max <= 0
-    (erosion, the one case the closed-form reference covers; any other
-    pair is rejected).
+    "advection-var" it is -(x - x_bar), and c must stay None; "hj"
+    solves the erosion v_t + |c v_x| = 0 with a real speed c >= 0.
+    These are the laws the closed-form references cover; any other c
+    on an "advection-var" or "hj" spec is rejected.
     delta_factor / flat_frac scale the switching-indicator thresholds
     relative to the initial maximum slope.  support_t0, when set, is the
     (lo, hi) support of the initial profile; `slub.harness.resolve_grid`
@@ -231,10 +234,8 @@ class ProblemSpec:
     nu: float
     m_ladder: tuple
     speed_scale: float
-    c: object = None
+    c: Optional[float] = None
     x_bar: Optional[float] = None
-    f_min: Optional[float] = None
-    f_max: Optional[float] = None
     delta_factor: float = 1.05
     flat_frac: float = 0.12
     guard: int = 0
@@ -242,19 +243,22 @@ class ProblemSpec:
     sing_points_t0: tuple = ()
 
     def __post_init__(self) -> None:
-        if self.kind == "hj" and not (
-            self.f_max is not None and self.f_max >= 0.0 and self.f_min == -self.f_max
-        ):
+        if self.kind == "advection-var" and self.c is not None:
             raise ValueError(
-                "an hj problem needs f_min = -f_max <= 0 (its reference is the erosion "
-                f"ic(|x| + f_max*t)), got f_min={self.f_min}, f_max={self.f_max}"
+                "an advection-var problem takes its velocity -(x - x_bar) from x_bar, "
+                f"the one law its closed-form reference covers; got c={self.c!r}"
+            )
+        if self.kind == "hj" and not (isinstance(self.c, numbers.Real) and self.c >= 0.0):
+            raise ValueError(
+                "an hj problem needs a real speed c >= 0 (its reference is the erosion "
+                f"ic(|x| + c*t)), got c={self.c!r}"
             )
 
     def exact(self, x, t: float):
         """Reference solution at time t (vectorized in x).
 
         Closed form for every kind.  For "hj" it is the erosion
-        ic(|x| + r), r = f_max*t: the Hopf-Lax minimum of ic over
+        ic(|x| + r), r = c*t: the Hopf-Lax minimum of ic over
         [x - r, x + r] sits at the end farther from 0 when ic is even and
         unimodal, the same assumption exact_antiderivative makes.
         `hopf_lax_oracle` computes that minimum directly and is the
@@ -265,7 +269,7 @@ class ProblemSpec:
         if self.kind == "advection-var":
             return exact_advection_linear_velocity(self.ic, self.x_bar, x, t)
         if self.kind == "hj":
-            r = self.f_max * t
+            r = self.c * t
             x = np.asarray(x, dtype=float)
             return _dispatch(x, np.asarray(self.ic(np.abs(x) + r), dtype=float))
         raise ValueError(f"unknown problem kind {self.kind!r}")
@@ -288,7 +292,7 @@ class ProblemSpec:
         if self.kind == "hj":
             # erosion of an even unimodal profile: v(x,t) = ic(|x| + r),
             # integrated piecewise on each side of the kink at 0
-            r = self.f_max * t
+            r = self.c * t
             Fp = np.asarray(F(x + r), dtype=float)
             Fm = np.asarray(F(r - x), dtype=float)
             F0 = float(F(np.asarray(r, dtype=float)))
@@ -301,7 +305,7 @@ class ProblemSpec:
         if self.kind == "advection-const":
             return np.full_like(x, float(self.c))
         if self.kind == "advection-var":
-            return np.asarray(self.c(x), dtype=float)
+            return -(x - self.x_bar)
         raise ValueError("velocity_values only applies to advection problems")
 
 
@@ -315,11 +319,6 @@ def singular_points(problem: ProblemSpec, t: float) -> np.ndarray:
     if problem.kind == "advection-var":
         return problem.x_bar + (pts - problem.x_bar) * math.exp(-t)
     return pts  # hj kink stays put
-
-
-def _c_var(x):
-    x = np.asarray(x, dtype=float)
-    return -(x - 1.1)
 
 
 _LADDER_A = (19, 39, 79, 159, 319, 639)
@@ -383,7 +382,6 @@ REGISTRY = {
         nu=0.6,
         m_ladder=_LADDER_A,
         speed_scale=1.0,
-        c=_c_var,
         x_bar=1.1,
         delta_factor=3.0,
         flat_frac=0.5,
@@ -398,8 +396,7 @@ REGISTRY = {
         nu=0.6,
         m_ladder=_LADDER_A,
         speed_scale=1.0,
-        f_min=-1.0,
-        f_max=1.0,
+        c=1.0,
         delta_factor=1.05,
         flat_frac=0.75,
         sing_points_t0=(0.0,),

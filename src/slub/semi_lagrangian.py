@@ -7,40 +7,26 @@ upwind convex combination `advect_const_values`, prepared once per
 run by `advect_const_stepper`; variable-velocity transport reads the
 interpolant at per-node feet that the harness builds once per grid.
 
-For H(p) = max(f_min p, f_max p) the convex conjugate is 0 on
-[f_min, f_max] and +inf outside, so the Hopf-Lax update is the minimum
-of the interpolant over the feet x_j - a dt, a in [f_min, f_max].  When
-|a| dt <= dx that foot interval holds no node other than x_j, and the
+For the erosion v_t + |c v_x| = 0, H(p) = |c p| has the convex
+conjugate 0 on [-c, c] and +inf outside, so the Hopf-Lax update is the
+minimum of the interpolant over the feet x_j - a dt, a in [-c, c].  When
+c dt <= dx that foot interval holds no node other than x_j, and the
 interpolant is linear on each side of x_j, so `hj_update_values` needs
-only the two endpoint feet plus the node value when 0 is a control
-(Falcone & Ferretti, SIAM 2014).
+only the two endpoint feet and the node value (Falcone & Ferretti,
+SIAM 2014).
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .grids import Alignment, Field, check_cfl
+from .grids import check_cfl
 
 __all__ = [
-    "p1_interpolate",
     "advect_const_stepper",
     "advect_const_values",
     "hj_update_values",
 ]
-
-
-def p1_interpolate(field: Field, x):
-    """Piecewise-linear interpolation of a node field at positions x.
-
-    Positions outside the grid are clamped to the end values
-    (constant continuation).
-    """
-    if field.alignment is not Alignment.NODE:
-        raise ValueError("p1_interpolate needs a node-aligned field")
-    x = np.asarray(x, dtype=float)
-    out = np.interp(x, field.grid.nodes, field.values)
-    return out if x.ndim else float(out)
 
 
 def advect_const_stepper(nu: float):
@@ -78,28 +64,14 @@ def advect_const_values(values: np.ndarray, nu: float) -> np.ndarray:
     return advect_const_stepper(nu)(values)
 
 
-def hj_update_values(
-    values: np.ndarray, nodes: np.ndarray, f_min: float, f_max: float, dt: float, out=None
-) -> np.ndarray:
-    """Hopf-Lax update for H(p) = max(f_min p, f_max p) on raw node values.
+def hj_update_values(values: np.ndarray, nodes: np.ndarray, r: float, out=None) -> np.ndarray:
+    """Hopf-Lax update for H(p) = |c p| on raw node values, r = c*dt >= 0.
 
-    out_j = min over a in [f_min, f_max] of interp(in, x_j - a*dt),
-    evaluated in closed form as the minimum of the two endpoint feet,
-    and of in_j itself when f_min <= 0 <= f_max.  Exact for the P1
-    interpolant when max(|f_min|, |f_max|)*dt <= dx.  Written into
-    `out` (a fresh array when None), which is returned.
-
-    Raises
-    ------
-    ValueError
-        If f_min > f_max (the control set is empty).
+    out_j = min over y in [x_j - r, x_j + r] of interp(in, y), evaluated
+    in closed form as min(interp(in, x_j - r), interp(in, x_j + r), in_j).
+    Exact for the P1 interpolant when r <= dx.  Written into `out` (a
+    fresh array when None), which is returned.
     """
-    if f_min > f_max:
-        raise ValueError(f"need f_min <= f_max, got [{f_min}, {f_max}]")
     v = np.asarray(values, dtype=float)
-    out = np.minimum(
-        np.interp(nodes - f_max * dt, nodes, v), np.interp(nodes - f_min * dt, nodes, v), out=out
-    )
-    if f_min <= 0.0 <= f_max:
-        np.minimum(out, v, out=out)
-    return out
+    out = np.minimum(np.interp(nodes - r, nodes, v), np.interp(nodes + r, nodes, v), out=out)
+    return np.minimum(out, v, out=out)

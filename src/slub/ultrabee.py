@@ -9,8 +9,8 @@ the sign of nu and evaluate the same flux at |nu| (Despres &
 Lagoutiere, J. Sci. Comput. 2001).  `ub_stepper` prepares the one
 array kernel once per run, and `ub_step_values` is its checked one-call
 entry; for one Courant number on every cell it evaluates the flux once
-per interface.  Two-velocity problems, H(p) = max(f_min*p, f_max*p),
-take the pointwise minimum of two such updates (Bokanowski & Zidani,
+per interface.  The erosion v_t + |c v_x| = 0 takes the pointwise
+minimum of the updates at -|nu| and |nu| (Bokanowski & Zidani,
 J. Sci. Comput. 2007), prepared as one step by `ub_min_stepper`.  The
 scalar fluxes `ub_flux_left` / `ub_flux_right` are kept as references
 for the tests.
@@ -156,12 +156,12 @@ def ub_stepper(nus):
     return update
 
 
-def ub_min_stepper(nu_lo: float, nu_hi: float):
-    """The two-velocity update, the pointwise minimum of the updates at
-    the scalars nu_lo and nu_hi, prepared as by `ub_stepper`; both share
-    one padding of the values."""
-    check_cfl([nu_lo, nu_hi])
-    lo, hi = _scalar_side(nu_lo), _scalar_side(nu_hi)
+def ub_min_stepper(nu: float):
+    """The erosion update, the pointwise minimum of the updates at the
+    scalars -|nu| and |nu|, prepared as by `ub_stepper`; both share one
+    padding of the values."""
+    check_cfl(nu)
+    lo, hi = _scalar_side(-abs(nu)), _scalar_side(abs(nu))
 
     def update(values, out=None):
         v = np.asarray(values, dtype=float)

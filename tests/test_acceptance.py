@@ -23,7 +23,7 @@ from slub.coupled import (
     project_to_nodes,
 )
 from slub.diagnostics import stability_witness
-from slub.grids import Alignment, Field, build_grid, init_cell_averages, init_point_values
+from slub.grids import build_grid, init_cell_averages, init_point_values
 from slub.harness import convergence_table, resolve_grid, run_scheme, time_ladder
 from slub.problems import (
     exact_advection_linear_velocity,
@@ -34,7 +34,7 @@ from slub.problems import (
     ic_smooth_var,
     singular_points,
 )
-from slub.semi_lagrangian import advect_const_values, p1_interpolate
+from slub.semi_lagrangian import advect_const_values
 from slub.ultrabee import ub_flux_left, ub_flux_right, ub_step_values
 
 
@@ -46,10 +46,9 @@ def _half_spacing_interp_l1(problem_name: str, m: int) -> float:
     prob = get_problem(problem_name)
     dt, n = time_ladder(prob, m)
     g = resolve_grid(prob, 2 * m)
-    v = init_point_values(g, prob.ic).values
+    v = init_point_values(g, prob.ic)
     for _ in range(n):
-        f = Field(g, Alignment.NODE, v)
-        v = p1_interpolate(f, g.nodes - prob.c * dt)
+        v = np.interp(g.nodes - prob.c * dt, g.nodes, v)
     exact = prob.exact(g.nodes, n * dt)
     return float(g.dx * np.abs(np.asarray(v) - exact).sum())
 
@@ -73,7 +72,7 @@ def test_step_profiles_transport_exactly(record_criterion) -> None:
     g = build_grid(-2.0, 8.0, 100)  # box edges on interfaces, 20 cells of margin
     worst = 0.0
     for nu in (0.25, 0.5, 0.9, 1.0):
-        v = init_cell_averages(g, ic_jump).values
+        v = init_cell_averages(g, ic_jump)
         for _ in range(50):
             v = ub_step_values(v, nu)
         shift = 50.0 * nu * g.dx
@@ -284,7 +283,6 @@ def test_random_field_stability_witnesses(record_criterion) -> None:
             w_bar=rng.standard_normal(n_cells),
             owned=rng.random(n_cells) < 0.5,
             sigma=np.ones(v.size, dtype=np.int8),
-            sigma_prev=np.ones(v.size, dtype=np.int8),
         )
         slopes = np.abs(np.diff(v))
         scale = max(float(slopes.max()), 1e-3)

@@ -262,7 +262,7 @@ def test_init_coupled_state() -> None:
     np.testing.assert_array_equal(state.w, v)
     np.testing.assert_allclose(state.w_bar, project_to_cells(v))
     assert not state.owned.any()
-    np.testing.assert_array_equal(state.sigma, state.sigma_prev)
+    np.testing.assert_array_equal(state.sigma, classify_regularity(v, 1.0, LOOSE))
 
 
 def _counting(update):
@@ -338,7 +338,7 @@ def test_coupled_step_bookkeeping() -> None:
     sl = lambda u: advect_const_values(u, 0.5)
     ub = lambda u: ub_step_values(u, 0.5)
     out = coupled_step(state, 1.0, params, sl, ub)
-    np.testing.assert_array_equal(out.sigma_prev, state.sigma)
+    np.testing.assert_array_equal(out.sigma, classify_regularity(state.w, 1.0, params))
     np.testing.assert_array_equal(out.owned, active_cells(out.sigma))
     assert out.fresh_cell_count == np.count_nonzero(out.owned & ~state.owned)
     # the step hands back the node candidate and the cell source it used

@@ -1,4 +1,4 @@
-"""Grid construction, field containers, and initialization quadrature."""
+"""Grid construction, the CFL check, ghost cells, and initialization quadrature."""
 
 from __future__ import annotations
 
@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 from slub.grids import (
     Alignment,
-    Field,
     Grid1D,
     build_grid,
     check_cfl,
@@ -41,10 +40,9 @@ def test_grid_layout_invariants(a: float, width: float, m: int) -> None:
 def test_grid_accessors() -> None:
     g = build_grid(-2.0, 2.0, 4)
     assert g.dx == 1.0
-    assert g.n_nodes == 5 and g.n_cells == 4
     np.testing.assert_array_equal(g.nodes, [-2.0, -1.0, 0.0, 1.0, 2.0])
     np.testing.assert_array_equal(g.centers, [-1.5, -0.5, 0.5, 1.5])
-    assert g.size(Alignment.NODE) == 5 and g.size(Alignment.CELL) == 4
+    np.testing.assert_array_equal(g.coords(Alignment.NODE), g.nodes)
     np.testing.assert_array_equal(g.coords(Alignment.CELL), g.centers)
 
 
@@ -55,19 +53,6 @@ def test_grid_accessors() -> None:
 def test_grid_rejects_bad_arguments(a: float, b: float, m: int) -> None:
     with pytest.raises(ValueError):
         build_grid(a, b, m)
-
-
-def test_field_validates_shape_and_freezes_values() -> None:
-    g = build_grid(0.0, 1.0, 4)
-    f = Field(g, Alignment.NODE, np.arange(5.0))
-    assert not f.values.flags.writeable
-    with pytest.raises(ValueError):
-        Field(g, Alignment.NODE, np.arange(4.0))
-    with pytest.raises(ValueError):
-        Field(g, Alignment.CELL, np.array([0.0, 1.0, np.nan, 2.0]))
-    g2 = Field(g, Alignment.NODE, f.values + 1.0)
-    np.testing.assert_array_equal(g2.values, np.arange(5.0) + 1.0)
-    np.testing.assert_array_equal(f.coords, g.nodes)
 
 
 def test_check_cfl_names_worst_index() -> None:
@@ -142,14 +127,14 @@ def test_edge_pad_pads_the_last_axis_of_a_block() -> None:
 def test_init_point_values_samples_nodes() -> None:
     g = build_grid(-1.0, 1.0, 4)
     f = init_point_values(g, lambda x: x**2)
-    np.testing.assert_allclose(f.values, g.nodes**2)
-    assert f.alignment is Alignment.NODE
+    assert isinstance(f, np.ndarray) and f.dtype == np.float64
+    np.testing.assert_allclose(f, g.nodes**2)
 
 
 def test_init_point_values_accepts_scalar_only_callable() -> None:
     g = build_grid(0.0, 1.0, 4)
     f = init_point_values(g, lambda x: float(x) + 1.0)
-    np.testing.assert_allclose(f.values, g.nodes + 1.0)
+    np.testing.assert_allclose(f, g.nodes + 1.0)
 
 
 def test_init_cell_averages_exact_for_linear() -> None:
@@ -161,7 +146,7 @@ def test_init_cell_averages_exact_for_linear() -> None:
     ic.antiderivative = lambda x: x * x - x
     g = build_grid(-1.0, 3.0, 8)
     f = init_cell_averages(g, ic)
-    np.testing.assert_allclose(f.values, 2.0 * g.centers - 1.0, rtol=1e-14)
+    np.testing.assert_allclose(f, 2.0 * g.centers - 1.0, rtol=1e-14)
 
 
 def test_init_cell_averages_requires_an_antiderivative() -> None:
@@ -180,10 +165,17 @@ def test_init_cell_averages_prefers_attached_antiderivative() -> None:
     ic.antiderivative = lambda x: np.asarray(x, dtype=float)
     g = build_grid(0.0, 1.0, 5)
     f = init_cell_averages(g, ic)
-    np.testing.assert_allclose(f.values, 1.0, rtol=1e-15)
+    np.testing.assert_allclose(f, 1.0, rtol=1e-15)
 
 
 def test_init_rejects_nonfinite_profiles() -> None:
     g = build_grid(0.0, 1.0, 4)
     with pytest.raises(ValueError), np.errstate(invalid="ignore"):
         init_point_values(g, lambda x: np.asarray(x) * np.inf)
+
+    def ic(x):
+        return np.ones_like(np.asarray(x, dtype=float))
+
+    ic.antiderivative = lambda x: np.where(np.asarray(x) == 0.5, np.nan, x)
+    with pytest.raises(ValueError, match="non-finite cell averages"):
+        init_cell_averages(g, ic)

@@ -24,7 +24,7 @@ from slub.harness import (
     run_scheme,
     time_ladder,
 )
-from slub.problems import REGISTRY, get_problem, ic_mix
+from slub.problems import REGISTRY, ProblemSpec, get_problem, ic_mix
 
 
 # ---------------------------------------------------------------------------
@@ -198,16 +198,18 @@ def test_make_operators_rejects_unstable_step() -> None:
             make_operators(problem, g, dt * 3.0)
 
 
-def test_make_operators_rejects_a_nan_velocity_naming_its_node() -> None:
+def test_make_operators_rejects_a_nan_velocity_naming_its_node(monkeypatch) -> None:
     """An advection-var velocity that is NaN at one node fails the CFL
     check there, instead of passing (nan > 1 is False) into the run."""
+    velocity_values = ProblemSpec.velocity_values
 
-    def velocity(x):
-        c = 1.1 - np.asarray(x, dtype=float)
+    def with_a_nan(self, x):
+        c = velocity_values(self, x)
         c[7] = np.nan
         return c
 
-    problem = replace(get_problem("adv-var"), c=velocity)
+    monkeypatch.setattr(ProblemSpec, "velocity_values", with_a_nan)
+    problem = get_problem("adv-var")
     g = resolve_grid(problem, 19)
     dt, _ = time_ladder(problem, 19)
     with pytest.raises(ValueError, match=r"CFL violated at index 7: .* = nan is not finite"):
@@ -329,7 +331,7 @@ def _stepwise_diagnostics(name: str, scheme: str, m: int) -> tuple:
         return stability_witness(old, new, nu).max_violation
 
     if scheme == "coupled":
-        w0 = init_point_values(grid, problem.ic).values
+        w0 = init_point_values(grid, problem.ic)
         params = resolve_regularity(problem, w0, grid.dx)
         state = init_coupled_state(w0, grid.dx, params)
         tv, rows, values = [total_variation(state.w)], [], [state.w]
@@ -342,9 +344,9 @@ def _stepwise_diagnostics(name: str, scheme: str, m: int) -> tuple:
             state = out
         return np.array(rows), np.array(tv), np.array(values)
     if scheme == "sl":
-        v, update, nu = init_point_values(grid, problem.ic).values, ops.node_update, ops.nu_node
+        v, update, nu = init_point_values(grid, problem.ic), ops.node_update, ops.nu_node
     else:
-        v, update, nu = init_cell_averages(grid, problem.ic).values, ops.cell_update, ops.nu_cell
+        v, update, nu = init_cell_averages(grid, problem.ic), ops.cell_update, ops.nu_cell
     tv, rows, values = [total_variation(v)], [], [v]
     for _ in range(n_steps):
         new = update(v)
@@ -520,7 +522,7 @@ def test_run_result_params_resolve_from_the_initial_nodes(
     """Every scheme records the thresholds a coupled run would use."""
     problem = get_problem(name)
     grid = resolve_grid(problem, 39)
-    w0 = init_point_values(grid, problem.ic).values
+    w0 = init_point_values(grid, problem.ic)
     want = resolve_regularity(problem, w0, grid.dx, **overrides)
     assert run_scheme(problem, scheme, 39, **overrides).params == want
 

@@ -137,26 +137,41 @@ def test_hj_exact_equals_oracle_at_every_rung() -> None:
     """The closed-form hj-abs reference reproduces the Hopf-Lax oracle
     at the nodes of every ladder rung, at the final and a midway time."""
     p = get_problem("hj-abs")
-    speed = max(abs(p.f_min), abs(p.f_max))
     for m in p.m_ladder:
         nodes = resolve_grid(p, m).nodes
         dt, n = time_ladder(p, m)
         for t in (dt * n, dt * (n // 2)):
-            assert np.array_equal(p.exact(nodes, t), hopf_lax_oracle(p.ic, speed, nodes, t)), (m, t)
+            assert np.array_equal(p.exact(nodes, t), hopf_lax_oracle(p.ic, p.c, nodes, t)), (m, t)
 
 
-def test_hj_spec_needs_opposite_speed_bounds() -> None:
-    """The closed-form hj reference is the erosion ic(|x| + f_max*t),
-    which holds only for f_min = -f_max.  With f_min = 0, f_max = 1 it is
-    off by up to 0.73 at t = 0.5 from the Hopf-Lax minimum over
-    [x - t, x]."""
-    hj = get_problem("hj-abs")
-    for f_min, f_max in ((0.0, 1.0), (-1.0, 0.5), (1.0, -1.0), (None, 1.0), (-1.0, None)):
-        with pytest.raises(ValueError, match=r"f_min = -f_max <= 0.*got f_min="):
-            replace(hj, f_min=f_min, f_max=f_max)
-    faster = replace(hj, f_min=-2.0, f_max=2.0)
-    assert faster.exact(0.25, 0.25) == ic_smooth(0.75)
-    assert faster.exact(0.25, 0.25) == hopf_lax_oracle(ic_smooth, 2.0, 0.25, 0.25)
+_BAD_C = {
+    "hj-abs": ((None, math.nan, -1.0, -0.5, lambda x: 1.0),
+               r"real speed c >= 0 .*ic\(\|x\| \+ c\*t\)"),
+    "adv-var": ((1.0, 0.0, lambda x: 0.5 * (1.1 - x)),
+                r"-\(x - x_bar\) from x_bar.*closed-form"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_BAD_C))
+def test_spec_rejects_a_velocity_its_reference_does_not_cover(name: str) -> None:
+    """Each kind's closed-form reference covers one velocity law.  The hj
+    reference is the erosion ic(|x| + c*t), which needs a real speed
+    c >= 0.  The advection-var reference traces the contracting velocity
+    -(x - x_bar) back, so a c of its own would run a different law than
+    the one it is scored against: c(x) = 0.5*(1.1 - x) at m = 79 read an
+    l1 error of 0.249 under sl where the preset reads 0.039."""
+    p = get_problem(name)
+    cs, message = _BAD_C[name]
+    for c in cs:
+        with pytest.raises(ValueError, match=message + r".*got c="):
+            replace(p, c=c)
+    if p.kind == "hj":
+        faster = replace(p, c=2.0)
+        assert faster.exact(0.25, 0.25) == ic_smooth(0.75)
+        assert faster.exact(0.25, 0.25) == hopf_lax_oracle(ic_smooth, 2.0, 0.25, 0.25)
+    else:
+        x = np.linspace(p.a, p.b, 7)
+        assert np.array_equal(p.velocity_values(x), -(x - p.x_bar))
 
 
 def test_hopf_lax_oracle_validates_arguments() -> None:
@@ -182,7 +197,7 @@ def test_registry_contents() -> None:
     assert get_problem("adv-mix").nu == pytest.approx(1.0 / 12.0)
     assert get_problem("adv-var").x_bar == 1.1
     hj = get_problem("hj-abs")
-    assert (hj.f_min, hj.f_max) == (-1.0, 1.0)
+    assert hj.c == 1.0 and get_problem("adv-var").c is None
     with pytest.raises(ValueError, match="unknown problem"):
         get_problem("nope")
 
@@ -229,7 +244,7 @@ def test_singular_points_transport() -> None:
 
 def test_speed_bound() -> None:
     """The largest |velocity| on the grid nodes, which is what the CFL
-    check sees; hj problems have controls instead of a velocity."""
+    check sees; hj problems have a speed instead of a velocity."""
     for name, bound in (("adv-smooth", 1.0), ("adv-var", 1.1)):
         p = get_problem(name)
         speeds = p.velocity_values(resolve_grid(p, 40).nodes)
@@ -237,4 +252,4 @@ def test_speed_bound() -> None:
     hj = get_problem("hj-abs")
     with pytest.raises(ValueError, match="only applies to advection"):
         hj.velocity_values(resolve_grid(hj, 40).nodes)
-    assert max(abs(hj.f_min), abs(hj.f_max)) == 1.0
+    assert hj.c == 1.0

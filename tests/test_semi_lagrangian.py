@@ -11,10 +11,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from slub.grids import Alignment, Field, build_grid
+from slub.grids import build_grid, init_point_values
 from slub.harness import make_operators, resolve_grid, time_ladder
 from slub.problems import get_problem
-from slub.semi_lagrangian import advect_const_values, hj_update_values, p1_interpolate
+from slub.semi_lagrangian import advect_const_values, hj_update_values
 
 FIELDS = hnp.arrays(
     dtype=np.float64,
@@ -60,41 +60,29 @@ def test_advect_const_is_monotone_and_tvd(v: np.ndarray, nu: float) -> None:
 
 
 def test_sl_advection_step_wraps_field() -> None:
-    """The node kernel acts on a node field's values; the one remaining
-    Field entry point, p1_interpolate, refuses cell-aligned data."""
+    """The node kernel acts on the raw node field that
+    `init_point_values` samples, and leaves it unwritten."""
     g = build_grid(0.0, 1.0, 4)
-    f = Field(g, Alignment.NODE, np.array([0.0, 1.0, 0.0, 0.0, 0.0]))
-    out = advect_const_values(f.values, 0.5)
+    f = init_point_values(g, lambda x: np.where(x == 0.25, 1.0, 0.0))
+    out = advect_const_values(f, 0.5)
     np.testing.assert_allclose(out, [0.0, 0.5, 0.5, 0.0, 0.0])
-    cell_field = Field(g, Alignment.CELL, np.zeros(4))
-    with pytest.raises(ValueError, match="node-aligned"):
-        p1_interpolate(cell_field, 0.5)
+    np.testing.assert_array_equal(f, [0.0, 1.0, 0.0, 0.0, 0.0])
 
 
 def test_sl_advection_step_var_rejects_cfl_violation() -> None:
-    """A variable velocity of 10 on dx = 0.25 with dt = 1 is refused
-    when the node update is built."""
-    problem = replace(
-        get_problem("adv-var"), c=lambda x: np.full_like(np.asarray(x, dtype=float), 10.0)
-    )
+    """The adv-var velocity -(x - x_bar), of 10 to 11 on [0, 1] with
+    x_bar = 11, on dx = 0.25 with dt = 1 is refused when the node update
+    is built."""
+    problem = replace(get_problem("adv-var"), x_bar=11.0)
     with pytest.raises(ValueError, match="CFL"):
         make_operators(problem, build_grid(0.0, 1.0, 4), 1.0)
 
 
-def test_p1_interpolate_clamps_outside() -> None:
-    g = build_grid(0.0, 1.5, 3)
-    f = Field(g, Alignment.NODE, np.array([1.0, 3.0, 2.0, 4.0]))
-    assert p1_interpolate(f, 0.25) == pytest.approx(2.0)
-    assert p1_interpolate(f, -5.0) == 1.0
-    assert p1_interpolate(f, 5.0) == 4.0
-    np.testing.assert_allclose(p1_interpolate(f, np.array([0.0, 0.75])), [1.0, 2.5])
-
-
-def _brute_force_hj(v, nodes, f_min, f_max, dt):
+def _brute_force_hj(v, nodes, c, dt):
     """Minimum of the P1 interpolant over the feet x_j - a*dt of 201
-    controls a sampled uniformly on [f_min, f_max]."""
+    controls a sampled uniformly on [-c, c]."""
     best = np.full(v.shape, np.inf)
-    for a in np.linspace(f_min, f_max, 201):
+    for a in np.linspace(-c, c, 201):
         np.minimum(best, np.interp(nodes - a * dt, nodes, v), out=best)
     return best
 
@@ -111,26 +99,9 @@ def test_hj_update_matches_direct_minimization() -> None:
             v = rng.standard_normal(nodes.size)
             if trial % 3 == 0:
                 v[rng.random(nodes.size) < 0.5] = 0.0  # flat stretches and ties
-            out = hj_update_values(v, nodes, problem.f_min, problem.f_max, dt)
-            brute = _brute_force_hj(v, nodes, problem.f_min, problem.f_max, dt)
+            out = hj_update_values(v, nodes, problem.c * dt)
+            brute = _brute_force_hj(v, nodes, problem.c, dt)
             assert np.array_equal(out, brute), (m, trial)
-
-
-def test_hj_update_with_single_control_is_advection() -> None:
-    """f_min = f_max leaves one control; the Hopf-Lax update degenerates
-    to plain transport."""
-    g = build_grid(0.0, 1.0, 20)
-    v = np.sin(2 * np.pi * g.nodes)
-    dt = 0.02
-    for c in (0.7, -0.4, 0.0):
-        out = hj_update_values(v, g.nodes, c, c, dt)
-        np.testing.assert_allclose(out, advect_const_values(v, c * dt / g.dx), atol=1e-13)
-
-
-def test_hj_update_rejects_all_infeasible() -> None:
-    """f_min > f_max leaves no control."""
-    with pytest.raises(ValueError, match="f_min <= f_max"):
-        hj_update_values(np.zeros(4), np.arange(4.0), 1.0, -1.0, 0.1)
 
 
 @given(v=FIELDS)
@@ -139,7 +110,7 @@ def test_hj_update_never_exceeds_local_max(v: np.ndarray) -> None:
     """An erosion step with zero running cost can only decrease values
     and never dips below the window minimum."""
     nodes = np.arange(v.size, dtype=float)
-    out = hj_update_values(v, nodes, -1.0, 1.0, 0.5)
+    out = hj_update_values(v, nodes, 0.5)
     assert np.all(out <= v + 1e-12)
     assert np.all(out >= v.min() - 1e-12)
 
@@ -147,16 +118,15 @@ def test_hj_update_never_exceeds_local_max(v: np.ndarray) -> None:
 @given(
     v=FIELDS,
     bump=hnp.arrays(np.float64, 60, elements=st.floats(min_value=0.0, max_value=5.0)),
-    bounds=st.tuples(COURANTS, COURANTS),
+    r=st.floats(min_value=0.0, max_value=1.0),
 )
 @settings(max_examples=200, deadline=None)
-def test_hj_update_is_monotone_and_tvd(v: np.ndarray, bump: np.ndarray, bounds) -> None:
+def test_hj_update_is_monotone_and_tvd(v: np.ndarray, bump: np.ndarray, r: float) -> None:
     """Raising the data never lowers the update, and total variation
-    does not grow, for any control interval within one cell."""
-    f_min, f_max = sorted(bounds)
+    does not grow, for any control interval [-r, r] within one cell."""
     nodes = np.arange(v.size, dtype=float)
-    out = hj_update_values(v, nodes, f_min, f_max, 1.0)
-    higher = hj_update_values(v + bump[: v.size], nodes, f_min, f_max, 1.0)
+    out = hj_update_values(v, nodes, r)
+    higher = hj_update_values(v + bump[: v.size], nodes, r)
     assert np.all(higher >= out - 1e-12)
     tv = lambda u: np.sum(np.abs(np.diff(u)))
     assert tv(out) <= tv(v) + 1e-10 * (1.0 + tv(v))

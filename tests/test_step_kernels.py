@@ -145,7 +145,6 @@ def _old_coupled_step(state, dx, params, sl_update, ub_update):
         w_bar=new_bar,
         owned=act,
         sigma=sigma,
-        sigma_prev=state.sigma,
         fresh_cell_count=int(np.count_nonzero(act & ~state.owned)),
         node_candidate=new_w_nodes,
         cell_source=source,
@@ -288,14 +287,14 @@ def test_coupled_step_matches_its_np_where_form(
     owned = data.draw(hnp.arrays(np.bool_, n - 1))
     params = RegularityParams(*thresholds)
     sigma = classify_regularity(np.zeros(n), 1.0, params)
-    state = CoupledState(w=w, w_bar=w_bar, owned=owned, sigma=sigma, sigma_prev=sigma)
+    state = CoupledState(w=w, w_bar=w_bar, owned=owned, sigma=sigma)
     before = [a.tobytes() for a in (w, w_bar, owned, sigma)]
     sl = lambda u: advect_const_values(u, nu)
     ub = lambda u: ub_step_values(u, nu)
     with np.errstate(all="ignore"):
         new = coupled_step(state, 0.5, params, sl, ub)
         old = _old_coupled_step(state, 0.5, params, sl, ub)
-    for name in ("w", "w_bar", "owned", "sigma", "sigma_prev", "node_candidate", "cell_source"):
+    for name in ("w", "w_bar", "owned", "sigma", "node_candidate", "cell_source"):
         assert _bytes(getattr(new, name)) == _bytes(getattr(old, name)), name
     assert new.fresh_cell_count == old.fresh_cell_count
     assert [a.tobytes() for a in (w, w_bar, owned, sigma)] == before
@@ -320,16 +319,18 @@ def test_per_cell_ub_stepper_matches_the_earlier_kernel(v: np.ndarray, kind: str
     _assert_stepper_matches(ub_stepper(nus), lambda x: _old_ub_step_values(x, nus), v)
 
 
-@given(v=_values(), nu_lo=SCALAR_NU, nu_hi=SCALAR_NU)
+@given(v=_values(), nu=SCALAR_NU)
 @settings(max_examples=200, deadline=None)
 def test_two_velocity_stepper_is_the_minimum_of_two_earlier_kernels(
-    v: np.ndarray, nu_lo: float, nu_hi: float
+    v: np.ndarray, nu: float
 ) -> None:
-    """One padding, both updates, then np.minimum in the earlier order;
-    also for nu_lo = -nu_hi, the hj pair, and for -0.0."""
-    for lo, hi in ((nu_lo, nu_hi), (-abs(nu_hi), abs(nu_hi))):
-        old = lambda x: np.minimum(_old_ub_step_values(x, lo), _old_ub_step_values(x, hi))
-        _assert_stepper_matches(ub_min_stepper(lo, hi), old, v)
+    """One padding, the updates at -|nu| and |nu|, then np.minimum in
+    that order, as the checked one-call kernel and the earlier one give
+    it; for nu > 0, nu < 0 (the same pair) and nu = 0, -0.0 too."""
+    for n in (nu, -nu, 0.0, -0.0):
+        for kernel in (ub_step_values, _old_ub_step_values):
+            old = lambda x: np.minimum(kernel(x, -abs(n)), kernel(x, abs(n)))
+            _assert_stepper_matches(ub_min_stepper(n), old, v)
 
 
 @given(v=_values(), nu=SCALAR_NU)

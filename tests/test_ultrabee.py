@@ -10,7 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from slub.grids import Alignment, Field, build_grid, edge_pad, init_cell_averages
+from slub.grids import build_grid, edge_pad, init_cell_averages
 from slub.harness import make_operators
 from slub.problems import get_problem, ic_jump
 from slub.semi_lagrangian import advect_const_values
@@ -101,7 +101,7 @@ def test_step_transports_interface_aligned_jump_exactly() -> None:
     g = build_grid(-2.0, 4.0, 60)  # room downstream so the box stays interior
     nu = 0.7
     steps = 20
-    v = init_cell_averages(g, ic_jump).values
+    v = init_cell_averages(g, ic_jump)
     for _ in range(steps):
         v = ub_step_values(v, nu)
     shift = nu * steps * g.dx
@@ -204,14 +204,14 @@ def test_per_cell_step_matches_its_three_where_form(v: np.ndarray, signs: str, s
 
 def test_two_velocity_step_is_min_of_singles() -> None:
     """The hj cell update is the pointwise min of the two single-velocity
-    kernel calls, at Courant numbers f_min*dt/dx and f_max*dt/dx."""
+    kernel calls, at Courant numbers -c*dt/dx and c*dt/dx."""
     problem = get_problem("hj-abs")
     g = build_grid(-2.0, 2.0, 20)
     dt = 0.1
-    v = init_cell_averages(g, ic_jump).values
+    v = init_cell_averages(g, ic_jump)
     out = make_operators(problem, g, dt).cell_update(v)
-    lo = ub_step_values(v, problem.f_min * dt / g.dx)
-    hi = ub_step_values(v, problem.f_max * dt / g.dx)
+    lo = ub_step_values(v, -problem.c * dt / g.dx)
+    hi = ub_step_values(v, problem.c * dt / g.dx)
     np.testing.assert_array_equal(out, np.minimum(lo, hi))
 
 
@@ -229,8 +229,9 @@ class LimiterState:
     fell_back: bool = False
 
 
-def ub_flux_limited(field: Field, j: int, nu: float) -> tuple[float, LimiterState]:
-    """Limited-slope form of the interface flux right of cell j.
+def ub_flux_limited(values: np.ndarray, j: int, nu: float) -> tuple[float, LimiterState]:
+    """Limited-slope form of the interface flux right of cell j of the
+    cell averages `values`.
 
     Cross-validation reference for ub_flux_left: flux =
     u_j + ((1-nu)/phi)(u_{j+1} - u_j) with
@@ -238,11 +239,9 @@ def ub_flux_limited(field: Field, j: int, nu: float) -> tuple[float, LimiterStat
     The formula degenerates as r -> 0+ and on slope-sign changes; those
     cases fall back to the clamp-form flux and are flagged.
     """
-    if field.alignment is not Alignment.CELL:
-        raise ValueError("ub_flux_limited needs a cell-aligned field")
     if not (0.0 < nu < 1.0):
         raise ValueError(f"limited flux needs 0 < nu < 1, got {nu}")
-    v = edge_pad(field.values, 1)
+    v = edge_pad(np.asarray(values, dtype=float), 1)
     u_prev, u_cur, u_next = v[j], v[j + 1], v[j + 2]
     d_plus = u_next - u_cur
     if d_plus == 0.0:
@@ -264,9 +263,7 @@ def ub_flux_limited(field: Field, j: int, nu: float) -> tuple[float, LimiterStat
 def test_limited_flux_matches_clamp_form_on_monotone_data() -> None:
     """On the monotone triple (0, 1, 2) with nu = 1/2 the limited form
     gives 1 + (1/2)/phi with phi = 2/(1-nu)... = 1.125."""
-    g = build_grid(0.0, 1.0, 3)
-    f = Field(g, Alignment.CELL, np.array([0.0, 1.0, 2.0]))
-    flux, state = ub_flux_limited(f, 1, 0.5)
+    flux, state = ub_flux_limited(np.array([0.0, 1.0, 2.0]), 1, 0.5)
     assert flux == pytest.approx(1.125)
     assert not state.fell_back and state.r == pytest.approx(1.0)
     clamp = ub_flux_left(0.0, 1.0, 2.0, 0.5)
@@ -275,12 +272,11 @@ def test_limited_flux_matches_clamp_form_on_monotone_data() -> None:
 
 
 def test_limited_flux_flags_degenerate_cases() -> None:
-    g = build_grid(0.0, 1.0, 3)
     # flat downwind difference: r undefined, flux = cell value
-    flux, state = ub_flux_limited(Field(g, Alignment.CELL, np.array([0.0, 1.0, 1.0])), 1, 0.5)
+    flux, state = ub_flux_limited(np.array([0.0, 1.0, 1.0]), 1, 0.5)
     assert flux == 1.0 and state.phi == 0.0
     # slope-sign change: phi = 0, falls back to the clamp form
-    f = Field(g, Alignment.CELL, np.array([2.0, 1.0, 3.0]))
+    f = np.array([2.0, 1.0, 3.0])
     flux, state = ub_flux_limited(f, 1, 0.5)
     assert state.fell_back
     assert flux == ub_flux_left(2.0, 1.0, 3.0, 0.5)
@@ -293,9 +289,7 @@ def test_limited_flux_flags_degenerate_cases() -> None:
 def test_limited_flux_always_in_local_range(triple, nu: float) -> None:
     """Whether the limited formula or the fallback fires, the returned
     flux stays within the three-cell range."""
-    g = build_grid(0.0, 1.0, 3)
-    f = Field(g, Alignment.CELL, np.array(triple, dtype=float))
-    flux, state = ub_flux_limited(f, 1, nu)
+    flux, state = ub_flux_limited(np.array(triple, dtype=float), 1, nu)
     prev, cur, nxt = triple
     lo = min(cur, nxt) - 1e-12
     hi = max(cur, nxt) + 1e-12
