@@ -27,7 +27,7 @@ import numpy as np
 
 from .coupled import project_to_nodes
 from .grids import Alignment
-from .harness import LADDER_PRESETS, SCHEMES, convergence_table, run_scheme, time_ladder
+from .harness import SCHEMES, convergence_table, run_scheme, time_ladder
 # unused here, but benchmarks/tests/test_bench.py asserts it is harness's
 from .harness import resolve_grid
 from .problems import REGISTRY, get_problem, problem_names
@@ -231,16 +231,10 @@ def cmd_run(config: RunConfig) -> OutputBundle:
 def _parse_ladder(arg: Optional[str], problem) -> tuple:
     if arg is None:
         return tuple(problem.m_ladder)
-    if arg in LADDER_PRESETS:
-        return LADDER_PRESETS[arg]
     try:
-        ladder = tuple(int(s) for s in arg.split(","))
+        return tuple(int(s) for s in arg.split(","))
     except ValueError:
-        raise ValueError(
-            f"bad ladder {arg!r}: expected a preset name "
-            f"({', '.join(sorted(LADDER_PRESETS))}) or comma-separated m values"
-        ) from None
-    return ladder
+        raise ValueError(f"bad ladder {arg!r}: expected comma-separated m values") from None
 
 
 def cmd_convergence(
@@ -336,7 +330,7 @@ def build_parser() -> argparse.ArgumentParser:
     conv_p.add_argument("--problem", required=True)
     conv_p.add_argument("--scheme", required=True)
     conv_p.add_argument("--ladder", default=None,
-                        help="preset name (ex1..ex4) or comma-separated m list")
+                        help="comma-separated m list (default: the problem's own ladder)")
     conv_p.add_argument("--nu", type=float, default=None)
     conv_p.add_argument("--T", type=float, default=None)
     conv_p.add_argument("--out", default="runs")

@@ -111,14 +111,15 @@ def _bracket_violation(u_old, u_new, nu) -> np.ndarray:
     along the last axis (negative inside).  nu None brackets by
     u_old[j-1..j+1]; otherwise by u_old[j-1], u_old[j] where the signed
     Courant number (one, or one per entry) is >= 0 and by u_old[j],
-    u_old[j+1] where it is negative.  Each bound is one slice op over
-    the flat values; each row's first and last entry, whose flat
-    neighbour lies in another row, then take their ghost instead."""
+    u_old[j+1] where it is negative.  A negative nu reads the edge-padded
+    values; else each bound is one slice op over the flat values, and
+    each row's first and last entry, whose flat neighbour lies in
+    another row, then take their ghost instead."""
     old = np.ascontiguousarray(u_old, dtype=float)
     new = np.asarray(u_new, dtype=float)
     o = old.reshape(-1)
     pos = None if nu is None else np.asarray(nu, dtype=float) >= 0.0
-    if pos is not None and pos.any() and not pos.all():  # signs mixed
+    if pos is not None and not pos.all():  # some nu negative
         p = edge_pad(old, 1)
         other = np.where(pos, p[..., :-2], p[..., 2:])
     bounds = []
@@ -134,9 +135,6 @@ def _bracket_violation(u_old, u_new, nu) -> np.ndarray:
         elif pos.all():  # op(old, left)
             op(o[1:], o[:-1], out=f[1:])
             b[..., 0] = old[..., 0]
-        elif not pos.any():  # op(old, right)
-            op(o[:-1], o[1:], out=f[:-1])
-            b[..., -1] = old[..., -1]
         else:
             op(old, other, out=b)
         bounds.append(b)

@@ -2,8 +2,8 @@
 
 Every registered problem fixes a target Courant number, a horizon, and
 a grid ladder.  The time step is derived from the grid (dt0 =
-nu*dx/speed_scale, then rounded down so the horizon is an exact
-multiple), which is what keeps refinement ladders at constant nu.
+nu*dx/speed, see `time_ladder`, then rounded down so the horizon is an
+exact multiple), which is what keeps refinement ladders at constant nu.
 Drivers return a RunResult bundling the final field, error norms, the
 TV trace, and the per-step stability witnesses; coupled runs also keep
 the full indicator history.
@@ -49,7 +49,6 @@ from .diagnostics import (
 
 __all__ = [
     "SCHEMES",
-    "LADDER_PRESETS",
     "MAX_STEPS",
     "resolve_grid",
     "time_ladder",
@@ -65,14 +64,6 @@ __all__ = [
 
 SCHEMES = ("sl", "ub", "coupled")
 
-# named grid ladders matching the benchmark write-ups
-LADDER_PRESETS = {
-    "ex1": (19, 39, 79, 159, 319, 639),
-    "ex2": (100, 200, 400, 800, 1600),
-    "ex3": (19, 39, 79, 159, 319, 639),
-    "ex4": (19, 39, 79, 159, 319, 639),
-}
-
 # Largest step count a run may take; a tinier nu or a longer horizon is
 # rejected by `time_ladder` instead of looping for ever.
 MAX_STEPS = 10_000_000
@@ -86,12 +77,13 @@ _SUPPORT_PAD = 0.5
 
 
 def resolve_grid(problem: ProblemSpec, m: int) -> Grid1D:
-    """Grid for a ladder entry, extended downstream when the transported
-    support (`ProblemSpec.support_t0`) would leave the stated window.
+    """Grid for a ladder entry, extended on each side that the
+    transported support (`ProblemSpec.support_t0` moved by c*T) would
+    leave the stated window.
 
-    Extension keeps dx and adds whole cells past the final support
-    (plus a smearing margin), so ladder spacings stay comparable across
-    problems with and without extension.
+    Extension keeps dx and adds the whole cells that the final support,
+    plus a smearing margin, needs on that side, so ladder spacings stay
+    comparable across problems with and without extension.
     """
     grid = build_grid(problem.a, problem.b, m)
     if problem.support_t0 is None or problem.kind != "advection-const":
@@ -99,20 +91,18 @@ def resolve_grid(problem: ProblemSpec, m: int) -> Grid1D:
     a, b, dx = grid.a, grid.b, grid.dx
     shift = problem.c * problem.T
     lo, hi = problem.support_t0
-    if shift > 0:
-        extra = max(0, math.ceil((hi + shift + _SUPPORT_PAD - b) / dx - 1e-12))
-        return build_grid(a, b + extra * dx, m + extra)
-    if shift < 0:
-        extra = max(0, math.ceil((a - (lo + shift - _SUPPORT_PAD)) / dx - 1e-12))
-        return build_grid(a - extra * dx, b, m + extra)
-    return grid
+    right = max(0, math.ceil(((hi + shift) + _SUPPORT_PAD - b) / dx - 1e-12))
+    left = max(0, math.ceil((a - ((lo + shift) - _SUPPORT_PAD)) / dx - 1e-12))
+    return build_grid(a - left * dx, b + right * dx, m + left + right)
 
 
 def time_ladder(problem: ProblemSpec, m: int) -> tuple[float, int]:
     """(dt, n_steps) for a ladder entry.
 
-    dt0 = nu*dx/speed_scale, shrunk to dt = T/n with
-    n = ceil(T/dt0) so the run lands exactly on the horizon.
+    dt0 = nu*dx/speed, with speed |c| (1 for "advection-var", the unit
+    rate of -(x - x_bar)), shrunk to dt = T/n with n = ceil(T/dt0) so
+    the run lands exactly on the horizon.  A spec at rest (c = 0) has no
+    CFL bound and takes one step of length T.
 
     Raises
     ------
@@ -126,7 +116,8 @@ def time_ladder(problem: ProblemSpec, m: int) -> tuple[float, int]:
     if not (math.isfinite(problem.T) and problem.T > 0.0):
         raise ValueError(f"T must be finite and positive, got {problem.T}")
     dx = build_grid(problem.a, problem.b, m).dx  # rejects m < 3 and a >= b
-    dt0 = problem.nu * dx / problem.speed_scale
+    speed = 1.0 if problem.kind == "advection-var" else abs(problem.c)
+    dt0 = problem.nu * dx / speed if speed > 0.0 else problem.T
     steps = problem.T / dt0 if dt0 > 0.0 else math.inf
     if steps - 1e-12 > MAX_STEPS:
         raise ValueError(
@@ -176,12 +167,13 @@ class StepOperators:
 
 
 def make_operators(problem: ProblemSpec, grid: Grid1D, dt: float) -> StepOperators:
-    """Per-step update maps for `problem` on `grid` with step `dt`.
+    """Per-step update maps for `problem` on `grid` with step `dt`, one
+    branch per kind (`ProblemSpec` checked the kind when it was built).
 
     Raises
     ------
     ValueError
-        On a CFL violation, or an unknown problem kind.
+        On a CFL violation.
     """
     dx = grid.dx
     if problem.kind == "advection-const":
@@ -213,16 +205,14 @@ def make_operators(problem: ProblemSpec, grid: Grid1D, dt: float) -> StepOperato
             nu_node=nu_node,
             nu_cell=nu_cell,
         )
-    if problem.kind == "hj":
-        r = float(problem.c) * dt
-        nodes = grid.nodes
-        return StepOperators(
-            node_update=lambda v, out=None: hj_update_values(v, nodes, r, out),
-            cell_update=ub_min_stepper(r / dx),
-            nu_node=None,
-            nu_cell=None,
-        )
-    raise ValueError(f"unknown problem kind {problem.kind!r}")
+    r = float(problem.c) * dt  # hj
+    nodes = grid.nodes
+    return StepOperators(
+        node_update=lambda v, out=None: hj_update_values(v, nodes, r, out),
+        cell_update=ub_min_stepper(r / dx),
+        nu_node=None,
+        nu_cell=None,
+    )
 
 
 @dataclass(frozen=True)
@@ -523,7 +513,6 @@ def convergence_table(
     problem,
     scheme: str,
     ms: Optional[Sequence[int]] = None,
-    **run_kwargs,
 ) -> ConvergenceTable:
     """Run a refinement ladder and collect error rows plus orders."""
     if isinstance(problem, str):
@@ -534,7 +523,7 @@ def convergence_table(
     has_reg = singular_points(problem, problem.T).size > 0
     rows = []
     for m in ladder:
-        res = run_scheme(problem, scheme, int(m), **run_kwargs)
+        res = run_scheme(problem, scheme, int(m))
         rows.append(
             ConvergenceRow(
                 m=int(m),

@@ -208,21 +208,31 @@ def hopf_lax_oracle(ic, c: float, x, t: float, n_samples: int = 2001):
 # problem registry
 
 
+# kind -> (the law parameter it reads, what it is, the law, its closed-form reference)
+_LAWS = {
+    "advection-const": ("c", "speed", "constant velocity", "ic(x - c*t)"),
+    "advection-var": ("x_bar", "centre", "velocity -(x - x_bar)", "ic(x_bar + (x - x_bar)*e^t)"),
+    "hj": ("c", "speed", "erosion speed", "the erosion ic(|x| + c*t)"),
+}
+
+
 @dataclass(frozen=True)
 class ProblemSpec:
     """A benchmark problem plus its run presets.
 
-    kind is one of "advection-const", "advection-var", "hj".
-    For "advection-const", velocity is the constant c; for
-    "advection-var" it is -(x - x_bar), and c must stay None; "hj"
-    solves the erosion v_t + |c v_x| = 0 with a real speed c >= 0.
-    These are the laws the closed-form references cover; any other c
-    on an "advection-var" or "hj" spec is rejected.
+    kind is one of "advection-const", "advection-var", "hj"; each has one
+    law, the one its closed-form reference covers, read from one
+    parameter: the constant velocity c, the velocity -(x - x_bar), or
+    the erosion v_t + |c v_x| = 0 at speed c.  That parameter must be a
+    finite real number (c >= 0 for "hj") and the other one None; a spec
+    that breaks this is rejected with a ValueError when it is built.
+    The time step scales with |c|, 1 for "advection-var" (see
+    `slub.harness.time_ladder`).
     delta_factor / flat_frac scale the switching-indicator thresholds
     relative to the initial maximum slope.  support_t0, when set, is the
     (lo, hi) support of the initial profile; `slub.harness.resolve_grid`
-    then extends an "advection-const" domain downstream, so the
-    transported support stays on the grid.
+    then extends an "advection-const" domain on each side the
+    transported support would leave.
     """
 
     name: str
@@ -233,7 +243,6 @@ class ProblemSpec:
     T: float
     nu: float
     m_ladder: tuple
-    speed_scale: float
     c: Optional[float] = None
     x_bar: Optional[float] = None
     delta_factor: float = 1.05
@@ -243,16 +252,20 @@ class ProblemSpec:
     sing_points_t0: tuple = ()
 
     def __post_init__(self) -> None:
-        if self.kind == "advection-var" and self.c is not None:
-            raise ValueError(
-                "an advection-var problem takes its velocity -(x - x_bar) from x_bar, "
-                f"the one law its closed-form reference covers; got c={self.c!r}"
-            )
-        if self.kind == "hj" and not (isinstance(self.c, numbers.Real) and self.c >= 0.0):
-            raise ValueError(
-                "an hj problem needs a real speed c >= 0 (its reference is the erosion "
-                f"ic(|x| + c*t)), got c={self.c!r}"
-            )
+        if self.kind not in _LAWS:
+            raise ValueError(f"unknown problem kind {self.kind!r}; choose from {tuple(_LAWS)}")
+        reads, what, law, reference = _LAWS[self.kind]
+        value = getattr(self, reads)
+        bound = " >= 0" if self.kind == "hj" else ""
+        if not (isinstance(value, numbers.Real) and math.isfinite(value)
+                and (not bound or value >= 0.0)):
+            raise ValueError(f"an {self.kind} problem needs a finite real {what} {reads}{bound} "
+                             f"(its reference is {reference}), got {reads}={value!r}")
+        unread = "x_bar" if reads == "c" else "c"
+        stray = getattr(self, unread)
+        if stray is not None:
+            raise ValueError(f"an {self.kind} problem takes its {law} from {reads} alone, the one "
+                             f"law its closed-form reference covers; got {unread}={stray!r}")
 
     def exact(self, x, t: float):
         """Reference solution at time t (vectorized in x).
@@ -268,11 +281,9 @@ class ProblemSpec:
             return exact_advection_const(self.ic, self.c, x, t)
         if self.kind == "advection-var":
             return exact_advection_linear_velocity(self.ic, self.x_bar, x, t)
-        if self.kind == "hj":
-            r = self.c * t
-            x = np.asarray(x, dtype=float)
-            return _dispatch(x, np.asarray(self.ic(np.abs(x) + r), dtype=float))
-        raise ValueError(f"unknown problem kind {self.kind!r}")
+        r = self.c * t  # hj
+        x = np.asarray(x, dtype=float)
+        return _dispatch(x, np.asarray(self.ic(np.abs(x) + r), dtype=float))
 
     def exact_antiderivative(self, x, t: float):
         """Antiderivative in x of the reference solution at time t.
@@ -289,15 +300,13 @@ class ProblemSpec:
             return _dispatch(
                 x, np.asarray(F(self.x_bar + (x - self.x_bar) * lam), dtype=float) / lam
             )
-        if self.kind == "hj":
-            # erosion of an even unimodal profile: v(x,t) = ic(|x| + r),
-            # integrated piecewise on each side of the kink at 0
-            r = self.c * t
-            Fp = np.asarray(F(x + r), dtype=float)
-            Fm = np.asarray(F(r - x), dtype=float)
-            F0 = float(F(np.asarray(r, dtype=float)))
-            return _dispatch(x, np.where(x >= 0.0, Fp, 2.0 * F0 - Fm))
-        raise ValueError(f"unknown problem kind {self.kind!r}")
+        # hj, the erosion of an even unimodal profile: v(x,t) = ic(|x| + r),
+        # integrated piecewise on each side of the kink at 0
+        r = self.c * t
+        Fp = np.asarray(F(x + r), dtype=float)
+        Fm = np.asarray(F(r - x), dtype=float)
+        F0 = float(F(np.asarray(r, dtype=float)))
+        return _dispatch(x, np.where(x >= 0.0, Fp, 2.0 * F0 - Fm))
 
     def velocity_values(self, x: np.ndarray) -> np.ndarray:
         """Velocity sampled at positions x (constant kinds broadcast)."""
@@ -323,8 +332,8 @@ def singular_points(problem: ProblemSpec, t: float) -> np.ndarray:
 
 _LADDER_A = (19, 39, 79, 159, 319, 639)
 
-REGISTRY = {
-    "adv-smooth": ProblemSpec(
+REGISTRY = {p.name: p for p in (
+    ProblemSpec(
         name="adv-smooth",
         kind="advection-const",
         ic=ic_smooth,
@@ -333,13 +342,12 @@ REGISTRY = {
         T=2.0,
         nu=0.9,
         m_ladder=_LADDER_A,
-        speed_scale=1.0,
         c=1.0,
         delta_factor=1.05,
         flat_frac=0.25,
         support_t0=(-1.0, 1.0),
     ),
-    "adv-jump": ProblemSpec(
+    ProblemSpec(
         name="adv-jump",
         kind="advection-const",
         ic=ic_jump,
@@ -348,7 +356,6 @@ REGISTRY = {
         T=2.0,
         nu=0.9,
         m_ladder=_LADDER_A,
-        speed_scale=1.0,
         c=1.0,
         delta_factor=0.3,
         flat_frac=0.12,
@@ -356,7 +363,7 @@ REGISTRY = {
         support_t0=(-1.0, 1.0),
         sing_points_t0=(-1.0, 1.0),
     ),
-    "adv-mix": ProblemSpec(
+    ProblemSpec(
         name="adv-mix",
         kind="advection-const",
         ic=ic_mix,
@@ -365,14 +372,13 @@ REGISTRY = {
         T=6.0,
         nu=1.0 / 12.0,
         m_ladder=(100, 200, 400, 800, 1600),
-        speed_scale=0.1,
         c=0.1,
         delta_factor=0.3,
         flat_frac=0.12,
         guard=3,
         sing_points_t0=(-4.0, -3.0, -2.0, 2.0, 3.0),
     ),
-    "adv-var": ProblemSpec(
+    ProblemSpec(
         name="adv-var",
         kind="advection-var",
         ic=ic_smooth_var,
@@ -381,12 +387,11 @@ REGISTRY = {
         T=1.0,
         nu=0.6,
         m_ladder=_LADDER_A,
-        speed_scale=1.0,
         x_bar=1.1,
         delta_factor=3.0,
         flat_frac=0.5,
     ),
-    "hj-abs": ProblemSpec(
+    ProblemSpec(
         name="hj-abs",
         kind="hj",
         ic=ic_smooth,
@@ -395,13 +400,12 @@ REGISTRY = {
         T=0.5,
         nu=0.6,
         m_ladder=_LADDER_A,
-        speed_scale=1.0,
         c=1.0,
         delta_factor=1.05,
         flat_frac=0.75,
         sing_points_t0=(0.0,),
     ),
-}
+)}
 
 
 def get_problem(name: str) -> ProblemSpec:

@@ -290,9 +290,9 @@ def test_parser_accepts_documented_flags() -> None:
     assert args.command == "run"
     assert args.snapshots == "0,3"
     conv = parser.parse_args(
-        ["convergence", "--problem", "adv-jump", "--scheme", "ub", "--ladder", "ex1"]
+        ["convergence", "--problem", "adv-jump", "--scheme", "ub", "--ladder", "19,39"]
     )
-    assert conv.ladder == "ex1"
+    assert conv.ladder == "19,39"
     cmp_args = parser.parse_args(["compare", "--problem", "hj-abs", "--m", "39"])
     assert cmp_args.scheme == "sl,ub,coupled"
 
@@ -319,6 +319,18 @@ def test_main_bad_ladder_exits_nonzero(tmp_path: Path, capsys) -> None:
     )
     assert code == 1
     assert "bad ladder" in capsys.readouterr().err
+
+
+def test_main_ladder_takes_no_preset_name(tmp_path: Path, capsys) -> None:
+    """A ladder is a comma list of m values; a problem's own ladder is
+    the default, so no name stands for one."""
+    code = main(
+        ["convergence", "--problem", "adv-smooth", "--scheme", "sl",
+         "--ladder", "ex1", "--out", str(tmp_path)]
+    )
+    assert code == 1
+    assert capsys.readouterr().err.startswith("error: bad ladder 'ex1'")
+    assert not any(tmp_path.iterdir())
 
 
 def test_main_bad_snapshots_exits_nonzero(tmp_path: Path, capsys) -> None:

@@ -13,7 +13,6 @@ from slub.coupled import coupled_step, init_coupled_state
 from slub.diagnostics import stability_witness, total_variation
 from slub.grids import Alignment, build_grid, init_cell_averages, init_point_values
 from slub.harness import (
-    LADDER_PRESETS,
     MAX_STEPS,
     SCHEMES,
     ConvergenceTable,
@@ -31,11 +30,7 @@ from slub.problems import REGISTRY, ProblemSpec, get_problem, ic_mix
 # grid and time resolution
 
 
-def test_ladder_presets_cover_known_studies() -> None:
-    assert LADDER_PRESETS["ex1"] == (19, 39, 79, 159, 319, 639)
-    assert LADDER_PRESETS["ex2"] == (100, 200, 400, 800, 1600)
-    assert LADDER_PRESETS["ex3"] == (19, 39, 79, 159, 319, 639)
-    assert LADDER_PRESETS["ex4"] == (19, 39, 79, 159, 319, 639)
+def test_schemes_are_the_three_known_ones() -> None:
     assert SCHEMES == ("sl", "ub", "coupled")
 
 
@@ -124,6 +119,15 @@ def test_resolve_grid_extends_upstream_for_a_negative_velocity() -> None:
     g = resolve_grid(problem, 79)
     mirrored = resolve_grid(get_problem("adv-jump"), 79)
     assert (g.a, g.b, g.m) == (-mirrored.b, problem.b, mirrored.m)
+
+
+def test_resolve_grid_extends_each_side_the_support_leaves() -> None:
+    """One rule for both sides: a support wider than the window at rest
+    grows the grid by the same whole cells on each side."""
+    problem = replace(get_problem("adv-jump"), c=0.0, support_t0=(-2.0, 2.0))
+    g = resolve_grid(problem, 80)  # dx = 0.05, so the pad of 0.5 takes 10 cells a side
+    assert (g.a, g.b, g.m) == (-2.0 - 10 * 0.05, 2.0 + 10 * 0.05, 100)
+    assert g.dx == pytest.approx(0.05)
 
 
 def test_resolve_grid_keeps_bounded_domains() -> None:
@@ -303,10 +307,29 @@ def test_coupled_run_calls_node_update_once_per_step(monkeypatch) -> None:
 def test_time_ladder_step_cap_is_inclusive() -> None:
     """A horizon of exactly MAX_STEPS steps is allowed, one more is not."""
     problem = get_problem("adv-smooth")
-    dt0 = problem.nu * (problem.b - problem.a) / 19 / problem.speed_scale
+    dt0 = problem.nu * (problem.b - problem.a) / 19 / abs(problem.c)
     assert time_ladder(replace(problem, T=MAX_STEPS * dt0), 19)[1] == MAX_STEPS
     with pytest.raises(ValueError, match="MAX_STEPS"):
         time_ladder(replace(problem, T=(MAX_STEPS + 1) * dt0), 19)
+
+
+@pytest.mark.parametrize("name", ["adv-smooth", "adv-mix", "hj-abs"])
+def test_time_step_scales_with_the_speed(name: str) -> None:
+    """The step is nu*dx/|c|: twice the speed runs at the preset Courant
+    number on about twice the steps, and a spec at rest has no CFL bound and
+    takes one step of length T, which leaves sl and ub unchanged."""
+    problem = get_problem(name)
+    dx = build_grid(problem.a, problem.b, 79).dx
+    fast = replace(problem, c=2 * problem.c)
+    assert time_ladder(fast, 79)[0] <= problem.nu * dx / (2 * abs(problem.c))
+    for scheme in SCHEMES:
+        assert run_scheme(fast, scheme, 79).witness_max <= 1e-12
+    rest = replace(problem, c=0.0)
+    assert time_ladder(rest, 79) == (problem.T, 1)
+    for scheme in ("sl", "ub"):
+        res = run_scheme(rest, scheme, 79, snapshot_steps=(0,))
+        assert res.n_steps == 1
+        assert np.array_equal(res.values, res.snapshots[0])
 
 
 @pytest.mark.parametrize("scheme", SCHEMES)

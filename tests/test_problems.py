@@ -144,34 +144,59 @@ def test_hj_exact_equals_oracle_at_every_rung() -> None:
             assert np.array_equal(p.exact(nodes, t), hopf_lax_oracle(p.ic, p.c, nodes, t)), (m, t)
 
 
+# per problem: the values of c it rejects and the message they raise,
+# then the same for x_bar
 _BAD_C = {
-    "hj-abs": ((None, math.nan, -1.0, -0.5, lambda x: 1.0),
+    "adv-smooth": ((None, math.nan, math.inf, lambda x: 1.0, "1"),
+                   r"finite real speed c .*ic\(x - c\*t\)"),
+    "hj-abs": ((None, math.nan, math.inf, -1.0, -0.5, lambda x: 1.0),
                r"real speed c >= 0 .*ic\(\|x\| \+ c\*t\)"),
     "adv-var": ((1.0, 0.0, lambda x: 0.5 * (1.1 - x)),
                 r"-\(x - x_bar\) from x_bar.*closed-form"),
+}
+_BAD_X_BAR = {
+    "adv-smooth": ((0.5, 0.0), r"constant velocity from c alone.*closed-form"),
+    "hj-abs": ((0.5, 0.0), r"erosion speed from c alone.*closed-form"),
+    "adv-var": ((None, math.nan, math.inf, "1.1"),
+                r"finite real centre x_bar .*ic\(x_bar \+ \(x - x_bar\)\*e\^t\)"),
 }
 
 
 @pytest.mark.parametrize("name", sorted(_BAD_C))
 def test_spec_rejects_a_velocity_its_reference_does_not_cover(name: str) -> None:
-    """Each kind's closed-form reference covers one velocity law.  The hj
-    reference is the erosion ic(|x| + c*t), which needs a real speed
-    c >= 0.  The advection-var reference traces the contracting velocity
+    """Each kind's closed-form reference covers one velocity law, read
+    from one parameter, and a spec is checked when it is built.  The hj
+    reference is the erosion ic(|x| + c*t), which needs a finite real
+    speed c >= 0, and an advection-const one a finite real c; a c of None
+    or inf otherwise failed later, in `resolve_grid` or `time_ladder`.
+    The advection-var reference traces the contracting velocity
     -(x - x_bar) back, so a c of its own would run a different law than
     the one it is scored against: c(x) = 0.5*(1.1 - x) at m = 79 read an
-    l1 error of 0.249 under sl where the preset reads 0.039."""
+    l1 error of 0.249 under sl where the preset reads 0.039.  The same
+    holds for an x_bar on the kinds that do not read it."""
     p = get_problem(name)
-    cs, message = _BAD_C[name]
-    for c in cs:
-        with pytest.raises(ValueError, match=message + r".*got c="):
-            replace(p, c=c)
+    for field, bad in (("c", _BAD_C), ("x_bar", _BAD_X_BAR)):
+        values, message = bad[name]
+        for value in values:
+            with pytest.raises(ValueError, match=message + rf".*got {field}="):
+                replace(p, **{field: value})
     if p.kind == "hj":
         faster = replace(p, c=2.0)
         assert faster.exact(0.25, 0.25) == ic_smooth(0.75)
         assert faster.exact(0.25, 0.25) == hopf_lax_oracle(ic_smooth, 2.0, 0.25, 0.25)
-    else:
+    elif p.kind == "advection-var":
         x = np.linspace(p.a, p.b, 7)
         assert np.array_equal(p.velocity_values(x), -(x - p.x_bar))
+    else:  # any finite real c, of either sign
+        x = np.linspace(p.a, p.b, 7)
+        assert np.array_equal(replace(p, c=-2.0).velocity_values(x), np.full(7, -2.0))
+
+
+def test_spec_rejects_an_unknown_kind() -> None:
+    """A misspelt kind fails when the spec is built, not once a run
+    reaches the first branch on it."""
+    with pytest.raises(ValueError, match=r"unknown problem kind 'advection'; choose from"):
+        replace(get_problem("adv-smooth"), kind="advection")
 
 
 def test_hopf_lax_oracle_validates_arguments() -> None:

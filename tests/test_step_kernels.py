@@ -15,7 +15,9 @@ signed zeros and overflowing magnitudes:
 The prepared steppers (`ub_stepper`, `ub_min_stepper`,
 `advect_const_stepper` and those of `make_operators`) are held to the
 same, called as a run calls them: into one row of a block, given
-another row of it, and writing no entry outside the row.
+another row of it, and writing no entry outside the row.  The witness
+bracket of a negative nu is held to the bytes of its earlier
+right-neighbour form.
 """
 
 from __future__ import annotations
@@ -37,6 +39,7 @@ from slub.coupled import (
     project_to_cells,
     project_to_nodes,
 )
+from slub.diagnostics import _bracket_violation
 from slub.grids import build_grid
 from slub.harness import make_operators, time_ladder
 from slub.problems import REGISTRY, get_problem
@@ -149,6 +152,24 @@ def _old_coupled_step(state, dx, params, sl_update, ub_update):
         node_candidate=new_w_nodes,
         cell_source=source,
     )
+
+
+def _old_right_bracket_violation(u_old, u_new):
+    """The witness bracket of a negative nu everywhere, by u_old[j] and
+    u_old[j+1]: one slice op per bound over the flat values, and each
+    row's last entry bracketed by its own value."""
+    old = np.ascontiguousarray(u_old, dtype=float)
+    new = np.asarray(u_new, dtype=float)
+    o = old.reshape(-1)
+    bounds = []
+    for op in (np.minimum, np.maximum):
+        b = np.empty_like(old)
+        op(o[:-1], o[1:], out=b.reshape(-1)[:-1])
+        b[..., -1] = old[..., -1]
+        bounds.append(b)
+    lo, hi = bounds
+    np.subtract(lo, new, out=lo)
+    return np.maximum(lo, np.subtract(new, hi, out=hi), out=lo)
 
 
 # ---------------------------------------------------------------------------
@@ -298,6 +319,33 @@ def test_coupled_step_matches_its_np_where_form(
         assert _bytes(getattr(new, name)) == _bytes(getattr(old, name)), name
     assert new.fresh_cell_count == old.fresh_cell_count
     assert [a.tobytes() for a in (w, w_bar, owned, sigma)] == before
+
+
+NEGATIVE_NU = st.sampled_from([-1e-15, -0.5, -1.0]) | st.floats(min_value=-1.0, max_value=-5e-324)
+
+
+@given(
+    block=hnp.arrays(np.float64, st.tuples(st.integers(1, 4), st.integers(1, 12)),
+                     elements=LATTICE),
+    nu=NEGATIVE_NU,
+    data=st.data(),
+)
+@settings(max_examples=200, deadline=None)
+def test_negative_nu_bracket_matches_the_right_neighbour_form(block, nu: float, data) -> None:
+    """A negative nu, one scalar or one per entry, takes the edge-padded
+    bracket of mixed signs, and gives the bytes of the right-neighbour
+    bracket, each row's last entry included; u_old is left unwritten."""
+    new = data.draw(hnp.arrays(np.float64, block.shape, elements=LATTICE))
+    per_entry = data.draw(hnp.arrays(np.float64, block.shape[-1], elements=NEGATIVE_NU))
+    old_bytes = block.tobytes()
+    for nus in (nu, per_entry):
+        assert (_outcome(_bracket_violation, block, new, nus)
+                == _outcome(_old_right_bracket_violation, block, new))
+        with np.errstate(all="ignore"):
+            last = _bracket_violation(block, new, nus)[:, -1]
+            own = np.maximum(block[:, -1] - new[:, -1], new[:, -1] - block[:, -1])
+        assert _bytes(last) == _bytes(own)
+    assert block.tobytes() == old_bytes
 
 
 # ---------------------------------------------------------------------------
