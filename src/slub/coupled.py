@@ -73,9 +73,8 @@ def backward_slopes(values: np.ndarray, dx: float) -> np.ndarray:
     return s
 
 
-def classify_regularity(
-    values: np.ndarray, dx: float, params: RegularityParams
-) -> np.ndarray:
+def classify_regularity(values: np.ndarray, dx: float, params: RegularityParams,
+                        out: Optional[np.ndarray] = None) -> np.ndarray:
     """Per-node indicator (int8): 1 where the profile is locally regular.
 
     Node j is regular when its backward slope is below delta in
@@ -84,16 +83,21 @@ def classify_regularity(
     are flat (magnitude <= flat_tol).  Requiring both keeps a large
     slope next to an exactly flat one incompatible, which is what flags
     a kink sitting inside a cell: its straddling slope vanishes while
-    the flanks stay steep.  A guard g > 0 marks irregular every node
-    within g of an irregular one, by 2*g shifted in-place ANDs.
+    the flanks stay steep.  Signs are compared by `np.sign`, which,
+    unlike a product of slopes, no magnitude underflows.  A guard g > 0
+    marks irregular every node within g of an irregular one, by 2*g
+    shifted in-place ANDs.  The flags go into `out` (int8, fresh when
+    None).
     """
     s = backward_slopes(values, dx)
     mag = np.abs(s)
     flat = mag <= params.flat_tol
+    sigma = np.less(mag[:-1], params.delta, out=None if out is None else out.view(bool))
     # pair k couples slopes s_k and s_{k+1}; node j needs pairs j-1, j
     compat = flat[:-1] & flat[1:]
-    compat |= s[:-1] * s[1:] > 0.0
-    sigma = mag[:-1] < params.delta
+    # equal signs: both strictly one sign, or both 0 and so already flat
+    np.sign(s, out=s)
+    compat |= s[:-1] == s[1:]
     sigma &= compat
     sigma[1:] &= compat[:-1]
     if params.guard > 0 and not sigma.all():
@@ -104,26 +108,29 @@ def classify_regularity(
     return sigma.view(np.int8)
 
 
-def active_cells(sigma: np.ndarray) -> np.ndarray:
+def active_cells(sigma: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
     """Cells adjacent to at least one irregular node: cell k lies
     between nodes k and k+1, so it is active unless both are regular."""
-    regular = np.asarray(sigma) != 0
-    return ~(regular[:-1] & regular[1:])
+    regular = np.asarray(sigma)
+    out = np.logical_and(regular[:-1], regular[1:], out=out)
+    return np.logical_not(out, out=out)
 
 
-def project_to_cells(node_values: np.ndarray) -> np.ndarray:
-    """Trapezoidal cell averages of a node profile."""
+def project_to_cells(node_values: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
+    """Trapezoidal cell averages of a node profile, into `out` (fresh
+    when None)."""
     v = np.asarray(node_values, dtype=float)
-    out = np.add(v[:-1], v[1:])
+    out = np.add(v[:-1], v[1:], out=out)
     out *= 0.5
     return out
 
 
-def project_to_nodes(cell_values: np.ndarray) -> np.ndarray:
+def project_to_nodes(cell_values: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
     """Node values as means of the two adjacent cell averages (an end
-    node's ghost cell continues its one cell), summed and halved in place."""
+    node's ghost cell continues its one cell), summed and halved in place
+    in `out` (fresh when None)."""
     c = np.asarray(cell_values, dtype=float)
-    out = np.empty(c.size + 1)
+    out = np.empty(c.size + 1) if out is None else out
     np.add(c[:-1], c[1:], out=out[1:-1])
     out[0] = c[0] + c[0]
     out[-1] = c[-1] + c[-1]
@@ -147,8 +154,8 @@ class CoupledState:
     cell_source       cell averages the cell update started from: the
                       previous w_bar where owned, else projected nodes
 
-    The last two are None on a state no step produced; the run loop
-    feeds them to the stability witnesses instead of recomputing them.
+    The last two are None on a state no step produced.  In a run every
+    array views a row of the run's blocks.
     """
 
     w: np.ndarray
@@ -175,45 +182,47 @@ def coupled_step(
     state: CoupledState,
     dx: float,
     params: RegularityParams,
-    sl_update: Callable[[np.ndarray], np.ndarray],
-    ub_update: Callable[[np.ndarray], np.ndarray],
+    sl_update: Callable[..., np.ndarray],
+    ub_update: Callable[..., np.ndarray],
+    out: Optional[tuple] = None,
 ) -> CoupledState:
     """Advance one step, re-deciding the split from the current profile.
 
-    sl_update maps node values to node values; ub_update maps cell
-    averages to cell averages.  Both are applied to full arrays, so a
-    run with sigma identically 1 reproduces the node scheme bit for
-    bit, and one with sigma identically 0 reproduces the cell scheme.
-    The cell source is w_bar where owned, else the projected nodes; the
-    new nodes are the node update where sigma is 1, else the projected
-    cells.  Both are masked copies into fresh projections: no input is written.
-    A step with no active cell skips ub_update and the projection: its
-    w is a copy of the node update and its w_bar is the cell source, the
-    same array, so it warns of no floating-point error in cells that no
-    node would read.
+    sl_update (nodes) and ub_update (cell averages) are applied to full
+    arrays, so sigma identically 1 reproduces the node scheme bit for
+    bit, and 0 the cell scheme.  The cell source is w_bar where owned,
+    else the projected nodes; the new nodes are the node update where
+    sigma is 1, else the projected cells, each by an `np.copyto` mask.
+    No input is written.  A step with no active cell runs neither
+    ub_update nor the node projection, so it warns of no floating-point
+    error in cells that no node would read.
+
+    `out` holds the six arrays, in field order, that the step writes and
+    the returned state views (a run passes its block rows); the updates
+    are then steppers update(v, out=...).  When None, each update maps an
+    array to a fresh one, as every field is.
     """
-    sigma = classify_regularity(state.w, dx, params)
-    act = active_cells(sigma)
-    evolve = np.count_nonzero(act) > 0
-
-    source = project_to_cells(state.w)
+    if out is None:
+        n, sl, ub = state.w.size, sl_update, ub_update
+        out = (np.empty(n), np.empty(n - 1), np.empty(n - 1, bool), np.empty(n, np.int8),
+               np.empty(n), np.empty(n - 1))
+        sl_update = lambda v, out: np.copyto(out, sl(v))
+        ub_update = lambda v, out: np.copyto(out, ub(v))
+    w, bar, act, sigma, cand, source = out
+    classify_regularity(state.w, dx, params, out=sigma)
+    regular = sigma.view(bool)
+    active_cells(regular, out=act)
+    project_to_cells(state.w, out=source)
     np.copyto(source, state.w_bar, where=state.owned)
-    new_bar = ub_update(source) if evolve else source
-    new_w_nodes = sl_update(state.w)
-
+    evolve = np.count_nonzero(act) > 0
     if evolve:
-        w_next = project_to_nodes(new_bar)
-        np.copyto(w_next, new_w_nodes, where=sigma.view(bool))
+        ub_update(source, out=bar)
+    sl_update(state.w, out=cand)
+    if evolve:
+        project_to_nodes(bar, out=w)
+        np.copyto(w, cand, where=regular)
     else:  # every node regular: the masked copy would take every node
-        w_next = new_w_nodes.copy()
-
-    fresh = int(np.count_nonzero(act & ~state.owned))
-    return CoupledState(
-        w=w_next,
-        w_bar=new_bar,
-        owned=act,
-        sigma=sigma,
-        fresh_cell_count=fresh,
-        node_candidate=new_w_nodes,
-        cell_source=source,
-    )
+        bar[...] = source
+        w[...] = cand
+    fresh = int(np.count_nonzero(act > state.owned)) if evolve else 0
+    return CoupledState(w, bar, act, sigma, fresh, cand, source)

@@ -86,7 +86,7 @@ def resolve_grid(problem: ProblemSpec, m: int) -> Grid1D:
     comparable across problems with and without extension.
     """
     grid = build_grid(problem.a, problem.b, m)
-    if problem.support_t0 is None or problem.kind != "advection-const":
+    if problem.support_t0 is None:  # set only on "advection-const" specs
         return grid
     a, b, dx = grid.a, grid.b, grid.dx
     shift = problem.c * problem.T
@@ -338,25 +338,31 @@ def run_scheme(
     if problem.kind == "hj":
         _check_erosion_ic(problem.ic, grid.nodes, w0)
     params = resolve_regularity(problem, w0, grid.dx, delta, epsilon)
-    sigma_rows = None
+    sigma_history = None
     allowance = 0.0
     if scheme == "coupled":
         state = init_coupled_state(w0, grid.dx, params)
         v, alignment = state.w, Alignment.NODE
-        sigma_rows = [state.sigma]
+        sigma_history = np.empty((n_steps + 1, v.size), np.int8)
         allowance = tvb_allowance(params, grid)
         rows, cand = np.empty((2, block_steps + 1, v.size))
         src, bar = np.empty((2, block_steps + 1, v.size - 1))
+        owned = np.empty((block_steps + 1, v.size - 1), bool)
+        sigma_history[0], bar[0], owned[0] = state.sigma, state.w_bar, state.owned
+        carried = (rows, bar, owned)
+        row_views = list(zip(rows, bar, owned, cand, src))  # built once, not per step
         # a layer of step i reads row i - 1 of its first block and writes row i of its second
         layers = ((rows, cand, ops.nu_node), (src[1:], bar, ops.nu_cell))
         labels = (("total variation {tv}", alignment), ("node candidate", Alignment.NODE),
                   ("cell average", Alignment.CELL))
 
-        def advance(s, i):
-            out = coupled_step(s, grid.dx, params, ops.node_update, ops.cell_update)
-            sigma_rows.append(out.sigma)
-            rows[i], cand[i], src[i], bar[i] = out.w, out.node_candidate, out.cell_source, out.w_bar
-            return out
+        def advance(i):
+            nonlocal state
+            if i == 1:  # a block's first step, or a retaken one, reads row 0, which flush has set
+                state = CoupledState(rows[0], bar[0], owned[0], state.sigma)
+            w, w_bar, act, node_candidate, source = row_views[i]
+            state = coupled_step(state, grid.dx, params, ops.node_update, ops.cell_update,
+                                 (w, w_bar, act, sigma_history[done + i], node_candidate, source))
     else:
         if scheme == "sl":
             v = w0
@@ -364,13 +370,13 @@ def run_scheme(
         else:
             v = init_cell_averages(grid, problem.ic)
             update, nus, alignment = ops.cell_update, ops.nu_cell, Alignment.CELL
-        state = None  # the state is the row before the step
         rows = np.empty((block_steps + 1, v.size))
+        carried = (rows,)
         layers = ((rows, rows, nus),)
         labels = (("total variation {tv}", alignment),) * 2  # the layer is the solution
 
-        def advance(s, i):  # a retaken step reads rows[0], which flush has set
-            return update(rows[i - 1], out=rows[i])
+        def advance(i):  # a retaken step reads rows[0], which flush has set
+            update(rows[i - 1], out=rows[i])
 
     rows[0] = v
     snapshots = {0: v.copy()} if 0 in snapshot_steps else {}
@@ -390,7 +396,8 @@ def run_scheme(
         for k in later_snapshots:
             if done < k <= done + count:
                 snapshots[k] = rows[k - done].copy()
-        rows[0] = rows[count]
+        for block in carried:
+            block[0] = block[count]
         return done + count
 
     done = 0
@@ -399,18 +406,18 @@ def run_scheme(
         try:
             with _trapping():
                 for count in range(1, min(block_steps, n_steps - done) + 1):
-                    state = advance(state, count)
+                    advance(count)
         except FloatingPointError:
             trapped = True
         if trapped:  # check the steps before, then retake it unbatched
             done = flush(done, count - 1)
-            state, count = advance(state, 1), 1
+            advance(1)
+            count = 1
         done = flush(done, count)
     final = rows[0].copy()
     witnesses = np.concatenate(witness_parts)
     # a NaN stays; abs makes a -0.0 maximum +0.0
     witness_max = abs(float(np.max(witnesses, initial=0.0)))
-    sigma_history = None if sigma_rows is None else np.vstack(sigma_rows)
 
     t_final = dt * n_steps
     if alignment is Alignment.NODE:

@@ -230,9 +230,10 @@ class ProblemSpec:
     `slub.harness.time_ladder`).
     delta_factor / flat_frac scale the switching-indicator thresholds
     relative to the initial maximum slope.  support_t0, when set, is the
-    (lo, hi) support of the initial profile; `slub.harness.resolve_grid`
-    then extends an "advection-const" domain on each side the
-    transported support would leave.
+    (lo, hi) support of the initial profile, a finite pair with lo < hi,
+    and only an "advection-const" spec may set it: `slub.harness.resolve_grid`
+    then extends the domain on each side the transported support would
+    leave.
     """
 
     name: str
@@ -266,6 +267,16 @@ class ProblemSpec:
         if stray is not None:
             raise ValueError(f"an {self.kind} problem takes its {law} from {reads} alone, the one "
                              f"law its closed-form reference covers; got {unread}={stray!r}")
+        support = self.support_t0
+        if support is not None:
+            if self.kind != "advection-const":
+                raise ValueError(f"an {self.kind} problem runs on its stated window; only "
+                                 f"advection-const reads support_t0, got support_t0={support!r}")
+            pair = isinstance(support, (tuple, list)) and len(support) == 2
+            if not (pair and all(isinstance(e, numbers.Real) for e in support)
+                    and -math.inf < support[0] < support[1] < math.inf):
+                raise ValueError(f"support_t0 must be a finite pair (lo, hi) with lo < hi, "
+                                 f"got support_t0={support!r}")
 
     def exact(self, x, t: float):
         """Reference solution at time t (vectorized in x).

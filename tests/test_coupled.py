@@ -21,7 +21,8 @@ from slub.coupled import (
     project_to_cells,
     project_to_nodes,
 )
-from slub.harness import resolve_regularity
+from slub.grids import init_point_values
+from slub.harness import make_operators, resolve_grid, resolve_regularity, run_scheme, time_ladder
 from slub.problems import get_problem
 from slub.semi_lagrangian import advect_const_values
 from slub.ultrabee import ub_step_values
@@ -128,6 +129,43 @@ def test_classify_both_flat_pair_is_compatible() -> None:
     params = RegularityParams(delta=1.0, flat_tol=0.1, guard=0)
     sigma = classify_regularity(v, 1.0, params)
     np.testing.assert_array_equal(sigma, 1)
+
+
+def test_classify_sign_test_does_not_underflow() -> None:
+    """Two strictly positive slopes of about 1e-170 share a sign, though
+    their product underflows to 0: the flags are those of the same
+    profile scaled by 1e150."""
+    v = np.array([0.0, 1e-171, 2e-171, 3e-171, 4e-171])
+    params = RegularityParams(1.0, 0.0)
+    np.testing.assert_array_equal(classify_regularity(v, 0.1, params), [0, 0, 1, 1, 0])
+    np.testing.assert_array_equal(classify_regularity(v * 1e150, 0.1, params), [0, 0, 1, 1, 0])
+
+
+# Dyadic node values, spacings and thresholds: every slope and threshold
+# times 2**k, k in [-1000, 1000], is exact and normal.
+DYADIC_NODES = hnp.arrays(
+    dtype=np.float64,
+    shape=st.integers(min_value=1, max_value=20),
+    elements=st.integers(min_value=-512, max_value=512).map(lambda i: i / 8.0),
+)
+DYADIC_THRESHOLDS = st.sampled_from([0.0, 0.125, 0.5, 1.0, 3.0, 64.0, np.inf])
+
+
+@given(v=DYADIC_NODES, dx=st.sampled_from([0.25, 0.5, 1.0, 2.0]), delta=DYADIC_THRESHOLDS,
+       flat_tol=DYADIC_THRESHOLDS, guard=st.integers(min_value=0, max_value=2),
+       k=st.integers(min_value=-1000, max_value=1000))
+@settings(max_examples=300, deadline=None)
+def test_classify_is_invariant_under_power_of_two_scaling(
+    v: np.ndarray, dx: float, delta: float, flat_tol: float, guard: int, k: int
+) -> None:
+    """The flags of 2**k * v, with both thresholds scaled by 2**k, are
+    those of v: `resolve_regularity` scales the thresholds with the
+    largest initial slope, so the amplitude of a profile must not matter."""
+    scale = 2.0 ** k
+    params = RegularityParams(delta, flat_tol, guard)
+    scaled = RegularityParams(delta * scale, flat_tol * scale, guard)
+    assert (classify_regularity(v * scale, dx, scaled).tobytes()
+            == classify_regularity(v, dx, params).tobytes())
 
 
 def test_classify_guard_dilates_detections() -> None:
@@ -372,3 +410,54 @@ def test_coupled_step_fills_holes_from_adjacent_averages() -> None:
     np.testing.assert_array_equal(out.w[holes], fill[holes])
     kept = np.flatnonzero(sigma == 1)
     np.testing.assert_array_equal(out.w[kept], sl(v)[kept])
+
+
+def test_at_rest_step_takes_the_quarter_weights_at_irregular_nodes() -> None:
+    """With identity node and cell updates and every node irregular, one
+    step maps the nodes through the cell-then-node projection: interior
+    node j becomes (w[j-1] + 2 w[j] + w[j+1])/4, an end node the one cell
+    average next to it.  Integer nodes make every sum exact."""
+    w = np.array([0.0, 4.0, -8.0, 12.0, 12.0, 0.0, 16.0])
+    params = RegularityParams(delta=0.0, flat_tol=0.0, guard=0)
+    identity = lambda u: u.copy()
+    out = coupled_step(init_coupled_state(w, 1.0, params), 1.0, params, identity, identity)
+    np.testing.assert_array_equal(out.sigma, 0)
+    assert out.fresh_cell_count == w.size - 1
+    np.testing.assert_array_equal(out.w[1:-1], (w[:-2] + 2.0 * w[1:-1] + w[2:]) / 4.0)
+    assert (out.w[0], out.w[-1]) == ((w[0] + w[1]) / 2.0, (w[-2] + w[-1]) / 2.0)
+
+
+def test_coupled_run_at_rest_smooths_its_irregular_nodes() -> None:
+    """adv-mix at rest takes one step at m = 79.  The node and cell
+    schemes keep their data (l1 0.0); coupled keeps its regular nodes and
+    gives each irregular node the projection round trip of the initial
+    nodes, an l1 error of 0.114 (9/79)."""
+    problem = replace(get_problem("adv-mix"), c=0.0)
+    for scheme in ("sl", "ub"):
+        assert run_scheme(problem, scheme, 79).errors.l1 == 0.0
+    res = run_scheme(problem, "coupled", 79, snapshot_steps=(0,))
+    assert res.n_steps == 1
+    w0, regular = res.snapshots[0], res.sigma_history[0] != 0
+    assert not regular.all()
+    round_trip = project_to_nodes(project_to_cells(w0))
+    assert res.values.tobytes() == np.where(regular, w0, round_trip).tobytes()
+    assert res.errors.l1 == pytest.approx(9 / 79, rel=1e-12)
+
+
+@pytest.mark.parametrize("name, m", [("adv-smooth", 39), ("adv-jump", 79), ("adv-var", 39)])
+def test_all_irregular_run_returns_the_projected_cell_scheme_nodes(name: str, m: int) -> None:
+    """A run with delta = 0 marks every node irregular on every step
+    (sigma identically 0).  After its first step and each later one, its
+    nodes are the node projection of the cell scheme started from the
+    projected initial nodes, byte for byte."""
+    problem = get_problem(name)
+    dt, n_steps = time_ladder(problem, m)
+    grid = resolve_grid(problem, m)
+    ops = make_operators(problem, grid, dt)
+    res = run_scheme(problem, "coupled", m, delta=0.0, epsilon=0.0,
+                     snapshot_steps=range(1, n_steps + 1))
+    assert not res.sigma_history.any()
+    cells = project_to_cells(init_point_values(grid, problem.ic))
+    for k in range(1, n_steps + 1):
+        cells = ops.cell_update(cells)
+        assert res.snapshots[k].tobytes() == project_to_nodes(cells).tobytes(), k

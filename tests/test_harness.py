@@ -525,6 +525,47 @@ def test_a_trap_on_a_later_step_of_a_block_is_retaken_bit_identically(
     assert res.witnesses.tobytes() == clean.witnesses.tobytes()
 
 
+@pytest.mark.parametrize("where", ["2", "K+2"])
+@pytest.mark.parametrize("layer", ["node_update", "cell_update"])
+def test_coupled_cells_carried_across_blocks_and_retaken_steps_are_bit_identical(
+    monkeypatch, layer: str, where: str
+) -> None:
+    """Coupled adv-jump evolves cells on every step, so each flush must
+    carry the cell averages and the owned mask forward with the nodes,
+    and a retaken step must read all three from row 0.  With blocks of
+    K = 5 steps and a floating-point error on step 2 or K + 2 of either
+    update, the values, TV, witnesses and sigma history are the bytes of
+    a run in one default-size block."""
+    name, m, k = "adv-jump", 79, 5
+    clean = run_scheme(name, "coupled", m)
+    assert clean.n_steps < max(4, slub.harness._BLOCK_VALUES // (m + 1))
+    assert (clean.sigma_history[:-1] == 0).any(axis=1).all()  # cells active every step
+    monkeypatch.setattr(slub.harness, "_BLOCK_VALUES", k * (m + 1))
+    calls = _count_updates(monkeypatch, layer)
+    counted = slub.harness.make_operators
+    step = {"2": 2, "K+2": k + 2}[where]
+
+    def overflowing_make_operators(*args, **kwargs):
+        ops = counted(*args, **kwargs)
+        update = getattr(ops, layer)
+
+        def stepped(v, out=None):
+            out = update(v, out=out)
+            if len(calls) in (step, step + 1):  # the step and its retake
+                np.array([1e308]) * 10.0
+            return out
+
+        return replace(ops, **{layer: stepped})
+
+    monkeypatch.setattr(slub.harness, "make_operators", overflowing_make_operators)
+    with pytest.warns(RuntimeWarning, match="overflow"):
+        res = run_scheme(name, "coupled", m)
+    assert len(calls) == clean.n_steps + 1
+    for field in ("values", "witnesses", "sigma_history"):
+        assert getattr(res, field).tobytes() == getattr(clean, field).tobytes(), field
+    assert res.tv.values.tobytes() == clean.tv.values.tobytes()
+
+
 def test_run_scheme_rejects_unknown_scheme() -> None:
     with pytest.raises(ValueError):
         run_scheme("adv-smooth", "spectral", 19)

@@ -192,6 +192,23 @@ def test_spec_rejects_a_velocity_its_reference_does_not_cover(name: str) -> None
         assert np.array_equal(replace(p, c=-2.0).velocity_values(x), np.full(7, -2.0))
 
 
+def test_spec_rejects_a_support_t0_it_cannot_use() -> None:
+    """support_t0 extends an advection-const grid, so it must be a
+    finite pair with lo < hi, and any other kind, which runs on its
+    stated window, must leave it None.  adv-var with (5, 9) used to build
+    and run on the plain grid, and adv-jump with (1, -1) got a grid of
+    m = 19 where its real support needs 27."""
+    for name, support in [("adv-var", (5.0, 9.0)), ("hj-abs", (-1.0, 1.0))]:
+        with pytest.raises(ValueError, match=r"only advection-const reads support_t0, got support_t0="):
+            replace(get_problem(name), support_t0=support)
+    for support in [(1.0, -1.0), (1.0, 1.0), (-1.0, math.inf), (math.nan, 1.0), (-1.0,),
+                    (-1.0, 0.0, 1.0), (-1.0, "1"), "ab", 1.0]:
+        with pytest.raises(ValueError, match=r"support_t0 must be a finite pair .* got support_t0="):
+            replace(get_problem("adv-jump"), support_t0=support)
+    assert replace(get_problem("adv-jump"), support_t0=[-1, 1.5]).support_t0 == [-1, 1.5]
+    assert replace(get_problem("adv-var"), support_t0=None).support_t0 is None
+
+
 def test_spec_rejects_an_unknown_kind() -> None:
     """A misspelt kind fails when the spec is built, not once a run
     reaches the first branch on it."""

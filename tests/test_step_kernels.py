@@ -134,6 +134,18 @@ def _old_project_to_nodes(c):
     return 0.5 * (p[:-1] + p[1:])
 
 
+def _old_classify_regularity(v, dx, params):
+    """The guard-free indicator with its earlier sign test, the product
+    of two slopes, which underflows to 0 below about 1e-162."""
+    s = np.concatenate([[0.0], np.diff(v) / dx, [0.0]])
+    mag = np.abs(s)
+    flat = mag <= params.flat_tol
+    compat = (flat[:-1] & flat[1:]) | (s[:-1] * s[1:] > 0.0)
+    sigma = (mag[:-1] < params.delta) & compat
+    sigma[1:] &= compat[:-1]
+    return sigma.view(np.int8)
+
+
 def _old_coupled_step(state, dx, params, sl_update, ub_update):
     sigma = classify_regularity(state.w, dx, params)
     act = active_cells(sigma)
@@ -319,6 +331,70 @@ def test_coupled_step_matches_its_np_where_form(
         assert _bytes(getattr(new, name)) == _bytes(getattr(old, name)), name
     assert new.fresh_cell_count == old.fresh_cell_count
     assert [a.tobytes() for a in (w, w_bar, owned, sigma)] == before
+
+
+@given(
+    w=_values(min_size=4),
+    data=st.data(),
+    nu=SCALAR_NU,
+    thresholds=st.sampled_from([(0.5, 0.1, 0), (2.0, 0.5, 1), (np.inf, np.inf, 0), (0.0, 0.0, 0)]),
+)
+@settings(max_examples=200, deadline=None)
+def test_coupled_step_writes_the_np_where_form_into_block_rows(
+    w: np.ndarray, data, nu: float, thresholds
+) -> None:
+    """The coupled step as a run calls it: it reads row 0 of the node,
+    cell-average and owned blocks and writes row 1 of all six blocks,
+    with the run's prepared node and cell steppers.  Row 1 holds the
+    np.where form's state, field by field, the returned state views
+    row 1, and no other row is written."""
+    n = w.size
+    w_bar = data.draw(hnp.arrays(np.float64, n - 1, elements=LATTICE))
+    owned = data.draw(hnp.arrays(np.bool_, n - 1))
+    params = RegularityParams(*thresholds)
+    rows, cand = np.full((2, 3, n), 0.375)
+    src, bar = np.full((2, 3, n - 1), 0.375)
+    own, sig = np.zeros((3, n - 1), bool), np.full((3, n), 7, np.int8)
+    rows[0], bar[0], own[0] = w, w_bar, owned
+    blocks = (rows, bar, own, sig, cand, src)  # the order of CoupledState
+    others = [np.delete(b, 1, axis=0).tobytes() for b in blocks]
+    state = CoupledState(w=w, w_bar=w_bar, owned=owned, sigma=sig[0])
+    with np.errstate(all="ignore"):
+        new = coupled_step(CoupledState(rows[0], bar[0], own[0], sig[0]), 0.5, params,
+                           advect_const_stepper(nu), ub_stepper(nu), tuple(b[1] for b in blocks))
+        old = _old_coupled_step(state, 0.5, params, lambda u: advect_const_values(u, nu),
+                                lambda u: ub_step_values(u, nu))
+    for name, b in zip(("w", "w_bar", "owned", "sigma", "node_candidate", "cell_source"), blocks):
+        assert _bytes(b[1]) == _bytes(getattr(old, name)), name
+        assert np.shares_memory(getattr(new, name), b[1]), name
+    assert new.fresh_cell_count == old.fresh_cell_count
+    assert [np.delete(b, 1, axis=0).tobytes() for b in blocks] == others
+
+
+TINY_FREE = st.sampled_from(
+    [np.nan, -np.nan, np.inf, -np.inf, 0.0, -0.0, 1.0, -1.0, 0.5, -2.5, 3.0, 1e308, -1e308]
+)
+
+
+@given(
+    v=hnp.arrays(np.float64, st.integers(1, 24), elements=TINY_FREE),
+    dx=st.sampled_from([1.0, 0.5, 1e-3]),
+    delta=st.sampled_from([0.0, 0.5, 1.0, 4.0, np.inf]),
+    flat_tol=st.sampled_from([0.0, 0.5, 1.0, 4.0, np.inf]),
+)
+@settings(max_examples=300, deadline=None)
+def test_sign_test_matches_the_product_form_where_it_does_not_underflow(
+    v: np.ndarray, dx: float, delta: float, flat_tol: float
+) -> None:
+    """On slopes whose pairwise products do not underflow, NaN, infinities,
+    signed zeros and overflowing magnitudes included, comparing signs
+    gives the flags of the product form.  It warns of nothing the product
+    form does not: the product's own overflow and inf * 0 are gone."""
+    params = RegularityParams(delta, flat_tol)
+    new = _outcome(classify_regularity, v, dx, params)
+    old = _outcome(_old_classify_regularity, v, dx, params)
+    assert new[0] == old[0]
+    assert new[1] <= old[1]
 
 
 NEGATIVE_NU = st.sampled_from([-1e-15, -0.5, -1.0]) | st.floats(min_value=-1.0, max_value=-5e-324)
