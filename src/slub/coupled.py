@@ -59,22 +59,35 @@ class RegularityParams:
             raise ValueError(f"need an integer guard >= 0, got {self.guard!r}")
 
 
-def backward_slopes(values: np.ndarray, dx: float) -> np.ndarray:
+def backward_slopes(values: np.ndarray, dx: float, out: Optional[np.ndarray] = None) -> np.ndarray:
     """Backward divided differences with zero ghosts.
 
     Entry j is (v_j - v_{j-1})/dx; entries 0 and n (one past the end)
-    are the flat ghost slopes used at the boundary.
+    are the flat ghost slopes used at the boundary, already held by
+    `out` (fresh when None).
     """
     v = np.asarray(values, dtype=float)
-    s = np.empty(v.size + 1)
-    s[0] = s[-1] = 0.0
+    s = np.zeros(v.size + 1) if out is None else out
     np.subtract(v[1:], v[:-1], out=s[1:-1])
     s[1:-1] /= dx
     return s
 
 
+def _regularity_workspace(n: int, guard: int) -> tuple:
+    """The scratch arrays of `classify_regularity` on n values at `guard`
+    and every view of them it reads, for a run to build once."""
+    s, mag = np.zeros((2, n + 1))
+    flat, pairs = np.ones((2, n + 1), bool)  # pairs[0]: node 0 has no left pair
+    lt, eq = np.empty((2, n), bool)
+    padded = np.ones(n + 2 * guard, bool)  # guard True ghosts at each end
+    windows = np.ndarray((2 * guard + 1, n), bool, padded, strides=(1, 1))  # row k: padded[k:k + n]
+    return (guard, s, mag, mag[:-1], flat, flat[:-1], flat[1:], s[:-1], s[1:], lt, eq,
+            pairs[1:], pairs[:-1], padded[guard:guard + n], windows)
+
+
 def classify_regularity(values: np.ndarray, dx: float, params: RegularityParams,
-                        out: Optional[np.ndarray] = None) -> np.ndarray:
+                        out: Optional[np.ndarray] = None,
+                        work: Optional[tuple] = None) -> np.ndarray:
     """Per-node indicator (int8): 1 where the profile is locally regular.
 
     Node j is regular when its backward slope is below delta in
@@ -85,27 +98,32 @@ def classify_regularity(values: np.ndarray, dx: float, params: RegularityParams,
     a kink sitting inside a cell: its straddling slope vanishes while
     the flanks stay steep.  Signs are compared by `np.sign`, which,
     unlike a product of slopes, no magnitude underflows.  A guard g > 0
-    marks irregular every node within g of an irregular one, by 2*g
-    shifted in-place ANDs.  The flags go into `out` (int8, fresh when
-    None).
+    marks irregular every node within g of an irregular one: one AND
+    over the 2g + 1 shifted windows.  The flags go into `out` (int8,
+    fresh when None), computed in `work`, the scratch a run builds once
+    for its guard (so not thread-safe; built per call when None).
     """
-    s = backward_slopes(values, dx)
-    mag = np.abs(s)
-    flat = mag <= params.flat_tol
-    sigma = np.less(mag[:-1], params.delta, out=None if out is None else out.view(bool))
+    if work is None:
+        work = _regularity_workspace(np.size(values), params.guard)
+    (guard, s, mag, mag_head, flat, flat_head, flat_tail, s_head, s_tail, lt, eq,
+     compat, left, mid, windows) = work
+    if guard != params.guard:
+        raise ValueError(f"workspace built for guard {guard}, not {params.guard}")
+    backward_slopes(values, dx, out=s)
+    np.abs(s, out=mag)
+    np.less_equal(mag, params.flat_tol, out=flat)
+    np.less(mag_head, params.delta, out=lt)
     # pair k couples slopes s_k and s_{k+1}; node j needs pairs j-1, j
-    compat = flat[:-1] & flat[1:]
+    np.bitwise_and(flat_head, flat_tail, out=compat)
     # equal signs: both strictly one sign, or both 0 and so already flat
     np.sign(s, out=s)
-    compat |= s[:-1] == s[1:]
-    sigma &= compat
-    sigma[1:] &= compat[:-1]
-    if params.guard > 0 and not sigma.all():
-        regular = sigma.copy()
-        for k in range(1, params.guard + 1):
-            sigma[k:] &= regular[:-k]
-            sigma[:-k] &= regular[k:]
-    return sigma.view(np.int8)
+    compat |= np.equal(s_head, s_tail, out=eq)
+    np.bitwise_and(lt, compat, out=lt)
+    dest = None if out is None else out.view(bool)
+    flags = np.bitwise_and(lt, left, out=mid if guard else dest)
+    if guard:
+        flags = np.logical_and.reduce(windows, axis=0, out=dest)
+    return flags.view(np.int8)
 
 
 def active_cells(sigma: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
@@ -185,6 +203,7 @@ def coupled_step(
     sl_update: Callable[..., np.ndarray],
     ub_update: Callable[..., np.ndarray],
     out: Optional[tuple] = None,
+    indicator: Optional[tuple] = None,
 ) -> CoupledState:
     """Advance one step, re-deciding the split from the current profile.
 
@@ -200,7 +219,8 @@ def coupled_step(
     `out` holds the six arrays, in field order, that the step writes and
     the returned state views (a run passes its block rows); the updates
     are then steppers update(v, out=...).  When None, each update maps an
-    array to a fresh one, as every field is.
+    array to a fresh one, as every field is.  `indicator` is the
+    `_regularity_workspace` a run builds once (one per call when None).
     """
     if out is None:
         n, sl, ub = state.w.size, sl_update, ub_update
@@ -209,7 +229,7 @@ def coupled_step(
         sl_update = lambda v, out: np.copyto(out, sl(v))
         ub_update = lambda v, out: np.copyto(out, ub(v))
     w, bar, act, sigma, cand, source = out
-    classify_regularity(state.w, dx, params, out=sigma)
+    classify_regularity(state.w, dx, params, out=sigma, work=indicator)
     regular = sigma.view(bool)
     active_cells(regular, out=act)
     project_to_cells(state.w, out=source)

@@ -102,12 +102,13 @@ def check_cfl(nu) -> None:
     raise ValueError(f"CFL violated at index {j}: Courant number |nu| = {mag:.6g} {bound}")
 
 
-def edge_pad(values: np.ndarray, k: int) -> np.ndarray:
+def edge_pad(values: np.ndarray, k: int, out=None) -> np.ndarray:
     """`values` with k >= 1 ghost entries at each end of the last axis
     that continue the end values (numpy's "edge" padding, without its
-    per-call overhead).  The cell kernel pads with it, the witnesses only
-    for nu of mixed sign; the node step and `project_to_nodes` do not."""
-    out = np.empty(values.shape[:-1] + (values.shape[-1] + 2 * k,), dtype=values.dtype)
+    overhead), into `out` (fresh when None).  The cell kernel pads with
+    it, the witnesses for mixed-sign nu; the nodes and projections not."""
+    if out is None:
+        out = np.empty(values.shape[:-1] + (values.shape[-1] + 2 * k,), dtype=values.dtype)
     out[..., :k] = values[..., :1]
     out[..., k:-k] = values
     out[..., -k:] = values[..., -1:]

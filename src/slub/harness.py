@@ -26,7 +26,7 @@ from .grids import (
     init_point_values,
 )
 from .problems import ProblemSpec, get_problem, singular_points
-from .semi_lagrangian import advect_const_stepper, hj_update_values
+from .semi_lagrangian import advect_const_stepper, hj_stepper
 from .ultrabee import ub_min_stepper, ub_stepper
 # unused here, but benchmarks/tests/test_bench.py asserts it is ultrabee's
 from .ultrabee import ub_step_values
@@ -35,6 +35,7 @@ from .coupled import (
     RegularityParams,
     coupled_step,
     init_coupled_state,
+    _regularity_workspace,
 )
 from .diagnostics import (
     ErrorReport,
@@ -107,14 +108,9 @@ def time_ladder(problem: ProblemSpec, m: int) -> tuple[float, int]:
     Raises
     ------
     ValueError
-        If nu is outside (0, 1], T is not finite and positive, the grid
-        is invalid (see `Grid1D`), or the run would take more than
-        MAX_STEPS steps.
+        If the grid is invalid (see `Grid1D`) or the run would take more
+        than MAX_STEPS steps; `ProblemSpec` has checked nu and T.
     """
-    if not (0.0 < problem.nu <= 1.0):
-        raise ValueError(f"nu must lie in (0, 1], got {problem.nu}")
-    if not (math.isfinite(problem.T) and problem.T > 0.0):
-        raise ValueError(f"T must be finite and positive, got {problem.T}")
     dx = build_grid(problem.a, problem.b, m).dx  # rejects m < 3 and a >= b
     speed = 1.0 if problem.kind == "advection-var" else abs(problem.c)
     dt0 = problem.nu * dx / speed if speed > 0.0 else problem.T
@@ -206,9 +202,8 @@ def make_operators(problem: ProblemSpec, grid: Grid1D, dt: float) -> StepOperato
             nu_cell=nu_cell,
         )
     r = float(problem.c) * dt  # hj
-    nodes = grid.nodes
     return StepOperators(
-        node_update=lambda v, out=None: hj_update_values(v, nodes, r, out),
+        node_update=hj_stepper(grid.nodes, r),
         cell_update=ub_min_stepper(r / dx),
         nu_node=None,
         nu_cell=None,
@@ -351,6 +346,7 @@ def run_scheme(
         sigma_history[0], bar[0], owned[0] = state.sigma, state.w_bar, state.owned
         carried = (rows, bar, owned)
         row_views = list(zip(rows, bar, owned, cand, src))  # built once, not per step
+        indicator = _regularity_workspace(v.size, params.guard)
         # a layer of step i reads row i - 1 of its first block and writes row i of its second
         layers = ((rows, cand, ops.nu_node), (src[1:], bar, ops.nu_cell))
         labels = (("total variation {tv}", alignment), ("node candidate", Alignment.NODE),
@@ -362,7 +358,8 @@ def run_scheme(
                 state = CoupledState(rows[0], bar[0], owned[0], state.sigma)
             w, w_bar, act, node_candidate, source = row_views[i]
             state = coupled_step(state, grid.dx, params, ops.node_update, ops.cell_update,
-                                 (w, w_bar, act, sigma_history[done + i], node_candidate, source))
+                                 (w, w_bar, act, sigma_history[done + i], node_candidate, source),
+                                 indicator)
     else:
         if scheme == "sl":
             v = w0

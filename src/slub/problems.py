@@ -225,9 +225,9 @@ class ProblemSpec:
     parameter: the constant velocity c, the velocity -(x - x_bar), or
     the erosion v_t + |c v_x| = 0 at speed c.  That parameter must be a
     finite real number (c >= 0 for "hj") and the other one None; a spec
-    that breaks this is rejected with a ValueError when it is built.
-    The time step scales with |c|, 1 for "advection-var" (see
-    `slub.harness.time_ladder`).
+    that breaks this is rejected with a ValueError when it is built, as
+    is a nu outside (0, 1] or a T that is not finite and positive.  The
+    time step scales with |c|, 1 for "advection-var" (see `time_ladder`).
     delta_factor / flat_frac scale the switching-indicator thresholds
     relative to the initial maximum slope.  support_t0, when set, is the
     (lo, hi) support of the initial profile, a finite pair with lo < hi,
@@ -253,6 +253,10 @@ class ProblemSpec:
     sing_points_t0: tuple = ()
 
     def __post_init__(self) -> None:
+        if not (0.0 < self.nu <= 1.0):
+            raise ValueError(f"nu must lie in (0, 1], got {self.nu}")
+        if not (math.isfinite(self.T) and self.T > 0.0):
+            raise ValueError(f"T must be finite and positive, got {self.T}")
         if self.kind not in _LAWS:
             raise ValueError(f"unknown problem kind {self.kind!r}; choose from {tuple(_LAWS)}")
         reads, what, law, reference = _LAWS[self.kind]

@@ -11,9 +11,9 @@ For the erosion v_t + |c v_x| = 0, H(p) = |c p| has the convex
 conjugate 0 on [-c, c] and +inf outside, so the Hopf-Lax update is the
 minimum of the interpolant over the feet x_j - a dt, a in [-c, c].  When
 c dt <= dx that foot interval holds no node other than x_j, and the
-interpolant is linear on each side of x_j, so `hj_update_values` needs
-only the two endpoint feet and the node value (Falcone & Ferretti,
-SIAM 2014).
+interpolant is linear on each side of x_j, so `hj_stepper` needs only
+the two endpoint feet, taken once per run, and the node value (Falcone
+& Ferretti, SIAM 2014).
 """
 
 from __future__ import annotations
@@ -25,6 +25,7 @@ from .grids import check_cfl
 __all__ = [
     "advect_const_stepper",
     "advect_const_values",
+    "hj_stepper",
     "hj_update_values",
 ]
 
@@ -64,14 +65,22 @@ def advect_const_values(values: np.ndarray, nu: float) -> np.ndarray:
     return advect_const_stepper(nu)(values)
 
 
-def hj_update_values(values: np.ndarray, nodes: np.ndarray, r: float, out=None) -> np.ndarray:
-    """Hopf-Lax update for H(p) = |c p| on raw node values, r = c*dt >= 0.
+def hj_stepper(nodes: np.ndarray, r: float):
+    """Hopf-Lax update for H(p) = |c p|, r = c*dt >= 0, on raw values at
+    `nodes`, prepared once with its feet: update(values, out=None) writes
+    min(interp(in, x_j - r), interp(in, x_j + r), in_j), the minimum of
+    the P1 interpolant over [x_j - r, x_j + r] when r <= dx, into `out`
+    (fresh when None)."""
+    lo, hi = nodes - r, nodes + r
 
-    out_j = min over y in [x_j - r, x_j + r] of interp(in, y), evaluated
-    in closed form as min(interp(in, x_j - r), interp(in, x_j + r), in_j).
-    Exact for the P1 interpolant when r <= dx.  Written into `out` (a
-    fresh array when None), which is returned.
-    """
-    v = np.asarray(values, dtype=float)
-    out = np.minimum(np.interp(nodes - r, nodes, v), np.interp(nodes + r, nodes, v), out=out)
-    return np.minimum(out, v, out=out)
+    def update(values, out=None):
+        v = np.asarray(values, dtype=float)
+        out = np.minimum(np.interp(lo, nodes, v), np.interp(hi, nodes, v), out=out)
+        return np.minimum(out, v, out=out)
+
+    return update
+
+
+def hj_update_values(values: np.ndarray, nodes: np.ndarray, r: float, out=None) -> np.ndarray:
+    """`hj_stepper(nodes, r)` applied once."""
+    return hj_stepper(nodes, r)(values, out)

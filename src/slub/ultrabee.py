@@ -34,18 +34,19 @@ __all__ = [
 _NU_TINY = 1e-14
 
 
-def _flux_pos(prev, cur, nxt, nu, tiny=None):
+def _flux_pos(prev, cur, nxt, nu, tiny, work):
     """Value at the interface between `cur` and its downwind neighbour
-    `nxt`, for nu >= 0, on arrays; the nu <= 0 flux left of `cur` is
-    `_flux_pos(nxt, cur, prev, -nu)`.  Where `tiny` (a bool, an array, or
-    None for nowhere) marks nu < _NU_TINY the flux is the at-rest value,
-    and the clamp is still evaluated, at nu = 1, so it warns as before.
-    The clamp runs in place in three fresh temporaries."""
+    `nxt`, for nu >= 0 (the nu <= 0 flux left of `cur` is its mirror,
+    `_flux_pos(nxt, cur, prev, -nu, ...)`), in place in the workspace
+    (big, small, b) and returned as b.  Where `tiny` (a bool, an array,
+    or None for nowhere) marks nu < _NU_TINY the flux is the at-rest
+    value; the clamp is still evaluated there, at nu = 1, and warns."""
     if tiny is not None:
         nu = np.where(tiny, 1.0, nu)
-    big = np.maximum(cur, prev)
-    small = np.minimum(cur, prev)
-    b = np.subtract(cur, big)
+    big, small, b = work
+    np.maximum(cur, prev, out=big)
+    np.minimum(cur, prev, out=small)
+    np.subtract(cur, big, out=b)
     b /= nu
     np.add(big, b, out=b)  # b = big + (cur - big)/nu
     np.maximum(nxt, b, out=b)
@@ -63,7 +64,7 @@ def _scalar_flux(prev: float, cur: float, nxt: float, nu: float) -> float:
     a NaN nu or one above 1 (see `check_cfl`)."""
     check_cfl(nu)
     ends = np.array([[prev], [cur], [nxt]], dtype=float)
-    return float(_flux_pos(*ends, nu, (nu < _NU_TINY) or None)[0])
+    return float(_flux_pos(*ends, nu, (nu < _NU_TINY) or None, np.empty((3, 1)))[0])
 
 
 def ub_flux_left(u_prev: float, u_cur: float, u_next: float, nu: float) -> float:
@@ -92,26 +93,45 @@ def _scalar_side(nu: float) -> tuple:
     return a, (a < _NU_TINY) or None, nu < 0.0
 
 
-def _scalar_update(v, p, side, out):
-    """The scalar-nu update of v (edge-padded by 2 as p) into `out`.  A
-    mirrored nu swaps each interface's upwind and downwind values."""
-    a, tiny, mirrored = side
-    if mirrored:
-        F = _flux_pos(p[3:], p[2:-1], p[1:-2], a, tiny)
-        out = np.subtract(F[:-1], F[1:], out=out)
-    else:
-        F = _flux_pos(p[:-3], p[1:-2], p[2:-1], a, tiny)
-        out = np.subtract(F[1:], F[:-1], out=out)
-    out *= a
+def _scalar_update(v, side, work, out):
+    """The scalar-nu update of v, padded in the workspace, into `out`;
+    a mirrored nu swaps each interface's upwind and downwind values."""
+    ends, flux, outflow, inflow = work
+    _flux_pos(*ends, side[0], side[1], flux)
+    out = np.subtract(outflow, inflow, out=out)
+    out *= side[0]
     return np.subtract(v, out, out=out)
+
+
+def _scalar_stepper(sides):
+    """The scalar update at sides[0], or the minimum of those at sides[0]
+    and sides[1]; its workspace is sized on each new length of values."""
+    p = first = works = None
+
+    def update(values, out=None):
+        nonlocal p, first, works
+        v = np.asarray(values, dtype=float)
+        if p is None or p.size != v.size + 4:
+            p, first = np.empty(v.size + 4), np.empty(v.size)
+            _, _, b = flux = tuple(np.empty((3, v.size + 1)))  # big, small, flux
+            works = [((p[3:], p[2:-1], p[1:-2]), flux, b[:-1], b[1:]) if side[2] else
+                     ((p[:-3], p[1:-2], p[2:-1]), flux, b[1:], b[:-1]) for side in sides]
+        edge_pad(v, 2, out=p)
+        if len(sides) == 1:
+            return _scalar_update(v, sides[0], works[0], out)
+        _scalar_update(v, sides[0], works[0], first)
+        out = _scalar_update(v, sides[1], works[1], out)
+        return np.minimum(first, out, out=out)
+
+    return update
 
 
 def ub_stepper(nus):
     """One anti-dissipative update on raw cell averages, prepared once
-    for fixed Courant numbers: the CFL check, the sign and the stencil,
-    |nu| and the at-rest decision are taken here.  Returns
-    update(values, out=None), which writes the new averages into `out`
-    (a fresh array when None) and returns it.
+    for fixed Courant numbers: the CFL check, the sign, the stencil, |nu|,
+    the at-rest decision and a workspace (so it is not thread-safe).
+    Returns update(values, out=None), which writes the new averages into
+    `out` (a fresh array when None) and returns it.
 
     `nus` is one signed Courant number for every cell or one per cell.
     A scalar nu >= 0 (-0.0 included) takes the flux F once on each of
@@ -120,36 +140,32 @@ def ub_stepper(nus):
     Per-cell numbers may change sign, so a cell takes both of its
     interface fluxes upwind by the sign of its own nu and at its own
     |nu|: v - |nu|*(outflow flux - inflow flux); when every nu >= 0 the
-    stencil is three slices, else it is picked by np.where.  The two
+    stencil is three slices, else it is gathered by index.  The two
     forms agree bit for bit on a constant nu.  The update is written in
     place into the flux difference.  Ghost cells continue the end values.
     """
     check_cfl(nus)
     if isinstance(nus, float) or np.ndim(nus) == 0:  # np.ndim is slow on a float
-        side = _scalar_side(nus)
-
-        def update(values, out=None):
-            v = np.asarray(values, dtype=float)
-            return _scalar_update(v, edge_pad(v, 2), side, out)
-
-        return update
+        return _scalar_stepper((_scalar_side(nus),))
     nu = np.asarray(nus, dtype=float)
     pos = nu >= 0.0
-    uniform = pos.all()  # adv-var: every cell reads its stencil from the left
     a = np.abs(nu)
     tiny = None if np.min(a, initial=np.inf) >= _NU_TINY else a < _NU_TINY
+    p, (big, small, outflow, inflow) = np.empty(nu.size + 4), np.empty((4, nu.size))
+    cur, up1, up2, down = p[2:-2], p[1:-3], p[:-4], p[3:-1]
+    index = None
+    if not pos.all():  # some cell reads its stencil from the right
+        j = np.arange(nu.size)
+        index = np.where(pos, [j + 1, j, j + 3], [j + 3, j + 4, j + 1])
+        up1, up2, down = stencil = np.empty(index.shape)
 
     def update(values, out=None):
         v = np.asarray(values, dtype=float)
-        p = edge_pad(v, 2)
-        if uniform:
-            up1, up2, down = p[1:-3], p[:-4], p[3:-1]
-        else:
-            up1 = np.where(pos, p[1:-3], p[3:-1])
-            up2 = np.where(pos, p[:-4], p[4:])
-            down = np.where(pos, p[3:-1], p[1:-3])
-        F = _flux_pos(up1, v, down, a, tiny)
-        out = np.subtract(F, _flux_pos(up2, up1, v, a, tiny), out=out)
+        edge_pad(v, 2, out=p)
+        if index is not None:
+            np.take(p, index, out=stencil, mode="clip")
+        F = _flux_pos(up1, cur, down, a, tiny, (big, small, outflow))
+        out = np.subtract(F, _flux_pos(up2, up1, cur, a, tiny, (big, small, inflow)), out=out)
         out *= a
         return np.subtract(v, out, out=out)
 
@@ -159,18 +175,9 @@ def ub_stepper(nus):
 def ub_min_stepper(nu: float):
     """The erosion update, the pointwise minimum of the updates at the
     scalars -|nu| and |nu|, prepared as by `ub_stepper`; both share one
-    padding of the values."""
+    padding and one flux scratch."""
     check_cfl(nu)
-    lo, hi = _scalar_side(-abs(nu)), _scalar_side(abs(nu))
-
-    def update(values, out=None):
-        v = np.asarray(values, dtype=float)
-        p = edge_pad(v, 2)
-        first = _scalar_update(v, p, lo, None)
-        out = _scalar_update(v, p, hi, out)
-        return np.minimum(first, out, out=out)
-
-    return update
+    return _scalar_stepper((_scalar_side(-abs(nu)), _scalar_side(abs(nu))))
 
 
 def ub_step_values(values: np.ndarray, nus) -> np.ndarray:

@@ -168,6 +168,26 @@ def test_classify_is_invariant_under_power_of_two_scaling(
             == classify_regularity(v, dx, params).tobytes())
 
 
+@pytest.mark.parametrize("name", ["adv-smooth", "adv-jump", "adv-mix", "adv-var"])
+def test_coupled_run_of_a_tiny_profile_keeps_the_unscaled_indicator(name: str) -> None:
+    """A profile times 2**-560 (values near 1e-169, whose slope products
+    would underflow) gets the thresholds times 2**-560, so every step
+    flags the nodes of the unscaled run."""
+    problem = get_problem(name)
+    ic, scale = problem.ic, 2.0 ** -560
+
+    def tiny(x):
+        return scale * np.asarray(ic(x), dtype=float)
+
+    tiny.antiderivative = lambda x: scale * np.asarray(ic.antiderivative(x), dtype=float)
+    m = problem.m_ladder[0]
+    plain = run_scheme(problem, "coupled", m)
+    scaled = run_scheme(replace(problem, ic=tiny), "coupled", m)
+    assert scaled.params.delta == scale * plain.params.delta
+    assert scaled.sigma_history.tobytes() == plain.sigma_history.tobytes()
+    assert plain.sigma_history.min() == 0  # the indicator did switch
+
+
 def test_classify_guard_dilates_detections() -> None:
     v = np.zeros(11)
     v[5] = 1.0

@@ -66,13 +66,15 @@ ENDLESS = {("nu", 1e-300), ("nu", 5e-324), ("T", 1e300)}
      ("T", 0.0), ("T", -0.5), ("T", float("inf")), ("T", float("nan"))] + sorted(ENDLESS),
 )
 def test_time_ladder_rejects_bad_nu_and_horizon(field: str, value: float) -> None:
-    """One check serves the library and every CLI subcommand."""
-    if (field, value) in ENDLESS:
-        match = r"would take ([0-9.]+e\+30[01]|inf) steps, more than MAX_STEPS = 10000000"
-    elif field == "nu":
-        match = r"nu must lie in \(0, 1\]"
-    else:
-        match = "T must be finite and positive"
+    """One check serves the library and every CLI subcommand: a spec
+    with nu outside (0, 1] or a T that is not finite and positive cannot
+    be built, and `time_ladder` rejects a run of more than MAX_STEPS."""
+    if (field, value) not in ENDLESS:
+        match = r"nu must lie in \(0, 1\]" if field == "nu" else "T must be finite and positive"
+        with pytest.raises(ValueError, match=match):
+            replace(get_problem("adv-smooth"), **{field: value})
+        return
+    match = r"would take ([0-9.]+e\+30[01]|inf) steps, more than MAX_STEPS = 10000000"
     problem = replace(get_problem("adv-smooth"), **{field: value})
     with pytest.raises(ValueError, match=match):
         time_ladder(problem, 19)
@@ -628,9 +630,7 @@ def test_hj_run_checks_that_its_reference_covers_the_ic(monkeypatch) -> None:
     for m in hj.m_ladder:
         nodes = resolve_grid(hj, m).nodes
         slub.harness._check_erosion_ic(hj.ic, nodes, hj.ic(nodes))
-    calls = []
-    kernel = slub.harness.hj_update_values
-    monkeypatch.setattr(slub.harness, "hj_update_values", lambda *a: calls.append(1) or kernel(*a))
+    calls = _count_updates(monkeypatch, "node_update")
     # ic_mix is not even; folded onto |x| it is, but rises with |x|
     wide = replace(hj, a=-4.5, b=4.5, T=0.25)
     with pytest.raises(ValueError, match=r"ic\(-x\) == ic\(x\); it fails at node 5 \(x = -3\.93"):

@@ -209,6 +209,16 @@ def test_spec_rejects_a_support_t0_it_cannot_use() -> None:
     assert replace(get_problem("adv-var"), support_t0=None).support_t0 is None
 
 
+def test_spec_rejects_a_nu_or_horizon_it_cannot_run() -> None:
+    """A spec checks its Courant number and horizon when it is built, so
+    `replace` cannot make one that only fails once a run starts."""
+    with pytest.raises(ValueError, match=r"^nu must lie in \(0, 1\], got 2\.0$"):
+        replace(get_problem("adv-jump"), nu=2.0)
+    with pytest.raises(ValueError, match=r"^T must be finite and positive, got inf$"):
+        replace(get_problem("hj-abs"), T=math.inf)
+    assert replace(get_problem("adv-jump"), nu=1.0).nu == 1.0
+
+
 def test_spec_rejects_an_unknown_kind() -> None:
     """A misspelt kind fails when the spec is built, not once a run
     reaches the first branch on it."""
