@@ -228,24 +228,27 @@ def cmd_run(config: RunConfig) -> OutputBundle:
     )
 
 
-def _parse_ladder(arg: Optional[str], problem) -> tuple:
-    if arg is None:
-        return tuple(problem.m_ladder)
+def _parse_ints(text: Optional[str], what: str, items: str) -> Optional[tuple]:
+    """The ints of a comma list (None for None); `what` and `items` name
+    the list in the error."""
+    if text is None:
+        return None
     try:
-        return tuple(int(s) for s in arg.split(","))
+        return tuple(int(s) for s in text.split(","))
     except ValueError:
-        raise ValueError(f"bad ladder {arg!r}: expected comma-separated m values") from None
+        raise ValueError(f"bad {what} {text!r}: expected comma-separated {items}") from None
 
 
 def cmd_convergence(
     problem_name: str,
     scheme: str,
-    ladder: tuple,
+    ladder: Optional[tuple] = None,
     nu: Optional[float] = None,
     T: Optional[float] = None,
     out: str = "runs",
 ) -> tuple:
-    """Run a refinement ladder; write text + CSV tables, return paths."""
+    """Run a refinement ladder (the problem's own when None); write text
+    + CSV tables, return paths."""
     table = convergence_table(_apply_overrides(problem_name, nu, T), scheme, ladder)
     out_dir = Path(out)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -292,17 +295,6 @@ def cmd_compare(
         lines.append(f"{s},{_fmt(e.l1)},{_fmt(e.l2)},{_fmt(e.linf)},{_fmt(e.linf_reg)}")
     _write(err_path, lines)
     return results, sol_path, err_path
-
-
-def _parse_snapshots(text: Optional[str]) -> Optional[tuple]:
-    if text is None:
-        return None
-    try:
-        return tuple(int(s) for s in text.split(","))
-    except ValueError:
-        raise ValueError(
-            f"bad snapshot list {text!r}: expected comma-separated step indices"
-        ) from None
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -383,7 +375,7 @@ def _run_command(args: argparse.Namespace) -> int:
             T=args.T,
             delta=args.delta,
             epsilon=args.epsilon,
-            snapshots=_parse_snapshots(args.snapshots),
+            snapshots=_parse_ints(args.snapshots, "snapshot list", "step indices"),
             out=args.out,
         )
         bundle = cmd_run(config)
@@ -397,8 +389,7 @@ def _run_command(args: argparse.Namespace) -> int:
         return 0
 
     if args.command == "convergence":
-        prob = get_problem(args.problem)
-        ladder = _parse_ladder(args.ladder, prob)
+        ladder = _parse_ints(args.ladder, "ladder", "m values")
         table, txt_path, csv_path = cmd_convergence(
             args.problem, args.scheme, ladder, nu=args.nu, T=args.T, out=args.out
         )

@@ -25,8 +25,6 @@ __all__ = [
     "tvb_allowance",
     "TVSeries",
     "tv_monitor",
-    "StabilityReport",
-    "stability_witness",
     "block_diagnostics",
     "ErrorReport",
     "error_norms",
@@ -94,27 +92,13 @@ def tv_monitor(tv_values: Sequence[float], allowance: float) -> TVSeries:
     return TVSeries(tv, envelope, flags)
 
 
-@dataclass(frozen=True)
-class StabilityReport:
-    """Outcome of the maximum-principle check."""
-
-    ok: bool
-    max_violation: float
-    worst_index: int
-
-    def __bool__(self) -> bool:
-        return self.ok
-
-
 def _bracket_violation(u_old, u_new, nu) -> np.ndarray:
-    """How far each new value lies outside its bracket of old values,
-    along the last axis (negative inside).  nu None brackets by
-    u_old[j-1..j+1]; otherwise by u_old[j-1], u_old[j] where the signed
-    Courant number (one, or one per entry) is >= 0 and by u_old[j],
-    u_old[j+1] where it is negative.  A negative nu reads the edge-padded
-    values; else each bound is one slice op over the flat values, and
-    each row's first and last entry, whose flat neighbour lies in
-    another row, then take their ghost instead."""
+    """How far each new value lies outside its bracket of old values
+    (see `block_diagnostics`), along the last axis (negative inside).
+    A negative nu reads the edge-padded values; else each bound is one
+    slice op over the flat values, and each row's first and last entry,
+    whose flat neighbour lies in another row, then take their ghost
+    instead."""
     old = np.ascontiguousarray(u_old, dtype=float)
     new = np.asarray(u_new, dtype=float)
     o = old.reshape(-1)
@@ -144,44 +128,22 @@ def _bracket_violation(u_old, u_new, nu) -> np.ndarray:
     return np.maximum(lo, np.subtract(new, hi, out=hi), out=lo)
 
 
-def _report(viol: np.ndarray, tol: float) -> StabilityReport:
-    worst = int(np.argmax(viol))
-    max_violation = float(viol[worst])
-    return StabilityReport(
-        ok=max_violation <= tol, max_violation=max(max_violation, 0.0),
-        worst_index=worst,
-    )
-
-
-def stability_witness(
-    u_old: np.ndarray, u_new: np.ndarray, nu, tol: float = 1e-12
-) -> StabilityReport:
-    """Check each new value against its bracket of old values.
-
-    `nu` is one signed Courant number for every entry or an array of
-    one per entry.  For nonnegative local Courant number the bracket at
-    j is [min, max] of u_old[j-1], u_old[j]; for negative it uses
-    u_old[j], u_old[j+1].  Monotone steps of either solver family
-    satisfy this with equality at most.  `nu` None brackets by the three
-    points u_old[j-1..j+1], which suits updates that draw on both
-    neighbours (the two-velocity min-combined step, or a Hopf-Lax
-    minimization over signed speeds).
-    """
-    return _report(_bracket_violation(u_old, u_new, nu), tol)
-
-
 def block_diagnostics(rows: np.ndarray, layers: Sequence[tuple]) -> tuple:
-    """Per-step diagnostics of a block of k steps, from one set of 2-D calls.
+    """Per-step diagnostics of a block of k steps, from one set of 2-D
+    calls; the one witness entry point (a one-row block checks one step).
 
     `rows` holds a run's solution before the block, then after each step.
     Each layer is an (old, new, nu) triple of k-row blocks, row i being
-    one layer's input and output of step i+1, bracketed as by
-    `stability_witness`.  Returns per step: each layer's `max_violation`
-    (k, layers); the TV of rows[1:], the same bits as `total_variation`
-    row by row; and the first non-finite index (-1 if none) of the
-    solution row, then of each layer's output (k, 1 + layers).
-    Floating-point errors are not reported: first_bad shows the
-    non-finite values instead.
+    one layer's input and output of step i+1.  Its witness brackets
+    new[j] by old[j-1], old[j] where the signed Courant number nu (one,
+    or one per entry) is >= 0, by old[j], old[j+1] where it is negative,
+    and by old[j-1..j+1] for nu None (updates that draw on both
+    neighbours); the row ends continue as ghosts.  Returns per step:
+    each layer's largest violation, at least 0 (k, layers); the TV of
+    rows[1:], the same bits as `total_variation` row by row; and the
+    first non-finite index (-1 if none) of the solution row, then of
+    each layer's output (k, 1 + layers).  Floating-point errors are not
+    reported: first_bad shows the non-finite values instead.
     """
     with np.errstate(all="ignore"):
         tv = total_variation(rows[1:])

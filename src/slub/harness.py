@@ -150,10 +150,10 @@ class StepOperators:
     cell averages), prepared once per run (the CFL check included):
     update(v, out=None) writes into `out`, which must not overlap `v`
     (a fresh array when None), returns it, and never writes into `v`.
-    nu_node/nu_cell carry the signed Courant numbers used by the
-    stability witness: one scalar when the velocity is uniform, else one
-    value per node / cell, or None for updates that draw on both
-    neighbours (then the witness brackets three points).
+    nu_node/nu_cell carry the signed Courant numbers of each layer's
+    witness in `block_diagnostics`: one scalar when the velocity is
+    uniform, else one value per node / cell, or None for updates that
+    draw on both neighbours (then the witness brackets three points).
     """
 
     node_update: Callable[..., np.ndarray]

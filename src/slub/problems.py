@@ -27,7 +27,6 @@ __all__ = [
     "ic_smooth_var",
     "exact_advection_const",
     "exact_advection_linear_velocity",
-    "hopf_lax_oracle",
     "singular_points",
     "ProblemSpec",
     "get_problem",
@@ -154,56 +153,6 @@ def exact_advection_linear_velocity(ic, x_bar: float, x, t: float):
     return _dispatch(x, np.asarray(ic(feet), dtype=float))
 
 
-def hopf_lax_oracle(ic, c: float, x, t: float, n_samples: int = 2001):
-    """Reference solution of v_t + |c v_x| = 0: erosion of the profile.
-
-    Evaluates min over y in [x - c t, x + c t] of ic(y) by dense sampling
-    followed by local ternary refinement around the sampled minimizer.
-
-    Parameters
-    ----------
-    ic : callable
-        Initial profile (vectorized).
-    c : float
-        Speed bound, c >= 0.
-    x : float or ndarray
-    t : float
-    n_samples : int
-        Dense sample count per evaluation point (>= 3).
-    """
-    if c < 0:
-        raise ValueError(f"need c >= 0, got {c}")
-    if t < 0:
-        raise ValueError(f"need t >= 0, got {t}")
-    if n_samples < 3:
-        raise ValueError("n_samples must be at least 3")
-    xa = np.atleast_1d(np.asarray(x, dtype=float))
-    r = c * t
-    if r == 0.0:
-        return _dispatch(x, np.asarray(ic(xa), dtype=float).reshape(np.shape(x)))
-
-    u = np.linspace(0.0, 1.0, n_samples)
-    Y = (xa - r)[:, None] + (2.0 * r) * u[None, :]
-    V = np.asarray(ic(Y.ravel()), dtype=float).reshape(Y.shape)
-    k = np.argmin(V, axis=1)
-    h = 2.0 * r / (n_samples - 1)
-    ystar = Y[np.arange(xa.size), k]
-    lo = np.maximum(ystar - h, xa - r)
-    hi = np.minimum(ystar + h, xa + r)
-    # ternary refinement; the dense pass has isolated the basin
-    for _ in range(120):
-        m1 = lo + (hi - lo) / 3.0
-        m2 = hi - (hi - lo) / 3.0
-        f1 = np.asarray(ic(m1), dtype=float)
-        f2 = np.asarray(ic(m2), dtype=float)
-        take_left = f1 <= f2
-        hi = np.where(take_left, m2, hi)
-        lo = np.where(take_left, lo, m1)
-    ymin = 0.5 * (lo + hi)
-    out = np.minimum(V[np.arange(xa.size), k], np.asarray(ic(ymin), dtype=float))
-    return _dispatch(x, out.reshape(np.shape(x)))
-
-
 # ---------------------------------------------------------------------------
 # problem registry
 
@@ -289,8 +238,6 @@ class ProblemSpec:
         ic(|x| + r), r = c*t: the Hopf-Lax minimum of ic over
         [x - r, x + r] sits at the end farther from 0 when ic is even and
         unimodal, the same assumption exact_antiderivative makes.
-        `hopf_lax_oracle` computes that minimum directly and is the
-        cross-check.
         """
         if self.kind == "advection-const":
             return exact_advection_const(self.ic, self.c, x, t)

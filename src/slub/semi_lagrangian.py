@@ -26,7 +26,6 @@ __all__ = [
     "advect_const_stepper",
     "advect_const_values",
     "hj_stepper",
-    "hj_update_values",
 ]
 
 
@@ -67,10 +66,11 @@ def advect_const_values(values: np.ndarray, nu: float) -> np.ndarray:
 
 def hj_stepper(nodes: np.ndarray, r: float):
     """Hopf-Lax update for H(p) = |c p|, r = c*dt >= 0, on raw values at
-    `nodes`, prepared once with its feet: update(values, out=None) writes
-    min(interp(in, x_j - r), interp(in, x_j + r), in_j), the minimum of
-    the P1 interpolant over [x_j - r, x_j + r] when r <= dx, into `out`
-    (fresh when None)."""
+    uniform `nodes`, prepared once with its feet and the CFL check r <= dx:
+    update(values, out=None) writes min(interp(in, x_j - r),
+    interp(in, x_j + r), in_j), the minimum of the P1 interpolant over
+    [x_j - r, x_j + r], into `out` (fresh when None)."""
+    check_cfl(r / (nodes[1] - nodes[0]))
     lo, hi = nodes - r, nodes + r
 
     def update(values, out=None):
@@ -79,8 +79,3 @@ def hj_stepper(nodes: np.ndarray, r: float):
         return np.minimum(out, v, out=out)
 
     return update
-
-
-def hj_update_values(values: np.ndarray, nodes: np.ndarray, r: float, out=None) -> np.ndarray:
-    """`hj_stepper(nodes, r)` applied once."""
-    return hj_stepper(nodes, r)(values, out)

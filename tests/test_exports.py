@@ -1,5 +1,6 @@
 """Public names: every listed export resolves, the package re-exports
-every module's list, and each scheme module exports its array kernel."""
+every module's list, each scheme module exports its array kernel, and
+the reference code of the tests is not part of the package."""
 
 from __future__ import annotations
 
@@ -28,9 +29,25 @@ def test_package_lists_every_module_export() -> None:
     "module, kernel",
     [
         ("semi_lagrangian", "advect_const_values"),
-        ("semi_lagrangian", "hj_update_values"),
+        ("semi_lagrangian", "hj_stepper"),
         ("ultrabee", "ub_step_values"),
     ],
 )
 def test_scheme_modules_export_their_array_kernels(module: str, kernel: str) -> None:
     assert kernel in importlib.import_module(f"slub.{module}").__all__
+
+
+# module -> names that live in tests/reference.py or were deleted with it
+TEST_ONLY = {
+    "diagnostics": ("stability_witness", "StabilityReport"),
+    "ultrabee": ("ub_flux_left", "ub_flux_right"),
+    "semi_lagrangian": ("hj_update_values",),
+    "problems": ("hopf_lax_oracle",),
+}
+
+
+@pytest.mark.parametrize("module", sorted(TEST_ONLY))
+def test_test_only_names_are_not_in_the_package(module: str) -> None:
+    names = TEST_ONLY[module]
+    assert not set(names) & set(slub.__all__)
+    assert [n for n in names if hasattr(importlib.import_module(f"slub.{module}"), n)] == []

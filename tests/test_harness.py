@@ -10,7 +10,7 @@ import pytest
 
 import slub.harness
 from slub.coupled import coupled_step, init_coupled_state
-from slub.diagnostics import stability_witness, total_variation
+from slub.diagnostics import total_variation
 from slub.grids import Alignment, build_grid, init_cell_averages, init_point_values
 from slub.harness import (
     MAX_STEPS,
@@ -24,6 +24,7 @@ from slub.harness import (
     time_ladder,
 )
 from slub.problems import REGISTRY, ProblemSpec, get_problem, ic_mix
+from reference import bracket_violations
 
 
 # ---------------------------------------------------------------------------
@@ -346,14 +347,15 @@ def test_run_fails_fast_on_non_finite_values(nan_at_step_3: int, scheme: str) ->
 
 def _stepwise_diagnostics(name: str, scheme: str, m: int) -> tuple:
     """(witnesses, TV series, solution rows) of a run, checked one step
-    and one layer at a time with the 1-D witnesses."""
+    and one layer at a time against the bracket written out entry by
+    entry."""
     problem = get_problem(name)
     dt, n_steps = time_ladder(problem, m)
     grid = resolve_grid(problem, m)
     ops = make_operators(problem, grid, dt)
 
     def witness(old, new, nu):
-        return stability_witness(old, new, nu).max_violation
+        return max(0.0, bracket_violations(old, new, nu).max())
 
     if scheme == "coupled":
         w0 = init_point_values(grid, problem.ic)
@@ -395,8 +397,8 @@ BLOCK_RUNS = [
 def test_run_diagnostics_match_a_step_by_step_run(
     monkeypatch, name: str, scheme: str, m: int, edge: str
 ) -> None:
-    """Per-step witnesses (one column per checked layer) equal the 1-D
-    witnesses, the TV series is the row-by-row TV to the byte, and
+    """Per-step witnesses (one column per checked layer) equal the
+    written-out bracket's, the TV series is the row-by-row TV to the byte, and
     witness_max is their largest value, and a snapshot of every step is
     the step-by-step solution, with the block size K set so
     that the run has fewer than K, exactly K, K + 1, or a ragged number

@@ -22,7 +22,6 @@ from slub.problems import (
     exact_advection_const,
     exact_advection_linear_velocity,
     get_problem,
-    hopf_lax_oracle,
     ic_jump,
     ic_mix,
     ic_smooth,
@@ -30,6 +29,7 @@ from slub.problems import (
     problem_names,
     singular_points,
 )
+from reference import hopf_lax_oracle
 
 ALL_ICS = [ic_smooth, ic_jump, ic_mix, ic_smooth_var]
 

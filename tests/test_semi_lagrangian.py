@@ -14,7 +14,7 @@ from hypothesis.extra import numpy as hnp
 from slub.grids import build_grid, init_point_values
 from slub.harness import make_operators, resolve_grid, time_ladder
 from slub.problems import get_problem
-from slub.semi_lagrangian import advect_const_values, hj_update_values
+from slub.semi_lagrangian import advect_const_values, hj_stepper
 
 FIELDS = hnp.arrays(
     dtype=np.float64,
@@ -99,7 +99,7 @@ def test_hj_update_matches_direct_minimization() -> None:
             v = rng.standard_normal(nodes.size)
             if trial % 3 == 0:
                 v[rng.random(nodes.size) < 0.5] = 0.0  # flat stretches and ties
-            out = hj_update_values(v, nodes, problem.c * dt)
+            out = hj_stepper(nodes, problem.c * dt)(v)
             brute = _brute_force_hj(v, nodes, problem.c, dt)
             assert np.array_equal(out, brute), (m, trial)
 
@@ -110,7 +110,7 @@ def test_hj_update_never_exceeds_local_max(v: np.ndarray) -> None:
     """An erosion step with zero running cost can only decrease values
     and never dips below the window minimum."""
     nodes = np.arange(v.size, dtype=float)
-    out = hj_update_values(v, nodes, 0.5)
+    out = hj_stepper(nodes, 0.5)(v)
     assert np.all(out <= v + 1e-12)
     assert np.all(out >= v.min() - 1e-12)
 
@@ -125,8 +125,17 @@ def test_hj_update_is_monotone_and_tvd(v: np.ndarray, bump: np.ndarray, r: float
     """Raising the data never lowers the update, and total variation
     does not grow, for any control interval [-r, r] within one cell."""
     nodes = np.arange(v.size, dtype=float)
-    out = hj_update_values(v, nodes, r)
-    higher = hj_update_values(v + bump[: v.size], nodes, r)
+    update = hj_stepper(nodes, r)
+    out = update(v)
+    higher = update(v + bump[: v.size])
     assert np.all(higher >= out - 1e-12)
     tv = lambda u: np.sum(np.abs(np.diff(u)))
     assert tv(out) <= tv(v) + 1e-10 * (1.0 + tv(v))
+
+
+def test_hj_stepper_rejects_a_control_interval_wider_than_a_cell() -> None:
+    """Beyond r = dx the closed form misses nodes inside [x_j - r, x_j + r]:
+    at r = 1.5 node 1 would read 0.5, not the minimum 0 at node 2."""
+    with pytest.raises(ValueError, match="CFL violated"):
+        hj_stepper(np.arange(5.0), 1.5)(np.array([1, 1, 0, 1, 1.0]))
+    hj_stepper(np.arange(5.0), 1.0)  # r = dx is allowed

@@ -14,7 +14,8 @@ from slub.grids import build_grid, edge_pad, init_cell_averages
 from slub.harness import make_operators
 from slub.problems import get_problem, ic_jump
 from slub.semi_lagrangian import advect_const_values
-from slub.ultrabee import ub_flux_left, ub_flux_right, ub_step_values
+from slub.ultrabee import ub_min_stepper, ub_step_values, ub_stepper
+from reference import flux_left, flux_right
 
 TRIPLES = st.tuples(
     st.floats(min_value=-5.0, max_value=5.0),
@@ -29,34 +30,31 @@ CELLS = hnp.arrays(
 
 
 def test_flux_left_pinned_values() -> None:
-    assert ub_flux_left(0.0, 1.0, 1.0, 0.5) == 1.0
-    assert ub_flux_left(0.0, 0.0, 1.0, 0.5) == 0.0
+    assert flux_left(0.0, 1.0, 1.0, 0.5) == 1.0
+    assert flux_left(0.0, 0.0, 1.0, 0.5) == 0.0
     # downwind value clamps to the steep interpolating bracket
-    assert ub_flux_left(0.0, 1.0, 5.0, 0.5) == 2.0
+    assert flux_left(0.0, 1.0, 5.0, 0.5) == 2.0
     # at rest: pass the downwind value through unless the cell is flat
-    assert ub_flux_left(0.0, 1.0, 5.0, 0.0) == 5.0
-    assert ub_flux_left(1.0, 1.0, 5.0, 0.0) == 1.0
-    with pytest.raises(ValueError):
-        ub_flux_left(0.0, 1.0, 1.0, -0.5)
+    assert flux_left(0.0, 1.0, 5.0, 0.0) == 5.0
+    assert flux_left(1.0, 1.0, 5.0, 0.0) == 1.0
 
 
 def test_flux_right_pinned_values() -> None:
-    assert ub_flux_right(5.0, 1.0, 0.0, -0.5) == 2.0
-    assert ub_flux_right(1.0, 0.0, 0.0, -0.5) == 0.0
-    with pytest.raises(ValueError):
-        ub_flux_right(0.0, 1.0, 1.0, 0.5)
+    assert flux_right(5.0, 1.0, 0.0, -0.5) == 2.0
+    assert flux_right(1.0, 0.0, 0.0, -0.5) == 0.0
 
 
 @pytest.mark.parametrize("nu", [np.nan, 3.0, 1.0 + 1e-9])
-def test_reference_fluxes_reject_a_nan_or_too_large_courant_number(nu: float) -> None:
-    """NaN passes both sign checks (nan < 0 is False), so the CFL check
-    rejects it, and |nu| > 1, as the kernels do."""
-    with pytest.raises(ValueError, match="CFL violated"):
-        ub_flux_left(0.0, 1.0, 2.0, nu)
-    with pytest.raises(ValueError, match="CFL violated"):
-        ub_flux_right(2.0, 1.0, 0.0, -nu)
+def test_cell_steppers_reject_a_nan_or_too_large_courant_number(nu: float) -> None:
+    """A NaN or |nu| > 1 of either sign, scalar or per cell, fails the
+    CFL check when a cell stepper is built."""
+    for build in (ub_stepper, ub_min_stepper, lambda x: ub_stepper(np.full(4, x))):
+        for signed in (nu, -nu):
+            with pytest.raises(ValueError, match="CFL violated"):
+                build(signed)
     # |nu| = 1 is allowed: the flux is u_cur, an exact shift
-    assert ub_flux_left(0.0, 1.0, 2.0, 1.0) == ub_flux_right(2.0, 1.0, 0.0, -1.0) == 1.0
+    assert flux_left(0.0, 1.0, 2.0, 1.0) == flux_right(2.0, 1.0, 0.0, -1.0) == 1.0
+    np.testing.assert_array_equal(ub_stepper(1.0)(np.array([0.0, 1.0, 2.0, 3.0])), [0.0, 0.0, 1.0, 2.0])
 
 
 @given(triple=TRIPLES, nu=st.floats(min_value=0.0, max_value=1.0))
@@ -65,9 +63,9 @@ def test_flux_brackets_interpolating_pair(triple, nu: float) -> None:
     """Either flux stays between the two cell values it interpolates
     (the cell and its downwind neighbor)."""
     prev, cur, nxt = triple
-    f = ub_flux_left(prev, cur, nxt, nu)
+    f = flux_left(prev, cur, nxt, nu)
     assert min(cur, nxt) - 1e-12 <= f <= max(cur, nxt) + 1e-12
-    g = ub_flux_right(nxt, cur, prev, -nu)
+    g = flux_right(nxt, cur, prev, -nu)
     assert min(cur, nxt) - 1e-12 <= g <= max(cur, nxt) + 1e-12
 
 
@@ -233,7 +231,7 @@ def ub_flux_limited(values: np.ndarray, j: int, nu: float) -> tuple[float, Limit
     """Limited-slope form of the interface flux right of cell j of the
     cell averages `values`.
 
-    Cross-validation reference for ub_flux_left: flux =
+    Cross-validation reference for flux_left: flux =
     u_j + ((1-nu)/phi)(u_{j+1} - u_j) with
     phi = max(0, min(2r/nu, 2/(1-nu))), r the upwind slope ratio.
     The formula degenerates as r -> 0+ and on slope-sign changes; those
@@ -249,13 +247,13 @@ def ub_flux_limited(values: np.ndarray, j: int, nu: float) -> tuple[float, Limit
     r = (u_cur - u_prev) / d_plus
     phi = max(0.0, min(2.0 * r / nu, 2.0 / (1.0 - nu)))
     if phi == 0.0:
-        flux = ub_flux_left(u_prev, u_cur, u_next, nu)
+        flux = flux_left(u_prev, u_cur, u_next, nu)
         return flux, LimiterState(r=r, phi=phi, fell_back=True)
     flux = u_cur + (1.0 - nu) / phi * d_plus
     lo = min(u_prev, u_cur, u_next)
     hi = max(u_prev, u_cur, u_next)
     if not (lo <= flux <= hi):
-        flux = ub_flux_left(u_prev, u_cur, u_next, nu)
+        flux = flux_left(u_prev, u_cur, u_next, nu)
         return flux, LimiterState(r=r, phi=phi, fell_back=True)
     return float(flux), LimiterState(r=r, phi=phi)
 
@@ -266,7 +264,7 @@ def test_limited_flux_matches_clamp_form_on_monotone_data() -> None:
     flux, state = ub_flux_limited(np.array([0.0, 1.0, 2.0]), 1, 0.5)
     assert flux == pytest.approx(1.125)
     assert not state.fell_back and state.r == pytest.approx(1.0)
-    clamp = ub_flux_left(0.0, 1.0, 2.0, 0.5)
+    clamp = flux_left(0.0, 1.0, 2.0, 0.5)
     assert min(1.0, 2.0) <= flux <= max(1.0, 2.0)
     assert min(1.0, 2.0) <= clamp <= max(1.0, 2.0)
 
@@ -279,7 +277,7 @@ def test_limited_flux_flags_degenerate_cases() -> None:
     f = np.array([2.0, 1.0, 3.0])
     flux, state = ub_flux_limited(f, 1, 0.5)
     assert state.fell_back
-    assert flux == ub_flux_left(2.0, 1.0, 3.0, 0.5)
+    assert flux == flux_left(2.0, 1.0, 3.0, 0.5)
     with pytest.raises(ValueError):
         ub_flux_limited(f, 1, 0.0)
 

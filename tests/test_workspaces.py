@@ -25,7 +25,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from slub.coupled import RegularityParams, _regularity_workspace, classify_regularity
-from slub.semi_lagrangian import hj_stepper, hj_update_values
+from slub.semi_lagrangian import hj_stepper
 from slub.ultrabee import ub_min_stepper, ub_stepper
 from test_step_kernels import (
     LATTICE,
@@ -115,12 +115,14 @@ def test_per_cell_stepper_reuses_its_workspace(n: int, kind: str, data) -> None:
     _assert_reused_workspace_matches(ub_stepper(nus), old, inputs)
 
 
-@given(n=st.integers(2, 24), r=st.sampled_from([0.0, 0.25, 1.0]), data=st.data())
+@given(n=st.integers(2, 24), frac=st.sampled_from([0.0, 0.25, 1.0]), data=st.data())
 @settings(max_examples=100, deadline=None)
-def test_hj_stepper_reuses_its_feet(n: int, r: float, data) -> None:
-    """The feet taken once per run give the bits of the one-call kernel and
-    of the expression it replaced, which took them on every call."""
+def test_hj_stepper_reuses_its_feet(n: int, frac: float, data) -> None:
+    """The feet taken once per run give the bits of a stepper built for
+    each call and of the expression it replaced, which took them on every
+    call; r is frac cells, within the CFL bound."""
     nodes = np.linspace(-2.0, 2.0, n)
+    r = frac * (nodes[1] - nodes[0])
     inputs = data.draw(_sequence(n))
 
     def old(v):
@@ -129,7 +131,7 @@ def test_hj_stepper_reuses_its_feet(n: int, r: float, data) -> None:
 
     _assert_reused_workspace_matches(hj_stepper(nodes, r), old, inputs)
     for v in inputs:
-        assert _outcome(hj_update_values, v, nodes, r) == _outcome(old, v)
+        assert _outcome(hj_stepper(nodes, r), v) == _outcome(old, v)
 
 
 THRESHOLDS = st.sampled_from([0.0, 0.5, 1.0, 4.0, np.inf])
