@@ -116,24 +116,21 @@ def edge_pad(values: np.ndarray, k: int, out=None) -> np.ndarray:
 
 
 def _eval_on(fn, x: np.ndarray) -> np.ndarray:
-    """Evaluate fn on an array, tolerating scalar-only callables."""
-    try:
-        out = np.asarray(fn(x), dtype=float)
-        if out.shape == x.shape:
-            return out
-    except (TypeError, ValueError):
-        pass
-    return np.array([float(fn(xi)) for xi in x])
+    """fn evaluated once on the array x, as floats, one value per entry."""
+    out = np.asarray(fn(x), dtype=float)
+    if out.shape != x.shape:
+        raise ValueError(f"expected one value per node, shape {x.shape}, got shape {out.shape}")
+    return out
 
 
 def init_point_values(grid: Grid1D, ic) -> np.ndarray:
-    """The node values ic(x_j) of an initial condition (vectorized or
-    scalar `ic`), as a float array.
+    """The node values ic(x_j) of a vectorized initial condition, as a
+    float array; `ic` is called once, on the node array.
 
     Raises
     ------
     ValueError
-        If a value is not finite.
+        If `ic` does not return one value per node, or a value is not finite.
     """
     vals = _eval_on(ic, grid.nodes)
     if not np.all(np.isfinite(vals)):

@@ -79,8 +79,8 @@ _SUPPORT_PAD = 0.5
 
 def resolve_grid(problem: ProblemSpec, m: int) -> Grid1D:
     """Grid for a ladder entry, extended on each side that the
-    transported support (`ProblemSpec.support_t0` moved by c*T) would
-    leave the stated window.
+    transported support (`ProblemSpec.support_t0` at its foot at -T)
+    would leave the stated window.
 
     Extension keeps dx and adds the whole cells that the final support,
     plus a smearing margin, needs on that side, so ladder spacings stay
@@ -90,10 +90,9 @@ def resolve_grid(problem: ProblemSpec, m: int) -> Grid1D:
     if problem.support_t0 is None:  # set only on "advection-const" specs
         return grid
     a, b, dx = grid.a, grid.b, grid.dx
-    shift = problem.c * problem.T
-    lo, hi = problem.support_t0
-    right = max(0, math.ceil(((hi + shift) + _SUPPORT_PAD - b) / dx - 1e-12))
-    left = max(0, math.ceil((a - ((lo + shift) - _SUPPORT_PAD)) / dx - 1e-12))
+    lo, hi = (problem.foot(e, -problem.T) for e in problem.support_t0)
+    right = max(0, math.ceil((hi + _SUPPORT_PAD - b) / dx - 1e-12))
+    left = max(0, math.ceil((a - (lo - _SUPPORT_PAD)) / dx - 1e-12))
     return build_grid(a - left * dx, b + right * dx, m + left + right)
 
 
@@ -244,15 +243,11 @@ class RunResult:
         return self.dt * self.n_steps
 
 
-def _trap(kind: str, flag: int) -> None:
-    raise FloatingPointError(kind)
-
-
 def _trapping() -> np.errstate:
     """Raise FloatingPointError on each floating-point error that the
     caller's numpy settings would not ignore, instead of reporting it."""
-    modes = {kind: "ignore" if mode == "ignore" else "call" for kind, mode in np.geterr().items()}
-    return np.errstate(call=_trap, **modes)
+    return np.errstate(**{kind: "ignore" if mode == "ignore" else "raise"
+                          for kind, mode in np.geterr().items()})
 
 
 def _raise_non_finite(k: int, tv: float, first_bad, labels) -> None:

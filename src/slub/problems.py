@@ -25,8 +25,6 @@ __all__ = [
     "ic_jump",
     "ic_mix",
     "ic_smooth_var",
-    "exact_advection_const",
-    "exact_advection_linear_velocity",
     "singular_points",
     "ProblemSpec",
     "get_problem",
@@ -133,27 +131,6 @@ ic_smooth_var.antiderivative = ic_smooth_var_antiderivative
 
 
 # ---------------------------------------------------------------------------
-# exact solutions
-
-
-def exact_advection_const(ic, c: float, x, t: float):
-    """Exact constant-velocity transport: ic(x - c t)."""
-    x = np.asarray(x, dtype=float)
-    return _dispatch(x, np.asarray(ic(x - c * t), dtype=float))
-
-
-def exact_advection_linear_velocity(ic, x_bar: float, x, t: float):
-    """Exact solution for velocity c(x) = -(x - x_bar).
-
-    Characteristics contract toward x_bar; tracing back from (x, t)
-    gives the starting point x_bar + (x - x_bar) e^t.
-    """
-    x = np.asarray(x, dtype=float)
-    feet = x_bar + (x - x_bar) * math.exp(t)
-    return _dispatch(x, np.asarray(ic(feet), dtype=float))
-
-
-# ---------------------------------------------------------------------------
 # problem registry
 
 
@@ -182,7 +159,8 @@ class ProblemSpec:
     (lo, hi) support of the initial profile, a finite pair with lo < hi,
     and only an "advection-const" spec may set it: `slub.harness.resolve_grid`
     then extends the domain on each side the transported support would
-    leave.
+    leave.  sing_points_t0, the reference's kinks and jumps at t = 0,
+    must be finite real numbers.
     """
 
     name: str
@@ -230,22 +208,32 @@ class ProblemSpec:
                     and -math.inf < support[0] < support[1] < math.inf):
                 raise ValueError(f"support_t0 must be a finite pair (lo, hi) with lo < hi, "
                                  f"got support_t0={support!r}")
+        points = self.sing_points_t0
+        if not (isinstance(points, (tuple, list)) and all(
+                isinstance(e, numbers.Real) and math.isfinite(e) for e in points)):
+            raise ValueError(f"sing_points_t0 must be a sequence of finite real numbers, "
+                             f"got sing_points_t0={points!r}")
+
+    def foot(self, x, t: float):
+        """The kind's one characteristic map: where the reference at
+        (x, t) reads ic.  x - c*t, x_bar + (x - x_bar)*e^t, or for "hj"
+        |x| + c*t, the end of [x - c*t, x + c*t] where an even, unimodal
+        ic is smallest.  At -t an advection foot carries time-0 points to t."""
+        if self.kind == "advection-const":
+            return x - self.c * t
+        if self.kind == "advection-var":
+            return self.x_bar + (x - self.x_bar) * math.exp(t)
+        return np.abs(x) + self.c * t
 
     def exact(self, x, t: float):
-        """Reference solution at time t (vectorized in x).
+        """Reference solution at time t (vectorized in x): ic at the foot.
 
-        Closed form for every kind.  For "hj" it is the erosion
-        ic(|x| + r), r = c*t: the Hopf-Lax minimum of ic over
-        [x - r, x + r] sits at the end farther from 0 when ic is even and
-        unimodal, the same assumption exact_antiderivative makes.
+        For "hj" that is the Hopf-Lax minimum of ic over the interval
+        when ic is even and unimodal, the assumption exact_antiderivative
+        makes too.
         """
-        if self.kind == "advection-const":
-            return exact_advection_const(self.ic, self.c, x, t)
-        if self.kind == "advection-var":
-            return exact_advection_linear_velocity(self.ic, self.x_bar, x, t)
-        r = self.c * t  # hj
         x = np.asarray(x, dtype=float)
-        return _dispatch(x, np.asarray(self.ic(np.abs(x) + r), dtype=float))
+        return _dispatch(x, np.asarray(self.ic(self.foot(x, t)), dtype=float))
 
     def exact_antiderivative(self, x, t: float):
         """Antiderivative in x of the reference solution at time t.
@@ -255,13 +243,9 @@ class ProblemSpec:
         """
         F = self.ic.antiderivative
         x = np.asarray(x, dtype=float)
-        if self.kind == "advection-const":
-            return _dispatch(x, np.asarray(F(x - self.c * t), dtype=float))
-        if self.kind == "advection-var":
-            lam = math.exp(t)
-            return _dispatch(
-                x, np.asarray(F(self.x_bar + (x - self.x_bar) * lam), dtype=float) / lam
-            )
+        if self.kind != "hj":  # F at the foot over d(foot)/dx
+            slope = math.exp(t) if self.kind == "advection-var" else 1.0
+            return _dispatch(x, np.asarray(F(self.foot(x, t)), dtype=float) / slope)
         # hj, the erosion of an even unimodal profile: v(x,t) = ic(|x| + r),
         # integrated piecewise on each side of the kink at 0
         r = self.c * t
@@ -281,15 +265,10 @@ class ProblemSpec:
 
 
 def singular_points(problem: ProblemSpec, t: float) -> np.ndarray:
-    """Positions of transported kinks/jumps of the reference at time t."""
+    """Positions of transported kinks/jumps of the reference at time t:
+    the foot at -t of each time-0 point; the hj kink stays put."""
     pts = np.asarray(problem.sing_points_t0, dtype=float)
-    if pts.size == 0:
-        return pts
-    if problem.kind == "advection-const":
-        return pts + problem.c * t
-    if problem.kind == "advection-var":
-        return problem.x_bar + (pts - problem.x_bar) * math.exp(-t)
-    return pts  # hj kink stays put
+    return pts if pts.size == 0 or problem.kind == "hj" else problem.foot(pts, -t)
 
 
 _LADDER_A = (19, 39, 79, 159, 319, 639)

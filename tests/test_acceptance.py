@@ -25,7 +25,6 @@ from slub.coupled import (
 from slub.grids import build_grid, init_cell_averages, init_point_values
 from slub.harness import convergence_table, resolve_grid, run_scheme, time_ladder
 from slub.problems import (
-    exact_advection_linear_velocity,
     get_problem,
     ic_jump,
     ic_smooth,
@@ -507,9 +506,7 @@ def test_closed_form_oracle_cross_checks(record_criterion) -> None:
     x = rng.uniform(0.0, 1.0, 1000)
     t = rng.uniform(0.0, 1.0, 1000)
     x_bar = 1.1
-    closed = np.array(
-        [exact_advection_linear_velocity(ic_smooth_var, x_bar, xi, ti) for xi, ti in zip(x, t)]
-    )
+    closed = np.array([get_problem("adv-var").exact(xi, ti) for xi, ti in zip(x, t)])
     feet = _rk4_feet(x, t, x_bar, substeps=400)
     traced = ic_smooth_var(feet)
     rk_gap = float(np.max(np.abs(closed - traced)))

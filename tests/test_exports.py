@@ -37,12 +37,12 @@ def test_scheme_modules_export_their_array_kernels(module: str, kernel: str) -> 
     assert kernel in importlib.import_module(f"slub.{module}").__all__
 
 
-# module -> names that live in tests/reference.py or were deleted with it
+# module -> names that live in tests/reference.py or were deleted from the package
 TEST_ONLY = {
     "diagnostics": ("stability_witness", "StabilityReport"),
     "ultrabee": ("ub_flux_left", "ub_flux_right"),
     "semi_lagrangian": ("hj_update_values",),
-    "problems": ("hopf_lax_oracle",),
+    "problems": ("hopf_lax_oracle", "exact_advection_const", "exact_advection_linear_velocity"),
 }
 
 

@@ -131,10 +131,15 @@ def test_init_point_values_samples_nodes() -> None:
     np.testing.assert_allclose(f, g.nodes**2)
 
 
-def test_init_point_values_accepts_scalar_only_callable() -> None:
+def test_init_point_values_rejects_a_scalar_only_callable() -> None:
+    """`ic` is called once, on the node array, as `ProblemSpec.exact`
+    calls it: a scalar-only callable raises its own error, and one value
+    for every node is rejected by its shape."""
     g = build_grid(0.0, 1.0, 4)
-    f = init_point_values(g, lambda x: float(x) + 1.0)
-    np.testing.assert_allclose(f, g.nodes + 1.0)
+    with pytest.raises(TypeError):
+        init_point_values(g, lambda x: float(x) + 1.0)
+    with pytest.raises(ValueError, match=r"one value per node, shape \(5,\), got shape \(\)"):
+        init_point_values(g, lambda x: 1.0)
 
 
 def test_init_cell_averages_exact_for_linear() -> None:

@@ -307,6 +307,17 @@ def test_coupled_run_calls_node_update_once_per_step(monkeypatch) -> None:
     assert len(calls) == res.n_steps
 
 
+def test_a_scalar_only_ic_fails_before_any_node_update(monkeypatch) -> None:
+    """The initializers call `ic` on the node array, as the reference
+    does, so a scalar-only `ic` fails before the first step instead of
+    after the last one."""
+    calls = _count_updates(monkeypatch, "node_update")
+    problem = replace(get_problem("adv-jump"), ic=lambda x: 1.0 if abs(float(x)) <= 1.0 else 0.0)
+    with pytest.raises(TypeError):
+        run_scheme(problem, "sl", 79)
+    assert calls == []
+
+
 def test_time_ladder_step_cap_is_inclusive() -> None:
     """A horizon of exactly MAX_STEPS steps is allowed, one more is not."""
     problem = get_problem("adv-smooth")

@@ -19,8 +19,6 @@ from hypothesis import strategies as st
 from slub.harness import resolve_grid, time_ladder
 from slub.problems import (
     REGISTRY,
-    exact_advection_const,
-    exact_advection_linear_velocity,
     get_problem,
     ic_jump,
     ic_mix,
@@ -81,9 +79,9 @@ def test_mix_total_mass() -> None:
 
 def test_exact_advection_const_translates() -> None:
     x = np.linspace(-2.0, 4.0, 301)
-    out = exact_advection_const(ic_smooth, 1.0, x, 2.0)
+    out = get_problem("adv-smooth").exact(x, 2.0)
     np.testing.assert_allclose(out, ic_smooth(x - 2.0), rtol=0, atol=0)
-    assert exact_advection_const(ic_jump, -0.5, 0.0, 1.0) == ic_jump(0.5)
+    assert replace(get_problem("adv-jump"), c=-0.5).exact(0.0, 1.0) == ic_jump(0.5)
 
 
 def test_exact_linear_velocity_against_rk4() -> None:
@@ -103,7 +101,8 @@ def test_exact_linear_velocity_against_rk4() -> None:
         k4 = -((y + h * k3) - x_bar)
         y += (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
     expected = ic_smooth_var(y)
-    got = exact_advection_linear_velocity(ic_smooth_var, x_bar, x, t)
+    assert get_problem("adv-var").x_bar == x_bar
+    got = get_problem("adv-var").exact(x, t)
     np.testing.assert_allclose(got, expected, atol=1e-10)
 
 
@@ -259,9 +258,10 @@ def test_problem_exact_dispatch() -> None:
     x = np.linspace(-2.0, 4.0, 50)
     np.testing.assert_allclose(p.exact(x, 2.0), ic_smooth(x - 2.0))
     pv = get_problem("adv-var")
-    np.testing.assert_allclose(
-        pv.exact(x, 1.0), exact_advection_linear_velocity(ic_smooth_var, 1.1, x, 1.0)
-    )
+    np.testing.assert_array_equal(pv.exact(x, 1.0), ic_smooth_var(1.1 + (x - 1.1) * math.exp(1.0)))
+    hj = get_problem("hj-abs")
+    np.testing.assert_array_equal(hj.exact(x, 0.5), ic_smooth(np.abs(x) + 0.5))
+    assert isinstance(pv.exact(0.5, 1.0), float)
 
 
 @pytest.mark.parametrize("name", sorted(REGISTRY))
@@ -292,6 +292,23 @@ def test_singular_points_transport() -> None:
     pv = get_problem("adv-var")
     assert singular_points(pv, 1.0).size == 0
     np.testing.assert_allclose(singular_points(get_problem("hj-abs"), 0.5), [0.0])
+
+
+def test_singular_points_contract_toward_x_bar() -> None:
+    """An advection-var kink moves along its characteristic, x_bar +
+    (x - x_bar) e^-t, bit for bit."""
+    pts = np.array([0.2, 0.5])
+    moved = singular_points(replace(get_problem("adv-var"), sing_points_t0=(0.2, 0.5)), 1.0)
+    np.testing.assert_array_equal(moved, 1.1 + (pts - 1.1) * math.exp(-1.0))
+
+
+def test_spec_rejects_a_singular_point_that_is_not_a_finite_real() -> None:
+    """A NaN singular point used to build and then zero `linf_reg`, whose
+    band comparisons it fails; a string failed only after the last step."""
+    for points in ((float("nan"),), (0.0, math.inf), ("a",), (None,), 0.5):
+        with pytest.raises(ValueError, match=r"sing_points_t0 must .* got sing_points_t0="):
+            replace(get_problem("adv-jump"), sing_points_t0=points)
+    assert replace(get_problem("adv-jump"), sing_points_t0=[-1, 1.5]).sing_points_t0 == [-1, 1.5]
 
 
 def test_speed_bound() -> None:
