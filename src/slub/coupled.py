@@ -25,7 +25,6 @@ __all__ = [
     "project_to_cells",
     "project_to_nodes",
     "CoupledState",
-    "init_coupled_state",
     "coupled_step",
 ]
 
@@ -158,7 +157,7 @@ def project_to_nodes(cell_values: np.ndarray, out: Optional[np.ndarray] = None) 
 
 @dataclass(frozen=True)
 class CoupledState:
-    """One time level of the coupled scheme.
+    """One time level of the coupled scheme, as a step wrote it.
 
     w           node values (the solution)
     w_bar       cell averages; trusted only where `owned` is True, and
@@ -172,77 +171,59 @@ class CoupledState:
     cell_source       cell averages the cell update started from: the
                       previous w_bar where owned, else projected nodes
 
-    The last two are None on a state no step produced.  In a run every
-    array views a row of the run's blocks.
+    Every array views the `out` of the step; in a run, a row of the
+    run's blocks.
     """
 
     w: np.ndarray
     w_bar: np.ndarray
     owned: np.ndarray
     sigma: np.ndarray
-    fresh_cell_count: int = 0
-    node_candidate: Optional[np.ndarray] = None
-    cell_source: Optional[np.ndarray] = None
-
-
-def init_coupled_state(values: np.ndarray, dx: float, params: RegularityParams) -> CoupledState:
-    """Initial state from node values; averages start as projections."""
-    w = np.asarray(values, dtype=float).copy()
-    return CoupledState(
-        w=w,
-        w_bar=project_to_cells(w),
-        owned=np.zeros(w.size - 1, dtype=bool),
-        sigma=classify_regularity(w, dx, params),
-    )
+    fresh_cell_count: int
+    node_candidate: np.ndarray
+    cell_source: np.ndarray
 
 
 def coupled_step(
-    state: CoupledState,
+    prev: tuple,
     dx: float,
     params: RegularityParams,
-    sl_update: Callable[..., np.ndarray],
-    ub_update: Callable[..., np.ndarray],
-    out: Optional[tuple] = None,
+    node_update: Callable[..., np.ndarray],
+    cell_update: Callable[..., np.ndarray],
+    out: tuple,
     indicator: Optional[tuple] = None,
 ) -> CoupledState:
     """Advance one step, re-deciding the split from the current profile.
 
-    sl_update (nodes) and ub_update (cell averages) are applied to full
-    arrays, so sigma identically 1 reproduces the node scheme bit for
-    bit, and 0 the cell scheme.  The cell source is w_bar where owned,
-    else the projected nodes; the new nodes are the node update where
-    sigma is 1, else the projected cells, each by an `np.copyto` mask.
-    No input is written.  A step with no active cell runs neither
-    ub_update nor the node projection, so it warns of no floating-point
-    error in cells that no node would read.
-
-    `out` holds the six arrays, in field order, that the step writes and
-    the returned state views (a run passes its block rows); the updates
-    are then steppers update(v, out=...).  When None, each update maps an
-    array to a fresh one, as every field is.  `indicator` is the
+    `prev` = (w, w_bar, owned) is the level the step reads (no input is
+    written); `out` holds the six arrays, in `CoupledState` field order,
+    that it writes and the returned state views (a run passes its block
+    rows).  node_update and cell_update are steppers update(v, out=...)
+    applied to full arrays, so sigma identically 1 reproduces the node
+    scheme bit for bit, and 0 the cell scheme.  The cell source is w_bar
+    where owned, else the projected nodes; the new nodes are the node
+    update where sigma is 1, else the projected cells, each by an
+    `np.copyto` mask.  A step with no active cell runs neither
+    cell_update nor the node projection, so it warns of no floating-point
+    error in cells that no node would read.  `indicator` is the
     `_regularity_workspace` a run builds once (one per call when None).
     """
-    if out is None:
-        n, sl, ub = state.w.size, sl_update, ub_update
-        out = (np.empty(n), np.empty(n - 1), np.empty(n - 1, bool), np.empty(n, np.int8),
-               np.empty(n), np.empty(n - 1))
-        sl_update = lambda v, out: np.copyto(out, sl(v))
-        ub_update = lambda v, out: np.copyto(out, ub(v))
+    prev_w, prev_bar, prev_owned = prev
     w, bar, act, sigma, cand, source = out
-    classify_regularity(state.w, dx, params, out=sigma, work=indicator)
+    classify_regularity(prev_w, dx, params, out=sigma, work=indicator)
     regular = sigma.view(bool)
     active_cells(regular, out=act)
-    project_to_cells(state.w, out=source)
-    np.copyto(source, state.w_bar, where=state.owned)
+    project_to_cells(prev_w, out=source)
+    np.copyto(source, prev_bar, where=prev_owned)
     evolve = np.count_nonzero(act) > 0
     if evolve:
-        ub_update(source, out=bar)
-    sl_update(state.w, out=cand)
+        cell_update(source, out=bar)
+    node_update(prev_w, out=cand)
     if evolve:
         project_to_nodes(bar, out=w)
         np.copyto(w, cand, where=regular)
     else:  # every node regular: the masked copy would take every node
         bar[...] = source
         w[...] = cand
-    fresh = int(np.count_nonzero(act > state.owned)) if evolve else 0
+    fresh = int(np.count_nonzero(act > prev_owned)) if evolve else 0
     return CoupledState(w, bar, act, sigma, fresh, cand, source)

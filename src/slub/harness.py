@@ -31,10 +31,10 @@ from .ultrabee import ub_min_stepper, ub_stepper
 # unused here, but benchmarks/tests/test_bench.py asserts it is ultrabee's
 from .ultrabee import ub_step_values
 from .coupled import (
-    CoupledState,
     RegularityParams,
+    classify_regularity,
     coupled_step,
-    init_coupled_state,
+    project_to_cells,
     _regularity_workspace,
 )
 from .diagnostics import (
@@ -331,30 +331,26 @@ def run_scheme(
     sigma_history = None
     allowance = 0.0
     if scheme == "coupled":
-        state = init_coupled_state(w0, grid.dx, params)
-        v, alignment = state.w, Alignment.NODE
+        v, alignment = w0, Alignment.NODE
         sigma_history = np.empty((n_steps + 1, v.size), np.int8)
         allowance = tvb_allowance(params, grid)
         rows, cand = np.empty((2, block_steps + 1, v.size))
         src, bar = np.empty((2, block_steps + 1, v.size - 1))
-        owned = np.empty((block_steps + 1, v.size - 1), bool)
-        sigma_history[0], bar[0], owned[0] = state.sigma, state.w_bar, state.owned
-        carried = (rows, bar, owned)
-        row_views = list(zip(rows, bar, owned, cand, src))  # built once, not per step
+        owned = np.zeros((block_steps + 1, v.size - 1), bool)  # no cell owned at t = 0
         indicator = _regularity_workspace(v.size, params.guard)
+        classify_regularity(w0, grid.dx, params, out=sigma_history[0], work=indicator)
+        project_to_cells(w0, out=bar[0])
+        carried = (rows, bar, owned)
+        levels = list(zip(rows, bar, owned))  # per-row views, built once, not per step
+        scratch = list(zip(cand, src))
         # a layer of step i reads row i - 1 of its first block and writes row i of its second
         layers = ((rows, cand, ops.nu_node), (src[1:], bar, ops.nu_cell))
         labels = (("total variation {tv}", alignment), ("node candidate", Alignment.NODE),
                   ("cell average", Alignment.CELL))
 
-        def advance(i):
-            nonlocal state
-            if i == 1:  # a block's first step, or a retaken one, reads row 0, which flush has set
-                state = CoupledState(rows[0], bar[0], owned[0], state.sigma)
-            w, w_bar, act, node_candidate, source = row_views[i]
-            state = coupled_step(state, grid.dx, params, ops.node_update, ops.cell_update,
-                                 (w, w_bar, act, sigma_history[done + i], node_candidate, source),
-                                 indicator)
+        def advance(i):  # a retaken step reads row 0, which flush has set
+            coupled_step(levels[i - 1], grid.dx, params, ops.node_update, ops.cell_update,
+                         (*levels[i], sigma_history[done + i], *scratch[i]), indicator)
     else:
         if scheme == "sl":
             v = w0

@@ -218,7 +218,7 @@ class ProblemSpec:
         """The kind's one characteristic map: where the reference at
         (x, t) reads ic.  x - c*t, x_bar + (x - x_bar)*e^t, or for "hj"
         |x| + c*t, the end of [x - c*t, x + c*t] where an even, unimodal
-        ic is smallest.  At -t an advection foot carries time-0 points to t."""
+        ic is smallest.  At -t the foot carries time-0 points to t."""
         if self.kind == "advection-const":
             return x - self.c * t
         if self.kind == "advection-var":
@@ -246,13 +246,11 @@ class ProblemSpec:
         if self.kind != "hj":  # F at the foot over d(foot)/dx
             slope = math.exp(t) if self.kind == "advection-var" else 1.0
             return _dispatch(x, np.asarray(F(self.foot(x, t)), dtype=float) / slope)
-        # hj, the erosion of an even unimodal profile: v(x,t) = ic(|x| + r),
-        # integrated piecewise on each side of the kink at 0
-        r = self.c * t
-        Fp = np.asarray(F(x + r), dtype=float)
-        Fm = np.asarray(F(r - x), dtype=float)
-        F0 = float(F(np.asarray(r, dtype=float)))
-        return _dispatch(x, np.where(x >= 0.0, Fp, 2.0 * F0 - Fm))
+        # hj, the erosion of an even unimodal profile: v(x,t) = ic(|x| + c*t),
+        # F at the foot on x >= 0 and its odd continuation about the kink at 0
+        Ff = np.asarray(F(self.foot(x, t)), dtype=float)
+        F0 = float(F(np.asarray(self.c * t, dtype=float)))
+        return _dispatch(x, np.where(x >= 0.0, Ff, 2.0 * F0 - Ff))
 
     def velocity_values(self, x: np.ndarray) -> np.ndarray:
         """Velocity sampled at positions x (constant kinds broadcast)."""
@@ -266,9 +264,18 @@ class ProblemSpec:
 
 def singular_points(problem: ProblemSpec, t: float) -> np.ndarray:
     """Positions of transported kinks/jumps of the reference at time t:
-    the foot at -t of each time-0 point; the hj kink stays put."""
+    the foot at -t of each time-0 point.  The hj reference is even, so a
+    point p sits at both +-(|p| - c*t), sorted and once each, until c*t
+    reaches |p| and it has merged into the kink at 0."""
     pts = np.asarray(problem.sing_points_t0, dtype=float)
-    return pts if pts.size == 0 or problem.kind == "hj" else problem.foot(pts, -t)
+    if pts.size == 0:
+        return pts
+    moved = problem.foot(pts, -t)
+    if problem.kind != "hj":
+        return moved
+    r = np.maximum(moved, 0.0)
+    # a set, not np.unique, whose first call imports numpy.ma
+    return np.array(sorted(set(np.concatenate([-r[r > 0.0], r]).tolist())))
 
 
 _LADDER_A = (19, 39, 79, 159, 319, 639)

@@ -4,13 +4,16 @@
 interface, `bracket_violations` writes the witness bracket out entry by
 entry, and `hopf_lax_oracle` computes the erosion reference by direct
 minimization.  `step_witness` checks one step through the run path,
-`block_diagnostics` on a one-row block.
+`block_diagnostics` on a one-row block.  `coupled_out` and `stepper`
+call `coupled_step` as a run does, into six arrays with steppers, and
+`initial_level` is the level a coupled run starts from.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from slub.coupled import project_to_cells
 from slub.diagnostics import block_diagnostics
 from slub.problems import _dispatch
 from slub.ultrabee import _NU_TINY, _flux_pos
@@ -51,6 +54,28 @@ def step_witness(old, new, nu) -> float:
     """The witness of one step, old -> new, by `block_diagnostics`."""
     old, new = np.asarray(old, dtype=float), np.asarray(new, dtype=float)
     return float(block_diagnostics(np.stack([old, new]), [(old[None], new[None], nu)])[0][0, 0])
+
+
+def coupled_out(n: int) -> tuple:
+    """Six fresh arrays for one `coupled_step` on n nodes, in
+    `CoupledState` field order."""
+    return (np.empty(n), np.empty(n - 1), np.empty(n - 1, bool), np.empty(n, np.int8),
+            np.empty(n), np.empty(n - 1))
+
+
+def initial_level(w) -> tuple:
+    """(w, w_bar, owned) of a coupled run at t = 0: the averages are the
+    projected nodes and no cell is owned."""
+    w = np.asarray(w, dtype=float)
+    return w, project_to_cells(w), np.zeros(w.size - 1, bool)
+
+
+def stepper(update):
+    """A map to a fresh array, update(v), as a stepper update(v, out=...)."""
+    def step(v, out):
+        np.copyto(out, update(v))
+        return out
+    return step
 
 
 def hopf_lax_oracle(ic, c: float, x, t: float, n_samples: int = 2001):

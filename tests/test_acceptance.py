@@ -18,7 +18,6 @@ from slub.coupled import (
     CoupledState,
     RegularityParams,
     coupled_step,
-    init_coupled_state,
     project_to_cells,
     project_to_nodes,
 )
@@ -33,7 +32,15 @@ from slub.problems import (
 )
 from slub.semi_lagrangian import advect_const_values
 from slub.ultrabee import ub_step_values
-from reference import flux_left, flux_right, hopf_lax_oracle, step_witness
+from reference import (
+    coupled_out,
+    flux_left,
+    flux_right,
+    hopf_lax_oracle,
+    initial_level,
+    step_witness,
+    stepper,
+)
 
 
 def _half_spacing_interp_l1(problem_name: str, m: int) -> float:
@@ -240,10 +247,10 @@ def _random_compact_field(rng: np.random.Generator) -> np.ndarray:
     return v
 
 
-def _mixed_hull_violation(state: CoupledState, out: CoupledState) -> float:
+def _mixed_hull_violation(prev: tuple, out: CoupledState) -> float:
     """Worst distance of a new node value from the hull of the previous
     nodes within two indices and the previous cell averages under them."""
-    w, bar, new = state.w, state.w_bar, out.w
+    (w, bar, _), new = prev, out.w
     n = w.size
     worst = 0.0
     for j in range(n):
@@ -272,12 +279,7 @@ def test_random_field_stability_witnesses(record_criterion) -> None:
         v = _random_compact_field(rng)
         nu = float(rng.uniform(0.05, 1.0))
         n_cells = v.size - 1
-        state = CoupledState(
-            w=v,
-            w_bar=rng.standard_normal(n_cells),
-            owned=rng.random(n_cells) < 0.5,
-            sigma=np.ones(v.size, dtype=np.int8),
-        )
+        prev = (v, rng.standard_normal(n_cells), rng.random(n_cells) < 0.5)
         slopes = np.abs(np.diff(v))
         scale = max(float(slopes.max()), 1e-3)
         params = RegularityParams(
@@ -286,13 +288,14 @@ def test_random_field_stability_witnesses(record_criterion) -> None:
             guard=int(rng.integers(0, 3)),
         )
         out = coupled_step(
-            state,
+            prev,
             1.0,
             params,
-            lambda w: advect_const_values(w, nu),
-            lambda u: ub_step_values(u, nu),
+            stepper(lambda w: advect_const_values(w, nu)),
+            stepper(lambda u: ub_step_values(u, nu)),
+            coupled_out(v.size),
         )
-        worst_hull = max(worst_hull, _mixed_hull_violation(state, out))
+        worst_hull = max(worst_hull, _mixed_hull_violation(prev, out))
 
     # every indicator switch case occurs in a real moving-jump run
     hist = run_scheme("adv-jump", "coupled", 79).sigma_history
@@ -453,20 +456,25 @@ def test_threshold_extremes_reduce_to_parent_schemes(record_criterion) -> None:
         steps = int(rng.integers(1, 11))
         sl_update = lambda w: advect_const_values(w, nu)
         ub_update = lambda u: ub_step_values(u, nu)
+        node_step, cell_step = stepper(sl_update), stepper(ub_update)
 
         all_regular = RegularityParams(delta=np.inf, flat_tol=np.inf, guard=0)
-        state = init_coupled_state(v, 1.0, all_regular)
+        level = initial_level(v)
         ref = v.copy()
         for _ in range(steps):
-            state = coupled_step(state, 1.0, all_regular, sl_update, ub_update)
+            state = coupled_step(level, 1.0, all_regular, node_step, cell_step,
+                                 coupled_out(v.size))
+            level = (state.w, state.w_bar, state.owned)
             ref = sl_update(ref)
             sl_identical &= bool(np.array_equal(state.w, ref))
 
         all_irregular = RegularityParams(delta=0.0, flat_tol=0.0, guard=0)
-        state = init_coupled_state(v, 1.0, all_irregular)
+        level = initial_level(v)
         ref_bar = project_to_cells(v)
         for _ in range(steps):
-            state = coupled_step(state, 1.0, all_irregular, sl_update, ub_update)
+            state = coupled_step(level, 1.0, all_irregular, node_step, cell_step,
+                                 coupled_out(v.size))
+            level = (state.w, state.w_bar, state.owned)
             ref_bar = ub_update(ref_bar)
             ub_identical &= bool(np.array_equal(state.w_bar, ref_bar))
 

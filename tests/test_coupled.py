@@ -11,21 +11,20 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from slub.coupled import (
-    CoupledState,
     RegularityParams,
     active_cells,
     backward_slopes,
     classify_regularity,
     coupled_step,
-    init_coupled_state,
     project_to_cells,
     project_to_nodes,
 )
 from slub.grids import init_point_values
 from slub.harness import make_operators, resolve_grid, resolve_regularity, run_scheme, time_ladder
 from slub.problems import get_problem
-from slub.semi_lagrangian import advect_const_values
-from slub.ultrabee import ub_step_values
+from slub.semi_lagrangian import advect_const_stepper, advect_const_values
+from slub.ultrabee import ub_step_values, ub_stepper
+from reference import coupled_out, initial_level, stepper
 
 NODE_FIELDS = hnp.arrays(
     dtype=np.float64,
@@ -314,45 +313,47 @@ def test_project_round_trip_preserves_linear_interior() -> None:
     np.testing.assert_allclose(rt[1:-1], v[1:-1], atol=1e-14)
 
 
-def test_init_coupled_state() -> None:
-    v = np.array([0.0, 1.0, 0.0, 0.0, 0.0])
-    state = init_coupled_state(v, 1.0, LOOSE)
-    np.testing.assert_array_equal(state.w, v)
-    np.testing.assert_allclose(state.w_bar, project_to_cells(v))
-    assert not state.owned.any()
-    np.testing.assert_array_equal(state.sigma, classify_regularity(v, 1.0, LOOSE))
+def test_coupled_run_starts_from_its_classified_initial_level() -> None:
+    """A coupled run writes the indicator of its initial nodes into
+    sigma_history[0], as no step does."""
+    problem = get_problem("adv-jump")
+    res = run_scheme(problem, "coupled", 79, snapshot_steps=(0,))
+    w0 = init_point_values(res.grid, problem.ic)
+    np.testing.assert_array_equal(res.snapshots[0], w0)
+    sigma0 = classify_regularity(w0, res.grid.dx, res.params)
+    assert (sigma0 == 0).any() and (sigma0 == 1).any()
+    np.testing.assert_array_equal(res.sigma_history[0], sigma0)
 
 
 def _counting(update):
-    """update, and the list it appends one entry to per call."""
+    """The stepper update, and the list it appends one entry to per call."""
     calls = []
-    return (lambda u: calls.append(1) or update(u)), calls
+    return (lambda u, out: calls.append(1) or update(u, out=out)), calls
 
 
 def test_coupled_step_with_all_regular_matches_node_scheme() -> None:
     """sigma identically 1 must reproduce the node update bit for bit.
-    No cell is active, so ub_update is never called and w_bar is the
-    cell source; the input state is unwritten."""
+    No cell is active, so the cell update is never called and w_bar is
+    the cell source; the level read is unwritten."""
     rng = np.random.default_rng(3)
     v = np.concatenate([[0.0], rng.uniform(0, 1, 8), [0.0]])
     params = RegularityParams(delta=np.inf, flat_tol=np.inf, guard=0)
     owned = np.arange(9) % 3 == 0  # carried averages still feed the source
-    state = replace(init_coupled_state(v, 1.0, params), w_bar=rng.uniform(0, 1, 9), owned=owned)
-    before = [a.tobytes() for a in (state.w, state.w_bar, state.owned, state.sigma)]
+    prev = (v, rng.uniform(0, 1, 9), owned)
+    before = [a.tobytes() for a in prev]
     nu = 0.6
-    sl = lambda u: advect_const_values(u, nu)
-    ub, calls = _counting(lambda u: ub_step_values(u, nu))
-    out = coupled_step(state, 1.0, params, sl, ub)
-    np.testing.assert_array_equal(out.w, sl(v))
+    ub, calls = _counting(ub_stepper(nu))
+    out = coupled_step(prev, 1.0, params, advect_const_stepper(nu), ub, coupled_out(v.size))
+    np.testing.assert_array_equal(out.w, advect_const_values(v, nu))
     np.testing.assert_array_equal(out.sigma, 1)
     assert not out.owned.any()
     assert out.fresh_cell_count == 0
     assert calls == []
     np.testing.assert_array_equal(out.w, out.node_candidate)
     assert out.w is not out.node_candidate
-    np.testing.assert_array_equal(out.cell_source, np.where(owned, state.w_bar, project_to_cells(v)))
+    np.testing.assert_array_equal(out.cell_source, np.where(owned, prev[1], project_to_cells(v)))
     np.testing.assert_array_equal(out.w_bar, out.cell_source)
-    assert [a.tobytes() for a in (state.w, state.w_bar, state.owned, state.sigma)] == before
+    assert [a.tobytes() for a in prev] == before
 
 
 def test_coupled_step_with_one_irregular_node_calls_the_cell_update_once() -> None:
@@ -361,9 +362,9 @@ def test_coupled_step_with_one_irregular_node_calls_the_cell_update_once() -> No
     v = np.array([0.0, 0.0, 0.0, 0.0, 5.0, 5.0, 5.0, 5.0])
     params = RegularityParams(delta=3.0, flat_tol=10.0, guard=0)
     np.testing.assert_array_equal(np.flatnonzero(classify_regularity(v, 1.0, params) == 0), [4])
-    ub, calls = _counting(lambda u: ub_step_values(u, 0.5))
-    out = coupled_step(init_coupled_state(v, 1.0, params), 1.0, params,
-                       lambda u: advect_const_values(u, 0.5), ub)
+    ub, calls = _counting(ub_stepper(0.5))
+    out = coupled_step(initial_level(v), 1.0, params, advect_const_stepper(0.5), ub,
+                       coupled_out(v.size))
     assert len(calls) == 1
     np.testing.assert_array_equal(np.flatnonzero(out.owned), [3, 4])
     np.testing.assert_array_equal(out.w_bar, ub_step_values(out.cell_source, 0.5))
@@ -375,42 +376,38 @@ def test_coupled_step_with_all_irregular_matches_cell_scheme() -> None:
     rng = np.random.default_rng(4)
     v = rng.uniform(0, 1, 9)
     params = RegularityParams(delta=0.0, flat_tol=0.0, guard=0)
-    state = init_coupled_state(v, 1.0, params)
     nu = 0.4
-    sl = lambda u: advect_const_values(u, nu)
-    ub = lambda u: ub_step_values(u, nu)
-    out = coupled_step(state, 1.0, params, sl, ub)
-    expected_bar = ub(project_to_cells(v))
+    sl, ub = advect_const_stepper(nu), ub_stepper(nu)
+    out = coupled_step(initial_level(v), 1.0, params, sl, ub, coupled_out(v.size))
+    expected_bar = ub_step_values(project_to_cells(v), nu)
     np.testing.assert_array_equal(out.w_bar, expected_bar)
     np.testing.assert_array_equal(out.w, project_to_nodes(expected_bar))
     assert out.owned.all()
     # second step keeps evolving the owned averages, no re-projection
-    out2 = coupled_step(out, 1.0, params, sl, ub)
-    np.testing.assert_array_equal(out2.w_bar, ub(expected_bar))
+    out2 = coupled_step((out.w, out.w_bar, out.owned), 1.0, params, sl, ub, coupled_out(v.size))
+    np.testing.assert_array_equal(out2.w_bar, ub_step_values(expected_bar, nu))
 
 
 def test_coupled_step_bookkeeping() -> None:
     v = np.array([0.0, 0.0, 0.0, 4.0, 4.0, 4.0, 4.0])
     params = RegularityParams(delta=2.0, flat_tol=0.5, guard=0)
-    state = init_coupled_state(v, 1.0, params)
-    sl = lambda u: advect_const_values(u, 0.5)
-    ub = lambda u: ub_step_values(u, 0.5)
-    out = coupled_step(state, 1.0, params, sl, ub)
-    np.testing.assert_array_equal(out.sigma, classify_regularity(state.w, 1.0, params))
+    prev = initial_level(v)
+    sl, ub = advect_const_stepper(0.5), ub_stepper(0.5)
+    out = coupled_step(prev, 1.0, params, sl, ub, coupled_out(v.size))
+    np.testing.assert_array_equal(out.sigma, classify_regularity(v, 1.0, params))
     np.testing.assert_array_equal(out.owned, active_cells(out.sigma))
-    assert out.fresh_cell_count == np.count_nonzero(out.owned & ~state.owned)
+    assert out.fresh_cell_count == np.count_nonzero(out.owned & ~prev[2])
     # the step hands back the node candidate and the cell source it used
-    assert state.node_candidate is None and state.cell_source is None
-    np.testing.assert_array_equal(out.node_candidate, sl(state.w))
+    np.testing.assert_array_equal(out.node_candidate, advect_const_values(v, 0.5))
     np.testing.assert_array_equal(
-        out.cell_source, np.where(state.owned, state.w_bar, project_to_cells(state.w))
+        out.cell_source, np.where(prev[2], prev[1], project_to_cells(v))
     )
-    out2 = coupled_step(out, 1.0, params, sl, ub)
-    np.testing.assert_array_equal(out2.node_candidate, sl(out.w))
+    out2 = coupled_step((out.w, out.w_bar, out.owned), 1.0, params, sl, ub, coupled_out(v.size))
+    np.testing.assert_array_equal(out2.node_candidate, advect_const_values(out.w, 0.5))
     np.testing.assert_array_equal(
         out2.cell_source, np.where(out.owned, out.w_bar, project_to_cells(out.w))
     )
-    np.testing.assert_array_equal(out2.w_bar, ub(out2.cell_source))
+    np.testing.assert_array_equal(out2.w_bar, ub_step_values(out2.cell_source, 0.5))
 
 
 def test_coupled_step_fills_holes_from_adjacent_averages() -> None:
@@ -418,18 +415,16 @@ def test_coupled_step_fills_holes_from_adjacent_averages() -> None:
     neighboring cell averages."""
     v = np.array([0.0, 0.0, 0.0, 3.0, 3.0, 3.0])
     params = RegularityParams(delta=1.0, flat_tol=0.5, guard=0)
-    state = init_coupled_state(v, 1.0, params)
     sigma = classify_regularity(v, 1.0, params)
     assert (sigma == 0).any() and (sigma == 1).any()
     nu = 0.5
-    sl = lambda u: advect_const_values(u, nu)
-    ub = lambda u: ub_step_values(u, nu)
-    out = coupled_step(state, 1.0, params, sl, ub)
+    out = coupled_step(initial_level(v), 1.0, params, advect_const_stepper(nu), ub_stepper(nu),
+                       coupled_out(v.size))
     fill = project_to_nodes(out.w_bar)
     holes = np.flatnonzero(sigma == 0)
     np.testing.assert_array_equal(out.w[holes], fill[holes])
     kept = np.flatnonzero(sigma == 1)
-    np.testing.assert_array_equal(out.w[kept], sl(v)[kept])
+    np.testing.assert_array_equal(out.w[kept], advect_const_values(v, nu)[kept])
 
 
 def test_at_rest_step_takes_the_quarter_weights_at_irregular_nodes() -> None:
@@ -439,8 +434,8 @@ def test_at_rest_step_takes_the_quarter_weights_at_irregular_nodes() -> None:
     average next to it.  Integer nodes make every sum exact."""
     w = np.array([0.0, 4.0, -8.0, 12.0, 12.0, 0.0, 16.0])
     params = RegularityParams(delta=0.0, flat_tol=0.0, guard=0)
-    identity = lambda u: u.copy()
-    out = coupled_step(init_coupled_state(w, 1.0, params), 1.0, params, identity, identity)
+    identity = stepper(np.copy)
+    out = coupled_step(initial_level(w), 1.0, params, identity, identity, coupled_out(w.size))
     np.testing.assert_array_equal(out.sigma, 0)
     assert out.fresh_cell_count == w.size - 1
     np.testing.assert_array_equal(out.w[1:-1], (w[:-2] + 2.0 * w[1:-1] + w[2:]) / 4.0)

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import slub.harness
-from slub.coupled import coupled_step, init_coupled_state
+from slub.coupled import coupled_step
 from slub.diagnostics import total_variation
 from slub.grids import Alignment, build_grid, init_cell_averages, init_point_values
 from slub.harness import (
@@ -24,7 +24,7 @@ from slub.harness import (
     time_ladder,
 )
 from slub.problems import REGISTRY, ProblemSpec, get_problem, ic_mix
-from reference import bracket_violations
+from reference import bracket_violations, coupled_out, initial_level
 
 
 # ---------------------------------------------------------------------------
@@ -371,15 +371,16 @@ def _stepwise_diagnostics(name: str, scheme: str, m: int) -> tuple:
     if scheme == "coupled":
         w0 = init_point_values(grid, problem.ic)
         params = resolve_regularity(problem, w0, grid.dx)
-        state = init_coupled_state(w0, grid.dx, params)
-        tv, rows, values = [total_variation(state.w)], [], [state.w]
+        prev = initial_level(w0)
+        tv, rows, values = [total_variation(w0)], [], [w0]
         for _ in range(n_steps):
-            out = coupled_step(state, grid.dx, params, ops.node_update, ops.cell_update)
-            rows.append((witness(state.w, out.node_candidate, ops.nu_node),
+            out = coupled_step(prev, grid.dx, params, ops.node_update, ops.cell_update,
+                               coupled_out(w0.size))
+            rows.append((witness(prev[0], out.node_candidate, ops.nu_node),
                          witness(out.cell_source, out.w_bar, ops.nu_cell)))
             tv.append(total_variation(out.w))
             values.append(out.w)
-            state = out
+            prev = (out.w, out.w_bar, out.owned)
         return np.array(rows), np.array(tv), np.array(values)
     if scheme == "sl":
         v, update, nu = init_point_values(grid, problem.ic), ops.node_update, ops.nu_node

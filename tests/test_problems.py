@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from slub.harness import resolve_grid, time_ladder
+from slub.harness import resolve_grid, run_scheme, time_ladder
 from slub.problems import (
     REGISTRY,
     get_problem,
@@ -300,6 +300,21 @@ def test_singular_points_contract_toward_x_bar() -> None:
     pts = np.array([0.2, 0.5])
     moved = singular_points(replace(get_problem("adv-var"), sing_points_t0=(0.2, 0.5)), 1.0)
     np.testing.assert_array_equal(moved, 1.1 + (pts - 1.1) * math.exp(-1.0))
+
+
+def test_hj_singular_points_erode_on_both_sides() -> None:
+    """The hj reference ic(|x| + c*t) is even: a time-0 point p sits at
+    +-(|p| - c*t), on both sides, until c*t reaches |p|, and then in the
+    kink at 0.  The jumps of ic_jump at +-1 read at +-0.5 at t = 0.5,
+    where `exact` jumps, and `linf_reg` of an sl run bands them out (it
+    read linf, 0.422, while the points stayed at +-1)."""
+    spec = replace(get_problem("hj-abs"), ic=ic_jump, sing_points_t0=(-1.0, 0.0, 1.0))
+    np.testing.assert_array_equal(singular_points(spec, 0.5), [-0.5, 0.0, 0.5])
+    np.testing.assert_array_equal(spec.exact([-0.51, -0.49, 0.49, 0.51], 0.5), [0, 1, 1, 0])
+    assert set(singular_points(replace(spec, sing_points_t0=(1.0,)), 0.5)) == {-0.5, 0.5}
+    np.testing.assert_array_equal(singular_points(replace(spec, sing_points_t0=(0.3,)), 0.5), [0.0])
+    errors = run_scheme(spec, "sl", 79).errors
+    assert errors.linf_reg < 0.1 < errors.linf
 
 
 def test_spec_rejects_a_singular_point_that_is_not_a_finite_real() -> None:

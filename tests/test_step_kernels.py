@@ -45,7 +45,7 @@ from slub.harness import make_operators, time_ladder
 from slub.problems import REGISTRY, get_problem
 from slub.semi_lagrangian import advect_const_stepper, advect_const_values
 from slub.ultrabee import ub_min_stepper, ub_step_values, ub_stepper
-from reference import flux_left, flux_right
+from reference import coupled_out, flux_left, flux_right, stepper
 
 # NaN of both signs, infinities, signed zeros, a subnormal, values whose
 # sums or quotients overflow, and a few plain ones.
@@ -141,13 +141,14 @@ def _old_classify_regularity(v, dx, params):
     return sigma.view(np.int8)
 
 
-def _old_coupled_step(state, dx, params, sl_update, ub_update):
-    sigma = classify_regularity(state.w, dx, params)
+def _old_coupled_step(prev, dx, params, sl_update, ub_update):
+    w, w_bar, owned = prev
+    sigma = classify_regularity(w, dx, params)
     act = active_cells(sigma)
-    source = np.where(state.owned, state.w_bar, _old_project_to_cells(state.w))
+    source = np.where(owned, w_bar, _old_project_to_cells(w))
     # with no active cell, every node is regular and the cells stay as sourced
     new_bar = ub_update(source) if act.any() else source
-    new_w_nodes = sl_update(state.w)
+    new_w_nodes = sl_update(w)
     fill = _old_project_to_nodes(new_bar)
     w_next = np.where(sigma == 1, new_w_nodes, fill)
     return CoupledState(
@@ -155,7 +156,7 @@ def _old_coupled_step(state, dx, params, sl_update, ub_update):
         w_bar=new_bar,
         owned=act,
         sigma=sigma,
-        fresh_cell_count=int(np.count_nonzero(act & ~state.owned)),
+        fresh_cell_count=int(np.count_nonzero(act & ~owned)),
         node_candidate=new_w_nodes,
         cell_source=source,
     )
@@ -306,26 +307,25 @@ def test_coupled_step_matches_its_np_where_form(
     w: np.ndarray, data, nu: float, thresholds
 ) -> None:
     """Both masks picked by np.copyto give the np.where form's state,
-    field by field, and the incoming state's arrays stay as they were.
-    Both forms keep the cell source as w_bar on a step with no active
-    cell, which the (inf, inf, 0) thresholds give on every draw whose
-    slopes are finite."""
+    field by field, into six separate arrays with the one-call kernels
+    as steppers, and the level read stays as it was.  Both forms keep
+    the cell source as w_bar on a step with no active cell, which the
+    (inf, inf, 0) thresholds give on every draw whose slopes are finite."""
     n = w.size
     w_bar = data.draw(hnp.arrays(np.float64, n - 1, elements=LATTICE))
     owned = data.draw(hnp.arrays(np.bool_, n - 1))
     params = RegularityParams(*thresholds)
-    sigma = classify_regularity(np.zeros(n), 1.0, params)
-    state = CoupledState(w=w, w_bar=w_bar, owned=owned, sigma=sigma)
-    before = [a.tobytes() for a in (w, w_bar, owned, sigma)]
+    before = [a.tobytes() for a in (w, w_bar, owned)]
     sl = lambda u: advect_const_values(u, nu)
     ub = lambda u: ub_step_values(u, nu)
     with np.errstate(all="ignore"):
-        new = coupled_step(state, 0.5, params, sl, ub)
-        old = _old_coupled_step(state, 0.5, params, sl, ub)
+        new = coupled_step((w, w_bar, owned), 0.5, params, stepper(sl), stepper(ub),
+                           coupled_out(n))
+        old = _old_coupled_step((w, w_bar, owned), 0.5, params, sl, ub)
     for name in ("w", "w_bar", "owned", "sigma", "node_candidate", "cell_source"):
         assert _bytes(getattr(new, name)) == _bytes(getattr(old, name)), name
     assert new.fresh_cell_count == old.fresh_cell_count
-    assert [a.tobytes() for a in (w, w_bar, owned, sigma)] == before
+    assert [a.tobytes() for a in (w, w_bar, owned)] == before
 
 
 @given(
@@ -353,11 +353,11 @@ def test_coupled_step_writes_the_np_where_form_into_block_rows(
     rows[0], bar[0], own[0] = w, w_bar, owned
     blocks = (rows, bar, own, sig, cand, src)  # the order of CoupledState
     others = [np.delete(b, 1, axis=0).tobytes() for b in blocks]
-    state = CoupledState(w=w, w_bar=w_bar, owned=owned, sigma=sig[0])
     with np.errstate(all="ignore"):
-        new = coupled_step(CoupledState(rows[0], bar[0], own[0], sig[0]), 0.5, params,
-                           advect_const_stepper(nu), ub_stepper(nu), tuple(b[1] for b in blocks))
-        old = _old_coupled_step(state, 0.5, params, lambda u: advect_const_values(u, nu),
+        new = coupled_step((rows[0], bar[0], own[0]), 0.5, params, advect_const_stepper(nu),
+                           ub_stepper(nu), tuple(b[1] for b in blocks))
+        old = _old_coupled_step((w, w_bar, owned), 0.5, params,
+                                lambda u: advect_const_values(u, nu),
                                 lambda u: ub_step_values(u, nu))
     for name, b in zip(("w", "w_bar", "owned", "sigma", "node_candidate", "cell_source"), blocks):
         assert _bytes(b[1]) == _bytes(getattr(old, name)), name
