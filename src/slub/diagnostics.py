@@ -6,18 +6,18 @@ each new value by its upwind (or both-sided) old neighbours, and grid
 error norms with optional exclusion of singular neighbourhoods.  The
 witness bracket is Harten's TVD condition: a one-coefficient update
 u_new[j] = u[j] - C[j]*(u[j] - u[j-1]) has C[j] in [0, 1] exactly when
-u_new[j] lies between u[j-1] and u[j].  `block_diagnostics` evaluates
-the TV and the witnesses of a whole block of steps at once.
+u_new[j] lies between u[j-1] and u[j].  `block_checker` is built once
+per run and checks the TV and the witnesses of a block of steps at once.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .grids import Grid1D, edge_pad
+from .grids import Grid1D
 from .coupled import RegularityParams
 
 __all__ = [
@@ -25,7 +25,7 @@ __all__ = [
     "tvb_allowance",
     "TVSeries",
     "tv_monitor",
-    "block_diagnostics",
+    "block_checker",
     "ErrorReport",
     "error_norms",
     "convergence_orders",
@@ -34,15 +34,18 @@ __all__ = [
 
 def total_variation(values: np.ndarray):
     """Total variation along the last axis: a float for one profile, one
-    value per row for a block of profiles (the same bits as row by row).
-    One subtraction covers the flat values; the difference across two
-    rows lands in a row's last slot, which the sum leaves out."""
-    v = np.ascontiguousarray(values, dtype=float).reshape(-1)
-    d = np.empty(np.shape(values))
-    flat = d.reshape(-1)[:-1]
-    np.abs(np.subtract(v[1:], v[:-1], out=flat), out=flat)
-    tv = np.sum(d[..., :-1], axis=-1)
+    value per row for a block of profiles (the same bits as row by row)."""
+    v = np.ascontiguousarray(values, dtype=float)
+    tv = _variation(v, np.empty(v.shape))
     return float(tv) if tv.ndim == 0 else tv
+
+
+def _variation(v, d, out=None):
+    """`total_variation` of a C-contiguous v, d of its shape the scratch;
+    the flat difference across two rows is left out of the sum."""
+    flat, o = d.reshape(-1)[:-1], v.reshape(-1)
+    np.abs(np.subtract(o[1:], o[:-1], out=flat), out=flat)
+    return np.add.reduce(d[..., :-1], axis=-1, out=out)
 
 
 def tvb_allowance(params: RegularityParams, grid: Grid1D) -> float:
@@ -92,74 +95,77 @@ def tv_monitor(tv_values: Sequence[float], allowance: float) -> TVSeries:
     return TVSeries(tv, envelope, flags)
 
 
-def _bracket_violation(u_old, u_new, nu) -> np.ndarray:
-    """How far each new value lies outside its bracket of old values
-    (see `block_diagnostics`), along the last axis (negative inside).
-    A negative nu reads the edge-padded values; else each bound is one
-    slice op over the flat values, and each row's first and last entry,
-    whose flat neighbour lies in another row, then take their ghost
-    instead."""
-    old = np.ascontiguousarray(u_old, dtype=float)
-    new = np.asarray(u_new, dtype=float)
+def _bracket_violation(old, new, negative, lo, hi) -> np.ndarray:
+    """How far each new value lies outside its bracket (see
+    `block_checker`), into lo (negative inside), hi the scratch; negative
+    is None (three points), False, or the mask of the entries of nu < 0."""
     o = old.reshape(-1)
-    pos = None if nu is None else np.asarray(nu, dtype=float) >= 0.0
-    if pos is not None and not pos.all():  # some nu negative
-        p = edge_pad(old, 1)
-        other = np.where(pos, p[..., :-2], p[..., 2:])
-    bounds = []
-    for op in (np.minimum, np.maximum):
-        b = np.empty_like(old)
+    for op, b in ((np.minimum, lo), (np.maximum, hi)):
         f = b.reshape(-1)
-        if pos is None:  # op(op(left, old), right)
+        if negative is None:  # op(op(left, old), right)
             op(o[:-1], o[1:], out=f[1:])
             b[..., 0] = old[..., 0]
             last = op(b[..., -1], old[..., -1])
             op(f[:-1], o[1:], out=f[:-1])
             b[..., -1] = last
-        elif pos.all():  # op(old, left)
-            op(o[1:], o[:-1], out=f[1:])
-            b[..., 0] = old[..., 0]
-        else:
-            op(old, other, out=b)
-        bounds.append(b)
-    lo, hi = bounds
-    # in place: fewer large temporaries per block, fewer page faults
+            continue
+        op(o[1:], o[:-1], out=f[1:])  # op(old, left)
+        b[..., 0] = old[..., 0]
+        if negative is not False:  # op(old, right) where nu < 0
+            op(old[..., :-1], old[..., 1:], out=b[..., :-1], where=negative[:-1])
+            if negative[-1]:
+                b[..., -1] = old[..., -1]
     np.subtract(lo, new, out=lo)
     return np.maximum(lo, np.subtract(new, hi, out=hi), out=lo)
 
 
-def block_diagnostics(rows: np.ndarray, layers: Sequence[tuple]) -> tuple:
-    """Per-step diagnostics of a block of k steps, from one set of 2-D
-    calls; the one witness entry point (a one-row block checks one step).
+def block_checker(rows: np.ndarray, layers: Sequence[tuple]) -> Callable:
+    """The one witness entry point, built once per run: check(count,
+    tv_out, witness_out) checks the first `count` steps of a block.
 
-    `rows` holds a run's solution before the block, then after each step.
-    Each layer is an (old, new, nu) triple of k-row blocks, row i being
-    one layer's input and output of step i+1.  Its witness brackets
-    new[j] by old[j-1], old[j] where the signed Courant number nu (one,
-    or one per entry) is >= 0, by old[j], old[j+1] where it is negative,
-    and by old[j-1..j+1] for nu None (updates that draw on both
-    neighbours); the row ends continue as ghosts.  Returns per step:
-    each layer's largest violation, at least 0 (k, layers); the TV of
-    rows[1:], the same bits as `total_variation` row by row; and the
-    first non-finite index (-1 if none) of the solution row, then of
-    each layer's output (k, 1 + layers).  Floating-point errors are not
-    reported: first_bad shows the non-finite values instead.
+    `rows` holds the solution after each step; each layer is an (old,
+    new, nu) triple of blocks of as many rows, row i its input and output
+    of step i + 1; all C-contiguous.  A witness brackets new[j] by
+    old[j-1], old[j] where the signed Courant number nu (one, or one per
+    entry) is >= 0, by old[j], old[j+1] where it is negative, and by
+    old[j-1..j+1] for nu None; the row ends continue as ghosts.  check
+    writes each step's TV and each layer's largest violation, at least 0,
+    and returns None or, at the first step with a non-finite value or TV,
+    (its row, 0 for the solution or 1 + layer, the first non-finite index
+    or -1).  Floating-point errors are not reported.
     """
-    with np.errstate(all="ignore"):
-        tv = total_variation(rows[1:])
-        witness = np.stack([
-            np.maximum(np.max(_bracket_violation(old, new, nu), axis=-1), 0.0)
-            for old, new, nu in layers
-        ], axis=-1)
-    first_bad = np.full((tv.size, 1 + len(layers)), -1)
-    # A non-finite entry makes its row's TV or its layer's witness
-    # non-finite, so only those rows are searched.
-    blocks = [rows[1:]] + [new for _, new, _ in layers]
-    for i, col in zip(*np.nonzero(~np.isfinite(np.column_stack([tv, witness])))):
-        bad = np.flatnonzero(~np.isfinite(blocks[col][i]))
-        if bad.size:
-            first_bad[i, col] = bad[0]
-    return witness, tv, first_bad
+    k, outputs = len(rows), [rows] + [new for _, new, _ in layers]
+    scratch = np.empty(2 * k * max(block.shape[-1] for block in outputs))  # one for all
+    prepared = []
+    for old, new, nu in layers:
+        n = new.shape[-1]
+        negative = None if nu is None else np.broadcast_to(~(np.asarray(nu, float) >= 0.0), n)
+        prepared.append((old, new, negative if negative is None or negative.any() else False,
+                         *scratch[:2 * k * n].reshape(2, k, n)))
+    tv_scratch = scratch[:rows.size].reshape(rows.shape)
+
+    def check(count: int, tv_out: np.ndarray, witness_out: np.ndarray):
+        with np.errstate(all="ignore"):
+            _variation(rows[:count], tv_scratch[:count], out=tv_out)
+            for col, (old, new, negative, lo, hi) in enumerate(prepared):
+                violation = _bracket_violation(old[:count], new[:count], negative,
+                                               lo[:count], hi[:count])
+                np.maximum.reduce(violation, axis=-1, out=witness_out[:, col])
+            np.maximum(witness_out, 0.0, out=witness_out)
+        if np.isfinite(tv_out).all() and np.isfinite(witness_out).all():
+            return None
+        # only a row whose TV or witness is not finite can hold one
+        spoilt = ~np.isfinite(np.column_stack([tv_out, witness_out]))
+        for i in np.flatnonzero(spoilt.any(axis=1)):
+            for col in np.flatnonzero(spoilt[i]):
+                bad = np.flatnonzero(~np.isfinite(outputs[col][i]))
+                if bad.size:
+                    return int(i), int(col), int(bad[0])
+            if spoilt[i, 0]:
+                return int(i), 0, -1
+        return None
+
+    return check
 
 
 @dataclass(frozen=True)

@@ -106,7 +106,7 @@ def edge_pad(values: np.ndarray, k: int, out=None) -> np.ndarray:
     """`values` with k >= 1 ghost entries at each end of the last axis
     that continue the end values (numpy's "edge" padding, without its
     overhead), into `out` (fresh when None).  The cell kernel pads with
-    it, the witnesses for mixed-sign nu; the nodes and projections not."""
+    it; the nodes, the projections and the witnesses do not pad."""
     if out is None:
         out = np.empty(values.shape[:-1] + (values.shape[-1] + 2 * k,), dtype=values.dtype)
     out[..., :k] = values[..., :1]

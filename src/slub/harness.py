@@ -40,7 +40,7 @@ from .coupled import (
 from .diagnostics import (
     ErrorReport,
     TVSeries,
-    block_diagnostics,
+    block_checker,
     convergence_orders,
     error_norms,
     total_variation,
@@ -69,8 +69,8 @@ SCHEMES = ("sl", "ub", "coupled")
 # rejected by `time_ladder` instead of looping for ever.
 MAX_STEPS = 10_000_000
 
-# A run is checked in blocks of max(4, _BLOCK_VALUES // n) steps of n
-# values: about 128 KiB per block array, near the size of an L2 cache.
+# A run is checked in blocks of min(n_steps, max(4, _BLOCK_VALUES // n))
+# steps of n values, which bounds each block array by 128 KiB for n <= 4096.
 _BLOCK_VALUES = 16384
 
 # Length an extended grid keeps past the transported support, for smearing.
@@ -150,7 +150,7 @@ class StepOperators:
     update(v, out=None) writes into `out`, which must not overlap `v`
     (a fresh array when None), returns it, and never writes into `v`.
     nu_node/nu_cell carry the signed Courant numbers of each layer's
-    witness in `block_diagnostics`: one scalar when the velocity is
+    witness in `block_checker`: one scalar when the velocity is
     uniform, else one value per node / cell, or None for updates that
     draw on both neighbours (then the witness brackets three points).
     """
@@ -243,23 +243,6 @@ class RunResult:
         return self.dt * self.n_steps
 
 
-def _trapping() -> np.errstate:
-    """Raise FloatingPointError on each floating-point error that the
-    caller's numpy settings would not ignore, instead of reporting it."""
-    return np.errstate(**{kind: "ignore" if mode == "ignore" else "raise"
-                          for kind, mode in np.geterr().items()})
-
-
-def _raise_non_finite(k: int, tv: float, first_bad, labels) -> None:
-    """Fail at step k, whose solution row (TV `tv`) or checked layers
-    hold a non-finite value at first_bad (see `block_diagnostics`)."""
-    col = int(np.argmax(first_bad >= 0))  # 0 also when only the TV overflows
-    name, at = labels[col]
-    where = (f"first non-finite value at {at.value} {first_bad[col]}" if first_bad[col] >= 0
-             else "the values are finite but their variation overflows")
-    raise ValueError(f"non-finite {name.format(tv=tv)} at step {k}: {where}")
-
-
 def _check_erosion_ic(ic, nodes: np.ndarray, values: np.ndarray) -> None:
     """Reject an hj `ic` its reference ic(|x| + r) does not cover: on the
     run's nodes it must be even and nonincreasing along sorted |x|."""
@@ -293,9 +276,9 @@ def run_scheme(
     evolving field are kept at the requested step indices (0 = initial
     data).
 
-    The TV and the witnesses of a block of K = max(4, 16384 // n) steps
-    are computed at once (see `block_diagnostics`), so a bad step may
-    surface up to K - 1 steps after it was taken; the error still names
+    The TV and the witnesses of a block of K = min(n_steps, max(4,
+    16384 // n)) steps are checked at once (see `block_checker`), so a
+    bad step may surface up to K - 1 steps after it was taken; the error still names
     it, and the steps after it report no floating-point errors.  An
     earlier step that meets one is taken again under the caller's numpy
     settings, so it warns or raises as in a step-by-step run.
@@ -322,7 +305,7 @@ def run_scheme(
         if not (0 <= k <= n_steps):
             raise ValueError(f"snapshot step {k} outside [0, {n_steps}]")
     ops = make_operators(problem, grid, dt)
-    block_steps = max(4, _BLOCK_VALUES // (grid.m + (scheme != "ub")))
+    block_steps = min(n_steps, max(4, _BLOCK_VALUES // (grid.m + (scheme != "ub"))))
 
     w0 = init_point_values(grid, problem.ic)
     if problem.kind == "hj":
@@ -343,8 +326,7 @@ def run_scheme(
         carried = (rows, bar, owned)
         levels = list(zip(rows, bar, owned))  # per-row views, built once, not per step
         scratch = list(zip(cand, src))
-        # a layer of step i reads row i - 1 of its first block and writes row i of its second
-        layers = ((rows, cand, ops.nu_node), (src[1:], bar, ops.nu_cell))
+        layers = ((rows[:-1], cand[1:], ops.nu_node), (src[1:], bar[1:], ops.nu_cell))
         labels = (("total variation {tv}", alignment), ("node candidate", Alignment.NODE),
                   ("cell average", Alignment.CELL))
 
@@ -360,7 +342,7 @@ def run_scheme(
             update, nus, alignment = ops.cell_update, ops.nu_cell, Alignment.CELL
         rows = np.empty((block_steps + 1, v.size))
         carried = (rows,)
-        layers = ((rows, rows, nus),)
+        layers = ((rows[:-1], rows[1:], nus),)
         labels = (("total variation {tv}", alignment),) * 2  # the layer is the solution
 
         def advance(i):  # a retaken step reads rows[0], which flush has set
@@ -369,18 +351,20 @@ def run_scheme(
     rows[0] = v
     snapshots = {0: v.copy()} if 0 in snapshot_steps else {}
     later_snapshots = sorted(set(snapshot_steps) - {0})
-    tv_parts, witness_parts = [np.array([total_variation(v)])], []
+    tv_history = np.full(n_steps + 1, total_variation(v))  # each flush writes its steps
+    witnesses = np.empty((n_steps, len(layers)))
+    check = block_checker(rows[1:], layers)
+    # raise FloatingPointError on each error the caller's numpy settings would not ignore
+    trap = {kind: "ignore" if mode == "ignore" else "raise" for kind, mode in np.geterr().items()}
 
     def flush(done, count):
         """Check steps done+1..done+count, held in rows 1..count."""
-        witness, tv, first_bad = block_diagnostics(
-            rows[:count + 1], [(old[:count], new[1:count + 1], nu) for old, new, nu in layers])
-        bad = ~np.isfinite(tv) | np.any(first_bad >= 0, axis=1)
-        if bad.any():
-            i = int(np.argmax(bad))
-            _raise_non_finite(done + i + 1, float(tv[i]), first_bad[i], labels)
-        tv_parts.append(tv)
-        witness_parts.append(witness)
+        bad = check(count, tv_history[done + 1:done + count + 1], witnesses[done:done + count])
+        if bad is not None:  # step k holds a non-finite value at j, or its TV overflows
+            k, (name, at), j = done + bad[0] + 1, labels[bad[1]], bad[2]
+            where = (f"first non-finite value at {at.value} {j}" if j >= 0
+                     else "the values are finite but their variation overflows")
+            raise ValueError(f"non-finite {name.format(tv=tv_history[k])} at step {k}: {where}")
         for k in later_snapshots:
             if done < k <= done + count:
                 snapshots[k] = rows[k - done].copy()
@@ -392,7 +376,7 @@ def run_scheme(
     while done < n_steps:
         trapped = False
         try:
-            with _trapping():
+            with np.errstate(**trap):
                 for count in range(1, min(block_steps, n_steps - done) + 1):
                     advance(count)
         except FloatingPointError:
@@ -403,7 +387,6 @@ def run_scheme(
             count = 1
         done = flush(done, count)
     final = rows[0].copy()
-    witnesses = np.concatenate(witness_parts)
     # a NaN stays; abs makes a -0.0 maximum +0.0
     witness_max = abs(float(np.max(witnesses, initial=0.0)))
 
@@ -421,7 +404,7 @@ def run_scheme(
         x=grid.coords(alignment),
         singular_points=sing if sing.size else None,
     )
-    tv = tv_monitor(np.concatenate(tv_parts), allowance)
+    tv = tv_monitor(tv_history, allowance)
     return RunResult(
         problem=problem,
         scheme=scheme,

@@ -153,7 +153,8 @@ class ProblemSpec:
     finite real number (c >= 0 for "hj") and the other one None; a spec
     that breaks this is rejected with a ValueError when it is built, as
     is a nu outside (0, 1] or a T that is not finite and positive.  The
-    time step scales with |c|, 1 for "advection-var" (see `time_ladder`).
+    time step scales with |c|, 1 for "advection-var" (see `time_ladder`),
+    whose largest Courant number nu*max(|a - x_bar|, |b - x_bar|) must be <= 1.
     delta_factor / flat_frac scale the switching-indicator thresholds
     relative to the initial maximum slope.  support_t0, when set, is the
     (lo, hi) support of the initial profile, a finite pair with lo < hi,
@@ -193,6 +194,9 @@ class ProblemSpec:
                 and (not bound or value >= 0.0)):
             raise ValueError(f"an {self.kind} problem needs a finite real {what} {reads}{bound} "
                              f"(its reference is {reference}), got {reads}={value!r}")
+        if reads == "x_bar" and self.nu * max(abs(self.a - value), abs(self.b - value)) > 1.0:
+            raise ValueError(f"an {self.kind} problem needs nu*max(|a - x_bar|, |b - x_bar|)"
+                             f" <= 1, got nu={self.nu}, x_bar={value!r}")
         unread = "x_bar" if reads == "c" else "c"
         stray = getattr(self, unread)
         if stray is not None:

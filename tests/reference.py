@@ -4,7 +4,7 @@
 interface, `bracket_violations` writes the witness bracket out entry by
 entry, and `hopf_lax_oracle` computes the erosion reference by direct
 minimization.  `step_witness` checks one step through the run path,
-`block_diagnostics` on a one-row block.  `coupled_out` and `stepper`
+a `block_checker` of a one-step block.  `coupled_out` and `stepper`
 call `coupled_step` as a run does, into six arrays with steppers, and
 `initial_level` is the level a coupled run starts from.
 """
@@ -14,7 +14,7 @@ from __future__ import annotations
 import numpy as np
 
 from slub.coupled import project_to_cells
-from slub.diagnostics import block_diagnostics
+from slub.diagnostics import block_checker
 from slub.problems import _dispatch
 from slub.ultrabee import _NU_TINY, _flux_pos
 
@@ -51,9 +51,11 @@ def bracket_violations(old, new, nu) -> np.ndarray:
 
 
 def step_witness(old, new, nu) -> float:
-    """The witness of one step, old -> new, by `block_diagnostics`."""
-    old, new = np.asarray(old, dtype=float), np.asarray(new, dtype=float)
-    return float(block_diagnostics(np.stack([old, new]), [(old[None], new[None], nu)])[0][0, 0])
+    """The witness of one step, old -> new, by `block_checker`."""
+    old, new = (np.asarray(a, dtype=float).reshape(1, -1) for a in (old, new))
+    witness = np.empty((1, 1))
+    block_checker(new, [(old, new, nu)])(1, np.empty(1), witness)
+    return float(witness[0, 0])
 
 
 def coupled_out(n: int) -> tuple:

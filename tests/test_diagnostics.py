@@ -1,5 +1,5 @@
 """Tests for total-variation monitoring, the incremental form through the
-witness bracket, stability witnesses (`block_diagnostics` on one-row
+witness bracket, stability witnesses (`block_checker` on one-step
 blocks, against the bracket written out in `reference.py`), block
 diagnostics, and error norms."""
 
@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from slub.diagnostics import (
-    block_diagnostics,
+    block_checker,
     convergence_orders,
     error_norms,
     total_variation,
@@ -217,20 +217,30 @@ def test_three_point_witness_flags_values_outside_hull() -> None:
 
 
 # ---------------------------------------------------------------------------
-# block diagnostics
+# block diagnostics: `block_checker`
 
-BLOCK_CASES = ("scalar", "per-entry", "two-sided", "coupled")
+# nu one scalar of either sign, >= 0 or < 0; one per entry of mixed sign
+# or >= 0; None (two-sided); and a coupled block of two layers
+BLOCK_CASES = ("scalar", "per-entry", "two-sided", "coupled", "scalar+", "scalar-", "per-entry+")
 
 
-def _random_block(rng, case: str, k: int, n: int) -> tuple:
-    """(rows, layers) of a random k-step block of one of the four kinds,
-    with about a tenth of the values pushed off their update."""
+def _random_block(rng, case: str, k: int, n: int, signed_zeros: bool = False) -> tuple:
+    """(rows, layers) of a random k-step block of one of the cases, with
+    about a tenth of the values pushed off their update; with
+    `signed_zeros`, about a third of every block's values are then set
+    to 0.0 or -0.0."""
 
     def noisy(a):
-        return a + rng.normal(0.0, 0.1, a.shape) * (rng.random(a.shape) < 0.1)
+        a = a + rng.normal(0.0, 0.1, a.shape) * (rng.random(a.shape) < 0.1)
+        if signed_zeros:
+            zero = np.copysign(0.0, rng.choice([-1.0, 1.0], a.shape))
+            a = np.where(rng.random(a.shape) < 0.35, zero, a)
+        return a
 
     nu = {"scalar": float(rng.uniform(-1.0, 1.0)), "per-entry": rng.uniform(-1.0, 1.0, n),
-          "two-sided": None, "coupled": float(rng.uniform(-1.0, 1.0))}[case]
+          "two-sided": None, "coupled": float(rng.uniform(-1.0, 1.0)),
+          "scalar+": float(rng.uniform(0.0, 1.0)), "scalar-": float(rng.uniform(-1.0, -1e-3)),
+          "per-entry+": rng.uniform(0.0, 1.0, n) * (rng.random(n) < 0.8)}[case]
     if case == "two-sided":
         def update(v):
             return np.minimum(ub_step_values(v, 0.5), ub_step_values(v, -0.5))
@@ -238,71 +248,123 @@ def _random_block(rng, case: str, k: int, n: int) -> tuple:
         def update(v):
             return ub_step_values(v, nu)
     rows = np.empty((k + 1, n))
-    rows[0] = rng.standard_normal(n)
+    rows[0] = noisy(rng.standard_normal(n))
     for i in range(k):
         rows[i + 1] = noisy(update(rows[i]))
     if case != "coupled":
         return rows, [(rows[:-1], rows[1:], nu)]
     cand = noisy(np.array([advect_const_values(r, nu) for r in rows[:-1]]).reshape(k, n))
-    src = rng.standard_normal((k, n - 1))
+    src = noisy(rng.standard_normal((k, n - 1)))
     bar = noisy(np.array([ub_step_values(r, nu) for r in src]).reshape(k, n - 1))
     return rows, [(rows[:-1], cand, nu), (src, bar, nu)]
 
 
-@settings(max_examples=120, deadline=None)
+def _check(rows, layers, count=None) -> tuple:
+    """(witness, tv, first bad) of a `block_checker` built on the block
+    of rows[1:] (rows[0] is the solution before it) and `layers`, for
+    its first `count` steps (all of them by default).  The checker
+    writes into the middle of larger histories, and nothing else of
+    them may change."""
+    count = len(rows) - 1 if count is None else count
+    tv = np.full(count + 2, -7.0)
+    witness = np.full((count + 2, len(layers)), -7.0)
+    bad = block_checker(rows[1:], layers)(count, tv[1:-1], witness[1:-1])
+    assert (tv[[0, -1]] == -7.0).all() and (witness[[0, -1]] == -7.0).all()
+    return witness[1:-1], tv[1:-1], bad
+
+
+@settings(max_examples=200, deadline=None)
 @given(
     case=st.sampled_from(BLOCK_CASES),
     k=st.integers(min_value=0, max_value=12),
     n=st.integers(min_value=3, max_value=50),
     seed=st.integers(min_value=0, max_value=2**32 - 1),
+    partial=st.integers(min_value=0, max_value=12),
+    signed_zeros=st.booleans(),
 )
-def test_block_diagnostics_match_the_row_by_row_checks(case: str, k: int, n: int, seed: int) -> None:
+def test_block_diagnostics_match_the_row_by_row_checks(
+    case: str, k: int, n: int, seed: int, partial: int, signed_zeros: bool
+) -> None:
     """Each step's witness equals its layer's largest violation of the
     bracket written out entry by entry (at least 0), each TV is
     `total_variation` of its row to the byte, and nothing is flagged
-    non-finite; for scalar, per-entry, two-sided and coupled blocks."""
-    rows, layers = _random_block(np.random.default_rng(seed), case, k, n)
-    witness, tv, first_bad = block_diagnostics(rows, layers)
-    assert witness.shape == (k, len(layers)) and first_bad.shape == (k, 1 + len(layers))
-    assert tv.tobytes() == np.array([total_variation(r) for r in rows[1:]]).tobytes()
-    for col, (old, new, nu) in enumerate(layers):
-        assert list(witness[:, col]) == [max(0.0, bracket_violations(old[i], new[i], nu).max())
-                                         for i in range(k)]
-    assert np.all(first_bad == -1)
+    non-finite: for every bracket kind (nu None, one scalar >= 0 or of
+    either sign, one per entry >= 0 or of mixed sign, and a coupled
+    block of two layers), on the full block and on its first `partial`
+    steps (none at all included), with and without values of 0.0 and
+    -0.0 in old and new, where a max over the two depends on the operand
+    order (`test_step_kernels` holds those bytes to the earlier form)."""
+    rows, layers = _random_block(np.random.default_rng(seed), case, k, n, signed_zeros)
+    count = min(partial, k)
+    for steps in (k, count):
+        witness, tv, bad = _check(rows, layers, steps)
+        assert witness.shape == (steps, len(layers)) and bad is None
+        assert tv.tobytes() == np.array([total_variation(r) for r in rows[1:steps + 1]]).tobytes()
+        for col, (old, new, nu) in enumerate(layers):
+            assert list(witness[:, col]) == [max(0.0, bracket_violations(old[i], new[i], nu).max())
+                                             for i in range(steps)]
 
 
 @pytest.mark.parametrize("n", [4, 129, 1601, 5000])
 def test_block_total_variation_is_bitwise_row_by_row_on_long_rows(n: int) -> None:
     """The pairwise sum along C-contiguous rows adds in the same order as
-    on one row, also past numpy's 8- and 128-element summation blocks."""
+    on one row, also past numpy's 8- and 128-element summation blocks,
+    and so does the checker's."""
     rows = np.random.default_rng(n).standard_normal((6, n)) * 10.0 ** np.arange(-3, 3)[:, None]
-    assert total_variation(rows).tobytes() == np.array([total_variation(r) for r in rows]).tobytes()
+    by_row = np.array([total_variation(r) for r in rows]).tobytes()
+    assert total_variation(rows).tobytes() == by_row
+    assert _check(np.vstack([rows[:1], rows]), [])[1].tobytes() == by_row
 
 
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("case", BLOCK_CASES)
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_block_diagnostics_locate_non_finite_values_without_warnings(case: str, bad: float) -> None:
-    """first_bad names the first non-finite entry of each solution row and
-    layer output (-1 where finite); the TV and witness of such a row are
-    not finite; no floating-point warning is raised, however many rows
-    are spoilt."""
+    """The checker names the first step that holds a non-finite value,
+    the first solution row or layer output of that step that holds one
+    (0 for the solution, 1 + l for layer l) and its first non-finite
+    index; a one-step checker of one row, with the solution alone or
+    with one layer, names that index for every row and layer output; the
+    TV and witness of every spoilt row are not finite; no floating-point
+    warning is raised, however many rows are spoilt."""
     rng = np.random.default_rng(3)
     k, n = 9, 12
     rows, layers = _random_block(rng, case, k, n)
-    for block in [rows[1:]] + [new for _, new, _ in layers]:
+    blocks = [rows[1:]] + [new for _, new, _ in layers]
+    for block in blocks:
         for i in rng.choice(k, 4, replace=False):
             block[i, rng.choice(block.shape[1], 2, replace=False)] = bad
-    witness, tv, first_bad = block_diagnostics(rows, layers)
-    blocks = [rows[1:]] + [new for _, new, _ in layers]
-    for col, block in enumerate(blocks):
-        for i in range(k):
-            spoilt = np.flatnonzero(~np.isfinite(block[i]))
-            assert first_bad[i, col] == (spoilt[0] if spoilt.size else -1)
-            if spoilt.size and col == 0:
+    spoilt = [[np.flatnonzero(~np.isfinite(block[i])) for block in blocks] for i in range(k)]
+    witness, tv, found = _check(rows, layers)
+    first = next(i for i in range(k) if any(idx.size for idx in spoilt[i]))
+    col = next(c for c, idx in enumerate(spoilt[first]) if idx.size)
+    assert found == (first, col, spoilt[first][col][0])
+    for i in range(k):
+        for col, idx in enumerate(spoilt[i]):
+            if col == 0:
+                one = _check(rows[i:i + 2], [])
+            else:
+                old, new, nu = layers[col - 1]
+                one = _check(np.zeros((2, 1)), [(old[i:i + 1], new[i:i + 1], nu)])
+            assert one[2] == ((0, min(col, 1), idx[0]) if idx.size else None)
+            if idx.size and col == 0:
                 assert not np.isfinite(tv[i])
-            if spoilt.size and col > 0:
+            if idx.size and col > 0:
                 assert not np.isfinite(witness[i, col - 1])
+
+
+@pytest.mark.filterwarnings("error")
+def test_block_checker_reports_an_overflowing_variation_of_finite_values() -> None:
+    """A step whose values are finite but whose TV overflows is named
+    with index -1; an earlier step whose witness alone is not finite
+    (old values 1e308 apart) is not flagged, nor is a block of it alone."""
+    rows = np.array([[0.0, 0.0, 0.0], [0.0, 0.0, 0.0], [1e308, -1e308, 1e308], [1.0, 1.0, 1.0]])
+    old = np.array([[1e308, -1e308, 1e308], [0.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
+    new = np.array([[-1e308, 1e308, -1e308], [0.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
+    witness, tv, found = _check(rows, [(old, new, 0.5)])
+    assert witness[0, 0] == np.inf and tv[0] == 0.0 and tv[1] == np.inf
+    assert found == (1, 0, -1)
+    assert _check(rows[:2], [(old[:1], new[:1], 0.5)])[2] is None
 
 
 def _loop_witness(old: np.ndarray, new: np.ndarray, nu, j: int, left: float, right: float) -> float:
@@ -345,7 +407,7 @@ def test_block_witness_at_the_row_ends_matches_a_written_out_loop(case: str) -> 
         new[i, ends[-1]] = 3.0 if ends[-1] == 0 else -3.0  # outside its own bracket
     rows = np.vstack([old[:1], new])  # the solution layer: rows[i] -> rows[i + 1]
     layers = [(old, new, nu), (rows[:-1], rows[1:], nu)]
-    witness, _, _ = block_diagnostics(rows, layers)
+    witness, _, _ = _check(rows, layers)
     flat, flat_nu = old.ravel(), nu if np.ndim(nu) == 0 else np.tile(nu, k)
     for col, (o, w, _) in enumerate(layers):
         for i in range(k):

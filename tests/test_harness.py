@@ -433,6 +433,30 @@ def test_run_diagnostics_match_a_step_by_step_run(
     assert res.values.tobytes() == values[-1].tobytes()
 
 
+def test_a_run_shorter_than_one_block_checks_one_block_sized_to_the_run(monkeypatch) -> None:
+    """Coupled hj-abs at m = 19 takes 4 steps, where max(4, 16384 // n)
+    would size its blocks at 819 rows: its checker is built on blocks of
+    4 rows, and its witnesses, TV, snapshots and values are those of the
+    step-by-step run."""
+    name, m = "hj-abs", 19
+    n_steps, n = time_ladder(get_problem(name), m)[1], resolve_grid(get_problem(name), m).m + 1
+    assert n_steps == 4 and slub.harness._BLOCK_VALUES // n == 819
+    built, block_checker = [], slub.harness.block_checker
+
+    def recorded(rows, layers):
+        built.append([len(rows)] + [len(block) for old, new, _ in layers for block in (old, new)])
+        return block_checker(rows, layers)
+
+    monkeypatch.setattr(slub.harness, "block_checker", recorded)
+    res = run_scheme(name, "coupled", m, snapshot_steps=range(n_steps + 1))
+    assert built == [[n_steps] * 5]
+    witnesses, tv, values = _stepwise_diagnostics(name, "coupled", m)
+    assert res.witnesses.tobytes() == witnesses.tobytes()
+    assert res.tv.values.tobytes() == tv.tobytes()
+    assert np.array(list(res.snapshots.values())).tobytes() == values.tobytes()
+    assert res.values.tobytes() == values[-1].tobytes()
+
+
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("where", ["K", "K+1", "n_steps"])
 @pytest.mark.parametrize("scheme", SCHEMES)

@@ -191,6 +191,26 @@ def test_spec_rejects_a_velocity_its_reference_does_not_cover(name: str) -> None
         assert np.array_equal(replace(p, c=-2.0).velocity_values(x), np.full(7, -2.0))
 
 
+def test_advection_var_spec_rejects_an_x_bar_it_cannot_run_at_its_nu() -> None:
+    """The time step takes speed 1 for advection-var, but the velocity
+    -(x - x_bar) reaches max(|a - x_bar|, |b - x_bar|) on the domain.  So
+    x_bar = -1 on [0, 1] at nu 0.6 promises Courant numbers up to 1.2;
+    it used to build and then fail in its first run with "CFL violated
+    at index 19: Courant number |nu| = 1.1875 > 1".  It is rejected when
+    it is built, naming x_bar; at nu 0.5 it reaches 1 exactly, builds
+    and runs; the preset reaches 0.6 * 1.1 = 0.66."""
+    p = get_problem("adv-var")
+    with pytest.raises(ValueError, match=r"nu\*max\(\|a - x_bar\|, \|b - x_bar\|\) <= 1.*"
+                                         r"got nu=0\.6, x_bar=-1\.0$"):
+        replace(p, x_bar=-1.0)
+    with pytest.raises(ValueError, match=r"x_bar=2\.7"):
+        replace(p, x_bar=2.7)
+    edge = replace(p, x_bar=-1.0, nu=0.5)
+    for scheme in ("sl", "ub", "coupled"):
+        assert run_scheme(edge, scheme, 19).witness_max <= 1e-12
+    assert p.nu * max(abs(p.a - p.x_bar), abs(p.b - p.x_bar)) == pytest.approx(0.66)
+
+
 def test_spec_rejects_a_support_t0_it_cannot_use() -> None:
     """support_t0 extends an advection-const grid, so it must be a
     finite pair with lo < hi, and any other kind, which runs on its

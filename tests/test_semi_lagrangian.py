@@ -70,12 +70,15 @@ def test_sl_advection_step_wraps_field() -> None:
 
 
 def test_sl_advection_step_var_rejects_cfl_violation() -> None:
-    """The adv-var velocity -(x - x_bar), of 10 to 11 on [0, 1] with
-    x_bar = 11, on dx = 0.25 with dt = 1 is refused when the node update
-    is built."""
-    problem = replace(get_problem("adv-var"), x_bar=11.0)
+    """The adv-var velocity -(x - x_bar), of 0.1 to 1.1 on [0, 1] with
+    x_bar = 1.1, on dx = 0.25 with dt = 1 (Courant numbers up to 4.4) is
+    refused when the node update is built.  A spec whose own nu runs
+    above 1, such as x_bar = 11 at nu 0.6, is refused before that, when
+    it is built (see `test_problems`)."""
     with pytest.raises(ValueError, match="CFL"):
-        make_operators(problem, build_grid(0.0, 1.0, 4), 1.0)
+        make_operators(get_problem("adv-var"), build_grid(0.0, 1.0, 4), 1.0)
+    with pytest.raises(ValueError, match="x_bar=11.0"):
+        replace(get_problem("adv-var"), x_bar=11.0)
 
 
 def _brute_force_hj(v, nodes, c, dt):

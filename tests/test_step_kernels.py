@@ -17,11 +17,13 @@ The prepared steppers (`ub_stepper`, `ub_min_stepper`,
 same, called as a run calls them: into one row of a block, given
 another row of it, and writing no entry outside the row.  The witness
 bracket of a negative nu is held to the bytes of its earlier
-right-neighbour form.
+right-neighbour form, and `block_checker` to the bytes of the earlier
+one-call `block_diagnostics`.
 """
 
 from __future__ import annotations
 
+import itertools
 import warnings
 
 import numpy as np
@@ -39,7 +41,7 @@ from slub.coupled import (
     project_to_cells,
     project_to_nodes,
 )
-from slub.diagnostics import _bracket_violation
+from slub.diagnostics import _bracket_violation, block_checker, total_variation
 from slub.grids import build_grid
 from slub.harness import make_operators, time_ladder
 from slub.problems import REGISTRY, get_problem
@@ -178,6 +180,57 @@ def _old_right_bracket_violation(u_old, u_new):
     lo, hi = bounds
     np.subtract(lo, new, out=lo)
     return np.maximum(lo, np.subtract(new, hi, out=hi), out=lo)
+
+
+def _old_bracket_violation(u_old, u_new, nu):
+    """The witness bracket's violation per entry: edge padding for a
+    negative nu, else one slice op per bound over the flat values."""
+    old = np.ascontiguousarray(u_old, dtype=float)
+    new = np.asarray(u_new, dtype=float)
+    o = old.reshape(-1)
+    pos = None if nu is None else np.asarray(nu, dtype=float) >= 0.0
+    if pos is not None and not pos.all():
+        p = _pad(old, ((0, 0), (1, 1)))
+        other = np.where(pos, p[..., :-2], p[..., 2:])
+    bounds = []
+    for op in (np.minimum, np.maximum):
+        b = np.empty_like(old)
+        f = b.reshape(-1)
+        if pos is None:
+            op(o[:-1], o[1:], out=f[1:])
+            b[..., 0] = old[..., 0]
+            last = op(b[..., -1], old[..., -1])
+            op(f[:-1], o[1:], out=f[:-1])
+            b[..., -1] = last
+        elif pos.all():
+            op(o[1:], o[:-1], out=f[1:])
+            b[..., 0] = old[..., 0]
+        else:
+            op(old, other, out=b)
+        bounds.append(b)
+    lo, hi = bounds
+    np.subtract(lo, new, out=lo)
+    return np.maximum(lo, np.subtract(new, hi, out=hi), out=lo)
+
+
+def _old_block_diagnostics(rows, layers):
+    """(witness, tv, first_bad) of a block by the earlier one-call form,
+    which allocated each array per call: each layer's witness, at least
+    0, the TV of rows[1:], and the first non-finite index (-1 if none)
+    of each solution row and layer output."""
+    with np.errstate(all="ignore"):
+        tv = total_variation(rows[1:])
+        witness = np.stack([
+            np.maximum(np.max(_old_bracket_violation(old, new, nu), axis=-1), 0.0)
+            for old, new, nu in layers
+        ], axis=-1)
+    first_bad = np.full((tv.size, 1 + len(layers)), -1)
+    blocks = [rows[1:]] + [new for _, new, _ in layers]
+    for i, col in zip(*np.nonzero(~np.isfinite(np.column_stack([tv, witness])))):
+        bad = np.flatnonzero(~np.isfinite(blocks[col][i]))
+        if bad.size:
+            first_bad[i, col] = bad[0]
+    return witness, tv, first_bad
 
 
 # ---------------------------------------------------------------------------
@@ -395,6 +448,13 @@ def test_sign_test_matches_the_product_form_where_it_does_not_underflow(
 NEGATIVE_NU = st.sampled_from([-1e-15, -0.5, -1.0]) | st.floats(min_value=-1.0, max_value=-5e-324)
 
 
+def _violation(old, new, nu):
+    """The checker's bracket violation per entry for a nu of which some
+    entry is negative, into fresh scratch."""
+    negative = np.broadcast_to(~(np.asarray(nu, dtype=float) >= 0.0), old.shape[-1])
+    return _bracket_violation(old, new, negative, np.empty(old.shape), np.empty(old.shape))
+
+
 @given(
     block=hnp.arrays(np.float64, st.tuples(st.integers(1, 4), st.integers(1, 12)),
                      elements=LATTICE),
@@ -403,20 +463,88 @@ NEGATIVE_NU = st.sampled_from([-1e-15, -0.5, -1.0]) | st.floats(min_value=-1.0, 
 )
 @settings(max_examples=200, deadline=None)
 def test_negative_nu_bracket_matches_the_right_neighbour_form(block, nu: float, data) -> None:
-    """A negative nu, one scalar or one per entry, takes the edge-padded
-    bracket of mixed signs, and gives the bytes of the right-neighbour
-    bracket, each row's last entry included; u_old is left unwritten."""
+    """A negative nu, one scalar or one per entry, takes the bracket of
+    mixed signs (the left one, then the right one where nu < 0), and
+    gives the bytes of the right-neighbour bracket, each row's last entry
+    included; u_old is left unwritten."""
     new = data.draw(hnp.arrays(np.float64, block.shape, elements=LATTICE))
     per_entry = data.draw(hnp.arrays(np.float64, block.shape[-1], elements=NEGATIVE_NU))
     old_bytes = block.tobytes()
     for nus in (nu, per_entry):
-        assert (_outcome(_bracket_violation, block, new, nus)
+        assert (_outcome(_violation, block, new, nus)
                 == _outcome(_old_right_bracket_violation, block, new))
         with np.errstate(all="ignore"):
-            last = _bracket_violation(block, new, nus)[:, -1]
+            last = _violation(block, new, nus)[:, -1]
             own = np.maximum(block[:, -1] - new[:, -1], new[:, -1] - block[:, -1])
         assert _bytes(last) == _bytes(own)
     assert block.tobytes() == old_bytes
+
+
+def _nus(width: int):
+    """A layer's Courant numbers: None, one scalar, or one per entry."""
+    return st.none() | SCALAR_NU | hnp.arrays(
+        np.float64, width, elements=PER_CELL_NU["tiny"] | PER_CELL_NU["mixed"])
+
+
+@pytest.mark.filterwarnings("error")
+@given(
+    block=hnp.arrays(np.float64, st.tuples(st.integers(1, 5), st.integers(2, 12)),
+                     elements=LATTICE),
+    two_layers=st.booleans(),
+    data=st.data(),
+)
+@settings(max_examples=300, deadline=None)
+def test_block_checker_matches_the_earlier_block_diagnostics(block, two_layers: bool, data) -> None:
+    """The checker writes the bytes of the earlier one-call form, each TV
+    and each witness, for every bracket kind (nu None, one scalar and one
+    per entry of either sign or mixed sign), with one layer or two of
+    different widths, for the first `count` steps of the block (none
+    included).  It names the step, column and index of the first step
+    the earlier form flags, and warns of nothing."""
+    k, n = block.shape
+    rows = np.vstack([data.draw(hnp.arrays(np.float64, n, elements=LATTICE)), block])
+    layers = [(rows[:-1], data.draw(hnp.arrays(np.float64, (k, n), elements=LATTICE)),
+               data.draw(_nus(n)))]
+    if two_layers:
+        old, new = (data.draw(hnp.arrays(np.float64, (k, n - 1), elements=LATTICE))
+                    for _ in range(2))
+        layers.append((old, new, data.draw(_nus(n - 1))))
+    count = data.draw(st.integers(0, k))
+    witness, tv = np.empty((count, len(layers))), np.empty(count)
+    found = block_checker(rows[1:], layers)(count, tv, witness)
+    old_witness, old_tv, first_bad = _old_block_diagnostics(
+        rows[:count + 1], [(o[:count], w[:count], nu) for o, w, nu in layers])
+    assert _bytes(witness) == _bytes(old_witness.reshape(count, len(layers)))
+    assert _bytes(tv) == _bytes(old_tv)
+    bad = ~np.isfinite(old_tv) | np.any(first_bad >= 0, axis=1)
+    if not bad.any():
+        assert found is None
+    else:
+        i = int(np.argmax(bad))
+        col = int(np.argmax(first_bad[i] >= 0))
+        assert found == (i, col, first_bad[i, col])
+
+
+@pytest.mark.parametrize("nu", [None, 0.5, -0.5, np.array([0.5, -0.5, 0.5])],
+                         ids=["three-point", "scalar+", "scalar-", "mixed"])
+def test_block_checker_keeps_the_zero_signs_of_the_earlier_form(nu) -> None:
+    """Old and new rows of three entries, each 0.0 or -0.0, all 64 pairs
+    as the steps of one block: the checker's witnesses and TV have
+    the bytes of the earlier form.  A min or max of 0.0 and -0.0 returns
+    one operand or the other by their order, so each op keeps its
+    operand order; here some rows' largest violation is -0.0, which the
+    clamp at 0 makes 0.0."""
+    zeros = np.array(list(itertools.product([0.0, -0.0], repeat=6)))
+    old, new = zeros[:, :3].copy(), zeros[:, 3:].copy()
+    rows = np.vstack([np.zeros((1, 3)), new])
+    layers = [(old, new, nu), (rows[:-1], rows[1:], nu)]
+    witness, tv = np.empty((len(new), 2)), np.empty(len(new))
+    assert block_checker(rows[1:], layers)(len(new), tv, witness) is None
+    old_witness, old_tv, _ = _old_block_diagnostics(rows, layers)
+    assert witness.tobytes() == old_witness.tobytes() and tv.tobytes() == old_tv.tobytes()
+    with np.errstate(all="ignore"):
+        row_max = np.max(_old_bracket_violation(old, new, nu), axis=-1)
+    assert np.signbit(row_max[row_max == 0.0]).any()
 
 
 # ---------------------------------------------------------------------------
