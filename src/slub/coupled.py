@@ -80,8 +80,30 @@ def _regularity_workspace(n: int, guard: int) -> tuple:
     lt, eq = np.empty((2, n), bool)
     padded = np.ones(n + 2 * guard, bool)  # guard True ghosts at each end
     windows = np.ndarray((2 * guard + 1, n), bool, padded, strides=(1, 1))  # row k: padded[k:k + n]
-    return (guard, s, mag, mag[:-1], flat, flat[:-1], flat[1:], s[:-1], s[1:], lt, eq,
+    return (guard, s, s[1:-1], mag, mag[:-1], flat, flat[:-1], flat[1:], s[:-1], s[1:], lt, eq,
             pairs[1:], pairs[:-1], padded[guard:guard + n], windows)
+
+
+def _indicate(params, work, dest):
+    """The indicator's one body: the regular flags (bool) of the backward
+    slopes in work[1], into `dest` (fresh when None)."""
+    (guard, s, inner, mag, mag_head, flat, flat_head, flat_tail, s_head, s_tail, lt, eq,
+     compat, left, mid, windows) = work
+    if guard != params.guard:
+        raise ValueError(f"workspace built for guard {guard}, not {params.guard}")
+    np.abs(s, out=mag)
+    np.less_equal(mag, params.flat_tol, out=flat)
+    np.less(mag_head, params.delta, out=lt)
+    # pair k couples slopes s_k and s_{k+1}; node j needs pairs j-1, j
+    np.bitwise_and(flat_head, flat_tail, out=compat)
+    # equal signs: both strictly one sign, or both 0 and so already flat
+    np.sign(s, out=s)
+    compat |= np.equal(s_head, s_tail, out=eq)
+    np.bitwise_and(lt, compat, out=lt)
+    flags = np.bitwise_and(lt, left, out=mid if guard else dest)
+    if guard:
+        flags = np.logical_and.reduce(windows, axis=0, out=dest)
+    return flags
 
 
 def classify_regularity(values: np.ndarray, dx: float, params: RegularityParams,
@@ -104,25 +126,8 @@ def classify_regularity(values: np.ndarray, dx: float, params: RegularityParams,
     """
     if work is None:
         work = _regularity_workspace(np.size(values), params.guard)
-    (guard, s, mag, mag_head, flat, flat_head, flat_tail, s_head, s_tail, lt, eq,
-     compat, left, mid, windows) = work
-    if guard != params.guard:
-        raise ValueError(f"workspace built for guard {guard}, not {params.guard}")
-    backward_slopes(values, dx, out=s)
-    np.abs(s, out=mag)
-    np.less_equal(mag, params.flat_tol, out=flat)
-    np.less(mag_head, params.delta, out=lt)
-    # pair k couples slopes s_k and s_{k+1}; node j needs pairs j-1, j
-    np.bitwise_and(flat_head, flat_tail, out=compat)
-    # equal signs: both strictly one sign, or both 0 and so already flat
-    np.sign(s, out=s)
-    compat |= np.equal(s_head, s_tail, out=eq)
-    np.bitwise_and(lt, compat, out=lt)
-    dest = None if out is None else out.view(bool)
-    flags = np.bitwise_and(lt, left, out=mid if guard else dest)
-    if guard:
-        flags = np.logical_and.reduce(windows, axis=0, out=dest)
-    return flags.view(np.int8)
+    backward_slopes(values, dx, out=work[1])
+    return _indicate(params, work, None if out is None else out.view(bool)).view(np.int8)
 
 
 def active_cells(sigma: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
@@ -155,33 +160,40 @@ def project_to_nodes(cell_values: np.ndarray, out: Optional[np.ndarray] = None) 
     return out
 
 
-@dataclass(frozen=True)
 class CoupledState:
-    """One time level of the coupled scheme, as a step wrote it.
+    """One step of the coupled scheme from the level `prev` = (w, w_bar,
+    owned) into the six arrays of `out`, the level it writes:
 
     w           node values (the solution)
     w_bar       cell averages; trusted only where `owned` is True, and
                 the cell source itself after a step with no active cell
     owned       cells whose averages were evolved, not re-projected
     sigma       indicator used for the step that produced this state
-    fresh_cell_count  cells that entered the anti-dissipative region
-                      this step (their averages came from projection)
-    node_candidate    node-scheme update of the previous w, over every
-                      node (w keeps it where sigma is 1)
-    cell_source       cell averages the cell update started from: the
-                      previous w_bar where owned, else projected nodes
+    node_candidate    node-scheme update of the previous w (w keeps it
+                      where sigma is 1)
+    cell_source       the previous w_bar where owned, else projected nodes
 
-    Every array views the `out` of the step; in a run, a row of the
-    run's blocks.
+    `views` adds `prev` and every shifted view the step reads.  The cells
+    that entered the anti-dissipative region in the step are counted
+    when `fresh_cell_count` is read.
     """
 
-    w: np.ndarray
-    w_bar: np.ndarray
-    owned: np.ndarray
-    sigma: np.ndarray
-    fresh_cell_count: int
-    node_candidate: np.ndarray
-    cell_source: np.ndarray
+    __slots__ = ("w", "w_bar", "owned", "sigma", "node_candidate", "cell_source", "views")
+
+    def __init__(self, prev: tuple, out: tuple) -> None:
+        prev_w, prev_bar, prev_owned = prev
+        prev_w = np.asarray(prev_w, dtype=float)
+        w, bar, act, sigma, cand, source = out
+        self.w, self.w_bar, self.owned, self.sigma, self.node_candidate, self.cell_source = out
+        regular = sigma.view(bool)
+        # the end entries of w and of bar (one cell's one entry broadcasts)
+        ends = w[::max(w.size - 1, 1)], bar[::max(bar.size - 1, 1)]
+        self.views = (prev_w, prev_w[1:], prev_w[:-1], prev_bar, prev_owned, w, w[1:-1], *ends,
+                      bar, bar[:-1], bar[1:], act, regular, regular[:-1], regular[1:], cand, source)
+
+    @property
+    def fresh_cell_count(self) -> int:
+        return int(np.count_nonzero(self.owned > self.views[4]))
 
 
 def coupled_step(
@@ -190,40 +202,47 @@ def coupled_step(
     params: RegularityParams,
     node_update: Callable[..., np.ndarray],
     cell_update: Callable[..., np.ndarray],
-    out: tuple,
+    out: tuple | CoupledState,
     indicator: Optional[tuple] = None,
 ) -> CoupledState:
     """Advance one step, re-deciding the split from the current profile.
 
     `prev` = (w, w_bar, owned) is the level the step reads (no input is
-    written); `out` holds the six arrays, in `CoupledState` field order,
-    that it writes and the returned state views (a run passes its block
-    rows).  node_update and cell_update are steppers update(v, out=...)
-    applied to full arrays, so sigma identically 1 reproduces the node
-    scheme bit for bit, and 0 the cell scheme.  The cell source is w_bar
-    where owned, else the projected nodes; the new nodes are the node
-    update where sigma is 1, else the projected cells, each by an
-    `np.copyto` mask.  A step with no active cell runs neither
-    cell_update nor the node projection, so it warns of no floating-point
-    error in cells that no node would read.  `indicator` is the
-    `_regularity_workspace` a run builds once (one per call when None).
+    written); `out` is the six arrays it writes, in `CoupledState` field
+    order, or the `CoupledState(prev, out)` a run builds once; the step
+    returns that state.  node_update and cell_update are steppers
+    update(v, out=...) on full arrays, so sigma identically 1 reproduces
+    the node scheme bit for bit, and 0 the cell scheme.  The cell source
+    and the new nodes are picked by `np.copyto` masks (w_bar where owned,
+    the node update where sigma is 1).  A step with no active cell runs
+    neither cell_update nor the node projection, so it warns of no error
+    in cells no node reads.  `indicator` is the `_regularity_workspace` a
+    run builds once (one per call when None).
     """
-    prev_w, prev_bar, prev_owned = prev
-    w, bar, act, sigma, cand, source = out
-    classify_regularity(prev_w, dx, params, out=sigma, work=indicator)
-    regular = sigma.view(bool)
-    active_cells(regular, out=act)
-    project_to_cells(prev_w, out=source)
+    state = out if type(out) is CoupledState else CoupledState(prev, out)
+    (prev_w, w_hi, w_lo, prev_bar, prev_owned, w, w_inner, w_ends, bar_ends, bar, bar_lo,
+     bar_hi, act, regular, reg_lo, reg_hi, cand, source) = state.views
+    if indicator is None:
+        indicator = _regularity_workspace(w.size, params.guard)
+    slopes = indicator[2]
+    np.subtract(w_hi, w_lo, out=slopes)
+    slopes /= dx
+    _indicate(params, indicator, regular)
+    np.logical_and(reg_lo, reg_hi, out=act)
+    np.logical_not(act, out=act)  # `active_cells`, then `project_to_cells`
+    np.add(w_lo, w_hi, out=source)
+    source *= 0.5
     np.copyto(source, prev_bar, where=prev_owned)
     evolve = np.count_nonzero(act) > 0
     if evolve:
         cell_update(source, out=bar)
     node_update(prev_w, out=cand)
-    if evolve:
-        project_to_nodes(bar, out=w)
+    if evolve:  # project the cells to the nodes, the ends from their own cell
+        np.add(bar_lo, bar_hi, out=w_inner)
+        np.add(bar_ends, bar_ends, out=w_ends)
+        w *= 0.5
         np.copyto(w, cand, where=regular)
     else:  # every node regular: the masked copy would take every node
         bar[...] = source
         w[...] = cand
-    fresh = int(np.count_nonzero(act > prev_owned)) if evolve else 0
-    return CoupledState(w, bar, act, sigma, fresh, cand, source)
+    return state

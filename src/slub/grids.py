@@ -1,5 +1,4 @@
-"""Uniform 1D grids, the initial data on them, the CFL check and the
-ghost-cell convention.
+"""Uniform 1D grids, the initial data on them and the CFL check.
 
 Two alignments matter here: point values live on nodes x_j, cell averages
 live on cells [x_j, x_{j+1}).  Every kernel, initializer and driver takes
@@ -20,7 +19,6 @@ __all__ = [
     "Grid1D",
     "build_grid",
     "check_cfl",
-    "edge_pad",
     "init_point_values",
     "init_cell_averages",
 ]
@@ -100,19 +98,6 @@ def check_cfl(nu) -> None:
     mag = np.ravel(mags)[j]
     bound = "> 1" if mag > 1.0 else "is not finite"
     raise ValueError(f"CFL violated at index {j}: Courant number |nu| = {mag:.6g} {bound}")
-
-
-def edge_pad(values: np.ndarray, k: int, out=None) -> np.ndarray:
-    """`values` with k >= 1 ghost entries at each end of the last axis
-    that continue the end values (numpy's "edge" padding, without its
-    overhead), into `out` (fresh when None).  The cell kernel pads with
-    it; the nodes, the projections and the witnesses do not pad."""
-    if out is None:
-        out = np.empty(values.shape[:-1] + (values.shape[-1] + 2 * k,), dtype=values.dtype)
-    out[..., :k] = values[..., :1]
-    out[..., k:-k] = values
-    out[..., -k:] = values[..., -1:]
-    return out
 
 
 def _eval_on(fn, x: np.ndarray) -> np.ndarray:

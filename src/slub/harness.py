@@ -31,6 +31,7 @@ from .ultrabee import ub_min_stepper, ub_stepper
 # unused here, but benchmarks/tests/test_bench.py asserts it is ultrabee's
 from .ultrabee import ub_step_values
 from .coupled import (
+    CoupledState,
     RegularityParams,
     classify_regularity,
     coupled_step,
@@ -320,19 +321,23 @@ def run_scheme(
         rows, cand = np.empty((2, block_steps + 1, v.size))
         src, bar = np.empty((2, block_steps + 1, v.size - 1))
         owned = np.zeros((block_steps + 1, v.size - 1), bool)  # no cell owned at t = 0
+        sigma = np.empty((block_steps + 1, v.size), np.int8)
         indicator = _regularity_workspace(v.size, params.guard)
         classify_regularity(w0, grid.dx, params, out=sigma_history[0], work=indicator)
         project_to_cells(w0, out=bar[0])
-        carried = (rows, bar, owned)
-        levels = list(zip(rows, bar, owned))  # per-row views, built once, not per step
-        scratch = list(zip(cand, src))
+        carried, kept = (rows, bar, owned), ((sigma, sigma_history),)
+        levels = list(zip(rows, bar, owned))
+        # every step's arguments, built once per run
+        steps = [(prev, grid.dx, params, ops.node_update, ops.cell_update,
+                  CoupledState(prev, out), indicator)
+                 for prev, out in zip(levels, zip(rows[1:], bar[1:], owned[1:], sigma[1:],
+                                                  cand[1:], src[1:]))]
         layers = ((rows[:-1], cand[1:], ops.nu_node), (src[1:], bar[1:], ops.nu_cell))
         labels = (("total variation {tv}", alignment), ("node candidate", Alignment.NODE),
                   ("cell average", Alignment.CELL))
 
         def advance(i):  # a retaken step reads row 0, which flush has set
-            coupled_step(levels[i - 1], grid.dx, params, ops.node_update, ops.cell_update,
-                         (*levels[i], sigma_history[done + i], *scratch[i]), indicator)
+            coupled_step(*steps[i - 1])
     else:
         if scheme == "sl":
             v = w0
@@ -341,7 +346,7 @@ def run_scheme(
             v = init_cell_averages(grid, problem.ic)
             update, nus, alignment = ops.cell_update, ops.nu_cell, Alignment.CELL
         rows = np.empty((block_steps + 1, v.size))
-        carried = (rows,)
+        carried, kept = (rows,), ()
         layers = ((rows[:-1], rows[1:], nus),)
         labels = (("total variation {tv}", alignment),) * 2  # the layer is the solution
 
@@ -368,6 +373,8 @@ def run_scheme(
         for k in later_snapshots:
             if done < k <= done + count:
                 snapshots[k] = rows[k - done].copy()
+        for block, history in kept:
+            history[done + 1:done + count + 1] = block[1:count + 1]
         for block in carried:
             block[0] = block[count]
         return done + count

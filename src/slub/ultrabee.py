@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .grids import check_cfl, edge_pad
+from .grids import check_cfl
 
 __all__ = [
     "ub_stepper",
@@ -55,43 +55,43 @@ def _flux_pos(prev, cur, nxt, nu, tiny, work):
     return b
 
 
-def _scalar_side(nu: float) -> tuple:
-    """(|nu|, at-rest flag, mirrored) of one scalar Courant number."""
-    a = abs(float(nu))  # abs: -0.0 must scale like 0.0, as np.abs would
-    return a, (a < _NU_TINY) or None, nu < 0.0
-
-
-def _scalar_update(v, side, work, out):
-    """The scalar-nu update of v, padded in the workspace, into `out`;
-    a mirrored nu swaps each interface's upwind and downwind values."""
-    ends, flux, outflow, inflow = work
-    _flux_pos(*ends, side[0], side[1], flux)
-    out = np.subtract(outflow, inflow, out=out)
-    out *= side[0]
-    return np.subtract(v, out, out=out)
-
-
-def _scalar_stepper(sides):
-    """The scalar update at sides[0], or the minimum of those at sides[0]
-    and sides[1]; its workspace is sized on each new length of values."""
-    p = first = works = None
+def _scalar_stepper(nus):
+    """The update at the scalar nus[0], or the minimum of those at nus[0]
+    and nus[1] (one |nu|); its padding, flux scratch and views are built
+    on each new length of values.  A mirrored (negative) nu swaps each
+    interface's upwind and downwind values."""
+    a = abs(float(nus[0]))  # abs: -0.0 must scale like 0.0, as np.abs would
+    tiny = (a < _NU_TINY) or None
+    n = work = None
 
     def update(values, out=None):
-        nonlocal p, first, works
-        v = np.asarray(values, dtype=float)
-        if p is None or p.size != v.size + 4:
-            p, first = np.empty(v.size + 4), np.empty(v.size)
-            _, _, b = flux = tuple(np.empty((3, v.size + 1)))  # big, small, flux
-            works = [((p[3:], p[2:-1], p[1:-2]), flux, b[:-1], b[1:]) if side[2] else
-                     ((p[:-3], p[1:-2], p[2:-1]), flux, b[1:], b[:-1]) for side in sides]
-        edge_pad(v, 2, out=p)
-        if len(sides) == 1:
-            return _scalar_update(v, sides[0], works[0], out)
-        _scalar_update(v, sides[0], works[0], first)
-        out = _scalar_update(v, sides[1], works[1], out)
-        return np.minimum(first, out, out=out)
+        nonlocal n, work
+        if len(values) != n:
+            n = len(values)
+            p, flux = np.empty(n + 4), tuple(np.empty((3, n + 1)))  # big, small, flux
+            b = flux[2]
+            work = (p[2:-2], p[:2], p[2:3], p[-2:], p[-3:-2], flux, np.empty(n), *(
+                ((p[3:], p[2:-1], p[1:-2]), b[:-1], b[1:]) if nu < 0.0 else
+                ((p[:-3], p[1:-2], p[2:-1]), b[1:], b[:-1]) for nu in (nus[0], nus[-1])))
+        mid, head, first, tail, last, flux, _, (ends, outflow, inflow), _ = work
+        mid[...] = values
+        head[...] = first
+        tail[...] = last
+        _flux_pos(*ends, a, tiny, flux)
+        out = np.subtract(outflow, inflow, out=out)
+        out *= a
+        return np.subtract(values, out, out=out)
 
-    return update
+    def update_min(values, out=None):
+        out = update(values, out)  # pads; the update at nus[0]
+        _, _, _, _, _, flux, upper, _, (ends, outflow, inflow) = work
+        _flux_pos(*ends, a, tiny, flux)
+        np.subtract(outflow, inflow, out=upper)
+        upper *= a
+        np.subtract(values, upper, out=upper)
+        return np.minimum(out, upper, out=out)
+
+    return update if len(nus) == 1 else update_min
 
 
 def ub_stepper(nus):
@@ -109,18 +109,20 @@ def ub_stepper(nus):
     interface fluxes upwind by the sign of its own nu and at its own
     |nu|: v - |nu|*(outflow flux - inflow flux); when every nu >= 0 the
     stencil is three slices, else it is gathered by index.  The two
-    forms agree bit for bit on a constant nu.  The update is written in
-    place into the flux difference.  Ghost cells continue the end values.
+    forms agree bit for bit on a constant nu.  Ghost cells continue the
+    end values, padded into views built once.
     """
     check_cfl(nus)
     if isinstance(nus, float) or np.ndim(nus) == 0:  # np.ndim is slow on a float
-        return _scalar_stepper((_scalar_side(nus),))
+        return _scalar_stepper((nus,))
     nu = np.asarray(nus, dtype=float)
     pos = nu >= 0.0
     a = np.abs(nu)
     tiny = None if np.min(a, initial=np.inf) >= _NU_TINY else a < _NU_TINY
     p, (big, small, outflow, inflow) = np.empty(nu.size + 4), np.empty((4, nu.size))
     cur, up1, up2, down = p[2:-2], p[1:-3], p[:-4], p[3:-1]
+    head, first, tail, last = p[:2], p[2:3], p[-2:], p[-3:-2]
+    out_work, in_work = (big, small, outflow), (big, small, inflow)
     index = None
     if not pos.all():  # some cell reads its stencil from the right
         j = np.arange(nu.size)
@@ -128,14 +130,15 @@ def ub_stepper(nus):
         up1, up2, down = stencil = np.empty(index.shape)
 
     def update(values, out=None):
-        v = np.asarray(values, dtype=float)
-        edge_pad(v, 2, out=p)
+        cur[...] = values
+        head[...] = first
+        tail[...] = last
         if index is not None:
             np.take(p, index, out=stencil, mode="clip")
-        F = _flux_pos(up1, cur, down, a, tiny, (big, small, outflow))
-        out = np.subtract(F, _flux_pos(up2, up1, cur, a, tiny, (big, small, inflow)), out=out)
+        F = _flux_pos(up1, cur, down, a, tiny, out_work)
+        out = np.subtract(F, _flux_pos(up2, up1, cur, a, tiny, in_work), out=out)
         out *= a
-        return np.subtract(v, out, out=out)
+        return np.subtract(values, out, out=out)
 
     return update
 
@@ -145,7 +148,7 @@ def ub_min_stepper(nu: float):
     scalars -|nu| and |nu|, prepared as by `ub_stepper`; both share one
     padding and one flux scratch."""
     check_cfl(nu)
-    return _scalar_stepper((_scalar_side(-abs(nu)), _scalar_side(abs(nu))))
+    return _scalar_stepper((-abs(nu), abs(nu)))
 
 
 def ub_step_values(values: np.ndarray, nus) -> np.ndarray:

@@ -2,7 +2,8 @@
 
 `flux_left` / `flux_right` run the Ultra-Bee kernel's own flux on one
 interface, `bracket_violations` writes the witness bracket out entry by
-entry, and `hopf_lax_oracle` computes the erosion reference by direct
+entry, `edge_pad` is numpy's "edge" padding without its overhead, and
+`hopf_lax_oracle` computes the erosion reference by direct
 minimization.  `step_witness` checks one step through the run path,
 a `block_checker` of a one-step block.  `coupled_out` and `stepper`
 call `coupled_step` as a run does, into six arrays with steppers, and
@@ -29,6 +30,17 @@ def flux_left(prev: float, cur: float, nxt: float, nu: float) -> float:
 def flux_right(prev: float, cur: float, nxt: float, nu: float) -> float:
     """The flux at the interface left of `cur`, for nu <= 0: the mirror."""
     return flux_left(nxt, cur, prev, -nu)
+
+
+def edge_pad(values: np.ndarray, k: int, out=None) -> np.ndarray:
+    """`values` with k >= 1 ghost entries at each end of the last axis
+    that continue the end values, into `out` (fresh when None)."""
+    if out is None:
+        out = np.empty(values.shape[:-1] + (values.shape[-1] + 2 * k,), dtype=values.dtype)
+    out[..., :k] = values[..., :1]
+    out[..., k:-k] = values
+    out[..., -k:] = values[..., -1:]
+    return out
 
 
 def bracket_violations(old, new, nu) -> np.ndarray:

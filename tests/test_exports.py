@@ -44,6 +44,7 @@ TEST_ONLY = {
     "semi_lagrangian": ("hj_update_values",),
     "problems": ("hopf_lax_oracle", "exact_advection_const", "exact_advection_linear_velocity"),
     "coupled": ("init_coupled_state",),
+    "grids": ("edge_pad",),
 }
 
 

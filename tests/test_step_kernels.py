@@ -15,16 +15,20 @@ signed zeros and overflowing magnitudes:
 The prepared steppers (`ub_stepper`, `ub_min_stepper`,
 `advect_const_stepper` and those of `make_operators`) are held to the
 same, called as a run calls them: into one row of a block, given
-another row of it, and writing no entry outside the row.  The witness
-bracket of a negative nu is held to the bytes of its earlier
-right-neighbour form, and `block_checker` to the bytes of the earlier
-one-call `block_diagnostics`.
+another row of it, and writing no entry outside the row; each
+Ultra-Bee closure also after a change of input length.  The coupled
+step, prepared as a run prepares it (one `CoupledState` per pair of
+block rows), is held to its np.where form across a block boundary and
+through a retaken step.  The witness bracket of a negative nu is held
+to the bytes of its earlier right-neighbour form, and `block_checker`
+to the bytes of the earlier one-call `block_diagnostics`.
 """
 
 from __future__ import annotations
 
 import itertools
 import warnings
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -35,6 +39,7 @@ from hypothesis.extra import numpy as hnp
 from slub.coupled import (
     CoupledState,
     RegularityParams,
+    _regularity_workspace,
     active_cells,
     classify_regularity,
     coupled_step,
@@ -153,7 +158,7 @@ def _old_coupled_step(prev, dx, params, sl_update, ub_update):
     new_w_nodes = sl_update(w)
     fill = _old_project_to_nodes(new_bar)
     w_next = np.where(sigma == 1, new_w_nodes, fill)
-    return CoupledState(
+    return SimpleNamespace(
         w=w_next,
         w_bar=new_bar,
         owned=act,
@@ -419,6 +424,63 @@ def test_coupled_step_writes_the_np_where_form_into_block_rows(
     assert [np.delete(b, 1, axis=0).tobytes() for b in blocks] == others
 
 
+# (step index, compared with the np.where form) or ("carry", row)
+RUN_SCHEDULE = [(1, True), (2, True), (3, True), ("carry", 3), (1, True), (2, False),
+                ("carry", 1), (1, True), (2, True)]
+
+
+@given(
+    w=_values(min_size=4, max_size=12),
+    data=st.data(),
+    nu=SCALAR_NU,
+    thresholds=st.sampled_from([(0.5, 0.1, 0), (2.0, 0.5, 1), (np.inf, np.inf, 0), (0.0, 0.0, 0)]),
+)
+@settings(max_examples=150, deadline=None)
+def test_prepared_coupled_step_across_a_block_boundary_and_a_retake(
+    w: np.ndarray, data, nu: float, thresholds
+) -> None:
+    """The coupled step as a run prepares it: blocks of three rows past
+    row 0, one `CoupledState` per pair of rows and one argument tuple per
+    step, built once, and one indicator workspace.  Steps 1-3 fill the
+    block and row 3 is carried into row 0; the next step goes into row 1,
+    the one after into row 2 as if it trapped, and after row 1 is carried
+    it is retaken from row 0.  Every step returns its prebuilt state and
+    writes the np.where form's level, field by field, with the same fresh
+    cell count read after the step."""
+    n = w.size
+    w_bar = data.draw(hnp.arrays(np.float64, n - 1, elements=LATTICE))
+    owned = data.draw(hnp.arrays(np.bool_, n - 1))
+    params = RegularityParams(*thresholds)
+    rows, cand = np.full((2, 4, n), 0.375)
+    src, bar = np.full((2, 4, n - 1), 0.375)
+    own, sig = np.zeros((4, n - 1), bool), np.full((4, n), 7, np.int8)
+    rows[0], bar[0], own[0] = w, w_bar, owned
+    levels = list(zip(rows, bar, own))
+    indicator = _regularity_workspace(n, params.guard)
+    node, cell = advect_const_stepper(nu), ub_stepper(nu)
+    steps = [(prev, 0.5, params, node, cell, CoupledState(prev, out), indicator)
+             for prev, out in zip(levels, zip(rows[1:], bar[1:], own[1:], sig[1:], cand[1:],
+                                             src[1:]))]
+    sl = lambda u: advect_const_values(u, nu)
+    ub = lambda u: ub_step_values(u, nu)
+    level = (w.copy(), w_bar.copy(), owned.copy())
+    with np.errstate(all="ignore"):
+        for i, compared in RUN_SCHEDULE:
+            if i == "carry":
+                for block in (rows, bar, own):
+                    block[0] = block[compared]
+                continue
+            new = coupled_step(*steps[i - 1])
+            assert new is steps[i - 1][5]
+            if not compared:
+                continue
+            old = _old_coupled_step(level, 0.5, params, sl, ub)
+            for name in ("w", "w_bar", "owned", "sigma", "node_candidate", "cell_source"):
+                assert _bytes(getattr(new, name)) == _bytes(getattr(old, name)), (i, name)
+            assert new.fresh_cell_count == old.fresh_cell_count
+            level = (old.w, old.w_bar, old.owned)
+
+
 TINY_FREE = st.sampled_from(
     [np.nan, -np.nan, np.inf, -np.inf, 0.0, -0.0, 1.0, -1.0, 0.5, -2.5, 3.0, 1e308, -1e308]
 )
@@ -578,6 +640,40 @@ def test_two_velocity_stepper_is_the_minimum_of_two_earlier_kernels(
         for kernel in (ub_step_values, _old_ub_step_values):
             old = lambda x: np.minimum(kernel(x, -abs(n)), kernel(x, abs(n)))
             _assert_stepper_matches(ub_min_stepper(n), old, v)
+
+
+def _earlier_min(nu):
+    return lambda x: np.minimum(_old_ub_step_values(x, -abs(nu)), _old_ub_step_values(x, abs(nu)))
+
+
+# the prepared Ultra-Bee closures: (stepper, earlier form) of each kind
+UB_CLOSURES = {
+    "nu+": lambda nus: (ub_stepper(0.4), lambda x: _old_ub_step_values(x, 0.4)),
+    "nu-": lambda nus: (ub_stepper(-0.4), lambda x: _old_ub_step_values(x, -0.4)),
+    "-0.0": lambda nus: (ub_stepper(-0.0), lambda x: _old_ub_step_values(x, -0.0)),
+    "at-rest": lambda nus: (ub_stepper(-1e-15), lambda x: _old_ub_step_values(x, -1e-15)),
+    "min": lambda nus: (ub_min_stepper(0.4), _earlier_min(0.4)),
+    "min-at-rest": lambda nus: (ub_min_stepper(0.0), _earlier_min(0.0)),
+    "per-cell": lambda nus: (ub_stepper(nus), lambda x: _old_ub_step_values(x, nus)),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(UB_CLOSURES))
+@given(first=_values(), second=_values(), data=st.data())
+@settings(max_examples=60, deadline=None)
+def test_ub_closures_match_their_earlier_form_after_a_change_of_length(
+    kind: str, first: np.ndarray, second: np.ndarray, data
+) -> None:
+    """One prepared closure fed values of one length, then of another,
+    then of the first again (a per-cell closure keeps its length, of
+    mixed-sign numbers): each call gives its earlier form's bytes and
+    warnings, into a row or fresh."""
+    nus = data.draw(hnp.arrays(np.float64, first.size, elements=PER_CELL_NU["mixed"]))
+    if kind == "per-cell":
+        second = data.draw(hnp.arrays(np.float64, first.size, elements=LATTICE))
+    update, old = UB_CLOSURES[kind](nus)
+    for v in (first, second, first):
+        _assert_stepper_matches(update, old, v)
 
 
 @given(v=_values(), nu=SCALAR_NU)
