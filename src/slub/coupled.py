@@ -7,6 +7,12 @@ under the anti-dissipative update and are projected back afterwards.
 Cell averages are carried between steps wherever the cell stays in the
 anti-dissipative region, so sharp fronts are not re-projected (and
 re-smeared) every step.
+
+`coupled_step` runs each of its operations once, on the views of the
+`CoupledState` a run builds: the indicator body `_indicate`, the active
+cells, the trapezoid projection to cells and the node projection.
+`classify_regularity` runs the same `_indicate` on one node profile,
+and `project_to_nodes` is the node projection on its own.
 """
 
 from __future__ import annotations
@@ -19,10 +25,7 @@ import numpy as np
 
 __all__ = [
     "RegularityParams",
-    "backward_slopes",
     "classify_regularity",
-    "active_cells",
-    "project_to_cells",
     "project_to_nodes",
     "CoupledState",
     "coupled_step",
@@ -58,23 +61,11 @@ class RegularityParams:
             raise ValueError(f"need an integer guard >= 0, got {self.guard!r}")
 
 
-def backward_slopes(values: np.ndarray, dx: float, out: Optional[np.ndarray] = None) -> np.ndarray:
-    """Backward divided differences with zero ghosts.
-
-    Entry j is (v_j - v_{j-1})/dx; entries 0 and n (one past the end)
-    are the flat ghost slopes used at the boundary, already held by
-    `out` (fresh when None).
-    """
-    v = np.asarray(values, dtype=float)
-    s = np.zeros(v.size + 1) if out is None else out
-    np.subtract(v[1:], v[:-1], out=s[1:-1])
-    s[1:-1] /= dx
-    return s
-
-
 def _regularity_workspace(n: int, guard: int) -> tuple:
-    """The scratch arrays of `classify_regularity` on n values at `guard`
-    and every view of them it reads, for a run to build once."""
+    """The scratch arrays of `_indicate` on n nodes at `guard` and every
+    view of them it reads, for a run to build once: the backward slopes
+    (entries 0 and n the zero ghost slopes), their magnitudes, the flat
+    and sign-compatible flags and the guard's padded windows."""
     s, mag = np.zeros((2, n + 1))
     flat, pairs = np.ones((2, n + 1), bool)  # pairs[0]: node 0 has no left pair
     lt, eq = np.empty((2, n), bool)
@@ -84,13 +75,17 @@ def _regularity_workspace(n: int, guard: int) -> tuple:
             pairs[1:], pairs[:-1], padded[guard:guard + n], windows)
 
 
-def _indicate(params, work, dest):
-    """The indicator's one body: the regular flags (bool) of the backward
-    slopes in work[1], into `dest` (fresh when None)."""
+def _indicate(hi, lo, dx, params, work, dest):
+    """The indicator's one body: the backward slopes (hi - lo)/dx of the
+    nodes, hi = v[1:] and lo = v[:-1], into the workspace between its
+    zero ghosts, then their regular flags (bool) into `dest` (fresh when
+    None)."""
     (guard, s, inner, mag, mag_head, flat, flat_head, flat_tail, s_head, s_tail, lt, eq,
      compat, left, mid, windows) = work
     if guard != params.guard:
         raise ValueError(f"workspace built for guard {guard}, not {params.guard}")
+    np.subtract(hi, lo, out=inner)
+    inner /= dx
     np.abs(s, out=mag)
     np.less_equal(mag, params.flat_tol, out=flat)
     np.less(mag_head, params.delta, out=lt)
@@ -121,30 +116,16 @@ def classify_regularity(values: np.ndarray, dx: float, params: RegularityParams,
     unlike a product of slopes, no magnitude underflows.  A guard g > 0
     marks irregular every node within g of an irregular one: one AND
     over the 2g + 1 shifted windows.  The flags go into `out` (int8,
-    fresh when None), computed in `work`, the scratch a run builds once
-    for its guard (so not thread-safe; built per call when None).
+    fresh when None), computed by `_indicate`, the coupled step's own
+    indicator, in `work`, a `_regularity_workspace` for the length and
+    guard (built per call when None; one shared across calls is not
+    thread-safe).
     """
+    v = np.asarray(values, dtype=float)
     if work is None:
-        work = _regularity_workspace(np.size(values), params.guard)
-    backward_slopes(values, dx, out=work[1])
-    return _indicate(params, work, None if out is None else out.view(bool)).view(np.int8)
-
-
-def active_cells(sigma: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
-    """Cells adjacent to at least one irregular node: cell k lies
-    between nodes k and k+1, so it is active unless both are regular."""
-    regular = np.asarray(sigma)
-    out = np.logical_and(regular[:-1], regular[1:], out=out)
-    return np.logical_not(out, out=out)
-
-
-def project_to_cells(node_values: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
-    """Trapezoidal cell averages of a node profile, into `out` (fresh
-    when None)."""
-    v = np.asarray(node_values, dtype=float)
-    out = np.add(v[:-1], v[1:], out=out)
-    out *= 0.5
-    return out
+        work = _regularity_workspace(v.size, params.guard)
+    dest = None if out is None else out.view(bool)
+    return _indicate(v[1:], v[:-1], dx, params, work, dest).view(np.int8)
 
 
 def project_to_nodes(cell_values: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
@@ -197,40 +178,32 @@ class CoupledState:
 
 
 def coupled_step(
-    prev: tuple,
+    state: CoupledState,
     dx: float,
     params: RegularityParams,
     node_update: Callable[..., np.ndarray],
     cell_update: Callable[..., np.ndarray],
-    out: tuple | CoupledState,
-    indicator: Optional[tuple] = None,
+    indicator: tuple,
 ) -> CoupledState:
     """Advance one step, re-deciding the split from the current profile.
 
-    `prev` = (w, w_bar, owned) is the level the step reads (no input is
-    written); `out` is the six arrays it writes, in `CoupledState` field
-    order, or the `CoupledState(prev, out)` a run builds once; the step
-    returns that state.  node_update and cell_update are steppers
-    update(v, out=...) on full arrays, so sigma identically 1 reproduces
-    the node scheme bit for bit, and 0 the cell scheme.  The cell source
-    and the new nodes are picked by `np.copyto` masks (w_bar where owned,
-    the node update where sigma is 1).  A step with no active cell runs
-    neither cell_update nor the node projection, so it warns of no error
-    in cells no node reads.  `indicator` is the `_regularity_workspace` a
-    run builds once (one per call when None).
+    `state` is the `CoupledState(prev, out)` a run builds once: the step
+    reads its level `prev` = (w, w_bar, owned), writes no input, writes
+    the six arrays of `out` and returns `state`.  node_update and
+    cell_update are steppers update(v, out=...) on full arrays, so sigma
+    identically 1 reproduces the node scheme bit for bit, and 0 the cell
+    scheme.  The cell source and the new nodes are picked by `np.copyto`
+    masks (w_bar where owned, the node update where sigma is 1).  A step
+    with no active cell runs neither cell_update nor the node projection,
+    so it warns of no error in cells no node reads.  `indicator` is the
+    `_regularity_workspace` a run builds once for its guard.
     """
-    state = out if type(out) is CoupledState else CoupledState(prev, out)
     (prev_w, w_hi, w_lo, prev_bar, prev_owned, w, w_inner, w_ends, bar_ends, bar, bar_lo,
      bar_hi, act, regular, reg_lo, reg_hi, cand, source) = state.views
-    if indicator is None:
-        indicator = _regularity_workspace(w.size, params.guard)
-    slopes = indicator[2]
-    np.subtract(w_hi, w_lo, out=slopes)
-    slopes /= dx
-    _indicate(params, indicator, regular)
-    np.logical_and(reg_lo, reg_hi, out=act)
-    np.logical_not(act, out=act)  # `active_cells`, then `project_to_cells`
-    np.add(w_lo, w_hi, out=source)
+    _indicate(w_hi, w_lo, dx, params, indicator, regular)
+    np.logical_and(reg_lo, reg_hi, out=act)  # the active cells: not both nodes regular
+    np.logical_not(act, out=act)
+    np.add(w_lo, w_hi, out=source)  # the trapezoid projection to cells
     source *= 0.5
     np.copyto(source, prev_bar, where=prev_owned)
     evolve = np.count_nonzero(act) > 0

@@ -12,6 +12,7 @@ the full indicator history.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field as dataclass_field
 from typing import Callable, Optional, Sequence, Union
 
@@ -30,14 +31,7 @@ from .semi_lagrangian import advect_const_stepper, hj_stepper
 from .ultrabee import ub_min_stepper, ub_stepper
 # unused here, but benchmarks/tests/test_bench.py asserts it is ultrabee's
 from .ultrabee import ub_step_values
-from .coupled import (
-    CoupledState,
-    RegularityParams,
-    classify_regularity,
-    coupled_step,
-    project_to_cells,
-    _regularity_workspace,
-)
+from .coupled import CoupledState, RegularityParams, coupled_step, _regularity_workspace
 from .diagnostics import (
     ErrorReport,
     TVSeries,
@@ -215,9 +209,11 @@ class RunResult:
     """Everything observable about one finished run.
 
     witnesses[k-1] holds step k's `max_violation` of each checked layer:
-    one column for sl and ub, node and cell columns for coupled.  params
-    holds the indicator thresholds resolved from the initial node values
-    for every scheme, though only coupled runs switch on them.
+    one column for sl and ub, node and cell columns for coupled.  For
+    coupled, sigma_history[k] is the indicator step k switched on, that
+    of the nodes of step k - 1; row 0, of the initial nodes, is row 1.
+    params holds the indicator thresholds resolved from the initial node
+    values for every scheme, though only coupled runs switch on them.
     """
 
     problem: ProblemSpec
@@ -288,12 +284,13 @@ def run_scheme(
     ------
     ValueError
         On an unknown scheme, a bad ladder entry (see `time_ladder`), a
-        bad threshold (see `RegularityParams`) or a snapshot step outside
-        [0, n_steps], or an hj `ic` that is not even or not nonincreasing
-        in |x| on the nodes (see `ProblemSpec.exact`); or at the first
-        step whose total variation is not finite, or, for coupled, whose
-        node candidate or cell averages are not finite, naming that step
-        and the first non-finite node or cell.
+        bad threshold (see `RegularityParams`), a snapshot step that is
+        not an integer or lies outside [0, n_steps], or an hj `ic` that
+        is not even or not nonincreasing in |x| on the nodes (see
+        `ProblemSpec.exact`); or at the first step whose total variation
+        is not finite, or, for coupled, whose node candidate or cell
+        averages are not finite, naming that step and the first
+        non-finite node or cell.
     """
     if isinstance(problem, str):
         problem = get_problem(problem)
@@ -301,10 +298,13 @@ def run_scheme(
         raise ValueError(f"unknown scheme {scheme!r}; choose from {SCHEMES}")
     dt, n_steps = time_ladder(problem, m)
     grid = resolve_grid(problem, m)
-    snapshot_steps = tuple(int(k) for k in snapshot_steps)
+    snapshot_steps = tuple(snapshot_steps)
     for k in snapshot_steps:
+        if not isinstance(k, numbers.Integral):
+            raise ValueError(f"snapshot step {k!r} is not an integer")
         if not (0 <= k <= n_steps):
             raise ValueError(f"snapshot step {k} outside [0, {n_steps}]")
+    snapshot_steps = {int(k) for k in snapshot_steps}
     ops = make_operators(problem, grid, dt)
     block_steps = min(n_steps, max(4, _BLOCK_VALUES // (grid.m + (scheme != "ub"))))
 
@@ -320,24 +320,22 @@ def run_scheme(
         allowance = tvb_allowance(params, grid)
         rows, cand = np.empty((2, block_steps + 1, v.size))
         src, bar = np.empty((2, block_steps + 1, v.size - 1))
-        owned = np.zeros((block_steps + 1, v.size - 1), bool)  # no cell owned at t = 0
+        owned = np.zeros((block_steps + 1, v.size - 1), bool)  # none at t = 0: bar[0] is unread
         sigma = np.empty((block_steps + 1, v.size), np.int8)
         indicator = _regularity_workspace(v.size, params.guard)
-        classify_regularity(w0, grid.dx, params, out=sigma_history[0], work=indicator)
-        project_to_cells(w0, out=bar[0])
         carried, kept = (rows, bar, owned), ((sigma, sigma_history),)
-        levels = list(zip(rows, bar, owned))
-        # every step's arguments, built once per run
-        steps = [(prev, grid.dx, params, ops.node_update, ops.cell_update,
-                  CoupledState(prev, out), indicator)
-                 for prev, out in zip(levels, zip(rows[1:], bar[1:], owned[1:], sigma[1:],
-                                                  cand[1:], src[1:]))]
+        # each step's state, built once per run: row i - 1 read, row i written
+        states = [CoupledState(prev, out)
+                  for prev, out in zip(zip(rows, bar, owned),
+                                       zip(rows[1:], bar[1:], owned[1:], sigma[1:], cand[1:],
+                                           src[1:]))]
+        args = (grid.dx, params, ops.node_update, ops.cell_update, indicator)
         layers = ((rows[:-1], cand[1:], ops.nu_node), (src[1:], bar[1:], ops.nu_cell))
         labels = (("total variation {tv}", alignment), ("node candidate", Alignment.NODE),
                   ("cell average", Alignment.CELL))
 
         def advance(i):  # a retaken step reads row 0, which flush has set
-            coupled_step(*steps[i - 1])
+            coupled_step(states[i - 1], *args)
     else:
         if scheme == "sl":
             v = w0
@@ -355,7 +353,7 @@ def run_scheme(
 
     rows[0] = v
     snapshots = {0: v.copy()} if 0 in snapshot_steps else {}
-    later_snapshots = sorted(set(snapshot_steps) - {0})
+    later_snapshots = sorted(snapshot_steps - {0})
     tv_history = np.full(n_steps + 1, total_variation(v))  # each flush writes its steps
     witnesses = np.empty((n_steps, len(layers)))
     check = block_checker(rows[1:], layers)
@@ -393,6 +391,8 @@ def run_scheme(
             advance(1)
             count = 1
         done = flush(done, count)
+    if sigma_history is not None:  # step 1 classified the initial nodes
+        sigma_history[0] = sigma_history[1]
     final = rows[0].copy()
     # a NaN stays; abs makes a -0.0 maximum +0.0
     witness_max = abs(float(np.max(witnesses, initial=0.0)))

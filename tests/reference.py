@@ -5,8 +5,11 @@ interface, `bracket_violations` writes the witness bracket out entry by
 entry, `edge_pad` is numpy's "edge" padding without its overhead, and
 `hopf_lax_oracle` computes the erosion reference by direct
 minimization.  `step_witness` checks one step through the run path,
-a `block_checker` of a one-step block.  `coupled_out` and `stepper`
-call `coupled_step` as a run does, into six arrays with steppers, and
+a `block_checker` of a one-step block.  `backward_slopes`,
+`active_cells` and `project_to_cells` are the coupled step's indicator
+slopes, active cells and cell projection on their own, the forms the
+step is held to.  `fresh_coupled_step` and `stepper` call `coupled_step`
+as a run does, on a `CoupledState` of six fresh arrays with steppers, and
 `initial_level` is the level a coupled run starts from.
 """
 
@@ -14,7 +17,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from slub.coupled import project_to_cells
+from slub.coupled import CoupledState, _regularity_workspace, coupled_step
 from slub.diagnostics import block_checker
 from slub.problems import _dispatch
 from slub.ultrabee import _NU_TINY, _flux_pos
@@ -70,11 +73,40 @@ def step_witness(old, new, nu) -> float:
     return float(witness[0, 0])
 
 
-def coupled_out(n: int) -> tuple:
-    """Six fresh arrays for one `coupled_step` on n nodes, in
-    `CoupledState` field order."""
-    return (np.empty(n), np.empty(n - 1), np.empty(n - 1, bool), np.empty(n, np.int8),
-            np.empty(n), np.empty(n - 1))
+def backward_slopes(values, dx: float) -> np.ndarray:
+    """Backward divided differences with zero ghosts: entry j is
+    (v_j - v_{j-1})/dx, entries 0 and n (one past the end) are 0."""
+    v = np.asarray(values, dtype=float)
+    s = np.zeros(v.size + 1)
+    np.subtract(v[1:], v[:-1], out=s[1:-1])
+    s[1:-1] /= dx
+    return s
+
+
+def active_cells(sigma) -> np.ndarray:
+    """Cells adjacent to at least one irregular node: cell k lies
+    between nodes k and k+1, so it is active unless both are regular."""
+    regular = np.asarray(sigma)
+    return np.logical_not(np.logical_and(regular[:-1], regular[1:]))
+
+
+def project_to_cells(node_values) -> np.ndarray:
+    """Trapezoidal cell averages of a node profile."""
+    v = np.asarray(node_values, dtype=float)
+    out = np.add(v[:-1], v[1:])
+    out *= 0.5
+    return out
+
+
+def fresh_coupled_step(prev, dx, params, node_update, cell_update):
+    """One `coupled_step` from the level `prev` = (w, w_bar, owned), as a
+    run calls it: on the `CoupledState` of `prev` and six fresh arrays, in
+    that state's field order, with an indicator workspace for the guard."""
+    n = np.size(prev[0])
+    out = (np.empty(n), np.empty(n - 1), np.empty(n - 1, bool), np.empty(n, np.int8),
+           np.empty(n), np.empty(n - 1))
+    return coupled_step(CoupledState(prev, out), dx, params, node_update, cell_update,
+                        _regularity_workspace(n, params.guard))
 
 
 def initial_level(w) -> tuple:

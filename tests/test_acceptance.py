@@ -14,13 +14,7 @@ from time import perf_counter
 
 import numpy as np
 
-from slub.coupled import (
-    CoupledState,
-    RegularityParams,
-    coupled_step,
-    project_to_cells,
-    project_to_nodes,
-)
+from slub.coupled import CoupledState, RegularityParams, project_to_nodes
 from slub.grids import build_grid, init_cell_averages, init_point_values
 from slub.harness import convergence_table, resolve_grid, run_scheme, time_ladder
 from slub.problems import (
@@ -33,11 +27,12 @@ from slub.problems import (
 from slub.semi_lagrangian import advect_const_values
 from slub.ultrabee import ub_step_values
 from reference import (
-    coupled_out,
     flux_left,
     flux_right,
+    fresh_coupled_step,
     hopf_lax_oracle,
     initial_level,
+    project_to_cells,
     step_witness,
     stepper,
 )
@@ -287,13 +282,12 @@ def test_random_field_stability_witnesses(record_criterion) -> None:
             flat_tol=float(rng.uniform(0.0, 0.5)) * scale,
             guard=int(rng.integers(0, 3)),
         )
-        out = coupled_step(
+        out = fresh_coupled_step(
             prev,
             1.0,
             params,
             stepper(lambda w: advect_const_values(w, nu)),
             stepper(lambda u: ub_step_values(u, nu)),
-            coupled_out(v.size),
         )
         worst_hull = max(worst_hull, _mixed_hull_violation(prev, out))
 
@@ -462,8 +456,7 @@ def test_threshold_extremes_reduce_to_parent_schemes(record_criterion) -> None:
         level = initial_level(v)
         ref = v.copy()
         for _ in range(steps):
-            state = coupled_step(level, 1.0, all_regular, node_step, cell_step,
-                                 coupled_out(v.size))
+            state = fresh_coupled_step(level, 1.0, all_regular, node_step, cell_step)
             level = (state.w, state.w_bar, state.owned)
             ref = sl_update(ref)
             sl_identical &= bool(np.array_equal(state.w, ref))
@@ -472,8 +465,7 @@ def test_threshold_extremes_reduce_to_parent_schemes(record_criterion) -> None:
         level = initial_level(v)
         ref_bar = project_to_cells(v)
         for _ in range(steps):
-            state = coupled_step(level, 1.0, all_irregular, node_step, cell_step,
-                                 coupled_out(v.size))
+            state = fresh_coupled_step(level, 1.0, all_irregular, node_step, cell_step)
             level = (state.w, state.w_bar, state.owned)
             ref_bar = ub_update(ref_bar)
             ub_identical &= bool(np.array_equal(state.w_bar, ref_bar))

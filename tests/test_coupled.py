@@ -10,21 +10,20 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from slub.coupled import (
-    RegularityParams,
-    active_cells,
-    backward_slopes,
-    classify_regularity,
-    coupled_step,
-    project_to_cells,
-    project_to_nodes,
-)
+from slub.coupled import RegularityParams, classify_regularity, project_to_nodes
 from slub.grids import init_point_values
 from slub.harness import make_operators, resolve_grid, resolve_regularity, run_scheme, time_ladder
-from slub.problems import get_problem
+from slub.problems import REGISTRY, get_problem
 from slub.semi_lagrangian import advect_const_stepper, advect_const_values
 from slub.ultrabee import ub_step_values, ub_stepper
-from reference import coupled_out, initial_level, stepper
+from reference import (
+    active_cells,
+    backward_slopes,
+    fresh_coupled_step,
+    initial_level,
+    project_to_cells,
+    stepper,
+)
 
 NODE_FIELDS = hnp.arrays(
     dtype=np.float64,
@@ -288,11 +287,20 @@ def test_classify_and_active_cells_match_their_earlier_form(
     act = active_cells(sigma)
     assert act.dtype == bool
     assert act.tobytes() == _active_reference(expected).tobytes()
+    # the step's own indicator and active cells, on the same nodes
+    identity = stepper(np.copy)
+    with np.errstate(all="ignore"):
+        state = fresh_coupled_step(initial_level(v), dx, params, identity, identity)
+    assert state.sigma.tobytes() == expected.tobytes()
+    assert state.owned.tobytes() == _active_reference(expected).tobytes()
 
 
 def test_projections_pinned_values() -> None:
     v = np.array([0.0, 2.0, 4.0])
     np.testing.assert_allclose(project_to_cells(v), [1.0, 3.0])
+    identity = stepper(np.copy)  # no cell owned: the step's cell source is projected
+    state = fresh_coupled_step(initial_level(v), 1.0, LOOSE, identity, identity)
+    np.testing.assert_allclose(state.cell_source, [1.0, 3.0])
     np.testing.assert_allclose(project_to_nodes(np.array([1.0, 3.0])), [1.0, 2.0, 3.0])
 
 
@@ -313,16 +321,28 @@ def test_project_round_trip_preserves_linear_interior() -> None:
     np.testing.assert_allclose(rt[1:-1], v[1:-1], atol=1e-14)
 
 
-def test_coupled_run_starts_from_its_classified_initial_level() -> None:
-    """A coupled run writes the indicator of its initial nodes into
-    sigma_history[0], as no step does."""
-    problem = get_problem("adv-jump")
-    res = run_scheme(problem, "coupled", 79, snapshot_steps=(0,))
+# (problem, m, whether its initial nodes are both regular and irregular):
+# the one-step run at rest, adv-jump at m = 79 and each registered first rung
+INITIAL_LEVEL_RUNS = [(replace(get_problem("adv-mix"), c=0.0), 79, True),
+                      (get_problem("adv-jump"), 79, True)] + [
+    (problem, problem.m_ladder[0], False) for problem in REGISTRY.values()]
+
+
+@pytest.mark.parametrize(
+    "problem, m, mixed", INITIAL_LEVEL_RUNS,
+    ids=["adv-mix-at-rest-79", "adv-jump-79"] + [f"{name}-first" for name in REGISTRY])
+def test_coupled_run_starts_from_its_classified_initial_level(problem, m: int,
+                                                              mixed: bool) -> None:
+    """sigma_history[0] of a coupled run is the indicator of its initial
+    nodes, byte for byte.  No step writes it: it is the sigma that step 1
+    switched on, taken from that step, the only one of the run at rest."""
+    res = run_scheme(problem, "coupled", m, snapshot_steps=(0,))
     w0 = init_point_values(res.grid, problem.ic)
     np.testing.assert_array_equal(res.snapshots[0], w0)
     sigma0 = classify_regularity(w0, res.grid.dx, res.params)
-    assert (sigma0 == 0).any() and (sigma0 == 1).any()
-    np.testing.assert_array_equal(res.sigma_history[0], sigma0)
+    if mixed:
+        assert (sigma0 == 0).any() and (sigma0 == 1).any()
+    assert res.sigma_history[0].tobytes() == sigma0.tobytes()
 
 
 def _counting(update):
@@ -343,7 +363,7 @@ def test_coupled_step_with_all_regular_matches_node_scheme() -> None:
     before = [a.tobytes() for a in prev]
     nu = 0.6
     ub, calls = _counting(ub_stepper(nu))
-    out = coupled_step(prev, 1.0, params, advect_const_stepper(nu), ub, coupled_out(v.size))
+    out = fresh_coupled_step(prev, 1.0, params, advect_const_stepper(nu), ub)
     np.testing.assert_array_equal(out.w, advect_const_values(v, nu))
     np.testing.assert_array_equal(out.sigma, 1)
     assert not out.owned.any()
@@ -363,8 +383,7 @@ def test_coupled_step_with_one_irregular_node_calls_the_cell_update_once() -> No
     params = RegularityParams(delta=3.0, flat_tol=10.0, guard=0)
     np.testing.assert_array_equal(np.flatnonzero(classify_regularity(v, 1.0, params) == 0), [4])
     ub, calls = _counting(ub_stepper(0.5))
-    out = coupled_step(initial_level(v), 1.0, params, advect_const_stepper(0.5), ub,
-                       coupled_out(v.size))
+    out = fresh_coupled_step(initial_level(v), 1.0, params, advect_const_stepper(0.5), ub)
     assert len(calls) == 1
     np.testing.assert_array_equal(np.flatnonzero(out.owned), [3, 4])
     np.testing.assert_array_equal(out.w_bar, ub_step_values(out.cell_source, 0.5))
@@ -378,13 +397,13 @@ def test_coupled_step_with_all_irregular_matches_cell_scheme() -> None:
     params = RegularityParams(delta=0.0, flat_tol=0.0, guard=0)
     nu = 0.4
     sl, ub = advect_const_stepper(nu), ub_stepper(nu)
-    out = coupled_step(initial_level(v), 1.0, params, sl, ub, coupled_out(v.size))
+    out = fresh_coupled_step(initial_level(v), 1.0, params, sl, ub)
     expected_bar = ub_step_values(project_to_cells(v), nu)
     np.testing.assert_array_equal(out.w_bar, expected_bar)
     np.testing.assert_array_equal(out.w, project_to_nodes(expected_bar))
     assert out.owned.all()
     # second step keeps evolving the owned averages, no re-projection
-    out2 = coupled_step((out.w, out.w_bar, out.owned), 1.0, params, sl, ub, coupled_out(v.size))
+    out2 = fresh_coupled_step((out.w, out.w_bar, out.owned), 1.0, params, sl, ub)
     np.testing.assert_array_equal(out2.w_bar, ub_step_values(expected_bar, nu))
 
 
@@ -393,7 +412,7 @@ def test_coupled_step_bookkeeping() -> None:
     params = RegularityParams(delta=2.0, flat_tol=0.5, guard=0)
     prev = initial_level(v)
     sl, ub = advect_const_stepper(0.5), ub_stepper(0.5)
-    out = coupled_step(prev, 1.0, params, sl, ub, coupled_out(v.size))
+    out = fresh_coupled_step(prev, 1.0, params, sl, ub)
     np.testing.assert_array_equal(out.sigma, classify_regularity(v, 1.0, params))
     np.testing.assert_array_equal(out.owned, active_cells(out.sigma))
     assert out.fresh_cell_count == np.count_nonzero(out.owned & ~prev[2])
@@ -402,7 +421,7 @@ def test_coupled_step_bookkeeping() -> None:
     np.testing.assert_array_equal(
         out.cell_source, np.where(prev[2], prev[1], project_to_cells(v))
     )
-    out2 = coupled_step((out.w, out.w_bar, out.owned), 1.0, params, sl, ub, coupled_out(v.size))
+    out2 = fresh_coupled_step((out.w, out.w_bar, out.owned), 1.0, params, sl, ub)
     np.testing.assert_array_equal(out2.node_candidate, advect_const_values(out.w, 0.5))
     np.testing.assert_array_equal(
         out2.cell_source, np.where(out.owned, out.w_bar, project_to_cells(out.w))
@@ -418,8 +437,8 @@ def test_coupled_step_fills_holes_from_adjacent_averages() -> None:
     sigma = classify_regularity(v, 1.0, params)
     assert (sigma == 0).any() and (sigma == 1).any()
     nu = 0.5
-    out = coupled_step(initial_level(v), 1.0, params, advect_const_stepper(nu), ub_stepper(nu),
-                       coupled_out(v.size))
+    out = fresh_coupled_step(initial_level(v), 1.0, params, advect_const_stepper(nu),
+                             ub_stepper(nu))
     fill = project_to_nodes(out.w_bar)
     holes = np.flatnonzero(sigma == 0)
     np.testing.assert_array_equal(out.w[holes], fill[holes])
@@ -435,7 +454,7 @@ def test_at_rest_step_takes_the_quarter_weights_at_irregular_nodes() -> None:
     w = np.array([0.0, 4.0, -8.0, 12.0, 12.0, 0.0, 16.0])
     params = RegularityParams(delta=0.0, flat_tol=0.0, guard=0)
     identity = stepper(np.copy)
-    out = coupled_step(initial_level(w), 1.0, params, identity, identity, coupled_out(w.size))
+    out = fresh_coupled_step(initial_level(w), 1.0, params, identity, identity)
     np.testing.assert_array_equal(out.sigma, 0)
     assert out.fresh_cell_count == w.size - 1
     np.testing.assert_array_equal(out.w[1:-1], (w[:-2] + 2.0 * w[1:-1] + w[2:]) / 4.0)

@@ -43,7 +43,7 @@ TEST_ONLY = {
     "ultrabee": ("ub_flux_left", "ub_flux_right"),
     "semi_lagrangian": ("hj_update_values",),
     "problems": ("hopf_lax_oracle", "exact_advection_const", "exact_advection_linear_velocity"),
-    "coupled": ("init_coupled_state",),
+    "coupled": ("init_coupled_state", "backward_slopes", "active_cells", "project_to_cells"),
     "grids": ("edge_pad",),
 }
 

@@ -24,7 +24,7 @@ from slub.harness import (
     time_ladder,
 )
 from slub.problems import REGISTRY, ProblemSpec, get_problem, ic_mix
-from reference import bracket_violations, coupled_out, initial_level
+from reference import bracket_violations, fresh_coupled_step, initial_level
 
 
 # ---------------------------------------------------------------------------
@@ -395,8 +395,7 @@ def _stepwise_diagnostics(name: str, scheme: str, m: int) -> tuple:
         prev = initial_level(w0)
         tv, rows, values = [total_variation(w0)], [], [w0]
         for _ in range(n_steps):
-            out = coupled_step(prev, grid.dx, params, ops.node_update, ops.cell_update,
-                               coupled_out(w0.size))
+            out = fresh_coupled_step(prev, grid.dx, params, ops.node_update, ops.cell_update)
             rows.append((witness(prev[0], out.node_candidate, ops.nu_node),
                          witness(out.cell_source, out.w_bar, ops.nu_cell)))
             tv.append(total_variation(out.w))
@@ -635,6 +634,17 @@ def test_run_scheme_rejects_unknown_scheme() -> None:
 def test_run_scheme_rejects_out_of_range_snapshot() -> None:
     with pytest.raises(ValueError):
         run_scheme("adv-smooth", "sl", 19, snapshot_steps=(500,))
+
+
+def test_run_scheme_rejects_a_snapshot_step_that_is_not_an_integer() -> None:
+    """A step of 1.7 is rejected, naming it; a numpy integer is a step
+    like any other, kept under its int."""
+    with pytest.raises(ValueError, match=r"snapshot step 1\.7 is not an integer"):
+        run_scheme("adv-jump", "sl", 19, snapshot_steps=(1.7,))
+    res = run_scheme("adv-jump", "sl", 19, snapshot_steps=(np.int64(3),))
+    assert list(res.snapshots) == [3] and type(list(res.snapshots)[0]) is int
+    assert res.snapshots[3].tobytes() == run_scheme(
+        "adv-jump", "sl", 19, snapshot_steps=(3,)).snapshots[3].tobytes()
 
 
 @pytest.mark.parametrize("overrides", [{}, {"delta": 0.7}, {"delta": 0.7, "epsilon": 0.01}],

@@ -40,10 +40,8 @@ from slub.coupled import (
     CoupledState,
     RegularityParams,
     _regularity_workspace,
-    active_cells,
     classify_regularity,
     coupled_step,
-    project_to_cells,
     project_to_nodes,
 )
 from slub.diagnostics import _bracket_violation, block_checker, total_variation
@@ -52,7 +50,14 @@ from slub.harness import make_operators, time_ladder
 from slub.problems import REGISTRY, get_problem
 from slub.semi_lagrangian import advect_const_stepper, advect_const_values
 from slub.ultrabee import ub_min_stepper, ub_step_values, ub_stepper
-from reference import coupled_out, flux_left, flux_right, stepper
+from reference import (
+    active_cells,
+    flux_left,
+    flux_right,
+    fresh_coupled_step,
+    project_to_cells,
+    stepper,
+)
 
 # NaN of both signs, infinities, signed zeros, a subnormal, values whose
 # sums or quotients overflow, and a few plain ones.
@@ -377,8 +382,7 @@ def test_coupled_step_matches_its_np_where_form(
     sl = lambda u: advect_const_values(u, nu)
     ub = lambda u: ub_step_values(u, nu)
     with np.errstate(all="ignore"):
-        new = coupled_step((w, w_bar, owned), 0.5, params, stepper(sl), stepper(ub),
-                           coupled_out(n))
+        new = fresh_coupled_step((w, w_bar, owned), 0.5, params, stepper(sl), stepper(ub))
         old = _old_coupled_step((w, w_bar, owned), 0.5, params, sl, ub)
     for name in ("w", "w_bar", "owned", "sigma", "node_candidate", "cell_source"):
         assert _bytes(getattr(new, name)) == _bytes(getattr(old, name)), name
@@ -411,12 +415,14 @@ def test_coupled_step_writes_the_np_where_form_into_block_rows(
     rows[0], bar[0], own[0] = w, w_bar, owned
     blocks = (rows, bar, own, sig, cand, src)  # the order of CoupledState
     others = [np.delete(b, 1, axis=0).tobytes() for b in blocks]
+    state = CoupledState((rows[0], bar[0], own[0]), tuple(b[1] for b in blocks))
     with np.errstate(all="ignore"):
-        new = coupled_step((rows[0], bar[0], own[0]), 0.5, params, advect_const_stepper(nu),
-                           ub_stepper(nu), tuple(b[1] for b in blocks))
+        new = coupled_step(state, 0.5, params, advect_const_stepper(nu), ub_stepper(nu),
+                           _regularity_workspace(n, params.guard))
         old = _old_coupled_step((w, w_bar, owned), 0.5, params,
                                 lambda u: advect_const_values(u, nu),
                                 lambda u: ub_step_values(u, nu))
+    assert new is state
     for name, b in zip(("w", "w_bar", "owned", "sigma", "node_candidate", "cell_source"), blocks):
         assert _bytes(b[1]) == _bytes(getattr(old, name)), name
         assert np.shares_memory(getattr(new, name), b[1]), name
@@ -440,8 +446,8 @@ def test_prepared_coupled_step_across_a_block_boundary_and_a_retake(
     w: np.ndarray, data, nu: float, thresholds
 ) -> None:
     """The coupled step as a run prepares it: blocks of three rows past
-    row 0, one `CoupledState` per pair of rows and one argument tuple per
-    step, built once, and one indicator workspace.  Steps 1-3 fill the
+    row 0, one `CoupledState` per pair of rows, built once, and one
+    indicator workspace.  Steps 1-3 fill the
     block and row 3 is carried into row 0; the next step goes into row 1,
     the one after into row 2 as if it trapped, and after row 1 is carried
     it is retaken from row 0.  Every step returns its prebuilt state and
@@ -458,9 +464,9 @@ def test_prepared_coupled_step_across_a_block_boundary_and_a_retake(
     levels = list(zip(rows, bar, own))
     indicator = _regularity_workspace(n, params.guard)
     node, cell = advect_const_stepper(nu), ub_stepper(nu)
-    steps = [(prev, 0.5, params, node, cell, CoupledState(prev, out), indicator)
-             for prev, out in zip(levels, zip(rows[1:], bar[1:], own[1:], sig[1:], cand[1:],
-                                             src[1:]))]
+    states = [CoupledState(prev, out)
+              for prev, out in zip(levels, zip(rows[1:], bar[1:], own[1:], sig[1:], cand[1:],
+                                              src[1:]))]
     sl = lambda u: advect_const_values(u, nu)
     ub = lambda u: ub_step_values(u, nu)
     level = (w.copy(), w_bar.copy(), owned.copy())
@@ -470,8 +476,8 @@ def test_prepared_coupled_step_across_a_block_boundary_and_a_retake(
                 for block in (rows, bar, own):
                     block[0] = block[compared]
                 continue
-            new = coupled_step(*steps[i - 1])
-            assert new is steps[i - 1][5]
+            new = coupled_step(states[i - 1], 0.5, params, node, cell, indicator)
+            assert new is states[i - 1]
             if not compared:
                 continue
             old = _old_coupled_step(level, 0.5, params, sl, ub)
