@@ -128,12 +128,12 @@ def classify_regularity(values: np.ndarray, dx: float, params: RegularityParams,
     return _indicate(v[1:], v[:-1], dx, params, work, dest).view(np.int8)
 
 
-def project_to_nodes(cell_values: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
+def project_to_nodes(cell_values: np.ndarray) -> np.ndarray:
     """Node values as means of the two adjacent cell averages (an end
     node's ghost cell continues its one cell), summed and halved in place
-    in `out` (fresh when None)."""
+    in a fresh array."""
     c = np.asarray(cell_values, dtype=float)
-    out = np.empty(c.size + 1) if out is None else out
+    out = np.empty(c.size + 1)
     np.add(c[:-1], c[1:], out=out[1:-1])
     out[0] = c[0] + c[0]
     out[-1] = c[-1] + c[-1]
@@ -163,7 +163,6 @@ class CoupledState:
 
     def __init__(self, prev: tuple, out: tuple) -> None:
         prev_w, prev_bar, prev_owned = prev
-        prev_w = np.asarray(prev_w, dtype=float)
         w, bar, act, sigma, cand, source = out
         self.w, self.w_bar, self.owned, self.sigma, self.node_candidate, self.cell_source = out
         regular = sigma.view(bool)

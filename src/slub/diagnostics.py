@@ -13,7 +13,7 @@ per run and checks the TV and the witnesses of a block of steps at once.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -63,9 +63,9 @@ class TVSeries:
     """Total-variation trace of a run against its growth envelope.
 
     values[k] is the TV after k steps, envelope[k] the running bound
-    TV(w0) + k*allowance, and flags[k] marks a step whose growth
-    exceeded the per-step allowance.  Pure monotone runs use
-    allowance = 0, i.e. a nonincreasing-TV check.
+    TV(w0) + k*allowance, and flags[k] marks a step whose growth is
+    not within the per-step allowance (a NaN growth included).  Pure
+    monotone runs use allowance = 0, i.e. a nonincreasing-TV check.
     """
 
     values: np.ndarray
@@ -76,22 +76,17 @@ class TVSeries:
     def ok(self) -> bool:
         return not bool(np.any(self.flags))
 
-    @property
-    def n_violations(self) -> int:
-        return int(np.count_nonzero(self.flags))
-
 
 def tv_monitor(tv_values: Sequence[float], allowance: float) -> TVSeries:
     """Check per-step TV growth of a trajectory against an allowance,
-    with a roundoff margin of 1e-12 relative to the previous TV."""
+    with a roundoff margin of 1e-12 relative to the previous TV.  A step
+    whose growth is not within the limit is flagged, so a NaN TV on
+    either side of a step flags it."""
     tv = np.asarray(tv_values, dtype=float)
     envelope = np.repeat(tv[:1], tv.size)  # [0] is TV(w0): inf * 0 would be NaN
     envelope[1:] += allowance * np.arange(1, tv.size)
-    if tv.size < 2:
-        return TVSeries(tv, envelope, np.zeros(tv.size, dtype=bool))
-    growth = np.diff(tv)
-    limit = allowance + 1e-12 * (1.0 + np.abs(tv[:-1]))
-    flags = np.concatenate([[False], growth > limit])
+    flags = np.zeros(tv.size, dtype=bool)
+    flags[1:] = ~(np.diff(tv) <= allowance + 1e-12 * (1.0 + np.abs(tv[:-1])))
     return TVSeries(tv, envelope, flags)
 
 
@@ -182,26 +177,26 @@ def error_norms(
     numeric: np.ndarray,
     exact: np.ndarray,
     dx: float,
-    x: Optional[np.ndarray] = None,
-    singular_points: Optional[Sequence[float]] = None,
+    x: np.ndarray,
+    singular_points: Sequence[float],
 ) -> ErrorReport:
-    """Weighted l1/l2 and max norms of the pointwise error.
+    """Weighted l1/l2 and max norms of the pointwise error at the
+    points x.
 
     linf_reg drops points within 3*dx of any listed singular point; it
-    equals linf when nothing is excluded.
+    equals linf when nothing is excluded (no point listed, or none near
+    x), and is 0 when every point is excluded.
     """
     num = np.asarray(numeric, dtype=float)
     err = np.abs(num - np.asarray(exact, dtype=float))
     l1 = float(dx * np.sum(err))
     l2 = float(np.sqrt(dx * np.sum(err * err)))
     linf = float(np.max(err))
-    linf_reg = linf
-    if singular_points is not None and len(singular_points) and x is not None:
-        xx = np.asarray(x, dtype=float)
-        keep = np.ones(xx.shape, dtype=bool)
-        for p in singular_points:
-            keep &= np.abs(xx - p) > 3.0 * dx
-        linf_reg = float(np.max(err[keep])) if np.any(keep) else 0.0
+    xx = np.asarray(x, dtype=float)
+    keep = np.ones(xx.shape, dtype=bool)
+    for p in singular_points:
+        keep &= np.abs(xx - p) > 3.0 * dx
+    linf_reg = float(np.max(err[keep])) if np.any(keep) else 0.0
     return ErrorReport(l1=l1, l2=l2, linf=linf, linf_reg=linf_reg)
 
 

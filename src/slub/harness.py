@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass, field as dataclass_field
+from dataclasses import dataclass
 from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
@@ -176,7 +176,7 @@ def make_operators(problem: ProblemSpec, grid: Grid1D, dt: float) -> StepOperato
         )
     if problem.kind == "advection-var":
         nodes = grid.nodes
-        speeds = problem.velocity_values(nodes)
+        speeds = -(nodes - problem.x_bar)
         nu_node = speeds * dt / dx
         check_cfl(nu_node)
         feet = nodes - speeds * dt
@@ -227,9 +227,9 @@ class RunResult:
     tv: TVSeries
     witness_max: float
     snapshots: dict
-    sigma_history: Optional[np.ndarray] = None
-    params: Optional[RegularityParams] = None
-    witnesses: Optional[np.ndarray] = None
+    sigma_history: Optional[np.ndarray]
+    params: RegularityParams
+    witnesses: np.ndarray
 
     @property
     def x(self) -> np.ndarray:
@@ -403,14 +403,8 @@ def run_scheme(
     else:
         prim = np.asarray(problem.exact_antiderivative(grid.nodes, t_final), dtype=float)
         exact = np.diff(prim) / grid.dx
-    sing = singular_points(problem, t_final)
-    errors = error_norms(
-        final,
-        exact,
-        grid.dx,
-        x=grid.coords(alignment),
-        singular_points=sing if sing.size else None,
-    )
+    errors = error_norms(final, exact, grid.dx, grid.coords(alignment),
+                         singular_points(problem, t_final))
     tv = tv_monitor(tv_history, allowance)
     return RunResult(
         problem=problem,
@@ -439,7 +433,7 @@ class ConvergenceRow:
     l1: float
     l2: float
     linf: float
-    linf_reg: Optional[float] = None
+    linf_reg: Optional[float]
 
 
 # `ConvergenceTable.format_text` column formats; the error norms use ".2E".

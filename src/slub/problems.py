@@ -256,15 +256,6 @@ class ProblemSpec:
         F0 = float(F(np.asarray(self.c * t, dtype=float)))
         return _dispatch(x, np.where(x >= 0.0, Ff, 2.0 * F0 - Ff))
 
-    def velocity_values(self, x: np.ndarray) -> np.ndarray:
-        """Velocity sampled at positions x (constant kinds broadcast)."""
-        x = np.asarray(x, dtype=float)
-        if self.kind == "advection-const":
-            return np.full_like(x, float(self.c))
-        if self.kind == "advection-var":
-            return -(x - self.x_bar)
-        raise ValueError("velocity_values only applies to advection problems")
-
 
 def singular_points(problem: ProblemSpec, t: float) -> np.ndarray:
     """Positions of transported kinks/jumps of the reference at time t:

@@ -3,9 +3,10 @@
 Point values are advanced by tracing characteristics back one step and
 reading the piecewise-linear (P1) interpolant there, with constant
 continuation past the grid ends.  Constant-velocity transport is the
-upwind convex combination `advect_const_values`, prepared once per
-run by `advect_const_stepper`; variable-velocity transport reads the
-interpolant at per-node feet that the harness builds once per grid.
+upwind convex combination that `advect_const_stepper` prepares once
+per run; variable-velocity transport reads the interpolant at per-node
+feet that the harness builds once per grid.  A stepper takes its float
+values as given, with no conversion per call.
 
 For the erosion v_t + |c v_x| = 0, H(p) = |c p| has the convex
 conjugate 0 on [-c, c] and +inf outside, so the Hopf-Lax update is the
@@ -24,7 +25,6 @@ from .grids import check_cfl
 
 __all__ = [
     "advect_const_stepper",
-    "advect_const_values",
     "hj_stepper",
 ]
 
@@ -49,8 +49,7 @@ def advect_const_stepper(nu: float):
     a = abs(nu)
     to, up, end = (np.s_[1:], np.s_[:-1], 0) if nu >= 0.0 else (np.s_[:-1], np.s_[1:], -1)
 
-    def update(values, out=None):
-        v = np.asarray(values, dtype=float)
+    def update(v, out=None):
         out = np.multiply(1.0 - a, v, out=out)
         out[to] += a * v[up]
         out[end] += a * v[end]
@@ -60,8 +59,10 @@ def advect_const_stepper(nu: float):
 
 
 def advect_const_values(values: np.ndarray, nu: float) -> np.ndarray:
-    """`advect_const_stepper(nu)` applied once: each call checks nu."""
-    return advect_const_stepper(nu)(values)
+    """`advect_const_stepper(nu)` applied once to `values` as floats:
+    each call checks nu.  Not exported; `benchmarks/kernels.py` times
+    it."""
+    return advect_const_stepper(nu)(np.asarray(values, dtype=float))
 
 
 def hj_stepper(nodes: np.ndarray, r: float):
@@ -73,8 +74,7 @@ def hj_stepper(nodes: np.ndarray, r: float):
     check_cfl(r / (nodes[1] - nodes[0]))
     lo, hi = nodes - r, nodes + r
 
-    def update(values, out=None):
-        v = np.asarray(values, dtype=float)
+    def update(v, out=None):
         out = np.minimum(np.interp(lo, nodes, v), np.interp(hi, nodes, v), out=out)
         return np.minimum(out, v, out=out)
 

@@ -7,9 +7,10 @@ There is one flux function, written for nu >= 0: a negative Courant
 number is its mirror image, so the kernels read the stencil upwind by
 the sign of nu and evaluate the same flux at |nu| (Despres &
 Lagoutiere, J. Sci. Comput. 2001).  `ub_stepper` prepares the one
-array kernel once per run, and `ub_step_values` is its checked one-call
-entry; for one Courant number on every cell it evaluates the flux once
-per interface.  The erosion v_t + |c v_x| = 0 takes the pointwise
+array kernel once per run (`ub_step_values`, its checked one-call
+entry, is kept for the benchmark's kernel sweep and not exported); for
+one Courant number on every cell it evaluates the flux once per
+interface.  The erosion v_t + |c v_x| = 0 takes the pointwise
 minimum of the updates at -|nu| and |nu| (Bokanowski & Zidani,
 J. Sci. Comput. 2007), prepared as one step by `ub_min_stepper`.
 """
@@ -23,7 +24,6 @@ from .grids import check_cfl
 __all__ = [
     "ub_stepper",
     "ub_min_stepper",
-    "ub_step_values",
 ]
 
 # Courant numbers below this magnitude take the zero-velocity branch.
@@ -152,5 +152,6 @@ def ub_min_stepper(nu: float):
 
 
 def ub_step_values(values: np.ndarray, nus) -> np.ndarray:
-    """`ub_stepper(nus)` applied once: each call checks `nus`."""
+    """`ub_stepper(nus)` applied once: each call checks `nus`.  Not
+    exported; `benchmarks/kernels.py` times it."""
     return ub_stepper(nus)(values)

@@ -21,6 +21,7 @@ from slub.diagnostics import (
 )
 from slub.coupled import RegularityParams
 from slub.grids import build_grid
+from slub.harness import run_scheme
 from slub.semi_lagrangian import advect_const_values
 from slub.ultrabee import ub_step_values
 from reference import bracket_violations, step_witness
@@ -47,13 +48,13 @@ def test_tvb_allowance_scales_with_domain() -> None:
 def test_tv_monitor_accepts_nonincreasing_series() -> None:
     series = tv_monitor(np.array([4.0, 4.0, 3.5, 3.5, 2.0]), allowance=0.0)
     assert series.ok
-    assert series.n_violations == 0
+    assert not series.flags.any()
 
 
 def test_tv_monitor_flags_growth() -> None:
     series = tv_monitor(np.array([1.0, 1.5, 1.2]), allowance=0.0)
     assert not series.ok
-    assert series.n_violations == 1
+    assert series.flags.tolist() == [False, True, False]
 
 
 def test_tv_monitor_allowance_excuses_bounded_growth() -> None:
@@ -65,6 +66,45 @@ def test_tv_monitor_allowance_excuses_bounded_growth() -> None:
 def test_tv_monitor_short_series_is_ok() -> None:
     assert tv_monitor(np.array([2.0]), allowance=0.0).ok
     assert tv_monitor(np.array([]), allowance=0.0).ok
+
+
+@pytest.mark.parametrize("tv, flags", [
+    ([1.0, np.nan], [False, True]),
+    ([np.nan, 1.0], [False, True]),
+    ([1.0, 0.5, np.nan, 0.4], [False, False, True, True]),
+])
+def test_tv_monitor_flags_a_nan_total_variation(tv, flags) -> None:
+    """A step with a NaN TV on either side is not within the limit.
+    These series used to pass, because nan > limit is False."""
+    series = tv_monitor(tv, 0.0)
+    assert not series.ok
+    assert series.flags.tolist() == flags
+
+
+def _tv_flags_before(tv, allowance):
+    """`tv_monitor`'s flags as first written: growth > limit."""
+    tv = np.asarray(tv, dtype=float)
+    if tv.size < 2:
+        return np.zeros(tv.size, dtype=bool)
+    limit = allowance + 1e-12 * (1.0 + np.abs(tv[:-1]))
+    return np.concatenate([[False], np.diff(tv) > limit])
+
+
+def test_tv_monitor_keeps_the_flags_of_finite_series() -> None:
+    """On finite series, the infinite allowance of a delta = inf run
+    included, the flags are byte for byte those of the first form; the
+    noisy series straddle the roundoff margin."""
+    rng = np.random.default_rng(5)
+    series = [[], [2.0], [1.0, 1.5, 1.2], [1.0, 1.3, 1.1, 1.35], [4.0, 4.0, 3.5, 3.5, 2.0]]
+    series += [3.0 + np.cumsum(rng.normal(0.0, 4e-12, 50)) for _ in range(4)]
+    for tv in series:
+        for allowance in (0.0, 1e-12, 0.3, np.inf):
+            flags = tv_monitor(tv, allowance).flags
+            assert flags.tobytes() == _tv_flags_before(tv, allowance).tobytes()
+    noisy = [_tv_flags_before(tv, 0.0)[1:] for tv in series[5:]]
+    assert any(flags.any() and not flags.all() for flags in noisy)
+    res = run_scheme("adv-jump", "coupled", 39, delta=np.inf)
+    assert res.tv.flags.tobytes() == _tv_flags_before(res.tv.values, np.inf).tobytes()
 
 
 @pytest.mark.filterwarnings("error")
@@ -435,11 +475,11 @@ def test_total_variation_acts_on_the_last_axis() -> None:
 def test_error_norms_pinned_values() -> None:
     approx = np.array([1.0, 2.0, 3.0])
     exact = np.array([1.0, 1.5, 3.5])
-    rep = error_norms(approx, exact, dx=0.5)
+    rep = error_norms(approx, exact, 0.5, np.array([0.0, 0.5, 1.0]), ())
     assert rep.l1 == pytest.approx(0.5 * (0.0 + 0.5 + 0.5))
     assert rep.l2 == pytest.approx(np.sqrt(0.5 * (0.25 + 0.25)))
     assert rep.linf == pytest.approx(0.5)
-    # with no coordinates given the regular norm falls back to the full one
+    # with no singular point the regular norm is the full one
     assert rep.linf_reg == rep.linf
 
 
@@ -466,7 +506,7 @@ def test_error_norms_regular_part_never_exceeds_full_norm() -> None:
 
 def test_error_norms_shape_mismatch_raises() -> None:
     with pytest.raises(ValueError):
-        error_norms(np.zeros(3), np.zeros(4), dx=0.1)
+        error_norms(np.zeros(3), np.zeros(4), 0.1, np.zeros(4), ())
 
 
 def test_convergence_orders_recovers_power_law() -> None:

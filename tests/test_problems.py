@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from slub.harness import resolve_grid, run_scheme, time_ladder
+from slub.harness import make_operators, resolve_grid, run_scheme, time_ladder
 from slub.problems import (
     REGISTRY,
     get_problem,
@@ -184,11 +184,15 @@ def test_spec_rejects_a_velocity_its_reference_does_not_cover(name: str) -> None
         assert faster.exact(0.25, 0.25) == ic_smooth(0.75)
         assert faster.exact(0.25, 0.25) == hopf_lax_oracle(ic_smooth, 2.0, 0.25, 0.25)
     elif p.kind == "advection-var":
-        x = np.linspace(p.a, p.b, 7)
-        assert np.array_equal(p.velocity_values(x), -(x - p.x_bar))
+        g = resolve_grid(p, 40)
+        dt, _ = time_ladder(p, 40)
+        nu = make_operators(p, g, dt).nu_node
+        assert np.array_equal(nu, -(g.nodes - p.x_bar) * dt / g.dx)
     else:  # any finite real c, of either sign
-        x = np.linspace(p.a, p.b, 7)
-        assert np.array_equal(replace(p, c=-2.0).velocity_values(x), np.full(7, -2.0))
+        q = replace(p, c=-2.0)
+        g = resolve_grid(q, 40)
+        dt, _ = time_ladder(q, 40)
+        assert make_operators(q, g, dt).nu_node == -2.0 * dt / g.dx
 
 
 def test_advection_var_spec_rejects_an_x_bar_it_cannot_run_at_its_nu() -> None:
@@ -348,12 +352,12 @@ def test_spec_rejects_a_singular_point_that_is_not_a_finite_real() -> None:
 
 def test_speed_bound() -> None:
     """The largest |velocity| on the grid nodes, which is what the CFL
-    check sees; hj problems have a speed instead of a velocity."""
+    check sees (the largest |nu| over dt/dx); hj problems have a speed
+    instead of a velocity."""
     for name, bound in (("adv-smooth", 1.0), ("adv-var", 1.1)):
         p = get_problem(name)
-        speeds = p.velocity_values(resolve_grid(p, 40).nodes)
-        assert np.max(np.abs(speeds)) == pytest.approx(bound)
-    hj = get_problem("hj-abs")
-    with pytest.raises(ValueError, match="only applies to advection"):
-        hj.velocity_values(resolve_grid(hj, 40).nodes)
-    assert hj.c == 1.0
+        g = resolve_grid(p, 40)
+        dt, _ = time_ladder(p, 40)
+        nu = make_operators(p, g, dt).nu_node
+        assert np.max(np.abs(nu)) * g.dx / dt == pytest.approx(bound)
+    assert get_problem("hj-abs").c == 1.0
