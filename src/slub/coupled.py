@@ -9,17 +9,18 @@ anti-dissipative region, so sharp fronts are not re-projected (and
 re-smeared) every step.
 
 `coupled_step` runs each of its operations once, on the views of the
-`CoupledState` a run builds: the indicator body `_indicate`, the active
-cells, the trapezoid projection to cells and the node projection.
-`classify_regularity` runs the same `_indicate` on one node profile,
-and `project_to_nodes` is the node projection on its own.
+`CoupledState` a run builds: the indicator `indicate` that `_indicator`
+prepares once per run for its grid and thresholds, the active cells,
+the trapezoid projection to cells and the node projection.
+`classify_regularity` runs the same body on one node profile, and
+`project_to_nodes` is the node projection on its own.
 """
 
 from __future__ import annotations
 
 import numbers
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
@@ -61,49 +62,46 @@ class RegularityParams:
             raise ValueError(f"need an integer guard >= 0, got {self.guard!r}")
 
 
-def _regularity_workspace(n: int, guard: int) -> tuple:
-    """The scratch arrays of `_indicate` on n nodes at `guard` and every
-    view of them it reads, for a run to build once: the backward slopes
-    (entries 0 and n the zero ghost slopes), their magnitudes, the flat
-    and sign-compatible flags and the guard's padded windows."""
+def _indicator(n: int, dx: float, params: RegularityParams):
+    """The indicator's one body, prepared for n nodes at spacing dx and
+    `params`, with its scratch built here: the backward slopes (entries 0
+    and n the zero ghost slopes), their magnitudes, the flat and
+    sign-compatible flags and the guard's padded windows.  Returns
+    indicate(hi, lo, dest), which writes the backward slopes (hi - lo)/dx
+    of the nodes, hi = v[1:] and lo = v[:-1], between the ghosts, then
+    their regular flags (bool) into `dest` (fresh when None) and returns
+    them; it is not thread-safe."""
+    delta, flat_tol, guard = params.delta, params.flat_tol, params.guard
     s, mag = np.zeros((2, n + 1))
     flat, pairs = np.ones((2, n + 1), bool)  # pairs[0]: node 0 has no left pair
     lt, eq = np.empty((2, n), bool)
     padded = np.ones(n + 2 * guard, bool)  # guard True ghosts at each end
     windows = np.ndarray((2 * guard + 1, n), bool, padded, strides=(1, 1))  # row k: padded[k:k + n]
-    return (guard, s, s[1:-1], mag, mag[:-1], flat, flat[:-1], flat[1:], s[:-1], s[1:], lt, eq,
-            pairs[1:], pairs[:-1], padded[guard:guard + n], windows)
+    inner, s_head, s_tail, mag_head, flat_head, flat_tail = (
+        s[1:-1], s[:-1], s[1:], mag[:-1], flat[:-1], flat[1:])
+    compat, left, mid = pairs[1:], pairs[:-1], padded[guard:guard + n]
+
+    def indicate(hi, lo, dest):
+        np.subtract(hi, lo, out=inner)
+        np.divide(inner, dx, out=inner)
+        np.abs(s, out=mag)
+        np.less_equal(mag, flat_tol, out=flat)
+        np.less(mag_head, delta, out=lt)
+        # pair k couples slopes s_k and s_{k+1}; node j needs pairs j-1, j
+        np.bitwise_and(flat_head, flat_tail, out=compat)
+        # equal signs: both strictly one sign, or both 0 and so already flat
+        np.sign(s, out=s)
+        np.bitwise_or(compat, np.equal(s_head, s_tail, out=eq), out=compat)
+        np.bitwise_and(lt, compat, out=lt)
+        flags = np.bitwise_and(lt, left, out=mid if guard else dest)
+        if guard:
+            flags = np.logical_and.reduce(windows, axis=0, out=dest)
+        return flags
+
+    return indicate
 
 
-def _indicate(hi, lo, dx, params, work, dest):
-    """The indicator's one body: the backward slopes (hi - lo)/dx of the
-    nodes, hi = v[1:] and lo = v[:-1], into the workspace between its
-    zero ghosts, then their regular flags (bool) into `dest` (fresh when
-    None)."""
-    (guard, s, inner, mag, mag_head, flat, flat_head, flat_tail, s_head, s_tail, lt, eq,
-     compat, left, mid, windows) = work
-    if guard != params.guard:
-        raise ValueError(f"workspace built for guard {guard}, not {params.guard}")
-    np.subtract(hi, lo, out=inner)
-    inner /= dx
-    np.abs(s, out=mag)
-    np.less_equal(mag, params.flat_tol, out=flat)
-    np.less(mag_head, params.delta, out=lt)
-    # pair k couples slopes s_k and s_{k+1}; node j needs pairs j-1, j
-    np.bitwise_and(flat_head, flat_tail, out=compat)
-    # equal signs: both strictly one sign, or both 0 and so already flat
-    np.sign(s, out=s)
-    compat |= np.equal(s_head, s_tail, out=eq)
-    np.bitwise_and(lt, compat, out=lt)
-    flags = np.bitwise_and(lt, left, out=mid if guard else dest)
-    if guard:
-        flags = np.logical_and.reduce(windows, axis=0, out=dest)
-    return flags
-
-
-def classify_regularity(values: np.ndarray, dx: float, params: RegularityParams,
-                        out: Optional[np.ndarray] = None,
-                        work: Optional[tuple] = None) -> np.ndarray:
+def classify_regularity(values: np.ndarray, dx: float, params: RegularityParams) -> np.ndarray:
     """Per-node indicator (int8): 1 where the profile is locally regular.
 
     Node j is regular when its backward slope is below delta in
@@ -115,17 +113,12 @@ def classify_regularity(values: np.ndarray, dx: float, params: RegularityParams,
     the flanks stay steep.  Signs are compared by `np.sign`, which,
     unlike a product of slopes, no magnitude underflows.  A guard g > 0
     marks irregular every node within g of an irregular one: one AND
-    over the 2g + 1 shifted windows.  The flags go into `out` (int8,
-    fresh when None), computed by `_indicate`, the coupled step's own
-    indicator, in `work`, a `_regularity_workspace` for the length and
-    guard (built per call when None; one shared across calls is not
-    thread-safe).
+    over the 2g + 1 shifted windows.  The flags are computed into a
+    fresh array by an `_indicator` built for this call, the coupled
+    step's own body.
     """
     v = np.asarray(values, dtype=float)
-    if work is None:
-        work = _regularity_workspace(v.size, params.guard)
-    dest = None if out is None else out.view(bool)
-    return _indicate(v[1:], v[:-1], dx, params, work, dest).view(np.int8)
+    return _indicator(v.size, dx, params)(v[1:], v[:-1], None).view(np.int8)
 
 
 def project_to_nodes(cell_values: np.ndarray) -> np.ndarray:
@@ -178,11 +171,9 @@ class CoupledState:
 
 def coupled_step(
     state: CoupledState,
-    dx: float,
-    params: RegularityParams,
     node_update: Callable[..., np.ndarray],
     cell_update: Callable[..., np.ndarray],
-    indicator: tuple,
+    indicate: Callable[..., np.ndarray],
 ) -> CoupledState:
     """Advance one step, re-deciding the split from the current profile.
 
@@ -194,12 +185,12 @@ def coupled_step(
     scheme.  The cell source and the new nodes are picked by `np.copyto`
     masks (w_bar where owned, the node update where sigma is 1).  A step
     with no active cell runs neither cell_update nor the node projection,
-    so it warns of no error in cells no node reads.  `indicator` is the
-    `_regularity_workspace` a run builds once for its guard.
+    so it warns of no error in cells no node reads.  `indicate` is the
+    `_indicator` a run builds once for its grid and thresholds.
     """
     (prev_w, w_hi, w_lo, prev_bar, prev_owned, w, w_inner, w_ends, bar_ends, bar, bar_lo,
      bar_hi, act, regular, reg_lo, reg_hi, cand, source) = state.views
-    _indicate(w_hi, w_lo, dx, params, indicator, regular)
+    indicate(w_hi, w_lo, regular)
     np.logical_and(reg_lo, reg_hi, out=act)  # the active cells: not both nodes regular
     np.logical_not(act, out=act)
     np.add(w_lo, w_hi, out=source)  # the trapezoid projection to cells

@@ -31,7 +31,7 @@ from .semi_lagrangian import advect_const_stepper, hj_stepper
 from .ultrabee import ub_min_stepper, ub_stepper
 # unused here, but benchmarks/tests/test_bench.py asserts it is ultrabee's
 from .ultrabee import ub_step_values
-from .coupled import CoupledState, RegularityParams, coupled_step, _regularity_workspace
+from .coupled import CoupledState, RegularityParams, coupled_step, _indicator
 from .diagnostics import (
     ErrorReport,
     TVSeries,
@@ -141,7 +141,8 @@ class StepOperators:
     """One problem discretized on one grid: the per-step update maps.
 
     node_update/cell_update are steppers on raw arrays (node values /
-    cell averages), prepared once per run (the CFL check included):
+    cell averages), prepared once per run (the CFL check included; the
+    cell stepper's workspace is sized to the grid's m cells):
     update(v, out=None) writes into `out`, which must not overlap `v`
     (a fresh array when None), returns it, and never writes into `v`.
     nu_node/nu_cell carry the signed Courant numbers of each layer's
@@ -170,7 +171,7 @@ def make_operators(problem: ProblemSpec, grid: Grid1D, dt: float) -> StepOperato
         nu = float(problem.c) * dt / dx
         return StepOperators(
             node_update=advect_const_stepper(nu),
-            cell_update=ub_stepper(nu),
+            cell_update=ub_stepper(nu, grid.m),
             nu_node=nu,
             nu_cell=nu,
         )
@@ -191,14 +192,14 @@ def make_operators(problem: ProblemSpec, grid: Grid1D, dt: float) -> StepOperato
 
         return StepOperators(
             node_update=node_update,
-            cell_update=ub_stepper(nu_cell),
+            cell_update=ub_stepper(nu_cell, grid.m),
             nu_node=nu_node,
             nu_cell=nu_cell,
         )
     r = float(problem.c) * dt  # hj
     return StepOperators(
         node_update=hj_stepper(grid.nodes, r),
-        cell_update=ub_min_stepper(r / dx),
+        cell_update=ub_min_stepper(r / dx, grid.m),
         nu_node=None,
         nu_cell=None,
     )
@@ -322,14 +323,13 @@ def run_scheme(
         src, bar = np.empty((2, block_steps + 1, v.size - 1))
         owned = np.zeros((block_steps + 1, v.size - 1), bool)  # none at t = 0: bar[0] is unread
         sigma = np.empty((block_steps + 1, v.size), np.int8)
-        indicator = _regularity_workspace(v.size, params.guard)
         carried, kept = (rows, bar, owned), ((sigma, sigma_history),)
         # each step's state, built once per run: row i - 1 read, row i written
         states = [CoupledState(prev, out)
                   for prev, out in zip(zip(rows, bar, owned),
                                        zip(rows[1:], bar[1:], owned[1:], sigma[1:], cand[1:],
                                            src[1:]))]
-        args = (grid.dx, params, ops.node_update, ops.cell_update, indicator)
+        args = (ops.node_update, ops.cell_update, _indicator(v.size, grid.dx, params))
         layers = ((rows[:-1], cand[1:], ops.nu_node), (src[1:], bar[1:], ops.nu_cell))
         labels = (("total variation {tv}", alignment), ("node candidate", Alignment.NODE),
                   ("cell average", Alignment.CELL))

@@ -55,25 +55,20 @@ def _flux_pos(prev, cur, nxt, nu, tiny, work):
     return b
 
 
-def _scalar_stepper(nus):
-    """The update at the scalar nus[0], or the minimum of those at nus[0]
-    and nus[1] (one |nu|); its padding, flux scratch and views are built
-    on each new length of values.  A mirrored (negative) nu swaps each
-    interface's upwind and downwind values."""
+def _scalar_stepper(nus, n):
+    """The update at the scalar nus[0] on n cells, or the minimum of those
+    at nus[0] and nus[1] (one |nu|), on one padding, flux scratch and set
+    of views built here.  A mirrored (negative) nu swaps each interface's
+    upwind and downwind values."""
     a = abs(float(nus[0]))  # abs: -0.0 must scale like 0.0, as np.abs would
     tiny = (a < _NU_TINY) or None
-    n = work = None
+    p, upper, flux = np.empty(n + 4), np.empty(n), tuple(np.empty((3, n + 1)))  # big, small, b
+    mid, head, first, tail, last, b = p[2:-2], p[:2], p[2:3], p[-2:], p[-3:-2], flux[2]
+    (ends, outflow, inflow), (ends_min, outflow_min, inflow_min) = (
+        ((p[3:], p[2:-1], p[1:-2]), b[:-1], b[1:]) if nu < 0.0 else
+        ((p[:-3], p[1:-2], p[2:-1]), b[1:], b[:-1]) for nu in (nus[0], nus[-1]))
 
     def update(values, out=None):
-        nonlocal n, work
-        if len(values) != n:
-            n = len(values)
-            p, flux = np.empty(n + 4), tuple(np.empty((3, n + 1)))  # big, small, flux
-            b = flux[2]
-            work = (p[2:-2], p[:2], p[2:3], p[-2:], p[-3:-2], flux, np.empty(n), *(
-                ((p[3:], p[2:-1], p[1:-2]), b[:-1], b[1:]) if nu < 0.0 else
-                ((p[:-3], p[1:-2], p[2:-1]), b[1:], b[:-1]) for nu in (nus[0], nus[-1])))
-        mid, head, first, tail, last, flux, _, (ends, outflow, inflow), _ = work
         mid[...] = values
         head[...] = first
         tail[...] = last
@@ -84,22 +79,22 @@ def _scalar_stepper(nus):
 
     def update_min(values, out=None):
         out = update(values, out)  # pads; the update at nus[0]
-        _, _, _, _, _, flux, upper, _, (ends, outflow, inflow) = work
-        _flux_pos(*ends, a, tiny, flux)
-        np.subtract(outflow, inflow, out=upper)
-        upper *= a
+        _flux_pos(*ends_min, a, tiny, flux)
+        np.subtract(outflow_min, inflow_min, out=upper)
+        np.multiply(upper, a, out=upper)
         np.subtract(values, upper, out=upper)
         return np.minimum(out, upper, out=out)
 
     return update if len(nus) == 1 else update_min
 
 
-def ub_stepper(nus):
-    """One anti-dissipative update on raw cell averages, prepared once
+def ub_stepper(nus, n: int):
+    """One anti-dissipative update on n raw cell averages, prepared once
     for fixed Courant numbers: the CFL check, the sign, the stencil, |nu|,
-    the at-rest decision and a workspace (so it is not thread-safe).
-    Returns update(values, out=None), which writes the new averages into
-    `out` (a fresh array when None) and returns it.
+    the at-rest decision and a workspace sized to n (so it is not
+    thread-safe).  Returns update(values, out=None), which writes the new
+    averages of n `values` into `out` (a fresh array when None) and
+    returns it.
 
     `nus` is one signed Courant number for every cell or one per cell.
     A scalar nu >= 0 (-0.0 included) takes the flux F once on each of
@@ -114,18 +109,18 @@ def ub_stepper(nus):
     """
     check_cfl(nus)
     if isinstance(nus, float) or np.ndim(nus) == 0:  # np.ndim is slow on a float
-        return _scalar_stepper((nus,))
+        return _scalar_stepper((nus,), n)
     nu = np.asarray(nus, dtype=float)
     pos = nu >= 0.0
     a = np.abs(nu)
     tiny = None if np.min(a, initial=np.inf) >= _NU_TINY else a < _NU_TINY
-    p, (big, small, outflow, inflow) = np.empty(nu.size + 4), np.empty((4, nu.size))
+    p, (big, small, outflow, inflow) = np.empty(n + 4), np.empty((4, n))
     cur, up1, up2, down = p[2:-2], p[1:-3], p[:-4], p[3:-1]
     head, first, tail, last = p[:2], p[2:3], p[-2:], p[-3:-2]
     out_work, in_work = (big, small, outflow), (big, small, inflow)
     index = None
     if not pos.all():  # some cell reads its stencil from the right
-        j = np.arange(nu.size)
+        j = np.arange(n)
         index = np.where(pos, [j + 1, j, j + 3], [j + 3, j + 4, j + 1])
         up1, up2, down = stencil = np.empty(index.shape)
 
@@ -143,15 +138,15 @@ def ub_stepper(nus):
     return update
 
 
-def ub_min_stepper(nu: float):
-    """The erosion update, the pointwise minimum of the updates at the
-    scalars -|nu| and |nu|, prepared as by `ub_stepper`; both share one
-    padding and one flux scratch."""
+def ub_min_stepper(nu: float, n: int):
+    """The erosion update on n cells, the pointwise minimum of the updates
+    at the scalars -|nu| and |nu|, prepared as by `ub_stepper`; both share
+    one padding and one flux scratch."""
     check_cfl(nu)
-    return _scalar_stepper((-abs(nu), abs(nu)))
+    return _scalar_stepper((-abs(nu), abs(nu)), n)
 
 
 def ub_step_values(values: np.ndarray, nus) -> np.ndarray:
-    """`ub_stepper(nus)` applied once: each call checks `nus`.  Not
-    exported; `benchmarks/kernels.py` times it."""
-    return ub_stepper(nus)(values)
+    """`ub_stepper(nus, len(values))` applied once: each call checks
+    `nus`.  Not exported; `benchmarks/kernels.py` times it."""
+    return ub_stepper(nus, len(values))(values)

@@ -9,15 +9,17 @@ a `block_checker` of a one-step block.  `backward_slopes`,
 `active_cells` and `project_to_cells` are the coupled step's indicator
 slopes, active cells and cell projection on their own, the forms the
 step is held to.  `fresh_coupled_step` and `stepper` call `coupled_step`
-as a run does, on a `CoupledState` of six fresh arrays with steppers, and
-`initial_level` is the level a coupled run starts from.
+as a run does, on a `CoupledState` of six fresh arrays with steppers and
+an indicator that `_indicator` prepares for the call's length, spacing
+and thresholds, and `initial_level` is the level a coupled run starts
+from.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from slub.coupled import CoupledState, _regularity_workspace, coupled_step
+from slub.coupled import CoupledState, _indicator, coupled_step
 from slub.diagnostics import block_checker
 from slub.problems import _dispatch
 from slub.ultrabee import _NU_TINY, _flux_pos
@@ -101,12 +103,13 @@ def project_to_cells(node_values) -> np.ndarray:
 def fresh_coupled_step(prev, dx, params, node_update, cell_update):
     """One `coupled_step` from the level `prev` = (w, w_bar, owned), as a
     run calls it: on the `CoupledState` of `prev` and six fresh arrays, in
-    that state's field order, with an indicator workspace for the guard."""
+    that state's field order, with an `_indicator` built for n, dx and
+    `params`."""
     n = np.size(prev[0])
     out = (np.empty(n), np.empty(n - 1), np.empty(n - 1, bool), np.empty(n, np.int8),
            np.empty(n), np.empty(n - 1))
-    return coupled_step(CoupledState(prev, out), dx, params, node_update, cell_update,
-                        _regularity_workspace(n, params.guard))
+    return coupled_step(CoupledState(prev, out), node_update, cell_update,
+                        _indicator(n, dx, params))
 
 
 def initial_level(w) -> tuple:

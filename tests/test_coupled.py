@@ -362,7 +362,7 @@ def test_coupled_step_with_all_regular_matches_node_scheme() -> None:
     prev = (v, rng.uniform(0, 1, 9), owned)
     before = [a.tobytes() for a in prev]
     nu = 0.6
-    ub, calls = _counting(ub_stepper(nu))
+    ub, calls = _counting(ub_stepper(nu, v.size - 1))
     out = fresh_coupled_step(prev, 1.0, params, advect_const_stepper(nu), ub)
     np.testing.assert_array_equal(out.w, advect_const_values(v, nu))
     np.testing.assert_array_equal(out.sigma, 1)
@@ -382,7 +382,7 @@ def test_coupled_step_with_one_irregular_node_calls_the_cell_update_once() -> No
     v = np.array([0.0, 0.0, 0.0, 0.0, 5.0, 5.0, 5.0, 5.0])
     params = RegularityParams(delta=3.0, flat_tol=10.0, guard=0)
     np.testing.assert_array_equal(np.flatnonzero(classify_regularity(v, 1.0, params) == 0), [4])
-    ub, calls = _counting(ub_stepper(0.5))
+    ub, calls = _counting(ub_stepper(0.5, v.size - 1))
     out = fresh_coupled_step(initial_level(v), 1.0, params, advect_const_stepper(0.5), ub)
     assert len(calls) == 1
     np.testing.assert_array_equal(np.flatnonzero(out.owned), [3, 4])
@@ -396,7 +396,7 @@ def test_coupled_step_with_all_irregular_matches_cell_scheme() -> None:
     v = rng.uniform(0, 1, 9)
     params = RegularityParams(delta=0.0, flat_tol=0.0, guard=0)
     nu = 0.4
-    sl, ub = advect_const_stepper(nu), ub_stepper(nu)
+    sl, ub = advect_const_stepper(nu), ub_stepper(nu, v.size - 1)
     out = fresh_coupled_step(initial_level(v), 1.0, params, sl, ub)
     expected_bar = ub_step_values(project_to_cells(v), nu)
     np.testing.assert_array_equal(out.w_bar, expected_bar)
@@ -411,7 +411,7 @@ def test_coupled_step_bookkeeping() -> None:
     v = np.array([0.0, 0.0, 0.0, 4.0, 4.0, 4.0, 4.0])
     params = RegularityParams(delta=2.0, flat_tol=0.5, guard=0)
     prev = initial_level(v)
-    sl, ub = advect_const_stepper(0.5), ub_stepper(0.5)
+    sl, ub = advect_const_stepper(0.5), ub_stepper(0.5, v.size - 1)
     out = fresh_coupled_step(prev, 1.0, params, sl, ub)
     np.testing.assert_array_equal(out.sigma, classify_regularity(v, 1.0, params))
     np.testing.assert_array_equal(out.owned, active_cells(out.sigma))
@@ -438,7 +438,7 @@ def test_coupled_step_fills_holes_from_adjacent_averages() -> None:
     assert (sigma == 0).any() and (sigma == 1).any()
     nu = 0.5
     out = fresh_coupled_step(initial_level(v), 1.0, params, advect_const_stepper(nu),
-                             ub_stepper(nu))
+                             ub_stepper(nu, v.size - 1))
     fill = project_to_nodes(out.w_bar)
     holes = np.flatnonzero(sigma == 0)
     np.testing.assert_array_equal(out.w[holes], fill[holes])

@@ -74,7 +74,7 @@ def test_test_only_names_are_not_in_the_package(module: str) -> None:
 UNLOADED_EXPORTS = {
     "__version__": "package metadata, read by its users, not by the package",
     "classify_regularity": "the benchmark's kernel sweep calls it on one profile; "
-                           "runs call the indicator body `_indicate` on prebuilt views",
+                           "runs call the indicator `_indicator` prepares once per run",
 }
 
 

@@ -16,7 +16,8 @@ The prepared steppers (`ub_stepper`, `ub_min_stepper`,
 `advect_const_stepper` and those of `make_operators`) are held to the
 same, called as a run calls them: into one row of a block, given
 another row of it, and writing no entry outside the row; each
-Ultra-Bee closure also after a change of input length.  The coupled
+Ultra-Bee closure, built for one length, also between calls of one of
+its kind built for another.  The coupled
 step, prepared as a run prepares it (one `CoupledState` per pair of
 block rows), is held to its np.where form across a block boundary and
 through a retaken step.  The witness bracket of a negative nu is held
@@ -39,7 +40,7 @@ from hypothesis.extra import numpy as hnp
 from slub.coupled import (
     CoupledState,
     RegularityParams,
-    _regularity_workspace,
+    _indicator,
     classify_regularity,
     coupled_step,
     project_to_nodes,
@@ -417,8 +418,8 @@ def test_coupled_step_writes_the_np_where_form_into_block_rows(
     others = [np.delete(b, 1, axis=0).tobytes() for b in blocks]
     state = CoupledState((rows[0], bar[0], own[0]), tuple(b[1] for b in blocks))
     with np.errstate(all="ignore"):
-        new = coupled_step(state, 0.5, params, advect_const_stepper(nu), ub_stepper(nu),
-                           _regularity_workspace(n, params.guard))
+        new = coupled_step(state, advect_const_stepper(nu), ub_stepper(nu, n - 1),
+                           _indicator(n, 0.5, params))
         old = _old_coupled_step((w, w_bar, owned), 0.5, params,
                                 lambda u: advect_const_values(u, nu),
                                 lambda u: ub_step_values(u, nu))
@@ -447,7 +448,7 @@ def test_prepared_coupled_step_across_a_block_boundary_and_a_retake(
 ) -> None:
     """The coupled step as a run prepares it: blocks of three rows past
     row 0, one `CoupledState` per pair of rows, built once, and one
-    indicator workspace.  Steps 1-3 fill the
+    prepared indicator.  Steps 1-3 fill the
     block and row 3 is carried into row 0; the next step goes into row 1,
     the one after into row 2 as if it trapped, and after row 1 is carried
     it is retaken from row 0.  Every step returns its prebuilt state and
@@ -462,8 +463,8 @@ def test_prepared_coupled_step_across_a_block_boundary_and_a_retake(
     own, sig = np.zeros((4, n - 1), bool), np.full((4, n), 7, np.int8)
     rows[0], bar[0], own[0] = w, w_bar, owned
     levels = list(zip(rows, bar, own))
-    indicator = _regularity_workspace(n, params.guard)
-    node, cell = advect_const_stepper(nu), ub_stepper(nu)
+    indicate = _indicator(n, 0.5, params)
+    node, cell = advect_const_stepper(nu), ub_stepper(nu, n - 1)
     states = [CoupledState(prev, out)
               for prev, out in zip(levels, zip(rows[1:], bar[1:], own[1:], sig[1:], cand[1:],
                                               src[1:]))]
@@ -476,7 +477,7 @@ def test_prepared_coupled_step_across_a_block_boundary_and_a_retake(
                 for block in (rows, bar, own):
                     block[0] = block[compared]
                 continue
-            new = coupled_step(states[i - 1], 0.5, params, node, cell, indicator)
+            new = coupled_step(states[i - 1], node, cell, indicate)
             assert new is states[i - 1]
             if not compared:
                 continue
@@ -624,14 +625,14 @@ def test_block_checker_keeps_the_zero_signs_of_the_earlier_form(nu) -> None:
 def test_scalar_ub_stepper_matches_the_earlier_kernel(v: np.ndarray, nu: float) -> None:
     """A negative nu takes the mirrored stencil on the forward padding,
     not the reversed call of the earlier form."""
-    _assert_stepper_matches(ub_stepper(nu), lambda x: _old_ub_step_values(x, nu), v)
+    _assert_stepper_matches(ub_stepper(nu, v.size), lambda x: _old_ub_step_values(x, nu), v)
 
 
 @given(v=_values(), kind=st.sampled_from(sorted(PER_CELL_NU)), data=st.data())
 @settings(max_examples=200, deadline=None)
 def test_per_cell_ub_stepper_matches_the_earlier_kernel(v: np.ndarray, kind: str, data) -> None:
     nus = data.draw(hnp.arrays(np.float64, v.size, elements=PER_CELL_NU[kind]))
-    _assert_stepper_matches(ub_stepper(nus), lambda x: _old_ub_step_values(x, nus), v)
+    _assert_stepper_matches(ub_stepper(nus, v.size), lambda x: _old_ub_step_values(x, nus), v)
 
 
 @given(v=_values(), nu=SCALAR_NU)
@@ -642,25 +643,25 @@ def test_two_velocity_stepper_is_the_minimum_of_two_earlier_kernels(
     """One padding, the updates at -|nu| and |nu|, then np.minimum in
     that order, as the checked one-call kernel and the earlier one give
     it; for nu > 0, nu < 0 (the same pair) and nu = 0, -0.0 too."""
-    for n in (nu, -nu, 0.0, -0.0):
+    for mu in (nu, -nu, 0.0, -0.0):
         for kernel in (ub_step_values, _old_ub_step_values):
-            old = lambda x: np.minimum(kernel(x, -abs(n)), kernel(x, abs(n)))
-            _assert_stepper_matches(ub_min_stepper(n), old, v)
+            old = lambda x: np.minimum(kernel(x, -abs(mu)), kernel(x, abs(mu)))
+            _assert_stepper_matches(ub_min_stepper(mu, v.size), old, v)
 
 
 def _earlier_min(nu):
     return lambda x: np.minimum(_old_ub_step_values(x, -abs(nu)), _old_ub_step_values(x, abs(nu)))
 
 
-# the prepared Ultra-Bee closures: (stepper, earlier form) of each kind
+# the prepared Ultra-Bee closures on n cells: (stepper, earlier form) of each kind
 UB_CLOSURES = {
-    "nu+": lambda nus: (ub_stepper(0.4), lambda x: _old_ub_step_values(x, 0.4)),
-    "nu-": lambda nus: (ub_stepper(-0.4), lambda x: _old_ub_step_values(x, -0.4)),
-    "-0.0": lambda nus: (ub_stepper(-0.0), lambda x: _old_ub_step_values(x, -0.0)),
-    "at-rest": lambda nus: (ub_stepper(-1e-15), lambda x: _old_ub_step_values(x, -1e-15)),
-    "min": lambda nus: (ub_min_stepper(0.4), _earlier_min(0.4)),
-    "min-at-rest": lambda nus: (ub_min_stepper(0.0), _earlier_min(0.0)),
-    "per-cell": lambda nus: (ub_stepper(nus), lambda x: _old_ub_step_values(x, nus)),
+    "nu+": lambda nus, n: (ub_stepper(0.4, n), lambda x: _old_ub_step_values(x, 0.4)),
+    "nu-": lambda nus, n: (ub_stepper(-0.4, n), lambda x: _old_ub_step_values(x, -0.4)),
+    "-0.0": lambda nus, n: (ub_stepper(-0.0, n), lambda x: _old_ub_step_values(x, -0.0)),
+    "at-rest": lambda nus, n: (ub_stepper(-1e-15, n), lambda x: _old_ub_step_values(x, -1e-15)),
+    "min": lambda nus, n: (ub_min_stepper(0.4, n), _earlier_min(0.4)),
+    "min-at-rest": lambda nus, n: (ub_min_stepper(0.0, n), _earlier_min(0.0)),
+    "per-cell": lambda nus, n: (ub_stepper(nus, n), lambda x: _old_ub_step_values(x, nus)),
 }
 
 
@@ -670,16 +671,18 @@ UB_CLOSURES = {
 def test_ub_closures_match_their_earlier_form_after_a_change_of_length(
     kind: str, first: np.ndarray, second: np.ndarray, data
 ) -> None:
-    """One prepared closure fed values of one length, then of another,
-    then of the first again (a per-cell closure keeps its length, of
-    mixed-sign numbers): each call gives its earlier form's bytes and
-    warnings, into a row or fresh."""
-    nus = data.draw(hnp.arrays(np.float64, first.size, elements=PER_CELL_NU["mixed"]))
-    if kind == "per-cell":
-        second = data.draw(hnp.arrays(np.float64, first.size, elements=LATTICE))
-    update, old = UB_CLOSURES[kind](nus)
+    """A closure serves the one length it is built for: one built for
+    `first` is fed it, one of the same kind built for the length of
+    `second` is fed that, then the first is fed `first` again (per-cell
+    numbers of mixed sign, one draw per length).  Each call gives its
+    earlier form's bytes and warnings, into a row or fresh, so the two
+    closures share no scratch."""
+    closures = {}
     for v in (first, second, first):
-        _assert_stepper_matches(update, old, v)
+        if v.size not in closures:
+            nus = data.draw(hnp.arrays(np.float64, v.size, elements=PER_CELL_NU["mixed"]))
+            closures[v.size] = UB_CLOSURES[kind](nus, v.size)
+        _assert_stepper_matches(*closures[v.size], v)
 
 
 @given(v=_values(), nu=SCALAR_NU)

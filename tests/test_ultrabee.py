@@ -48,13 +48,13 @@ def test_flux_right_pinned_values() -> None:
 def test_cell_steppers_reject_a_nan_or_too_large_courant_number(nu: float) -> None:
     """A NaN or |nu| > 1 of either sign, scalar or per cell, fails the
     CFL check when a cell stepper is built."""
-    for build in (ub_stepper, ub_min_stepper, lambda x: ub_stepper(np.full(4, x))):
+    for build in (ub_stepper, ub_min_stepper, lambda x, n: ub_stepper(np.full(n, x), n)):
         for signed in (nu, -nu):
             with pytest.raises(ValueError, match="CFL violated"):
-                build(signed)
+                build(signed, 4)
     # |nu| = 1 is allowed: the flux is u_cur, an exact shift
     assert flux_left(0.0, 1.0, 2.0, 1.0) == flux_right(2.0, 1.0, 0.0, -1.0) == 1.0
-    np.testing.assert_array_equal(ub_stepper(1.0)(np.array([0.0, 1.0, 2.0, 3.0])), [0.0, 0.0, 1.0, 2.0])
+    np.testing.assert_array_equal(ub_stepper(1.0, 4)(np.array([0.0, 1.0, 2.0, 3.0])), [0.0, 0.0, 1.0, 2.0])
 
 
 @given(triple=TRIPLES, nu=st.floats(min_value=0.0, max_value=1.0))

@@ -2,29 +2,28 @@
 
 Each cell stepper (`ub_stepper` at a scalar nu of either sign or at
 per-cell numbers, and `ub_min_stepper`), the erosion node stepper
-`hj_stepper` and the regularity indicator with the workspace a run builds
-keep their scratch arrays from call to call.  Fed a sequence of inputs,
-one prepared kernel must give on every call what the earlier forms of
-`test_step_kernels.py` give on that input alone: the same bytes, the
-same kinds of floating-point warning, and its input unwritten.  A result
-returned without `out` is fresh: writing into it changes no later call,
-and no later call changes it.
+`hj_stepper` and the regularity indicator `_indicator`, each built for
+one length as a run builds it, keep their scratch arrays from call to
+call.  Fed a sequence of inputs, the kernels built for their lengths
+must give on every call what the earlier forms of `test_step_kernels.py`
+give on that input alone: the same bytes, the same kinds of
+floating-point warning, and its input unwritten.  A result returned
+without `out` is fresh: writing into it changes no later call, and no
+later call changes it.
 
 The guard of the indicator is one AND over its 2*guard + 1 shifted
 windows; it is held to the earlier form, 2*guard shifted in-place ANDs,
-for every guard from 0 to 8.  A workspace serves only the guard it was
-built for.
+for every guard from 0 to 8.
 """
 
 from __future__ import annotations
 
 import numpy as np
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from slub.coupled import RegularityParams, _regularity_workspace, classify_regularity
+from slub.coupled import RegularityParams, _indicator
 from slub.semi_lagrangian import hj_stepper
 from slub.ultrabee import ub_min_stepper, ub_stepper
 from test_step_kernels import (
@@ -40,6 +39,14 @@ from test_step_kernels import (
 def _sequence(sizes):
     """A list of 1 to 4 lattice arrays, each of a length drawn from sizes."""
     return st.lists(hnp.arrays(np.float64, sizes, elements=LATTICE), min_size=1, max_size=4)
+
+
+def _flags(indicate):
+    """A prepared indicator as a kernel of the node values,
+    flags(v, out=None), with its int8 flags written into `out`."""
+    def flags(v, out=None):
+        return indicate(v[1:], v[:-1], None if out is None else out.view(bool)).view(np.int8)
+    return flags
 
 
 def _shift_form_classify(v, dx, params):
@@ -83,16 +90,20 @@ def _assert_calls_match(calls, dtype=float) -> None:
             assert result.tobytes() == kept
 
 
-def _assert_reused_workspace_matches(update, old, inputs) -> None:
-    _assert_calls_match([(update, old, x) for x in inputs])
+def _assert_reused_workspace_matches(build, old, inputs) -> None:
+    """One kernel per length of `inputs`, build(n), serves each input of
+    that length in turn, between calls of the others."""
+    kernels = {n: build(n) for n in {x.size for x in inputs}}
+    _assert_calls_match([(kernels[x.size], old, x) for x in inputs])
 
 
 @given(inputs=_sequence(st.integers(1, 24)), nu=SCALAR_NU)
 @settings(max_examples=100, deadline=None)
 def test_scalar_stepper_reuses_its_workspace_across_lengths(inputs, nu: float) -> None:
-    """The workspace is sized on the first call and again on each new
+    """The workspace is sized when the stepper is built, one stepper per
     length; nu of either sign, zero and tiny ones included."""
-    _assert_reused_workspace_matches(ub_stepper(nu), lambda x: _old_ub_step_values(x, nu), inputs)
+    build = lambda n: ub_stepper(nu, n)
+    _assert_reused_workspace_matches(build, lambda x: _old_ub_step_values(x, nu), inputs)
 
 
 @given(inputs=_sequence(st.integers(1, 24)), nu=SCALAR_NU)
@@ -101,7 +112,7 @@ def test_erosion_cell_stepper_reuses_its_workspace_across_lengths(inputs, nu: fl
     def old(x):
         return np.minimum(_old_ub_step_values(x, -abs(nu)), _old_ub_step_values(x, abs(nu)))
 
-    _assert_reused_workspace_matches(ub_min_stepper(nu), old, inputs)
+    _assert_reused_workspace_matches(lambda n: ub_min_stepper(nu, n), old, inputs)
 
 
 @given(n=st.integers(1, 24), kind=st.sampled_from(sorted(PER_CELL_NU)), data=st.data())
@@ -112,7 +123,7 @@ def test_per_cell_stepper_reuses_its_workspace(n: int, kind: str, data) -> None:
     nus = data.draw(hnp.arrays(np.float64, n, elements=PER_CELL_NU[kind]))
     inputs = data.draw(_sequence(n))
     old = lambda x: _old_ub_step_values(x, nus)
-    _assert_reused_workspace_matches(ub_stepper(nus), old, inputs)
+    _assert_reused_workspace_matches(lambda _: ub_stepper(nus, n), old, inputs)
 
 
 @given(n=st.integers(2, 24), frac=st.sampled_from([0.0, 0.25, 1.0]), data=st.data())
@@ -129,7 +140,7 @@ def test_hj_stepper_reuses_its_feet(n: int, frac: float, data) -> None:
         lo, hi = np.interp(nodes - r, nodes, v), np.interp(nodes + r, nodes, v)
         return np.minimum(np.minimum(lo, hi), v)
 
-    _assert_reused_workspace_matches(hj_stepper(nodes, r), old, inputs)
+    _assert_reused_workspace_matches(lambda _: hj_stepper(nodes, r), old, inputs)
     for v in inputs:
         assert _outcome(hj_stepper(nodes, r), v) == _outcome(old, v)
 
@@ -145,14 +156,16 @@ THRESHOLDS = st.sampled_from([0.0, 0.5, 1.0, 4.0, np.inf])
 )
 @settings(max_examples=200, deadline=None)
 def test_prepared_indicator_reuses_its_workspace(n: int, guard: int, dx: float, data) -> None:
-    """One workspace per length and guard serves a sequence of inputs and
-    thresholds, and gives each call the earlier form's flags; this is also
-    the check of the window AND against 2*guard shifted ANDs."""
-    work = _regularity_workspace(n, guard)
+    """Indicators prepared for one length and guard and for up to three
+    threshold pairs serve a sequence of inputs, each call taking one of
+    them, and give each call the earlier form's flags; this is also the
+    check of the window AND against 2*guard shifted ANDs."""
+    prepared = [(_flags(_indicator(n, dx, p)), p) for p in (
+        RegularityParams(data.draw(THRESHOLDS), data.draw(THRESHOLDS), guard)
+        for _ in range(data.draw(st.integers(1, 3))))]
     calls = []
     for x in data.draw(_sequence(n)):
-        params = RegularityParams(data.draw(THRESHOLDS), data.draw(THRESHOLDS), guard)
-        new = lambda v, out=None, p=params: classify_regularity(v, dx, p, out=out, work=work)
+        new, params = data.draw(st.sampled_from(prepared))
         calls += [(new, lambda v, p=params: _shift_form_classify(v, dx, p), x)] * 2
     _assert_calls_match(calls, np.int8)
 
@@ -166,7 +179,7 @@ def test_guard_windows_dilate_as_the_shifted_ands_do(flags: np.ndarray, guard: i
     v = np.cumsum(np.where(flags, 0.0, 4.0))
     params = RegularityParams(1.0, 0.5, guard)
     base = _shift_form_classify(v, 1.0, RegularityParams(1.0, 0.5, 0))
-    new = classify_regularity(v, 1.0, params, work=_regularity_workspace(v.size, guard))
+    new = _flags(_indicator(v.size, 1.0, params))(v)
     assert new.tobytes() == _shift_form_classify(v, 1.0, params).tobytes()
     expected = np.array([base[max(0, j - guard):j + guard + 1].all() for j in range(v.size)])
     assert new.tobytes() == expected.view(np.int8).tobytes()
@@ -175,23 +188,16 @@ def test_guard_windows_dilate_as_the_shifted_ands_do(flags: np.ndarray, guard: i
 def test_fresh_indicator_flags_are_not_the_workspace() -> None:
     v = np.array([0.0, 0.0, 5.0, 5.0, 5.0, 5.0])
     params = RegularityParams(1.0, 0.5, 1)
-    work = _regularity_workspace(v.size, 1)
-    first = classify_regularity(v, 1.0, params, work=work)
+    indicate = _indicator(v.size, 1.0, params)
+    first = _flags(indicate)(v)
     kept = first.tobytes()
-    second = classify_regularity(v[::-1].copy(), 1.0, params, work=work)
+    second = _flags(indicate)(v[::-1].copy())
     assert first.tobytes() == kept
     assert not np.shares_memory(first, second)
-    for a in work[1:]:
+    scratch = [c.cell_contents for c in indicate.__closure__
+               if isinstance(c.cell_contents, np.ndarray)]
+    assert len(scratch) > 10
+    for a in scratch:
         assert not np.shares_memory(first, a)
     assert _bytes(first) == _bytes(_shift_form_classify(v, 1.0, params))
 
-
-def test_indicator_refuses_a_workspace_of_another_guard() -> None:
-    """A guard-0 workspace used at guard 2 would drop the dilation
-    ([1 1 1 1 0 0 0 0 1 1 1] in place of [1 1 0 0 0 0 0 0 0 0 1])."""
-    v = np.zeros(11)
-    v[5] = 1.0
-    params = RegularityParams(0.5, 0.1, 2)
-    assert classify_regularity(v, 1.0, params).tolist() == [1, 1, 0, 0, 0, 0, 0, 0, 0, 0, 1]
-    with pytest.raises(ValueError, match="guard 0, not 2"):
-        classify_regularity(v, 1.0, params, work=_regularity_workspace(v.size, 0))
