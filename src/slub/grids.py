@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import enum
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,7 +35,7 @@ class Alignment(enum.Enum):
 
 @dataclass(frozen=True)
 class Grid1D:
-    """Uniform grid on [a, b] with m cells and m+1 nodes."""
+    """Uniform grid on [a, b] with m cells and m+1 nodes, m an integer."""
 
     a: float
     b: float
@@ -45,6 +46,8 @@ class Grid1D:
             raise ValueError("grid endpoints must be finite")
         if self.b <= self.a:
             raise ValueError(f"need a < b, got a={self.a}, b={self.b}")
+        if not isinstance(self.m, numbers.Integral):
+            raise ValueError(f"need an integer cell count, got m={self.m!r}")
         if self.m < 3:
             raise ValueError(f"need at least 3 cells (stencil width), got m={self.m}")
 
@@ -67,14 +70,15 @@ class Grid1D:
 
 
 def build_grid(a: float, b: float, m: int) -> Grid1D:
-    """Construct a uniform grid on [a, b] with m cells.
+    """Construct a uniform grid on [a, b] with m cells; a numpy integer
+    m is taken as an int.
 
     Raises
     ------
     ValueError
-        If b <= a or m < 3.
+        If b <= a, or m is not an integer or m < 3.
     """
-    return Grid1D(float(a), float(b), int(m))
+    return Grid1D(float(a), float(b), int(m) if isinstance(m, numbers.Integral) else m)
 
 
 def check_cfl(nu) -> None:

@@ -502,7 +502,7 @@ def convergence_table(
     has_reg = singular_points(problem, problem.T).size > 0
     rows = []
     for m in ladder:
-        res = run_scheme(problem, scheme, int(m))
+        res = run_scheme(problem, scheme, m)
         rows.append(
             ConvergenceRow(
                 m=int(m),

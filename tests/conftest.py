@@ -3,7 +3,9 @@
 Collects one line per acceptance criterion as the suite runs and prints
 the pass/fail table in the terminal summary, so a single `pytest -v`
 shows both the unit results and the criterion scoreboard.  Also holds
-the fixtures that inject a NaN or an inf into a run.
+the fixtures that inject a NaN or an inf into a run, and loads the one
+hypothesis profile, with no deadline: some draws run a whole scheme,
+and a loaded host may stall any draw past hypothesis' default 200 ms.
 """
 
 from __future__ import annotations
@@ -12,8 +14,12 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 import slub.harness
+
+settings.register_profile("slub", deadline=None)
+settings.load_profile("slub")
 
 _CRITERIA: dict[int, tuple[str, bool, str]] = {}
 

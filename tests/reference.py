@@ -1,21 +1,31 @@
 """Reference code the tests hold the package to, kept outside it.
 
+Each step kernel has one earlier form here, the numpy expression it
+replaced, which the kernel tests (`tests/test_step_kernels.py`,
+`tests/test_workspaces.py`) hold it to byte for byte:
+`old_ub_step_values` (with its flux `old_flux_pos`; the erosion cell
+step is the minimum of two of its calls) for the Ultra-Bee update,
+`old_advect_const_values` and `old_hj_step` for the node steps,
+`classify_reference` and `dilate_by_loop` for the indicator,
+`active_cells`, `project_to_cells` and `old_project_to_nodes` for the
+active cells and both projections, and `old_coupled_step`, which chains
+them with np.where, for the coupled step.
+
 `flux_left` / `flux_right` run the Ultra-Bee kernel's own flux on one
 interface, `bracket_violations` writes the witness bracket out entry by
-entry, `edge_pad` is numpy's "edge" padding without its overhead, and
-`hopf_lax_oracle` computes the erosion reference by direct
-minimization.  `step_witness` checks one step through the run path,
-a `block_checker` of a one-step block.  `backward_slopes`,
-`active_cells` and `project_to_cells` are the coupled step's indicator
-slopes, active cells and cell projection on their own, the forms the
-step is held to.  `fresh_coupled_step` and `stepper` call `coupled_step`
-as a run does, on a `CoupledState` of six fresh arrays with steppers and
-an indicator that `_indicator` prepares for the call's length, spacing
-and thresholds, and `initial_level` is the level a coupled run starts
-from.
+entry, and `hopf_lax_oracle` computes the erosion reference by direct
+minimization.  `step_witness` checks one step through the run path, a
+`block_checker` of a one-step block.  `backward_slopes` gives the
+indicator's slopes on their own.  `fresh_coupled_step` and `stepper`
+call `coupled_step` as a run does, on a `CoupledState` of six fresh
+arrays with steppers and an indicator that `_indicator` prepares for
+the call's length, spacing and thresholds, and `initial_level` is the
+level a coupled run starts from.
 """
 
 from __future__ import annotations
+
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -35,17 +45,6 @@ def flux_left(prev: float, cur: float, nxt: float, nu: float) -> float:
 def flux_right(prev: float, cur: float, nxt: float, nu: float) -> float:
     """The flux at the interface left of `cur`, for nu <= 0: the mirror."""
     return flux_left(nxt, cur, prev, -nu)
-
-
-def edge_pad(values: np.ndarray, k: int, out=None) -> np.ndarray:
-    """`values` with k >= 1 ghost entries at each end of the last axis
-    that continue the end values, into `out` (fresh when None)."""
-    if out is None:
-        out = np.empty(values.shape[:-1] + (values.shape[-1] + 2 * k,), dtype=values.dtype)
-    out[..., :k] = values[..., :1]
-    out[..., k:-k] = values
-    out[..., -k:] = values[..., -1:]
-    return out
 
 
 def bracket_violations(old, new, nu) -> np.ndarray:
@@ -98,6 +97,127 @@ def project_to_cells(node_values) -> np.ndarray:
     out = np.add(v[:-1], v[1:])
     out *= 0.5
     return out
+
+
+# ---------------------------------------------------------------------------
+# the earlier forms of the step kernels
+
+
+def old_flux_pos(prev, cur, nxt, nu):
+    """The Ultra-Bee flux for nu >= 0 (one number or one per entry), the
+    clamp of nxt between big + (cur - big)/nu and small + (cur - small)/nu,
+    with the at-rest value where nu < 1e-14."""
+    big = np.maximum(cur, prev)
+    small = np.minimum(cur, prev)
+    if (nu if isinstance(nu, float) else np.min(nu, initial=np.inf)) >= 1e-14:
+        b = big + (cur - big) / nu
+        return np.minimum(np.maximum(nxt, b), small + (cur - small) / nu)
+    nu = np.asarray(nu, dtype=float)
+    tiny = nu < 1e-14
+    safe = np.where(tiny, 1.0, nu)
+    b = big + (cur - big) / safe
+    B = small + (cur - small) / safe
+    clamped = np.minimum(np.maximum(nxt, b), B)
+    at_rest = np.where(cur != prev, nxt, cur)
+    return np.where(tiny, at_rest, clamped)
+
+
+def old_ub_step_values(values, nus):
+    """The Ultra-Bee update of the cell averages `values` at one signed
+    Courant number (a negative one reverses the cells) or one per cell
+    (read upwind by np.where on its sign), on edge-padded values."""
+    v = np.asarray(values, dtype=float)
+    if np.ndim(nus) == 0:
+        if nus < 0.0:
+            return old_ub_step_values(v[::-1], -nus)[::-1]
+        a = abs(float(nus))
+        p = np.pad(v, 2, mode="edge")
+        F = old_flux_pos(p[:-3], p[1:-2], p[2:-1], a)
+        return v - a * (F[1:] - F[:-1])
+    p = np.pad(v, 2, mode="edge")
+    nu = np.asarray(nus, dtype=float)
+    pos = nu >= 0.0
+    if pos.all():
+        up1, up2, down = p[1:-3], p[:-4], p[3:-1]
+    else:
+        up1 = np.where(pos, p[1:-3], p[3:-1])
+        up2 = np.where(pos, p[:-4], p[4:])
+        down = np.where(pos, p[3:-1], p[1:-3])
+    a = np.abs(nu)
+    return v - a * (old_flux_pos(up1, v, down, a) - old_flux_pos(up2, up1, v, a))
+
+
+def old_advect_const_values(values, nu):
+    """The constant-velocity node step a*up + (1 - a)*v, a = |nu|, on
+    edge-padded values."""
+    v = np.asarray(values, dtype=float)
+    padded = np.pad(v, 1, mode="edge")
+    up = padded[:-2] if nu >= 0.0 else padded[2:]
+    a = abs(nu)
+    return a * up + (1.0 - a) * v
+
+
+def old_hj_step(nodes, r, v):
+    """The erosion node step: the P1 interpolant's minimum over
+    [x_j - r, x_j + r], its two end feet taken on every call."""
+    lo, hi = np.interp(nodes - r, nodes, v), np.interp(nodes + r, nodes, v)
+    return np.minimum(np.minimum(lo, hi), v)
+
+
+def classify_reference(values, dx, params):
+    """The indicator as first written: slopes by np.diff, the left pair
+    by np.concatenate, the sign test as a product (of the slopes' signs,
+    which, unlike the slopes themselves, no product underflows), the
+    guard by a float convolution."""
+    v = np.asarray(values, dtype=float)
+    s = np.concatenate([[0.0], np.diff(v) / dx, [0.0]])
+    flat = np.abs(s) <= params.flat_tol
+    same_sign = np.sign(s[:-1]) * np.sign(s[1:]) > 0.0
+    compat = (flat[:-1] & flat[1:]) | same_sign
+    small = np.abs(s[:-1]) < params.delta
+    left_ok = np.concatenate([[True], compat[:-1]])
+    sigma = small & left_ok & compat
+    if params.guard > 0 and not sigma.all():
+        kernel = np.ones(2 * params.guard + 1)
+        hits = np.convolve((~sigma).astype(float), kernel, mode="full")
+        sigma = hits[params.guard : params.guard + sigma.size] == 0.0
+    return sigma.astype(np.int8)
+
+
+def dilate_by_loop(flags, guard: int) -> np.ndarray:
+    """The guard written out node by node: node j stays regular only if
+    every flag within `guard` of it is."""
+    return np.array([flags[max(0, j - guard):j + guard + 1].all() for j in range(len(flags))],
+                    dtype=np.int8)
+
+
+def old_project_to_nodes(c):
+    """Node values as means of the adjacent averages of the edge-padded
+    cells."""
+    p = np.pad(c, 1, mode="edge")
+    return 0.5 * (p[:-1] + p[1:])
+
+
+def old_coupled_step(prev, dx, params, sl_update, ub_update):
+    """One coupled step from (w, w_bar, owned) by the forms above,
+    selecting by np.where, with one-call updates into fresh arrays."""
+    w, w_bar, owned = prev
+    sigma = classify_reference(w, dx, params)
+    act = active_cells(sigma)
+    source = np.where(owned, w_bar, project_to_cells(w))
+    # with no active cell, every node is regular and the cells stay as sourced
+    new_bar = ub_update(source) if act.any() else source
+    new_w_nodes = sl_update(w)
+    w_next = np.where(sigma == 1, new_w_nodes, old_project_to_nodes(new_bar))
+    return SimpleNamespace(
+        w=w_next,
+        w_bar=new_bar,
+        owned=act,
+        sigma=sigma,
+        fresh_cell_count=int(np.count_nonzero(act & ~owned)),
+        node_candidate=new_w_nodes,
+        cell_source=source,
+    )
 
 
 def fresh_coupled_step(prev, dx, params, node_update, cell_update):

@@ -19,11 +19,14 @@ from slub.ultrabee import ub_step_values, ub_stepper
 from reference import (
     active_cells,
     backward_slopes,
+    classify_reference,
+    dilate_by_loop,
     fresh_coupled_step,
     initial_level,
     project_to_cells,
     stepper,
 )
+from test_step_kernels import INPUTS, THRESHOLDS, _assert_entry_matches, _bytes
 
 NODE_FIELDS = hnp.arrays(
     dtype=np.float64,
@@ -152,7 +155,7 @@ DYADIC_THRESHOLDS = st.sampled_from([0.0, 0.125, 0.5, 1.0, 3.0, 64.0, np.inf])
 @given(v=DYADIC_NODES, dx=st.sampled_from([0.25, 0.5, 1.0, 2.0]), delta=DYADIC_THRESHOLDS,
        flat_tol=DYADIC_THRESHOLDS, guard=st.integers(min_value=0, max_value=2),
        k=st.integers(min_value=-1000, max_value=1000))
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=300)
 def test_classify_is_invariant_under_power_of_two_scaling(
     v: np.ndarray, dx: float, delta: float, flat_tol: float, guard: int, k: int
 ) -> None:
@@ -207,7 +210,7 @@ def test_classify_delta_zero_marks_everything() -> None:
 
 
 @given(v=NODE_FIELDS)
-@settings(max_examples=100, deadline=None)
+@settings(max_examples=100)
 def test_classify_guard_only_removes(v: np.ndarray) -> None:
     p0 = RegularityParams(delta=1.0, flat_tol=0.2, guard=0)
     p3 = RegularityParams(delta=1.0, flat_tol=0.2, guard=3)
@@ -223,76 +226,45 @@ def test_active_cells_touch_irregular_nodes() -> None:
 
 
 # ---------------------------------------------------------------------------
-# the indicator against its earlier concatenate / convolve / flatnonzero form
+# the indicator and the active cells against their earlier form
 
 
-def _classify_reference(values, dx, params):
-    """`classify_regularity` as first written: slopes by np.diff, the
-    left pair by np.concatenate, the guard by a float convolution."""
-    v = np.asarray(values, dtype=float)
-    s = np.concatenate([[0.0], np.diff(v) / dx, [0.0]])
-    flat = np.abs(s) <= params.flat_tol
-    same_sign = s[:-1] * s[1:] > 0.0
-    compat = (flat[:-1] & flat[1:]) | same_sign
-    small = np.abs(s[:-1]) < params.delta
-    left_ok = np.concatenate([[True], compat[:-1]])
-    sigma = small & left_ok & compat
-    if params.guard > 0 and not sigma.all():
-        kernel = np.ones(2 * params.guard + 1)
-        hits = np.convolve((~sigma).astype(float), kernel, mode="full")
-        sigma = hits[params.guard : params.guard + sigma.size] == 0.0
-    return sigma.astype(np.int8)
-
-
-def _active_reference(sigma):
-    n_cells = sigma.size - 1
-    act = np.zeros(n_cells, dtype=bool)
-    bad = np.flatnonzero(sigma == 0)
-    left = bad - 1
-    act[left[left >= 0]] = True
-    act[bad[bad < n_cells]] = True
-    return act
-
-
-# Node values on a coarse lattice, so slopes land exactly on the
-# thresholds below, plus signed zeros and non-finite entries.
-SPECIAL_NODES = hnp.arrays(
-    dtype=np.float64,
-    shape=st.integers(min_value=1, max_value=20),
-    elements=st.sampled_from([0.0, -0.0, 0.5, -0.5, 1.0, -1.0, 2.0, 3.0,
-                              np.nan, np.inf, -np.inf]),
+@given(
+    v=INPUTS[1][1],
+    dx=st.sampled_from([1.0, 0.5, 1e-3]),
+    delta=THRESHOLDS,
+    flat_tol=THRESHOLDS,
+    guard=st.integers(min_value=0, max_value=8),
 )
-THRESHOLDS = st.sampled_from([0.0, 0.5, 1.0, 2.0, 4.0, np.inf])
-
-
-@given(v=SPECIAL_NODES, dx=st.sampled_from([1.0, 0.5]), delta=THRESHOLDS,
-       flat_tol=THRESHOLDS, guard=st.integers(min_value=0, max_value=6))
 @example(v=np.array([0.0, 0.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 2.0]),
          dx=1.0, delta=1.0, flat_tol=0.0, guard=6)
 @example(v=np.array([0.0, 3.0]), dx=1.0, delta=3.0, flat_tol=3.0, guard=6)
-@settings(max_examples=400, deadline=None)
+@settings(max_examples=400)
 def test_classify_and_active_cells_match_their_earlier_form(
     v: np.ndarray, dx: float, delta: float, flat_tol: float, guard: int
 ) -> None:
-    """Byte-equal to the concatenate / convolve / flatnonzero code for
-    guards 0-6 on 1 to 20 nodes (so some fields are shorter than the
-    guard window), with NaN, +-inf and +-0.0 entries and slopes exactly
-    at flat_tol and at delta."""
+    """`classify_regularity` gives the outcome of the product / convolve
+    form `classify_reference`, as given and reversed, for guards 0-8 on
+    1 to 60 nodes (so some fields are shorter than the guard window),
+    with NaN, +-inf and +-0.0 entries and slopes exactly at flat_tol and
+    at delta; its guard is the window written out node by node.  The
+    coupled step's own indicator, active cells and cell source, on the
+    initial level of the same nodes, are those flags, `active_cells` of
+    them and `project_to_cells` of the nodes."""
     params = RegularityParams(delta=delta, flat_tol=flat_tol, guard=guard)
-    with np.errstate(all="ignore"):  # inf - inf; both forms take the same ops
-        sigma = classify_regularity(v, dx, params)
-        expected = _classify_reference(v, dx, params)
-    assert sigma.dtype == np.int8
-    assert sigma.tobytes() == expected.tobytes()
-    act = active_cells(sigma)
-    assert act.dtype == bool
-    assert act.tobytes() == _active_reference(expected).tobytes()
-    # the step's own indicator and active cells, on the same nodes
+    _assert_entry_matches(lambda x: classify_regularity(x, dx, params),
+                          lambda x: classify_reference(x, dx, params), v)
     identity = stepper(np.copy)
-    with np.errstate(all="ignore"):
+    with np.errstate(all="ignore"):  # inf - inf; both forms take the same ops
+        expected = classify_reference(v, dx, params)
+        unguarded = classify_reference(v, dx, replace(params, guard=0))
         state = fresh_coupled_step(initial_level(v), dx, params, identity, identity)
+        cells = project_to_cells(v)
+    assert expected.tobytes() == dilate_by_loop(unguarded, guard).tobytes()
     assert state.sigma.tobytes() == expected.tobytes()
-    assert state.owned.tobytes() == _active_reference(expected).tobytes()
+    assert state.owned.dtype == bool
+    assert state.owned.tobytes() == active_cells(expected).tobytes()
+    assert _bytes(state.cell_source) == _bytes(cells)
 
 
 def test_projections_pinned_values() -> None:
@@ -305,7 +277,7 @@ def test_projections_pinned_values() -> None:
 
 
 @given(v=NODE_FIELDS)
-@settings(max_examples=100, deadline=None)
+@settings(max_examples=100)
 def test_project_round_trip_smooths_by_quarter_weights(v: np.ndarray) -> None:
     """Cell-then-node projection is the (1/4, 1/2, 1/4) average in the
     interior; linear profiles pass through unchanged there."""

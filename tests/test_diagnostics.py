@@ -313,7 +313,7 @@ def _check(rows, layers, count=None) -> tuple:
     return witness[1:-1], tv[1:-1], bad
 
 
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=200)
 @given(
     case=st.sampled_from(BLOCK_CASES),
     k=st.integers(min_value=0, max_value=12),
@@ -522,7 +522,7 @@ def test_convergence_orders_validates_lengths() -> None:
         convergence_orders(np.array([1.0, 0.5]), np.array([0.1]))
 
 
-@settings(max_examples=50, deadline=None)
+@settings(max_examples=50)
 @given(
     hnp.arrays(
         np.float64,

@@ -1,7 +1,8 @@
-"""Grid construction, the CFL check, ghost cells (the tests' reference
-padding), and initialization quadrature."""
+"""Grid construction, the CFL check, and initialization quadrature."""
 
 from __future__ import annotations
+
+import re
 
 import numpy as np
 import pytest
@@ -16,14 +17,13 @@ from slub.grids import (
     init_cell_averages,
     init_point_values,
 )
-from reference import edge_pad
 
 BOUNDS = st.floats(min_value=-50.0, max_value=50.0, allow_nan=False)
 CELL_COUNTS = st.integers(min_value=3, max_value=400)
 
 
 @given(a=BOUNDS, width=st.floats(min_value=1e-3, max_value=100.0), m=CELL_COUNTS)
-@settings(max_examples=150, deadline=None)
+@settings(max_examples=150)
 def test_grid_layout_invariants(a: float, width: float, m: int) -> None:
     """Nodes are uniform and strictly increasing; centers interleave."""
     g = build_grid(a, a + width, m)
@@ -49,11 +49,22 @@ def test_grid_accessors() -> None:
 
 @pytest.mark.parametrize(
     "a, b, m",
-    [(0.0, 0.0, 4), (1.0, -1.0, 4), (0.0, 1.0, 1), (0.0, 1.0, 2), (np.inf, 1.0, 4)],
+    [(0.0, 0.0, 4), (1.0, -1.0, 4), (0.0, 1.0, 1), (0.0, 1.0, 2), (np.inf, 1.0, 4),
+     (0.0, 1.0, 19.5)],
 )
 def test_grid_rejects_bad_arguments(a: float, b: float, m: int) -> None:
     with pytest.raises(ValueError):
         build_grid(a, b, m)
+
+
+def test_grid_takes_only_an_integer_cell_count() -> None:
+    """A fractional m is rejected, naming it, not truncated; a numpy
+    integer m is taken as an int."""
+    for m in (19.5, 19.0, np.float64(19.0), "19"):
+        with pytest.raises(ValueError, match=re.escape(f"integer cell count, got m={m!r}")):
+            Grid1D(0.0, 1.0, m)
+    grid = build_grid(0, 1, np.int64(19))
+    assert type(grid.m) is int and grid.m == 19 and grid.nodes[-1] == 1.0
 
 
 def test_check_cfl_names_worst_index() -> None:
@@ -100,29 +111,6 @@ def test_check_cfl_rejects_nan_naming_its_index() -> None:
     # the first NaN is named even when a larger |nu| follows it
     with pytest.raises(ValueError, match=r"index 2: .* = nan is not finite"):
         check_cfl(np.array([0.5, -0.5, np.nan, 7.0, np.nan]))
-
-
-@pytest.mark.parametrize("k", [1, 2])
-def test_edge_pad_matches_numpy_edge_padding(k: int) -> None:
-    """Same bytes as np.pad(mode="edge"), signed zeros and short arrays
-    included, and the input is left as it was."""
-    rng = np.random.default_rng(k)
-    for n in (1, 2, 3, 7, 40):
-        v = rng.standard_normal(n)
-        v[rng.random(n) < 0.3] = -0.0
-        before = v.copy()
-        out = edge_pad(v, k)
-        assert out.dtype == v.dtype
-        assert out.tobytes() == np.pad(v, k, mode="edge").tobytes()
-        assert v.tobytes() == before.tobytes()
-
-
-def test_edge_pad_pads_the_last_axis_of_a_block() -> None:
-    """Each row of a 2-D block is padded as it would be on its own."""
-    rows = np.random.default_rng(5).standard_normal((4, 6))
-    for k in (1, 2):
-        np.testing.assert_array_equal(edge_pad(rows, k), np.pad(rows, ((0, 0), (k, k)), mode="edge"))
-        assert edge_pad(rows, k).tobytes() == np.array([edge_pad(r, k) for r in rows]).tobytes()
 
 
 def test_init_point_values_samples_nodes() -> None:

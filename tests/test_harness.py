@@ -156,8 +156,9 @@ def test_resolve_grid_rejects_tiny_m() -> None:
      (0, None, "need at least 3 cells"),
      (-5, None, "got m=-5"),
      (19, (2.0, -2.0), "need a < b, got a=2.0, b=-2.0"),
-     (19, (1.0, 1.0), "need a < b")],
-    ids=["m-2", "m-0", "m-negative", "reversed", "empty"],
+     (19, (1.0, 1.0), "need a < b"),
+     (19.9, None, r"need an integer cell count, got m=19\.9")],
+    ids=["m-2", "m-0", "m-negative", "reversed", "empty", "m-fractional"],
 )
 def test_time_ladder_rejects_a_bad_grid_as_the_grid_does(m, domain, match) -> None:
     """`Grid1D` is the one check of the cell count and the domain."""
@@ -772,3 +773,8 @@ def test_convergence_table_single_row_drops_order_column() -> None:
 def test_convergence_table_rejects_empty_ladder() -> None:
     with pytest.raises(ValueError):
         convergence_table("adv-smooth", "sl", ms=())
+
+
+def test_convergence_table_rejects_a_fractional_rung() -> None:
+    with pytest.raises(ValueError, match=r"got m=19\.9"):
+        convergence_table("adv-jump", "sl", ms=(19.9,))

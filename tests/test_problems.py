@@ -123,7 +123,7 @@ def test_hopf_lax_oracle_erodes_the_bump() -> None:
     x=st.floats(min_value=-1.5, max_value=1.5),
     t=st.floats(min_value=0.0, max_value=1.0),
 )
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=60)
 def test_hopf_lax_oracle_matches_closed_form(x: float, t: float) -> None:
     """For the even, unimodal bump the minimum sits at the window edge
     closer to the support boundary: value is ic(|x| + t)."""

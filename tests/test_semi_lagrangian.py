@@ -45,7 +45,7 @@ def test_advect_const_rejects_cfl_violation() -> None:
 
 
 @given(v=FIELDS, nu=COURANTS)
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=200)
 def test_advect_const_is_monotone_and_tvd(v: np.ndarray, nu: float) -> None:
     """Each output lies in the hull of its two upwind inputs; total
     variation does not grow."""
@@ -108,7 +108,7 @@ def test_hj_update_matches_direct_minimization() -> None:
 
 
 @given(v=FIELDS)
-@settings(max_examples=100, deadline=None)
+@settings(max_examples=100)
 def test_hj_update_never_exceeds_local_max(v: np.ndarray) -> None:
     """An erosion step with zero running cost can only decrease values
     and never dips below the window minimum."""
@@ -123,7 +123,7 @@ def test_hj_update_never_exceeds_local_max(v: np.ndarray) -> None:
     bump=hnp.arrays(np.float64, 60, elements=st.floats(min_value=0.0, max_value=5.0)),
     r=st.floats(min_value=0.0, max_value=1.0),
 )
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=200)
 def test_hj_update_is_monotone_and_tvd(v: np.ndarray, bump: np.ndarray, r: float) -> None:
     """Raising the data never lowers the update, and total variation
     does not grow, for any control interval [-r, r] within one cell."""
