@@ -21,7 +21,7 @@ import argparse
 import sys
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -61,8 +61,7 @@ class RunConfig:
     out: str = "runs"
 
 
-@dataclass(frozen=True)
-class OutputBundle:
+class OutputBundle(NamedTuple):
     """File paths written by one run."""
 
     solution_files: tuple

@@ -12,8 +12,7 @@ per run and checks the TV and the witnesses of a block of steps at once.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -58,8 +57,7 @@ def tvb_allowance(params: RegularityParams, grid: Grid1D) -> float:
     return params.delta * (grid.b - grid.a)
 
 
-@dataclass(frozen=True)
-class TVSeries:
+class TVSeries(NamedTuple):
     """Total-variation trace of a run against its growth envelope.
 
     values[k] is the TV after k steps, envelope[k] the running bound
@@ -163,8 +161,7 @@ def block_checker(rows: np.ndarray, layers: Sequence[tuple]) -> Callable:
     return check
 
 
-@dataclass(frozen=True)
-class ErrorReport:
+class ErrorReport(NamedTuple):
     """Discrete error norms of a numeric profile against a reference."""
 
     l1: float

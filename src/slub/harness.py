@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence, Union
+from typing import Callable, NamedTuple, Optional, Sequence, Union
 
 import numpy as np
 
@@ -136,7 +136,7 @@ def resolve_regularity(
     )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class StepOperators:
     """One problem discretized on one grid: the per-step update maps.
 
@@ -149,6 +149,8 @@ class StepOperators:
     witness in `block_checker`: one scalar when the velocity is
     uniform, else one value per node / cell, or None for updates that
     draw on both neighbours (then the witness brackets three points).
+    A dataclass so that wrappers can `replace` an update; no `__eq__`,
+    since the per-node Courant arrays of adv-var have no truth value.
     """
 
     node_update: Callable[..., np.ndarray]
@@ -205,8 +207,7 @@ def make_operators(problem: ProblemSpec, grid: Grid1D, dt: float) -> StepOperato
     )
 
 
-@dataclass(frozen=True)
-class RunResult:
+class RunResult(NamedTuple):
     """Everything observable about one finished run.
 
     witnesses[k-1] holds step k's `max_violation` of each checked layer:
@@ -424,8 +425,7 @@ def run_scheme(
     )
 
 
-@dataclass(frozen=True)
-class ConvergenceRow:
+class ConvergenceRow(NamedTuple):
     m: int
     dx: float
     dt: float
@@ -440,8 +440,7 @@ class ConvergenceRow:
 _TEXT_FORMATS = {"m": "d", "dt": ".6f", "dx": ".6f", "l1_order": ".2f"}
 
 
-@dataclass(frozen=True)
-class ConvergenceTable:
+class ConvergenceTable(NamedTuple):
     """Refinement study of one scheme on one problem."""
 
     problem_name: str

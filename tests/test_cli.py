@@ -3,6 +3,7 @@ exit codes, and reproducibility."""
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import replace
 from pathlib import Path
 
@@ -21,7 +22,15 @@ from slub.cli import (
     main,
     parse_manifest,
 )
-from slub.harness import ConvergenceRow, ConvergenceTable, resolve_grid, time_ladder
+from slub.harness import (
+    ConvergenceRow,
+    ConvergenceTable,
+    convergence_table,
+    make_operators,
+    resolve_grid,
+    run_scheme,
+    time_ladder,
+)
 from slub.problems import REGISTRY, get_problem, problem_names
 
 RUNS = Path(__file__).resolve().parents[1] / "runs"
@@ -477,3 +486,57 @@ def test_main_list_problems_shows_registry(capsys) -> None:
     for name in problem_names():
         assert name in out
     assert set(problem_names()) == {"adv-smooth", "adv-jump", "adv-mix", "adv-var", "hj-abs"}
+
+
+# ---------------------------------------------------------------------------
+# returned records
+
+
+def _run():
+    return run_scheme("adv-var", "coupled", 19)
+
+
+def _table():
+    return convergence_table("adv-jump", "ub", ms=(19, 39))
+
+
+def _operators():
+    problem = get_problem("adv-var")
+    return make_operators(problem, resolve_grid(problem, 19), time_ladder(problem, 19)[0])
+
+
+def _bundle(out: Path):
+    return cmd_run(RunConfig(problem="adv-jump", scheme="sl", m=19, out=str(out)))
+
+
+# name: (a fresh record from fresh calls writing into `out`, whether it holds an array)
+RECORDS = {
+    "RunResult": (lambda out: _run(), True),
+    "RunResult.errors": (lambda out: _run().errors, False),
+    "RunResult.tv": (lambda out: _run().tv, True),
+    "RunResult.params": (lambda out: _run().params, False),
+    "RunResult.grid": (lambda out: _run().grid, False),
+    "RunResult.problem": (lambda out: _run().problem, False),
+    "ConvergenceTable": (lambda out: _table(), False),
+    "ConvergenceRow": (lambda out: _table().rows[1], False),
+    "OutputBundle": (_bundle, False),
+    "StepOperators": (lambda out: _operators(), True),
+    "RunConfig": (lambda out: parse_manifest(_bundle(out).manifest_file.read_text()), False),
+}
+
+
+@pytest.mark.parametrize("name", RECORDS)
+def test_returned_records_are_immutable_values(name: str, tmp_path: Path) -> None:
+    """Every record a run or a CLI call hands back rejects assignment to
+    each of its fields and to a new name with AttributeError.  One that
+    holds no array compares equal to, and hashes as, the same record
+    from repeated calls."""
+    make, holds_array = RECORDS[name]
+    record = make(tmp_path)
+    names = getattr(record, "_fields", None) or [f.name for f in dataclasses.fields(record)]
+    for field in (*names, "extra"):
+        with pytest.raises(AttributeError):
+            setattr(record, field, None)
+    if not holds_array:
+        twin = make(tmp_path)
+        assert twin == record and hash(twin) == hash(record)

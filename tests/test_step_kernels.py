@@ -607,6 +607,12 @@ def test_negative_nu_bracket_matches_the_right_neighbour_form(block, nu: float, 
     assert block.tobytes() == old_bytes
 
 
+@functools.cache
+def _lattice(shape):
+    return hnp.arrays(np.float64, shape, elements=LATTICE)
+
+
+@functools.cache
 def _nus(width: int):
     """A layer's Courant numbers: None, one scalar, or one per entry,
     mixed, with zero and tiny entries, or all negative."""
@@ -632,12 +638,10 @@ def test_block_checker_matches_the_earlier_block_diagnostics(block, two_layers: 
     the earlier form flags, writes none of its inputs and warns of
     nothing."""
     k, n = block.shape
-    rows = np.vstack([data.draw(hnp.arrays(np.float64, n, elements=LATTICE)), block])
-    layers = [(rows[:-1], data.draw(hnp.arrays(np.float64, (k, n), elements=LATTICE)),
-               data.draw(_nus(n)))]
+    rows = np.vstack([data.draw(_lattice(n)), block])
+    layers = [(rows[:-1], data.draw(_lattice((k, n))), data.draw(_nus(n)))]
     if two_layers:
-        old, new = (data.draw(hnp.arrays(np.float64, (k, n - 1), elements=LATTICE))
-                    for _ in range(2))
+        old, new = (data.draw(_lattice((k, n - 1))) for _ in range(2))
         layers.append((old, new, data.draw(_nus(n - 1))))
     before = [a.tobytes() for layer in layers for a in layer[:2]] + [rows.tobytes()]
     count = data.draw(st.integers(0, k))

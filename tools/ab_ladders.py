@@ -10,11 +10,14 @@ problems for `transport`, hj-abs for `erosion`.  A `cli` pass makes the
 four calls of the benchmark's cli-artifacts workload through
 `slub.cli.main` in a temporary directory: `run` adv-mix coupled at
 m = 1600 with 24 snapshots, `run` adv-jump coupled at m = 639, and
-`compare` adv-mix at m = 1600 and hj-abs at m = 639.  Each pass is
-timed by `time.thread_time`, the CPU time of this thread, after one
-untimed pass per side.  Prints both sides' median pass, the median and
-the quartiles over pairs of change / parent, and the number of pairs
-the change ran faster.
+`compare` adv-mix at m = 1600 and hj-abs at m = 639.  An `import` pass
+drops the side's package from `sys.modules` and imports its `slub` and
+`slub.cli` afresh; no bytecode is written (`sys.dont_write_bytecode`),
+so each import compiles from source, as the benchmark's setup does.
+Each pass is timed by `time.thread_time`, the CPU time of this thread,
+after one untimed pass per side.  Prints both sides' median pass, the
+median and the quartiles over pairs of change / parent, and the number
+of pairs the change ran faster.
 
     python3 tools/ab_ladders.py --parent HEAD --workload transport --pairs 24
 
@@ -71,7 +74,16 @@ def load(src: Path, name: str):
 def timed_pass(slub, workload: str) -> float:
     """Thread CPU seconds of one pass: a ladder of every problem x
     scheme, or the cli calls, each into its own directory of a fresh
-    temporary one, their printed lines discarded."""
+    temporary one, their printed lines discarded, or a fresh import."""
+    if workload == "import":
+        name = slub.__name__
+        for key in [k for k in sys.modules if k == name or k.startswith(f"{name}.")]:
+            del sys.modules[key]
+        gc.collect()
+        start = time.thread_time()
+        load(Path(slub.__file__).parents[1], name)
+        importlib.import_module(f"{name}.cli")
+        return time.thread_time() - start
     gc.collect()
     if workload != "cli":
         start = time.thread_time()
@@ -93,13 +105,14 @@ def main(argv=None) -> int:
     p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     p.add_argument("--parent", required=True)
     p.add_argument("--change", default=None, help="default: the tree of the git index")
-    p.add_argument("--workload", choices=sorted(PROBLEMS) + ["cli"], required=True)
+    p.add_argument("--workload", choices=sorted(PROBLEMS) + ["cli", "import"], required=True)
     p.add_argument("--pairs", type=int, default=16)
     args = p.parse_args(argv)
     if args.pairs < 1:
         p.error("--pairs must be at least 1")
 
     refs = {"parent": args.parent, "change": args.change or git("write-tree")}
+    sys.dont_write_bytecode = True
     with tempfile.TemporaryDirectory() as tmp:
         sides = {}
         for side, ref in refs.items():

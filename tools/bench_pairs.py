@@ -15,7 +15,10 @@ per side is added, for the per-layer readings.
         --seeds 41-50 --seconds 25 --trace-seed 13
 
 `--change` defaults to the tree of the git index (`git write-tree`),
-so staged but uncommitted work can be measured against HEAD.  The
+so staged but uncommitted work can be measured against HEAD.  Each run
+gets PYTHONDONTWRITEBYTECODE=1 whatever the caller set, so no export
+gains a `__pycache__` and every `setup_s` includes compiling slub (a
+leftover one read 0.018 s against 0.042 s).  The
 script reads `benchmarks/` and never writes there.
 """
 
@@ -60,6 +63,7 @@ def run_once(checkout: Path, workload: str, seed: int, seconds: int, trace: int)
     cmd = [sys.executable, "benchmarks/run.py", "--workload", workload, "--seed", str(seed),
            "--seconds", str(seconds), "--trace", str(trace)]
     env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
+    env["PYTHONDONTWRITEBYTECODE"] = "1"
     out = subprocess.run(cmd, cwd=checkout, check=True, capture_output=True, text=True, env=env)
     return json.loads(out.stdout.strip().splitlines()[-1])
 
@@ -126,7 +130,8 @@ def main(argv=None) -> int:
     change = args.change or git("write-tree")
     refs = {"parent": args.parent, "change": change}
     record = {
-        "what": (f"benchmarks/run.py --workload W --seed N --seconds {args.seconds} --trace 0, "
+        "what": (f"benchmarks/run.py --workload W --seed N --seconds {args.seconds} --trace 0 "
+                 "with PYTHONDONTWRITEBYTECODE=1 (every setup compiles slub from source); "
                  "parent and change each from a fresh `git archive` export, alternating which "
                  "side ran first (the parent in pairs 1, 3, ...); each entry's `result` is the "
                  "last stdout line of run.py, unedited"),
