@@ -18,6 +18,7 @@ resolved configuration produces byte-identical files.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -339,6 +340,9 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_parser = functools.cache(build_parser)  # the one parser of `main`, built on its first call
+
+
 def _default_m(problem_name: str) -> int:
     ladder = get_problem(problem_name).m_ladder
     return int(ladder[min(2, len(ladder) - 1)])
@@ -422,8 +426,7 @@ def _run_command(args: argparse.Namespace) -> int:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return _run_command(args)
     except (ValueError, KeyError, OSError) as exc:

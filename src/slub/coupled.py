@@ -32,6 +32,14 @@ __all__ = [
     "coupled_step",
 ]
 
+_add, _subtract, _multiply, _divide, _absolute, _sign = (
+    np.add, np.subtract, np.multiply, np.divide, np.absolute, np.sign)
+_less, _less_equal, _equal, _bitwise_and, _bitwise_or = (
+    np.less, np.less_equal, np.equal, np.bitwise_and, np.bitwise_or)
+_logical_and, _logical_not, _copyto, _count_nonzero = (
+    np.logical_and, np.logical_not, np.copyto, np.count_nonzero)
+_HALF = np.array(0.5)  # the 0-d operand of the means in `coupled_step`
+
 
 @dataclass(frozen=True)
 class RegularityParams:
@@ -71,7 +79,8 @@ def _indicator(n: int, dx: float, params: RegularityParams):
     of the nodes, hi = v[1:] and lo = v[:-1], between the ghosts, then
     their regular flags (bool) into `dest` (fresh when None) and returns
     them; it is not thread-safe."""
-    delta, flat_tol, guard = params.delta, params.flat_tol, params.guard
+    guard = params.guard
+    dx, delta, flat_tol = (np.array(float(x)) for x in (dx, params.delta, params.flat_tol))
     s, mag = np.zeros((2, n + 1))
     flat, pairs = np.ones((2, n + 1), bool)  # pairs[0]: node 0 has no left pair
     lt, eq = np.empty((2, n), bool)
@@ -82,20 +91,20 @@ def _indicator(n: int, dx: float, params: RegularityParams):
     compat, left, mid = pairs[1:], pairs[:-1], padded[guard:guard + n]
 
     def indicate(hi, lo, dest):
-        np.subtract(hi, lo, out=inner)
-        np.divide(inner, dx, out=inner)
-        np.abs(s, out=mag)
-        np.less_equal(mag, flat_tol, out=flat)
-        np.less(mag_head, delta, out=lt)
+        _subtract(hi, lo, out=inner)
+        _divide(inner, dx, out=inner)
+        _absolute(s, out=mag)
+        _less_equal(mag, flat_tol, out=flat)
+        _less(mag_head, delta, out=lt)
         # pair k couples slopes s_k and s_{k+1}; node j needs pairs j-1, j
-        np.bitwise_and(flat_head, flat_tail, out=compat)
+        _bitwise_and(flat_head, flat_tail, out=compat)
         # equal signs: both strictly one sign, or both 0 and so already flat
-        np.sign(s, out=s)
-        np.bitwise_or(compat, np.equal(s_head, s_tail, out=eq), out=compat)
-        np.bitwise_and(lt, compat, out=lt)
-        flags = np.bitwise_and(lt, left, out=mid if guard else dest)
+        _sign(s, out=s)
+        _bitwise_or(compat, _equal(s_head, s_tail, out=eq), out=compat)
+        _bitwise_and(lt, compat, out=lt)
+        flags = _bitwise_and(lt, left, out=mid if guard else dest)
         if guard:
-            flags = np.logical_and.reduce(windows, axis=0, out=dest)
+            flags = _logical_and.reduce(windows, axis=0, out=dest)
         return flags
 
     return indicate
@@ -191,20 +200,20 @@ def coupled_step(
     (prev_w, w_hi, w_lo, prev_bar, prev_owned, w, w_inner, w_ends, bar_ends, bar, bar_lo,
      bar_hi, act, regular, reg_lo, reg_hi, cand, source) = state.views
     indicate(w_hi, w_lo, regular)
-    np.logical_and(reg_lo, reg_hi, out=act)  # the active cells: not both nodes regular
-    np.logical_not(act, out=act)
-    np.add(w_lo, w_hi, out=source)  # the trapezoid projection to cells
-    source *= 0.5
-    np.copyto(source, prev_bar, where=prev_owned)
-    evolve = np.count_nonzero(act) > 0
+    _logical_and(reg_lo, reg_hi, out=act)  # the active cells: not both nodes regular
+    _logical_not(act, out=act)
+    _add(w_lo, w_hi, out=source)  # the trapezoid projection to cells
+    _multiply(source, _HALF, out=source)
+    _copyto(source, prev_bar, where=prev_owned)
+    evolve = _count_nonzero(act) > 0
     if evolve:
         cell_update(source, out=bar)
     node_update(prev_w, out=cand)
     if evolve:  # project the cells to the nodes, the ends from their own cell
-        np.add(bar_lo, bar_hi, out=w_inner)
-        np.add(bar_ends, bar_ends, out=w_ends)
-        w *= 0.5
-        np.copyto(w, cand, where=regular)
+        _add(bar_lo, bar_hi, out=w_inner)
+        _add(bar_ends, bar_ends, out=w_ends)
+        _multiply(w, _HALF, out=w)
+        _copyto(w, cand, where=regular)
     else:  # every node regular: the masked copy would take every node
         bar[...] = source
         w[...] = cand

@@ -30,6 +30,9 @@ __all__ = [
     "convergence_orders",
 ]
 
+_subtract, _absolute, _add_reduce, _isfinite = np.subtract, np.absolute, np.add.reduce, np.isfinite
+_minimum, _maximum, _maximum_reduce = np.minimum, np.maximum, np.maximum.reduce
+
 
 def total_variation(values: np.ndarray):
     """Total variation along the last axis: a float for one profile, one
@@ -43,8 +46,8 @@ def _variation(v, d, out=None):
     """`total_variation` of a C-contiguous v, d of its shape the scratch;
     the flat difference across two rows is left out of the sum."""
     flat, o = d.reshape(-1)[:-1], v.reshape(-1)
-    np.abs(np.subtract(o[1:], o[:-1], out=flat), out=flat)
-    return np.add.reduce(d[..., :-1], axis=-1, out=out)
+    _absolute(_subtract(o[1:], o[:-1], out=flat), out=flat)
+    return _add_reduce(d[..., :-1], axis=-1, out=out)
 
 
 def tvb_allowance(params: RegularityParams, grid: Grid1D) -> float:
@@ -93,7 +96,7 @@ def _bracket_violation(old, new, negative, lo, hi) -> np.ndarray:
     `block_checker`), into lo (negative inside), hi the scratch; negative
     is None (three points), False, or the mask of the entries of nu < 0."""
     o = old.reshape(-1)
-    for op, b in ((np.minimum, lo), (np.maximum, hi)):
+    for op, b in ((_minimum, lo), (_maximum, hi)):
         f = b.reshape(-1)
         if negative is None:  # op(op(left, old), right)
             op(o[:-1], o[1:], out=f[1:])
@@ -108,8 +111,8 @@ def _bracket_violation(old, new, negative, lo, hi) -> np.ndarray:
             op(old[..., :-1], old[..., 1:], out=b[..., :-1], where=negative[:-1])
             if negative[-1]:
                 b[..., -1] = old[..., -1]
-    np.subtract(lo, new, out=lo)
-    return np.maximum(lo, np.subtract(new, hi, out=hi), out=lo)
+    _subtract(lo, new, out=lo)
+    return _maximum(lo, _subtract(new, hi, out=hi), out=lo)
 
 
 def block_checker(rows: np.ndarray, layers: Sequence[tuple]) -> Callable:
@@ -136,6 +139,7 @@ def block_checker(rows: np.ndarray, layers: Sequence[tuple]) -> Callable:
         prepared.append((old, new, negative if negative is None or negative.any() else False,
                          *scratch[:2 * k * n].reshape(2, k, n)))
     tv_scratch = scratch[:rows.size].reshape(rows.shape)
+    zero = np.zeros(())  # the 0-d operand of the clamp
 
     def check(count: int, tv_out: np.ndarray, witness_out: np.ndarray):
         with np.errstate(all="ignore"):
@@ -143,15 +147,15 @@ def block_checker(rows: np.ndarray, layers: Sequence[tuple]) -> Callable:
             for col, (old, new, negative, lo, hi) in enumerate(prepared):
                 violation = _bracket_violation(old[:count], new[:count], negative,
                                                lo[:count], hi[:count])
-                np.maximum.reduce(violation, axis=-1, out=witness_out[:, col])
-            np.maximum(witness_out, 0.0, out=witness_out)
-        if np.isfinite(tv_out).all() and np.isfinite(witness_out).all():
+                _maximum_reduce(violation, axis=-1, out=witness_out[:, col])
+            _maximum(witness_out, zero, out=witness_out)
+        if _isfinite(tv_out).all() and _isfinite(witness_out).all():
             return None
         # only a row whose TV or witness is not finite can hold one
-        spoilt = ~np.isfinite(np.column_stack([tv_out, witness_out]))
+        spoilt = ~_isfinite(np.column_stack([tv_out, witness_out]))
         for i in np.flatnonzero(spoilt.any(axis=1)):
             for col in np.flatnonzero(spoilt[i]):
-                bad = np.flatnonzero(~np.isfinite(outputs[col][i]))
+                bad = np.flatnonzero(~_isfinite(outputs[col][i]))
                 if bad.size:
                     return int(i), int(col), int(bad[0])
             if spoilt[i, 0]:

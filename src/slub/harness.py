@@ -71,6 +71,8 @@ _BLOCK_VALUES = 16384
 # Length an extended grid keeps past the transported support, for smearing.
 _SUPPORT_PAD = 0.5
 
+_interp = np.interp
+
 
 def resolve_grid(problem: ProblemSpec, m: int) -> Grid1D:
     """Grid for a ladder entry, extended on each side that the
@@ -172,7 +174,7 @@ def make_operators(problem: ProblemSpec, grid: Grid1D, dt: float) -> StepOperato
     if problem.kind == "advection-const":
         nu = float(problem.c) * dt / dx
         return StepOperators(
-            node_update=advect_const_stepper(nu),
+            node_update=advect_const_stepper(nu, grid.m + 1),
             cell_update=ub_stepper(nu, grid.m),
             nu_node=nu,
             nu_cell=nu,
@@ -186,7 +188,7 @@ def make_operators(problem: ProblemSpec, grid: Grid1D, dt: float) -> StepOperato
         nu_cell = nu_node[:-1]  # cell k inherits its left node
 
         def node_update(v, out=None):
-            new = np.interp(feet, nodes, v)  # np.interp has no out=
+            new = _interp(feet, nodes, v)  # np.interp has no out=
             if out is None:
                 return new
             out[...] = new

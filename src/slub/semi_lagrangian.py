@@ -29,40 +29,47 @@ __all__ = [
 ]
 
 
-def advect_const_stepper(nu: float):
-    """One constant-velocity transport step on raw node values, prepared
-    once for a fixed nu: the CFL check, |nu| and the upwind side are
-    taken here.  Returns update(values, out=None), which writes the new
-    values into `out` (a fresh array when None) and returns it.
+_add, _multiply, _minimum, _interp = np.add, np.multiply, np.minimum, np.interp
+
+
+def advect_const_stepper(nu: float, n: int):
+    """One constant-velocity transport step on n raw node values,
+    prepared once for a fixed nu: the CFL check, |nu|, the upwind side
+    and a workspace sized to n (so it is not thread-safe) are taken
+    here.  Returns update(values, out=None), which writes the new values
+    into `out` (a fresh array when None) and returns it.
 
     The signed Courant number nu = c*dt/dx selects the upwind
     direction: out_j = a*up_j + (1-a)*in_j with a = |nu| and up_j the
     upwind neighbour, in_{j-1} for nu >= 0 and in_{j+1} for nu < 0.
     With |nu| <= 1 each output is a convex combination of two upwind
     neighbours, so the step is monotone, TVD and max-norm stable;
-    |nu| = 1 is an exact shift.  The upwind term is added in place to
-    (1-a)*in, the end node's from its own value (the ghost continues
-    it), without padding; addition commutes, so the values are those of
-    a*up + (1-a)*in.
+    |nu| = 1 is an exact shift.  The upwind values are padded by the
+    end node's ghost (it continues the end value) into the workspace,
+    scaled there by a and added to (1-a)*in; addition commutes, so the
+    values are those of a*up + (1-a)*in.
     """
     check_cfl(nu)
-    a = abs(nu)
-    to, up, end = (np.s_[1:], np.s_[:-1], 0) if nu >= 0.0 else (np.s_[:-1], np.s_[1:], -1)
+    a, rest = np.array(abs(nu)), np.array(1.0 - abs(nu))  # 0-d operands
+    p = np.empty(n + 1)
+    body, ghost, end, up = ((p[1:], p[:1], p[1:2], p[:-1]) if nu >= 0.0 else
+                            (p[:-1], p[-1:], p[-2:-1], p[1:]))
 
     def update(v, out=None):
-        out = np.multiply(1.0 - a, v, out=out)
-        out[to] += a * v[up]
-        out[end] += a * v[end]
-        return out
+        body[...] = v
+        ghost[...] = end
+        _multiply(up, a, out=up)
+        out = _multiply(rest, v, out=out)
+        return _add(out, up, out=out)
 
     return update
 
 
 def advect_const_values(values: np.ndarray, nu: float) -> np.ndarray:
-    """`advect_const_stepper(nu)` applied once to `values` as floats:
-    each call checks nu.  Not exported; `benchmarks/kernels.py` times
-    it."""
-    return advect_const_stepper(nu)(np.asarray(values, dtype=float))
+    """`advect_const_stepper(nu, len(values))` applied once to `values`
+    as floats: each call checks nu.  Not exported;
+    `benchmarks/kernels.py` times it."""
+    return advect_const_stepper(nu, len(values))(np.asarray(values, dtype=float))
 
 
 def hj_stepper(nodes: np.ndarray, r: float):
@@ -75,7 +82,7 @@ def hj_stepper(nodes: np.ndarray, r: float):
     lo, hi = nodes - r, nodes + r
 
     def update(v, out=None):
-        out = np.minimum(np.interp(lo, nodes, v), np.interp(hi, nodes, v), out=out)
-        return np.minimum(out, v, out=out)
+        out = _minimum(_interp(lo, nodes, v), _interp(hi, nodes, v), out=out)
+        return _minimum(out, v, out=out)
 
     return update

@@ -29,29 +29,31 @@ __all__ = [
 # Courant numbers below this magnitude take the zero-velocity branch.
 _NU_TINY = 1e-14
 
+_add, _subtract, _multiply, _divide = np.add, np.subtract, np.multiply, np.divide
+_maximum, _minimum, _copyto, _where, _take = np.maximum, np.minimum, np.copyto, np.where, np.take
+
 
 def _flux_pos(prev, cur, nxt, nu, tiny, work):
     """Value at the interface between `cur` and its downwind neighbour
     `nxt`, for nu >= 0 (the nu <= 0 flux left of `cur` is its mirror,
     `_flux_pos(nxt, cur, prev, -nu, ...)`), in place in the workspace
     (big, small, b) and returned as b.  Where `tiny` (a bool, an array,
-    or None for nowhere) marks nu < _NU_TINY the flux is the at-rest
-    value; the clamp is still evaluated there, at nu = 1, and warns."""
-    if tiny is not None:
-        nu = np.where(tiny, 1.0, nu)
+    or None for nowhere) marks |nu| < _NU_TINY the flux is the at-rest
+    value; the clamp is still evaluated there, at the nu = 1 that the
+    stepper put there when it was built, and warns."""
     big, small, b = work
-    np.maximum(cur, prev, out=big)
-    np.minimum(cur, prev, out=small)
-    np.subtract(cur, big, out=b)
-    b /= nu
-    np.add(big, b, out=b)  # b = big + (cur - big)/nu
-    np.maximum(nxt, b, out=b)
-    B = np.subtract(cur, small, out=big)
-    B /= nu
-    np.add(small, B, out=B)  # B = small + (cur - small)/nu
-    np.minimum(b, B, out=b)
+    _maximum(cur, prev, out=big)
+    _minimum(cur, prev, out=small)
+    _subtract(cur, big, out=b)
+    _divide(b, nu, out=b)
+    _add(big, b, out=b)  # b = big + (cur - big)/nu
+    _maximum(nxt, b, out=b)
+    B = _subtract(cur, small, out=big)
+    _divide(B, nu, out=B)
+    _add(small, B, out=B)  # B = small + (cur - small)/nu
+    _minimum(b, B, out=b)
     if tiny is not None:
-        np.copyto(b, np.where(cur != prev, nxt, cur), where=tiny)
+        _copyto(b, _where(cur != prev, nxt, cur), where=tiny)
     return b
 
 
@@ -62,6 +64,7 @@ def _scalar_stepper(nus, n):
     upwind and downwind values."""
     a = abs(float(nus[0]))  # abs: -0.0 must scale like 0.0, as np.abs would
     tiny = (a < _NU_TINY) or None
+    a, div = np.array(a), np.array(1.0 if tiny else a)  # 0-d operands
     p, upper, flux = np.empty(n + 4), np.empty(n), tuple(np.empty((3, n + 1)))  # big, small, b
     mid, head, first, tail, last, b = p[2:-2], p[:2], p[2:3], p[-2:], p[-3:-2], flux[2]
     (ends, outflow, inflow), (ends_min, outflow_min, inflow_min) = (
@@ -72,18 +75,18 @@ def _scalar_stepper(nus, n):
         mid[...] = values
         head[...] = first
         tail[...] = last
-        _flux_pos(*ends, a, tiny, flux)
-        out = np.subtract(outflow, inflow, out=out)
-        out *= a
-        return np.subtract(values, out, out=out)
+        _flux_pos(*ends, div, tiny, flux)
+        out = _subtract(outflow, inflow, out=out)
+        _multiply(out, a, out=out)
+        return _subtract(values, out, out=out)
 
     def update_min(values, out=None):
         out = update(values, out)  # pads; the update at nus[0]
-        _flux_pos(*ends_min, a, tiny, flux)
-        np.subtract(outflow_min, inflow_min, out=upper)
-        np.multiply(upper, a, out=upper)
-        np.subtract(values, upper, out=upper)
-        return np.minimum(out, upper, out=out)
+        _flux_pos(*ends_min, div, tiny, flux)
+        _subtract(outflow_min, inflow_min, out=upper)
+        _multiply(upper, a, out=upper)
+        _subtract(values, upper, out=upper)
+        return _minimum(out, upper, out=out)
 
     return update if len(nus) == 1 else update_min
 
@@ -114,6 +117,7 @@ def ub_stepper(nus, n: int):
     pos = nu >= 0.0
     a = np.abs(nu)
     tiny = None if np.min(a, initial=np.inf) >= _NU_TINY else a < _NU_TINY
+    div = a if tiny is None else np.where(tiny, 1.0, a)
     p, (big, small, outflow, inflow) = np.empty(n + 4), np.empty((4, n))
     cur, up1, up2, down = p[2:-2], p[1:-3], p[:-4], p[3:-1]
     head, first, tail, last = p[:2], p[2:3], p[-2:], p[-3:-2]
@@ -129,11 +133,11 @@ def ub_stepper(nus, n: int):
         head[...] = first
         tail[...] = last
         if index is not None:
-            np.take(p, index, out=stencil, mode="clip")
-        F = _flux_pos(up1, cur, down, a, tiny, out_work)
-        out = np.subtract(F, _flux_pos(up2, up1, cur, a, tiny, in_work), out=out)
-        out *= a
-        return np.subtract(values, out, out=out)
+            _take(p, index, out=stencil, mode="clip")
+        F = _flux_pos(up1, cur, down, div, tiny, out_work)
+        out = _subtract(F, _flux_pos(up2, up1, cur, div, tiny, in_work), out=out)
+        _multiply(out, a, out=out)
+        return _subtract(values, out, out=out)
 
     return update
 

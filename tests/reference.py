@@ -39,7 +39,8 @@ def flux_left(prev: float, cur: float, nxt: float, nu: float) -> float:
     """The kernel's flux at the interface right of `cur`, for nu >= 0
     (the at-rest value below 1e-14), through one-element arrays."""
     ends = np.array([[prev], [cur], [nxt]], dtype=float)
-    return float(_flux_pos(*ends, nu, (nu < _NU_TINY) or None, np.empty((3, 1)))[0])
+    tiny = (nu < _NU_TINY) or None  # the clamp runs at nu = 1 there, as in the steppers
+    return float(_flux_pos(*ends, 1.0 if tiny else nu, tiny, np.empty((3, 1)))[0])
 
 
 def flux_right(prev: float, cur: float, nxt: float, nu: float) -> float:

@@ -306,6 +306,26 @@ def test_parser_accepts_documented_flags() -> None:
     assert cmp_args.scheme == "sl,ub,coupled"
 
 
+def test_main_reuses_one_parser_and_no_arguments(monkeypatch, capsys) -> None:
+    """`main` parses with one parser, built on its first call; a call that
+    fails to parse, or sets an option, leaves nothing for the next call,
+    which reads what a fresh parser reads.  `build_parser` still returns
+    a fresh parser."""
+    assert slub.cli._parser() is slub.cli._parser()
+    assert build_parser() is not build_parser()
+    with pytest.raises(SystemExit):
+        main(["run", "--problem"])
+    assert "expected one argument" in capsys.readouterr().err
+    seen = []
+    monkeypatch.setattr(slub.cli, "_run_command", lambda args: seen.append(vars(args)) or 0)
+    argv = ["run", "--problem", "adv-smooth", "--scheme", "sl"]
+    assert main(argv + ["--delta", "1e-3", "--snapshots", "0,3"]) == 0
+    assert main(argv) == 0
+    assert seen[0]["delta"] == 1e-3 and seen[0]["snapshots"] == "0,3"
+    assert seen[1] == vars(build_parser().parse_args(argv))
+    assert seen[1]["delta"] is None and seen[1]["snapshots"] is None
+
+
 def test_main_run_prints_written_paths(tmp_path: Path, capsys) -> None:
     code = main(
         ["run", "--problem", "adv-smooth", "--scheme", "sl", "--m", "19",

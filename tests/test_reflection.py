@@ -25,7 +25,7 @@ from slub.ultrabee import ub_stepper
 
 @pytest.mark.parametrize("build, init", [
     (ub_stepper, init_cell_averages),
-    (lambda nu, n: advect_const_stepper(nu), init_point_values),
+    (advect_const_stepper, init_point_values),
 ], ids=["ub", "sl"])
 def test_a_stepper_at_minus_nu_is_the_mirror_of_the_stepper_at_nu(build, init) -> None:
     """Every step of adv-smooth at m = 319 (178 steps at nu = 0.896),

@@ -11,8 +11,10 @@ another length.  The stepper tests here draw one input;
 `tests/test_workspaces.py` and the change-of-length tests here draw 1-4
 inputs and a second length.  The one-call entries (`ub_step_values`,
 `advect_const_values`, `project_to_nodes`, `classify_regularity`) are
-held to the same forms on their own.  On values that include NaN,
-infinities, signed zeros and overflowing magnitudes, each call gives:
+held to the same forms on their own, and the adv-var node closure of
+`make_operators` to np.interp at the feet it closes over.  On values
+that include NaN, infinities, signed zeros and overflowing magnitudes,
+each call gives:
 - the same bytes, every NaN read as one NaN: numpy gives a NaN from two
   NaN operands the sign of one or the other by its position in a
   vectorized loop, so splitting a loop differently may flip it;
@@ -287,7 +289,7 @@ def _erosion_ub(data, nus=SCALAR_NU):
 
 def _advect_const(data):
     nu = data.draw(SCALAR_NU)
-    return lambda n: (advect_const_stepper(nu), lambda x: old_advect_const_values(x, nu),
+    return lambda n: (advect_const_stepper(nu, n), lambda x: old_advect_const_values(x, nu),
                       lambda x: advect_const_values(x, nu))
 
 
@@ -302,7 +304,23 @@ def _hj(data):
     return build
 
 
-INPUTS = {1: (_inputs(), _values()), 2: (_inputs(2), _values(2))}
+def _adv_var(data):
+    """The adv-var node stepper of `make_operators` on n nodes of a grid
+    of the problem's window, held to np.interp at the feet
+    x_j + (x_j - x_bar)*dt that it closes over."""
+    problem = get_problem("adv-var")
+
+    def build(n):
+        grid, dt = build_grid(problem.a, problem.b, n - 1), time_ladder(problem, n - 1)[0]
+        nodes = grid.nodes
+        feet = nodes + (nodes - problem.x_bar) * dt
+        return (make_operators(problem, grid, dt).node_update,
+                lambda v: np.interp(feet, nodes, v), None)
+
+    return build
+
+
+INPUTS = {k: (_inputs(k), _values(k)) for k in (1, 2, 4)}
 
 
 def _check_stepper(build, data, reuse: bool, min_size: int = 1) -> None:
@@ -379,6 +397,14 @@ def test_two_velocity_stepper_is_the_minimum_of_two_earlier_kernels(data) -> Non
 @settings(max_examples=200)
 def test_advect_const_stepper_matches_its_earlier_form(data) -> None:
     _check_stepper(_advect_const(data), data, reuse=False)
+
+
+@given(data=st.data())
+@settings(max_examples=100)
+def test_adv_var_node_stepper_matches_np_interp(data) -> None:
+    """The closure `make_operators` builds for adv-var, which interpolates
+    into a fresh array and copies it into `out`; 4 to 60 nodes."""
+    _check_stepper(_adv_var(data), data, reuse=True, min_size=4)
 
 
 # the prepared Ultra-Bee closures: (stepper kind, its fixed Courant number or sign)
@@ -518,7 +544,7 @@ def test_coupled_step_writes_the_np_where_form_into_block_rows(
     others = [np.delete(b, 1, axis=0).tobytes() for b in blocks]
     state = CoupledState(tuple(b[0] for b in blocks[:3]), tuple(b[1] for b in blocks))
     with np.errstate(all="ignore"):
-        new = coupled_step(state, advect_const_stepper(nu), ub_stepper(nu, n - 1),
+        new = coupled_step(state, advect_const_stepper(nu, n), ub_stepper(nu, n - 1),
                            _indicator(n, 0.5, params))
         old = old_coupled_step(level, 0.5, params, lambda u: advect_const_values(u, nu),
                                lambda u: ub_step_values(u, nu))
@@ -553,7 +579,7 @@ def test_prepared_coupled_step_across_a_block_boundary_and_a_retake(
     blocks = _blocks(level, 4)
     rows, bar, own = blocks[:3]
     indicate = _indicator(n, 0.5, params)
-    node, cell = advect_const_stepper(nu), ub_stepper(nu, n - 1)
+    node, cell = advect_const_stepper(nu, n), ub_stepper(nu, n - 1)
     states = [CoupledState(prev, out)
               for prev, out in zip(zip(rows, bar, own), zip(*(b[1:] for b in blocks)))]
     sl = lambda u: advect_const_values(u, nu)

@@ -1,15 +1,15 @@
 """Prepared steppers and the prepared indicator reuse one workspace.
 
 Each cell stepper (`ub_stepper` at a scalar nu of either sign or at
-per-cell numbers, and `ub_min_stepper`), the erosion node stepper
-`hj_stepper` and the regularity indicator `_indicator`, each built for
-one length as a run builds it, keep their scratch arrays from call to
-call.  Fed 1 to 4 inputs, between calls of one of its kind built for
-another length, each must give on every call what its one earlier form
-in `tests/reference.py` gives on that input alone, by the check of
-`tests/test_step_kernels.py`: the same bytes, the same kinds of
-floating-point warning, and its input and every other block row
-unwritten.  A result returned without `out` is fresh: writing into it
+per-cell numbers, and `ub_min_stepper`), the node steppers
+`advect_const_stepper` and `hj_stepper` and the regularity indicator
+`_indicator`, each built for one length as a run builds it, keep their
+scratch arrays from call to call.  Fed 1 to 4 inputs, between calls of
+one of its kind built for another length, each must give on every call
+what its one earlier form in `tests/reference.py` gives on that input
+alone, by the check of `tests/test_step_kernels.py`: the same bytes,
+the same kinds of floating-point warning, and its input and every
+other block row unwritten.  A result returned without `out` is fresh: writing into it
 changes no later call, and no later call changes it.
 
 The guard of the indicator is one AND over its 2*guard + 1 shifted
@@ -29,6 +29,7 @@ from reference import classify_reference, dilate_by_loop
 from test_step_kernels import (
     INPUTS,
     THRESHOLDS,
+    _advect_const,
     _assert_prepared_matches,
     _bytes,
     _check_stepper,
@@ -67,6 +68,14 @@ def test_per_cell_stepper_reuses_its_workspace(data) -> None:
     """Per-cell numbers fix the length: all positive, all negative or of
     mixed sign (the gathered stencil), or with zero and tiny entries."""
     _check_stepper(_per_cell_ub(data), data, reuse=True)
+
+
+@given(data=st.data())
+@settings(max_examples=300)
+def test_advect_const_stepper_reuses_its_workspace_across_lengths(data) -> None:
+    """The padded upwind values are scaled in the workspace sized when the
+    stepper is built; nu of either sign, zero and tiny ones included."""
+    _check_stepper(_advect_const(data), data, reuse=True)
 
 
 @given(data=st.data())
