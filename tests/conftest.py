@@ -6,6 +6,8 @@ shows both the unit results and the criterion scoreboard.  Also holds
 the fixtures that inject a NaN or an inf into a run, and loads the one
 hypothesis profile, with no deadline: some draws run a whole scheme,
 and a loaded host may stall any draw past hypothesis' default 200 ms.
+The profile skips the explain phase, which only annotates a shrunk
+failure: on a kernel test's 1-4 inputs that took 90 s before the report.
 """
 
 from __future__ import annotations
@@ -14,11 +16,11 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import settings
+from hypothesis import Phase, settings
 
 import slub.harness
 
-settings.register_profile("slub", deadline=None)
+settings.register_profile("slub", deadline=None, phases=[p for p in Phase if p != Phase.explain])
 settings.load_profile("slub")
 
 _CRITERIA: dict[int, tuple[str, bool, str]] = {}

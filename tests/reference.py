@@ -1,8 +1,9 @@
 """Reference code the tests hold the package to, kept outside it.
 
 Each step kernel has one earlier form here, the numpy expression it
-replaced, which the kernel tests (`tests/test_step_kernels.py`,
-`tests/test_workspaces.py`) hold it to byte for byte:
+replaced; one property test per kernel in `tests/test_step_kernels.py`
+holds the kernel, and its one-call entry where it has one, to that form
+byte for byte:
 `old_ub_step_values` (with its flux `old_flux_pos`; the erosion cell
 step is the minimum of two of its calls) for the Ultra-Bee update,
 `old_advect_const_values` and `old_hj_step` for the node steps,

@@ -6,27 +6,24 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from slub.coupled import RegularityParams, classify_regularity, project_to_nodes
 from slub.grids import init_point_values
-from slub.harness import make_operators, resolve_grid, resolve_regularity, run_scheme, time_ladder
+from slub.harness import make_operators, resolve_grid, run_scheme, time_ladder
 from slub.problems import REGISTRY, get_problem
 from slub.semi_lagrangian import advect_const_stepper, advect_const_values
 from slub.ultrabee import ub_step_values, ub_stepper
 from reference import (
     active_cells,
     backward_slopes,
-    classify_reference,
-    dilate_by_loop,
     fresh_coupled_step,
     initial_level,
     project_to_cells,
     stepper,
 )
-from test_step_kernels import INPUTS, THRESHOLDS, _assert_entry_matches, _bytes
 
 NODE_FIELDS = hnp.arrays(
     dtype=np.float64,
@@ -54,16 +51,6 @@ def test_regularity_params_validation() -> None:
     for bad in ({"delta": np.nan, "flat_tol": 0.0}, {"delta": 1.0, "flat_tol": np.nan}):
         with pytest.raises(ValueError, match=r"need (delta|flat_tol) >= 0, got nan"):
             RegularityParams(guard=0, **bad)
-
-
-def test_params_from_initial_slope() -> None:
-    """resolve_regularity scales the preset factors by the largest
-    initial |slope|: 2 here, from the middle pair at dx = 1."""
-    problem = replace(get_problem("adv-jump"), delta_factor=0.5, flat_frac=0.1)
-    v = np.array([0.0, 1.0, 3.0, 3.0])
-    p = resolve_regularity(problem, v, 1.0)
-    assert p.delta == pytest.approx(1.0)
-    assert p.flat_tol == pytest.approx(0.2)
 
 
 def test_backward_slopes_pads_with_zeros() -> None:
@@ -223,48 +210,6 @@ def test_active_cells_touch_irregular_nodes() -> None:
     sigma = np.array([1, 1, 0, 1, 1, 0], dtype=np.int8)
     act = active_cells(sigma)
     np.testing.assert_array_equal(act, [False, True, True, False, True])
-
-
-# ---------------------------------------------------------------------------
-# the indicator and the active cells against their earlier form
-
-
-@given(
-    v=INPUTS[1][1],
-    dx=st.sampled_from([1.0, 0.5, 1e-3]),
-    delta=THRESHOLDS,
-    flat_tol=THRESHOLDS,
-    guard=st.integers(min_value=0, max_value=8),
-)
-@example(v=np.array([0.0, 0.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 2.0]),
-         dx=1.0, delta=1.0, flat_tol=0.0, guard=6)
-@example(v=np.array([0.0, 3.0]), dx=1.0, delta=3.0, flat_tol=3.0, guard=6)
-@settings(max_examples=400)
-def test_classify_and_active_cells_match_their_earlier_form(
-    v: np.ndarray, dx: float, delta: float, flat_tol: float, guard: int
-) -> None:
-    """`classify_regularity` gives the outcome of the product / convolve
-    form `classify_reference`, as given and reversed, for guards 0-8 on
-    1 to 60 nodes (so some fields are shorter than the guard window),
-    with NaN, +-inf and +-0.0 entries and slopes exactly at flat_tol and
-    at delta; its guard is the window written out node by node.  The
-    coupled step's own indicator, active cells and cell source, on the
-    initial level of the same nodes, are those flags, `active_cells` of
-    them and `project_to_cells` of the nodes."""
-    params = RegularityParams(delta=delta, flat_tol=flat_tol, guard=guard)
-    _assert_entry_matches(lambda x: classify_regularity(x, dx, params),
-                          lambda x: classify_reference(x, dx, params), v)
-    identity = stepper(np.copy)
-    with np.errstate(all="ignore"):  # inf - inf; both forms take the same ops
-        expected = classify_reference(v, dx, params)
-        unguarded = classify_reference(v, dx, replace(params, guard=0))
-        state = fresh_coupled_step(initial_level(v), dx, params, identity, identity)
-        cells = project_to_cells(v)
-    assert expected.tobytes() == dilate_by_loop(unguarded, guard).tobytes()
-    assert state.sigma.tobytes() == expected.tobytes()
-    assert state.owned.dtype == bool
-    assert state.owned.tobytes() == active_cells(expected).tobytes()
-    assert _bytes(state.cell_source) == _bytes(cells)
 
 
 def test_projections_pinned_values() -> None:

@@ -1,7 +1,8 @@
 """Public names: every listed export resolves, the package re-exports
 every module's list, each scheme module exports its steppers, the
 reference code of the tests is not part of the package, and every
-exported name is used by the package or its demos."""
+exported name is used by the package or its demos.  Every function of
+the tests' reference code is used by a test."""
 
 from __future__ import annotations
 
@@ -78,14 +79,42 @@ UNLOADED_EXPORTS = {
 }
 
 
+def _loaded(tree) -> set:
+    """The names and attribute names that `tree` loads."""
+    loaded = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            loaded.add(node.id)
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            loaded.add(node.attr)
+    return loaded
+
+
 def test_every_export_is_loaded_by_the_package_or_its_demos() -> None:
     """An exported name that only the tests reach belongs in
     tests/reference.py, not in `slub.__all__`."""
     loaded = set()
     for path in sorted((ROOT / "src" / "slub").glob("*.py")) + sorted((ROOT / "demos").glob("*.py")):
-        for node in ast.walk(ast.parse(path.read_text(), str(path))):
-            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
-                loaded.add(node.id)
-            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
-                loaded.add(node.attr)
+        loaded |= _loaded(ast.parse(path.read_text(), str(path)))
     assert sorted(set(slub.__all__) - loaded) == sorted(UNLOADED_EXPORTS)
+
+
+def test_every_reference_function_is_loaded_by_a_test() -> None:
+    """Each top-level function of tests/reference.py is loaded by a test
+    module, or by a function of reference.py that one loads, so that a
+    fold of the tests leaves no earlier form behind that nothing checks
+    against."""
+    tests = ROOT / "tests"
+    reference = tests / "reference.py"
+    defs = {node.name: node for node in ast.parse(reference.read_text(), str(reference)).body
+            if isinstance(node, ast.FunctionDef)}
+    loaded = set()
+    for path in sorted(set(tests.glob("*.py")) - {reference}):
+        loaded |= _loaded(ast.parse(path.read_text(), str(path)))
+    reached, todo = set(), list(loaded & set(defs))
+    while todo:
+        name = todo.pop()
+        if name not in reached:
+            reached.add(name)
+            todo += _loaded(defs[name]) & set(defs)
+    assert sorted(set(defs) - reached) == []

@@ -178,6 +178,10 @@ def test_resolve_regularity_prefers_absolute_overrides() -> None:
     assert params.delta == pytest.approx(2.0 * problem.delta_factor)
     assert params.flat_tol == pytest.approx(2.0 * problem.flat_frac)
     assert params.guard == problem.guard
+    # the preset factors scale the largest initial |slope|, 2 here at dx = 1
+    scaled = resolve_regularity(replace(problem, delta_factor=0.5, flat_frac=0.1),
+                                np.array([0.0, 1.0, 3.0, 3.0]), 1.0)
+    assert (scaled.delta, scaled.flat_tol) == (pytest.approx(1.0), pytest.approx(0.2))
 
     over = resolve_regularity(problem, w0, dx=0.5, delta=7.0, epsilon=0.25)
     assert over.delta == 7.0

@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from slub.grids import build_grid, init_point_values
+from slub.grids import build_grid
 from slub.harness import make_operators, resolve_grid, time_ladder
 from slub.problems import get_problem
 from slub.semi_lagrangian import advect_const_values, hj_stepper
@@ -59,17 +59,7 @@ def test_advect_const_is_monotone_and_tvd(v: np.ndarray, nu: float) -> None:
     assert tv(out) <= tv(v) + 1e-10 * (1.0 + tv(v))
 
 
-def test_sl_advection_step_wraps_field() -> None:
-    """The node kernel acts on the raw node field that
-    `init_point_values` samples, and leaves it unwritten."""
-    g = build_grid(0.0, 1.0, 4)
-    f = init_point_values(g, lambda x: np.where(x == 0.25, 1.0, 0.0))
-    out = advect_const_values(f, 0.5)
-    np.testing.assert_allclose(out, [0.0, 0.5, 0.5, 0.0, 0.0])
-    np.testing.assert_array_equal(f, [0.0, 1.0, 0.0, 0.0, 0.0])
-
-
-def test_sl_advection_step_var_rejects_cfl_violation() -> None:
+def test_make_operators_rejects_an_adv_var_step_beyond_the_cfl_bound() -> None:
     """The adv-var velocity -(x - x_bar), of 0.1 to 1.1 on [0, 1] with
     x_bar = 1.1, on dx = 0.25 with dt = 1 (Courant numbers up to 4.4) is
     refused when the node update is built.  A spec whose own nu runs

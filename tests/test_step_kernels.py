@@ -4,17 +4,18 @@ Each kernel of a coupled step writes into fresh temporaries in place
 instead of padding, re-selecting with np.where or allocating one array
 per term.  Each is held to its one earlier form in `tests/reference.py`
 by one check, `_assert_prepared_matches`, which calls a kernel prepared
-once for n cells or nodes on each input as given and as a reversed
-view, into a row of a block (its input another row of it) and into a
-fresh array, and between those calls one of its kind prepared for
-another length.  The stepper tests here draw one input;
-`tests/test_workspaces.py` and the change-of-length tests here draw 1-4
-inputs and a second length.  The one-call entries (`ub_step_values`,
-`advect_const_values`, `project_to_nodes`, `classify_regularity`) are
-held to the same forms on their own, and the adv-var node closure of
-`make_operators` to np.interp at the feet it closes over.  On values
-that include NaN, infinities, signed zeros and overflowing magnitudes,
-each call gives:
+once for n cells or nodes on 1 to 4 inputs of one length, each as given
+and as a reversed view, into a row of a block (its input another row of
+it) and into a fresh array, and between those calls one of its kind
+prepared for another length; where the kernel has a one-call entry
+(`ub_step_values`, `advect_const_values`, `classify_regularity`), the
+entry takes the same inputs.  Each step kernel has one property test
+through it: the scalar, per-cell and erosion Ultra-Bee steppers, the
+constant-velocity and erosion node steppers, the adv-var node closure
+of `make_operators` (held to np.interp at the feet it closes over) and
+the prepared indicator.  The fixed Courant numbers and profiles that a
+test must always meet are its `@example`s.  On values that include NaN,
+infinities, signed zeros and overflowing magnitudes, each call gives:
 - the same bytes, every NaN read as one NaN: numpy gives a NaN from two
   NaN operands the sign of one or the other by its position in a
   vectorized loop, so splitting a loop differently may flip it;
@@ -23,10 +24,12 @@ each call gives:
 - its input and every other row of the block unwritten, and every fresh
   result returned before it unchanged.
 
-The coupled step is held to its np.where form into fresh arrays, into
-block rows, and prepared as a run prepares it (one `CoupledState` per
-pair of block rows) across a block boundary and through a retaken step.
-The witness bracket of a negative nu is held to the earlier form's
+The indicator's guard is also held to its window written out node by
+node, and `project_to_nodes` and `classify_regularity` on their own to
+their forms.  The coupled step is held to its np.where form into fresh
+arrays, and prepared as a run prepares it (one `CoupledState` per pair
+of block rows) across a block boundary and through a retaken step.  The
+witness bracket of a negative nu is held to the earlier form's
 right-neighbour bracket, and `block_checker` to the bytes of the earlier
 one-call `block_diagnostics`.
 """
@@ -39,7 +42,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
@@ -59,6 +62,7 @@ from slub.semi_lagrangian import advect_const_stepper, advect_const_values, hj_s
 from slub.ultrabee import ub_min_stepper, ub_step_values, ub_stepper
 from reference import (
     classify_reference,
+    dilate_by_loop,
     flux_left,
     flux_right,
     fresh_coupled_step,
@@ -74,10 +78,9 @@ from reference import (
 # NaN of both signs, infinities, signed zeros, a subnormal, values whose
 # sums or quotients overflow, and node values on a coarse lattice, so
 # that slopes land exactly on the indicator's thresholds.
-LATTICE = st.sampled_from(
-    [np.nan, -np.nan, np.inf, -np.inf, 0.0, -0.0, 5e-324, 1e-300,
-     1.0, -1.0, 0.5, -0.5, 2.0, -2.5, 3.0, 1e308, -1e308]
-)
+LATTICE_VALUES = [np.nan, -np.nan, np.inf, -np.inf, 0.0, -0.0, 5e-324, 1e-300,
+                  1.0, -1.0, 0.5, -0.5, 2.0, -2.5, 3.0, 1e308, -1e308]
+LATTICE = st.sampled_from(LATTICE_VALUES)
 SPECIAL_NU = [0.0, -0.0, 1e-15, -1e-15, 1.0, -1.0]
 SCALAR_NU = st.sampled_from(SPECIAL_NU) | st.floats(min_value=-1.0, max_value=1.0)
 PER_CELL_NU = {
@@ -96,16 +99,31 @@ def _values(min_size: int = 1, max_size: int = 60):
     return hnp.arrays(np.float64, st.integers(min_size, max_size), elements=VALUES)
 
 
-def _inputs(min_size: int = 1):
-    """1 to 4 arrays of one length from min_size to 60, the rows of one
-    block."""
-    return hnp.arrays(np.float64, st.tuples(st.integers(1, 4), st.integers(min_size, 60)),
-                      elements=VALUES)
+# for each least length k: (1 to 4 rows of one length from k to 60, the
+# rows of one block; an input of another length)
+INPUTS = {k: (hnp.arrays(np.float64, st.tuples(st.integers(1, 4), st.integers(k, 60)),
+                         elements=VALUES), _values(k)) for k in (1, 2, 4)}
 
 
 @functools.cache
 def _per_cell(sign: str, n: int):
     return hnp.arrays(np.float64, n, elements=PER_CELL_NU[sign])
+
+
+@st.composite
+def _per_cell_case(draw):
+    """(inputs, other, per-cell Courant numbers of one sign kind for each)."""
+    sign = draw(st.sampled_from(sorted(PER_CELL_NU)))
+    inputs, other = draw(INPUTS[1][0]), draw(INPUTS[1][1])
+    return inputs, other, draw(_per_cell(sign, inputs.shape[1])), draw(_per_cell(sign, other.size))
+
+
+# the fixed cases' rows: plateaus, jumps, signed zeros and tiny values,
+# and the lattice; then 5 values for the second kernel
+FIXED_INPUTS = np.array([[0.0, 0.0, 1.0, 1.0, 3.0, 2.5, -1.0, -1.0, 0.5, -0.0, 0.0, 2.0, 2.0,
+                          -2.5, 1e-300, 5e-324, 0.0], LATTICE_VALUES])
+FIXED_OTHER = np.array([1.0, -0.0, 3.0, 3.0, 1e308])
+FIXED_MIXED_NU = [0.4, -0.4, 0.9, -1.0, 0.25, -0.6]
 
 
 # ---------------------------------------------------------------------------
@@ -205,42 +223,51 @@ def _into(new, row):
 
 
 def _assert_prepared_matches(kernel, inputs, second=None, dtype=np.float64) -> None:
-    """`kernel` is (new, old): `new` prepared for the length of the rows
-    of `inputs`, and its earlier form.  `new` serves each row as given
-    and as a reversed view, each into row 1 of a block of `dtype` (the
-    input being row 0 of it, or of a float block beside it for another
-    dtype) and as a fresh array; each row's four calls are followed by a
+    """`kernel` is (new, old, entry): `new` prepared for the length of
+    the rows of `inputs`, its earlier form, and its one-call entry or
+    None.  `new` serves each row as given and as a reversed view, each
+    into row 1 of a block of `dtype` (the input being row 0 of it, or of
+    a float block beside it for another dtype) and as a fresh array, and
+    `entry` takes the same two views; each row's calls are followed by a
     call of `second` = (new, old, x), one of its kind prepared for the
     length of x, into a row and fresh by turns.  Each call matches old on
     its input by `_outcome`, and writes neither its input nor any other
-    row.  Each fresh result is then filled with its call's index, and
-    keeps those bytes through every later call, so that no two results,
-    and no result and a kernel's scratch, share memory."""
-    calls = []
+    row.  Each fresh result of a prepared kernel is then filled with its
+    call's index, and keeps those bytes through every later call, so
+    that no two results, and no result and a kernel's scratch, share
+    memory."""
+    steps = []
     for k, x in enumerate(inputs):
-        calls += [(*kernel, x, flip, fresh) for flip in (False, True) for fresh in (False, True)]
+        steps += [(kernel, x, flip, (False, True)) for flip in (False, True)]
         if second is not None:
-            calls.append((*second, False, k % 2 == 1))
-    kept_fresh = []
-    for i, (fn, form, x, flip, fresh) in enumerate(calls):
-        if fresh:
-            call, unwritten = fn, [x]
-        else:
-            block = np.full((3, x.size), 7, dtype)
-            level = block if block.dtype == x.dtype else np.full((2, x.size), 7.0)
-            level[0] = x
-            x, call = level[0], _into(fn, block[1])
-            unwritten = [block[0], block[2]] + ([] if level is block else [level])
-        kept = [(a, a.tobytes()) for a in unwritten]
-        v = x[::-1] if flip else x
-        assert _outcome(call, v) == _outcome(form, v), (i, flip)
-        if fresh:
-            with np.errstate(all="ignore"):
-                result = fn(v)
-            result[...] = i  # no later call may see this
-            kept_fresh.append((result, result.tobytes()))
-        for a, before in kept + kept_fresh:
-            assert a.tobytes() == before, i
+            steps.append(((*second[:2], None), second[2], False, (k % 2 == 1,)))
+    kept_fresh, i = [], 0
+    for (fn, form, entry), x, flip, modes in steps:
+        expected = _outcome(form, x[::-1] if flip else x)
+        if entry is not None:
+            before = x.tobytes()
+            assert _outcome(entry, x[::-1] if flip else x) == expected, ("entry", flip)
+            assert x.tobytes() == before
+        for fresh in modes:
+            if fresh:
+                src, call, unwritten = x, fn, [x]
+            else:
+                block = np.full((3, x.size), 7, dtype)
+                level = block if block.dtype == x.dtype else np.full((2, x.size), 7.0)
+                level[0] = x
+                src, call = level[0], _into(fn, block[1])
+                unwritten = [block[0], block[2]] + ([] if level is block else [level])
+            kept = [(a, a.tobytes()) for a in unwritten]
+            v = src[::-1] if flip else src
+            assert _outcome(call, v) == expected, (i, flip)
+            if fresh:
+                with np.errstate(all="ignore"):
+                    result = fn(v)
+                result[...] = i  # no later call may see this
+                kept_fresh.append((result, result.tobytes()))
+            for a, before in kept + kept_fresh:
+                assert a.tobytes() == before, i
+            i += 1
 
 
 def _assert_entry_matches(entry, old, values) -> None:
@@ -256,178 +283,114 @@ def _assert_entry_matches(entry, old, values) -> None:
 # the steppers
 
 
-# Each function below draws a stepper kind's parameters from the test's
-# `data` and returns build(n) = (stepper for length n, its earlier form,
-# its one-call entry or None).
+# Each kind below gives (its stepper prepared for length n, the earlier
+# form, the one-call entry or None) at one parameter.
 
 
-def _scalar_ub(data, nus=SCALAR_NU):
-    nu = data.draw(nus)
-    return lambda n: (ub_stepper(nu, n), lambda x: old_ub_step_values(x, nu),
-                      lambda x: ub_step_values(x, nu))
+def _ub(nus, n: int):
+    return (ub_stepper(nus, n), lambda x: old_ub_step_values(x, nus),
+            lambda x: ub_step_values(x, nus))
 
 
-def _per_cell_ub(data, signs=st.sampled_from(sorted(PER_CELL_NU))):
-    sign = data.draw(signs)
-
-    def build(n):
-        nus = data.draw(_per_cell(sign, n))
-        return (ub_stepper(nus, n), lambda x: old_ub_step_values(x, nus),
-                lambda x: ub_step_values(x, nus))
-
-    return build
-
-
-def _erosion_ub(data, nus=SCALAR_NU):
-    nu = data.draw(nus)
-
+def _erosion_ub(nu, n: int):
     def old(x):
         return np.minimum(old_ub_step_values(x, -abs(nu)), old_ub_step_values(x, abs(nu)))
 
-    return lambda n: (ub_min_stepper(nu, n), old, None)
+    return ub_min_stepper(nu, n), old, None
 
 
-def _advect_const(data):
-    nu = data.draw(SCALAR_NU)
-    return lambda n: (advect_const_stepper(nu, n), lambda x: old_advect_const_values(x, nu),
-                      lambda x: advect_const_values(x, nu))
+def _advect_const(nu, n: int):
+    return (advect_const_stepper(nu, n), lambda x: old_advect_const_values(x, nu),
+            lambda x: advect_const_values(x, nu))
 
 
-def _hj(data):
-    frac = data.draw(st.sampled_from([0.0, 0.25, 1.0]))
-
-    def build(n):
-        nodes = np.linspace(-2.0, 2.0, n)
-        r = frac * (nodes[1] - nodes[0])
-        return hj_stepper(nodes, r), lambda v: old_hj_step(nodes, r, v), None
-
-    return build
+def _hj(frac: float, n: int):
+    nodes = np.linspace(-2.0, 2.0, n)
+    r = frac * (nodes[1] - nodes[0])
+    return hj_stepper(nodes, r), lambda v: old_hj_step(nodes, r, v), None
 
 
-def _adv_var(data):
+def _adv_var(problem, n: int):
     """The adv-var node stepper of `make_operators` on n nodes of a grid
     of the problem's window, held to np.interp at the feet
     x_j + (x_j - x_bar)*dt that it closes over."""
-    problem = get_problem("adv-var")
-
-    def build(n):
-        grid, dt = build_grid(problem.a, problem.b, n - 1), time_ladder(problem, n - 1)[0]
-        nodes = grid.nodes
-        feet = nodes + (nodes - problem.x_bar) * dt
-        return (make_operators(problem, grid, dt).node_update,
-                lambda v: np.interp(feet, nodes, v), None)
-
-    return build
+    grid, dt = build_grid(problem.a, problem.b, n - 1), time_ladder(problem, n - 1)[0]
+    nodes = grid.nodes
+    feet = nodes + (nodes - problem.x_bar) * dt
+    return make_operators(problem, grid, dt).node_update, lambda v: np.interp(feet, nodes, v), None
 
 
-INPUTS = {k: (_inputs(k), _values(k)) for k in (1, 2, 4)}
+def _check(kind, param, inputs, other, other_param=None) -> None:
+    """`_assert_prepared_matches` of kind(param, n) on `inputs` of length
+    n, with kind(other_param, or param, m) on `other` of length m."""
+    second = kind(param if other_param is None else other_param, other.size)[:2]
+    _assert_prepared_matches(kind(param, inputs.shape[1]), inputs, (*second, other))
 
 
-def _check_stepper(build, data, reuse: bool, min_size: int = 1) -> None:
-    """Hold the steppers of `build` to their earlier form by
-    `_assert_prepared_matches`: one built for one drawn input of
-    `min_size` to 60 entries, or, with `reuse`, one built for 1 to 4
-    drawn inputs of one length, between calls of a second one built for
-    another drawn length (per-cell numbers drawn anew for it)."""
-    rows, values = INPUTS[min_size]
-    if not reuse:
-        v = data.draw(values)
-        _assert_prepared_matches(build(v.size)[:2], v[None])
-        return
-    inputs, other = data.draw(rows), data.draw(values)
-    second = (*build(other.size)[:2], other)
-    _assert_prepared_matches(build(inputs.shape[1])[:2], inputs, second)
+@given(nu=SCALAR_NU, inputs=INPUTS[1][0], other=INPUTS[1][1])
+@example(nu=0.4, inputs=FIXED_INPUTS, other=FIXED_OTHER)
+@example(nu=-0.4, inputs=FIXED_INPUTS, other=FIXED_OTHER)
+@example(nu=-0.0, inputs=FIXED_INPUTS, other=FIXED_OTHER)
+@example(nu=-1e-15, inputs=FIXED_INPUTS, other=FIXED_OTHER)
+@settings(max_examples=300)
+def test_scalar_ub_stepper_matches_the_earlier_kernel(nu: float, inputs, other) -> None:
+    """`ub_stepper` and `ub_step_values` at one Courant number of either
+    sign, -0.0, 0 and +-1e-15 at rest included.  A negative nu takes the
+    mirrored stencil on the forward padding, not the reversed call of the
+    earlier form."""
+    _check(_ub, nu, inputs, other)
 
 
-def _check_entry(build, data) -> None:
-    """The one-call entry of `build`'s kind on 1 to 60 drawn values."""
-    v = data.draw(INPUTS[1][1])
-    _, old, entry = build(v.size)
-    _assert_entry_matches(entry, old, v)
+@given(case=_per_cell_case())
+@example(case=(FIXED_INPUTS, FIXED_OTHER, np.resize(FIXED_MIXED_NU, FIXED_INPUTS.shape[1]),
+               np.resize(FIXED_MIXED_NU, FIXED_OTHER.size)))
+@settings(max_examples=300)
+def test_per_cell_ub_stepper_matches_the_earlier_kernel(case) -> None:
+    """Per-cell Courant numbers fix the length, and the earlier form
+    reads the stencil by three np.where calls on their sign: all
+    positive (the stencil read by slices, adv-var's case, no at-rest
+    entry), all negative or of mixed sign (gathered), or with zero and
+    tiny entries (the at-rest branch), signed zeros included."""
+    inputs, other, nus, other_nus = case
+    _check(_ub, nus, inputs, other, other_nus)
 
 
-@given(data=st.data())
-@settings(max_examples=200)
-def test_scalar_ub_step_matches_its_earlier_form(data) -> None:
-    """`ub_step_values` at one Courant number of either sign, -0.0, 0 and
-    +-1e-15 at rest included."""
-    _check_entry(_scalar_ub(data), data)
-
-
-@given(data=st.data())
-@settings(max_examples=200)
-def test_per_cell_ub_step_matches_its_earlier_form(data) -> None:
-    """Per-cell Courant numbers all positive (stencil by slices, no
-    at-rest entry), all negative or of mixed sign (gathered), or with
-    zero and tiny entries."""
-    _check_entry(_per_cell_ub(data), data)
-
-
-@given(data=st.data())
-@settings(max_examples=200)
-def test_advect_const_matches_its_earlier_form(data) -> None:
-    """n = 1, 2, 3 and up: the ghost entry is the end value."""
-    _check_entry(_advect_const(data), data)
-
-
-@given(data=st.data())
-@settings(max_examples=200)
-def test_scalar_ub_stepper_matches_the_earlier_kernel(data) -> None:
-    """A negative nu takes the mirrored stencil on the forward padding,
-    not the reversed call of the earlier form."""
-    _check_stepper(_scalar_ub(data), data, reuse=False)
-
-
-@given(data=st.data())
-@settings(max_examples=200)
-def test_per_cell_ub_stepper_matches_the_earlier_kernel(data) -> None:
-    _check_stepper(_per_cell_ub(data), data, reuse=False)
-
-
-@given(data=st.data())
-@settings(max_examples=200)
-def test_two_velocity_stepper_is_the_minimum_of_two_earlier_kernels(data) -> None:
+@given(nu=SCALAR_NU, inputs=INPUTS[1][0], other=INPUTS[1][1])
+@example(nu=0.4, inputs=FIXED_INPUTS, other=FIXED_OTHER)
+@example(nu=0.0, inputs=FIXED_INPUTS, other=FIXED_OTHER)
+@settings(max_examples=300)
+def test_two_velocity_stepper_is_the_minimum_of_two_earlier_kernels(nu, inputs, other) -> None:
     """One padding, the updates at -|nu| and |nu|, then np.minimum in
     that order, as the earlier form gives it; for nu > 0, nu < 0 (the
     same pair) and nu = 0, -0.0 too."""
-    _check_stepper(_erosion_ub(data), data, reuse=False)
+    _check(_erosion_ub, nu, inputs, other)
 
 
-@given(data=st.data())
-@settings(max_examples=200)
-def test_advect_const_stepper_matches_its_earlier_form(data) -> None:
-    _check_stepper(_advect_const(data), data, reuse=False)
+@given(nu=SCALAR_NU, inputs=INPUTS[1][0], other=INPUTS[1][1])
+@settings(max_examples=300)
+def test_advect_const_stepper_matches_its_earlier_form(nu: float, inputs, other) -> None:
+    """`advect_const_stepper` and `advect_const_values`: the padded upwind
+    values are scaled in the workspace sized when the stepper is built;
+    n = 1, 2, 3 and up, the ghost entry being the end value; nu of either
+    sign, zero and tiny ones included."""
+    _check(_advect_const, nu, inputs, other)
 
 
-@given(data=st.data())
+@given(frac=st.sampled_from([0.0, 0.25, 1.0]), inputs=INPUTS[2][0], other=INPUTS[2][1])
+@settings(max_examples=300)
+def test_hj_stepper_reuses_its_feet(frac: float, inputs, other) -> None:
+    """The feet taken once per stepper give the bits of the expression
+    it replaced, which took them on every call; r is 0, 1/4 or 1 cell,
+    within the CFL bound."""
+    _check(_hj, frac, inputs, other)
+
+
+@given(inputs=INPUTS[4][0], other=INPUTS[4][1])
 @settings(max_examples=100)
-def test_adv_var_node_stepper_matches_np_interp(data) -> None:
+def test_adv_var_node_stepper_matches_np_interp(inputs, other) -> None:
     """The closure `make_operators` builds for adv-var, which interpolates
     into a fresh array and copies it into `out`; 4 to 60 nodes."""
-    _check_stepper(_adv_var(data), data, reuse=True, min_size=4)
-
-
-# the prepared Ultra-Bee closures: (stepper kind, its fixed Courant number or sign)
-UB_CLOSURES = {
-    "nu+": (_scalar_ub, st.just(0.4)),
-    "nu-": (_scalar_ub, st.just(-0.4)),
-    "-0.0": (_scalar_ub, st.just(-0.0)),
-    "at-rest": (_scalar_ub, st.just(-1e-15)),
-    "min": (_erosion_ub, st.just(0.4)),
-    "min-at-rest": (_erosion_ub, st.just(0.0)),
-    "per-cell": (_per_cell_ub, st.just("mixed")),
-}
-
-
-@pytest.mark.parametrize("kind", sorted(UB_CLOSURES))
-@given(data=st.data())
-@settings(max_examples=60)
-def test_ub_closures_match_their_earlier_form_after_a_change_of_length(kind: str, data) -> None:
-    """A closure serves the one length it is built for: one of the same
-    kind built for another length is called between its calls, so the
-    two closures share no scratch."""
-    kind_of, param = UB_CLOSURES[kind]
-    _check_stepper(kind_of(data, param), data, reuse=True)
+    _check(_adv_var, get_problem("adv-var"), inputs, other)
 
 
 @given(
@@ -448,6 +411,56 @@ def test_reference_fluxes_match_the_earlier_scalar_flux(triple, nu: float) -> No
 
 # ---------------------------------------------------------------------------
 # the indicator, the projection and the coupled step
+
+def _flags(indicate):
+    """A prepared indicator as a kernel of the node values,
+    flags(v, out=None), with its int8 flags written into `out`."""
+    def flags(v, out=None):
+        return indicate(v[1:], v[:-1], None if out is None else out.view(bool)).view(np.int8)
+    return flags
+
+
+@given(
+    dx=st.sampled_from([1.0, 0.5, 1e-3]),
+    params=st.builds(RegularityParams, THRESHOLDS, THRESHOLDS, st.integers(0, 8)),
+    thresholds=st.tuples(THRESHOLDS, THRESHOLDS),
+    inputs=INPUTS[1][0],
+    other=INPUTS[1][1],
+)
+@example(dx=1.0, params=RegularityParams(1.0, 0.0, 6), thresholds=(0.5, 0.5),
+         inputs=np.array([[0.0, 0.0] + [1.0] * 12 + [2.0]]), other=FIXED_OTHER)
+@example(dx=1.0, params=RegularityParams(3.0, 3.0, 6), thresholds=(0.5, 0.5),
+         inputs=np.array([[0.0, 3.0]]), other=FIXED_OTHER)
+@settings(max_examples=400)
+def test_prepared_indicator_reuses_its_workspace(dx, params, thresholds, inputs, other) -> None:
+    """An indicator prepared for one length serves 1 to 4 inputs, between
+    calls of one prepared for another length at other thresholds and the
+    same guard, and gives each call, as `classify_regularity` does, the
+    earlier form's flags: guards 0-8 on 1 to 60 nodes (so some fields
+    are shorter than the guard window), slopes exactly at flat_tol and at
+    delta.  The fixed cases are a flat run of 12 nodes at guard 6, and two
+    nodes whose one slope is delta = flat_tol."""
+    def build(n, p):
+        return (_flags(_indicator(n, dx, p)), lambda v: classify_reference(v, dx, p),
+                lambda v: classify_regularity(v, dx, p))
+
+    second = (*build(other.size, RegularityParams(*thresholds, params.guard))[:2], other)
+    _assert_prepared_matches(build(inputs.shape[1], params), inputs, second, np.int8)
+
+
+@given(flags=hnp.arrays(np.bool_, st.integers(1, 60)), guard=st.integers(0, 8))
+@settings(max_examples=300)
+def test_guard_windows_dilate_as_the_shifted_ands_do(flags: np.ndarray, guard: int) -> None:
+    """Node values that rise by 4 at each False of a random pattern give
+    varied regular flags; each guard ANDs the window of 2*guard + 1 flags
+    around each node, in the prepared indicator, its earlier form and
+    the window written out node by node."""
+    v = np.cumsum(np.where(flags, 0.0, 4.0))
+    params = RegularityParams(1.0, 0.5, guard)
+    base = classify_reference(v, 1.0, RegularityParams(1.0, 0.5, 0))
+    new = _flags(_indicator(v.size, 1.0, params))(v)
+    assert new.tobytes() == classify_reference(v, 1.0, params).tobytes()
+    assert new.tobytes() == dilate_by_loop(base, guard).tobytes()
 
 
 @given(
@@ -527,34 +540,6 @@ def test_coupled_step_matches_its_np_where_form(w: np.ndarray, data, nu: float, 
     assert [a.tobytes() for a in level] == before
 
 
-@given(w=_values(min_size=4, max_size=24), data=st.data(), nu=SCALAR_NU,
-       thresholds=COUPLED_THRESHOLDS)
-@settings(max_examples=200)
-def test_coupled_step_writes_the_np_where_form_into_block_rows(
-    w: np.ndarray, data, nu: float, thresholds
-) -> None:
-    """The coupled step as a run calls it: it reads row 0 of the node,
-    cell-average and owned blocks and writes row 1 of all six blocks,
-    with the run's prepared node and cell steppers.  Row 1 holds the
-    np.where form's state, field by field, the returned state views
-    row 1, and no other row is written."""
-    level = _draw_level(w, data)
-    n, params = w.size, RegularityParams(*thresholds)
-    blocks = _blocks(level, 3)
-    others = [np.delete(b, 1, axis=0).tobytes() for b in blocks]
-    state = CoupledState(tuple(b[0] for b in blocks[:3]), tuple(b[1] for b in blocks))
-    with np.errstate(all="ignore"):
-        new = coupled_step(state, advect_const_stepper(nu, n), ub_stepper(nu, n - 1),
-                           _indicator(n, 0.5, params))
-        old = old_coupled_step(level, 0.5, params, lambda u: advect_const_values(u, nu),
-                               lambda u: ub_step_values(u, nu))
-    assert new is state
-    _assert_state_matches(new, old, "row")
-    for name, b in zip(FIELDS, blocks):
-        assert np.shares_memory(getattr(new, name), b[1]), name
-    assert [np.delete(b, 1, axis=0).tobytes() for b in blocks] == others
-
-
 # (step index, compared with the np.where form) or ("carry", row)
 RUN_SCHEDULE = [(1, True), (2, True), (3, True), ("carry", 3), (1, True), (2, False),
                 ("carry", 1), (1, True), (2, True)]
@@ -571,9 +556,10 @@ def test_prepared_coupled_step_across_a_block_boundary_and_a_retake(
     prepared indicator.  Steps 1-3 fill the
     block and row 3 is carried into row 0; the next step goes into row 1,
     the one after into row 2 as if it trapped, and after row 1 is carried
-    it is retaken from row 0.  Every step returns its prebuilt state and
-    writes the np.where form's level, field by field, with the same fresh
-    cell count read after the step."""
+    it is retaken from row 0.  Every step returns its prebuilt state,
+    whose six fields view its row of the six blocks, writes no other row,
+    and writes the np.where form's level, field by field, with the same
+    fresh cell count read after the step."""
     level = _draw_level(w, data)
     n, params = w.size, RegularityParams(*thresholds)
     blocks = _blocks(level, 4)
@@ -591,8 +577,12 @@ def test_prepared_coupled_step_across_a_block_boundary_and_a_retake(
                 for block in (rows, bar, own):
                     block[0] = block[compared]
                 continue
+            others = [np.delete(b, i, axis=0).tobytes() for b in blocks]
             new = coupled_step(states[i - 1], node, cell, indicate)
             assert new is states[i - 1]
+            for name, b in zip(FIELDS, blocks):
+                assert np.shares_memory(getattr(new, name), b[i]), (i, name)
+            assert [np.delete(b, i, axis=0).tobytes() for b in blocks] == others, i
             if not compared:
                 continue
             old = old_coupled_step(level, 0.5, params, sl, ub)
@@ -722,4 +712,4 @@ def test_run_steppers_write_into_the_row_what_they_return_fresh(name: str) -> No
     for update, n in ((ops.node_update, m + 1), (ops.cell_update, m)):
         v = rng.choice([np.nan, np.inf, -np.inf, 0.0, -0.0, 1.0, -2.5, 1e308], n)
         v[rng.random(n) < 0.5] = 0.5
-        _assert_prepared_matches((update, update), v[None])
+        _assert_prepared_matches((update, update, None), v[None])

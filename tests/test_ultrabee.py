@@ -15,7 +15,7 @@ from slub.harness import make_operators
 from slub.problems import get_problem, ic_jump
 from slub.semi_lagrangian import advect_const_values
 from slub.ultrabee import ub_min_stepper, ub_step_values, ub_stepper
-from reference import flux_left, flux_right, old_ub_step_values
+from reference import flux_left, flux_right
 
 TRIPLES = st.tuples(
     st.floats(min_value=-5.0, max_value=5.0),
@@ -153,30 +153,6 @@ def test_scalar_courant_number_matches_per_cell_form(v: np.ndarray, nu: float) -
     is byte-equal to the per-cell form on an array filled with nu."""
     per_cell = ub_step_values(v, np.full(v.size, nu))
     assert ub_step_values(v, nu).tobytes() == per_cell.tobytes()
-
-
-@given(
-    v=CELLS,
-    signs=st.sampled_from(["positive", "negative", "mixed", "tiny"]),
-    seed=st.integers(min_value=0, max_value=2**32 - 1),
-)
-@settings(max_examples=300)
-def test_per_cell_step_matches_its_three_where_form(v: np.ndarray, signs: str, seed: int) -> None:
-    """Byte-equal to the earlier form, which reads the stencil by three
-    np.where calls on the sign of nu, for per-cell Courant numbers all
-    positive (the stencil read by slices, adv-var's case), all negative
-    and of mixed sign (np.where), and with some |nu| below 1e-14 (the
-    at-rest branch), signed zeros included."""
-    rng = np.random.default_rng(seed)
-    nus = rng.uniform(-1.0, 1.0, v.size)
-    if signs == "positive":
-        nus = np.abs(nus)
-    elif signs == "negative":
-        nus = -np.abs(nus)
-    elif signs == "tiny":
-        picks = rng.random(v.size) < 0.4
-        nus[picks] = rng.choice([0.0, -0.0, 1e-15, -1e-15, 1e-300], int(picks.sum()))
-    assert ub_step_values(v, nus).tobytes() == old_ub_step_values(v, nus).tobytes()
 
 
 def test_two_velocity_step_is_min_of_singles() -> None:
