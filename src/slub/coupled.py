@@ -29,6 +29,7 @@ __all__ = [
     "classify_regularity",
     "project_to_nodes",
     "CoupledState",
+    "coupled_states",
     "coupled_step",
 ]
 
@@ -156,26 +157,40 @@ class CoupledState:
                       where sigma is 1)
     cell_source       the previous w_bar where owned, else projected nodes
 
-    `views` adds `prev` and every shifted view the step reads.  The cells
+    `views` holds `prev`, the arrays of `out` but sigma, and every
+    shifted view the step reads; `coupled_states` builds them.  The cells
     that entered the anti-dissipative region in the step are counted
     when `fresh_cell_count` is read.
     """
 
     __slots__ = ("w", "w_bar", "owned", "sigma", "node_candidate", "cell_source", "views")
 
-    def __init__(self, prev: tuple, out: tuple) -> None:
-        prev_w, prev_bar, prev_owned = prev
-        w, bar, act, sigma, cand, source = out
-        self.w, self.w_bar, self.owned, self.sigma, self.node_candidate, self.cell_source = out
-        regular = sigma.view(bool)
-        # the end entries of w and of bar (one cell's one entry broadcasts)
-        ends = w[::max(w.size - 1, 1)], bar[::max(bar.size - 1, 1)]
-        self.views = (prev_w, prev_w[1:], prev_w[:-1], prev_bar, prev_owned, w, w[1:-1], *ends,
-                      bar, bar[:-1], bar[1:], act, regular, regular[:-1], regular[1:], cand, source)
+    def __init__(self, sigma: np.ndarray, views: tuple) -> None:
+        self.sigma, self.views = sigma, views
+        self.w, self.w_bar, self.owned = views[5], views[9], views[12]
+        self.node_candidate, self.cell_source = views[16], views[17]
 
     @property
     def fresh_cell_count(self) -> int:
         return int(np.count_nonzero(self.owned > self.views[4]))
+
+
+def coupled_states(w, w_bar, owned, sigma, node_candidate, cell_source) -> list:
+    """The `CoupledState` of each pair of consecutive rows of six blocks
+    of k rows, one per field of `CoupledState` in its order: state i - 1
+    reads row i - 1 of (w, w_bar, owned) and writes row i of all six.
+    Each state's views are rows of views of the whole blocks, so no row
+    is sliced on its own; row i of w, w_bar and owned is one view that
+    state i - 1 writes and state i reads."""
+    n, m = w.shape[-1], w_bar.shape[-1]
+    regular = sigma.view(bool)
+    rows, bars, acts = list(w), list(w_bar), list(owned)
+    # the end entries of w and of w_bar (one cell's one entry broadcasts)
+    ends = w[1:, ::max(n - 1, 1)], w_bar[1:, ::max(m - 1, 1)]
+    views = zip(rows, w[:-1, 1:], w[:-1, :-1], bars, acts, rows[1:], w[1:, 1:-1], *ends,
+                bars[1:], w_bar[1:, :-1], w_bar[1:, 1:], acts[1:], regular[1:], regular[1:, :-1],
+                regular[1:, 1:], node_candidate[1:], cell_source[1:])
+    return list(map(CoupledState, sigma[1:], views))
 
 
 def coupled_step(
@@ -186,7 +201,7 @@ def coupled_step(
 ) -> CoupledState:
     """Advance one step, re-deciding the split from the current profile.
 
-    `state` is the `CoupledState(prev, out)` a run builds once: the step
+    `state` is the `CoupledState` a run builds once: the step
     reads its level `prev` = (w, w_bar, owned), writes no input, writes
     the six arrays of `out` and returns `state`.  node_update and
     cell_update are steppers update(v, out=...) on full arrays, so sigma

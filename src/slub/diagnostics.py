@@ -12,6 +12,7 @@ per run and checks the TV and the witnesses of a block of steps at once.
 
 from __future__ import annotations
 
+from math import isfinite
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
@@ -30,21 +31,26 @@ __all__ = [
     "convergence_orders",
 ]
 
-_subtract, _absolute, _add_reduce, _isfinite = np.subtract, np.absolute, np.add.reduce, np.isfinite
+_add, _subtract, _multiply, _absolute, _sqrt, _isfinite = (
+    np.add, np.subtract, np.multiply, np.absolute, np.sqrt, np.isfinite)
+_less_equal, _greater, _logical_not = np.less_equal, np.greater, np.logical_not
+_add_reduce, _logical_and_reduce, _logical_or_reduce = (
+    np.add.reduce, np.logical_and.reduce, np.logical_or.reduce)
 _minimum, _maximum, _maximum_reduce = np.minimum, np.maximum, np.maximum.reduce
 
 
 def total_variation(values: np.ndarray):
     """Total variation along the last axis: a float for one profile, one
     value per row for a block of profiles (the same bits as row by row)."""
-    v = np.ascontiguousarray(values, dtype=float)
-    tv = _variation(v, np.empty(v.shape))
+    v = np.asarray(values, dtype=float)
+    tv = _add_reduce(_absolute(_subtract(v[..., 1:], v[..., :-1])), axis=-1)
     return float(tv) if tv.ndim == 0 else tv
 
 
 def _variation(v, d, out=None):
-    """`total_variation` of a C-contiguous v, d of its shape the scratch;
-    the flat difference across two rows is left out of the sum."""
+    """`total_variation` of each row of a C-contiguous block v, with its
+    bits, into `out`: d of v's shape is the scratch, so the differences
+    are one flat call, and the one across two rows is left out of the sum."""
     flat, o = d.reshape(-1)[:-1], v.reshape(-1)
     _absolute(_subtract(o[1:], o[:-1], out=flat), out=flat)
     return _add_reduce(d[..., :-1], axis=-1, out=out)
@@ -84,10 +90,16 @@ def tv_monitor(tv_values: Sequence[float], allowance: float) -> TVSeries:
     whose growth is not within the limit is flagged, so a NaN TV on
     either side of a step flags it."""
     tv = np.asarray(tv_values, dtype=float)
-    envelope = np.repeat(tv[:1], tv.size)  # [0] is TV(w0): inf * 0 would be NaN
-    envelope[1:] += allowance * np.arange(1, tv.size)
-    flags = np.zeros(tv.size, dtype=bool)
-    flags[1:] = ~(np.diff(tv) <= allowance + 1e-12 * (1.0 + np.abs(tv[:-1])))
+    n, head, tail = tv.size, tv[:-1], tv[1:]
+    envelope = np.empty(n)
+    envelope[:] = tv[:1]  # [0] is TV(w0): inf * 0 would be NaN
+    later = envelope[1:]
+    _add(later, _multiply(allowance, np.arange(1, n)), out=later)
+    limit = _absolute(head)
+    _add(allowance, _multiply(1e-12, _add(1.0, limit, out=limit), out=limit), out=limit)
+    flags = np.zeros(n, dtype=bool)
+    growth = flags[1:]
+    _logical_not(_less_equal(_subtract(tail, head), limit, out=growth), out=growth)
     return TVSeries(tv, envelope, flags)
 
 
@@ -135,9 +147,11 @@ def block_checker(rows: np.ndarray, layers: Sequence[tuple]) -> Callable:
     prepared = []
     for old, new, nu in layers:
         n = new.shape[-1]
-        negative = None if nu is None else np.broadcast_to(~(np.asarray(nu, float) >= 0.0), n)
-        prepared.append((old, new, negative if negative is None or negative.any() else False,
-                         *scratch[:2 * k * n].reshape(2, k, n)))
+        negative = None
+        if nu is not None:
+            below = ~(np.asarray(nu, float) >= 0.0)
+            negative = np.broadcast_to(below, n) if below.any() else False
+        prepared.append((old, new, negative, *scratch[:2 * k * n].reshape(2, k, n)))
     tv_scratch = scratch[:rows.size].reshape(rows.shape)
     zero = np.zeros(())  # the 0-d operand of the clamp
 
@@ -149,7 +163,11 @@ def block_checker(rows: np.ndarray, layers: Sequence[tuple]) -> Callable:
                                                lo[:count], hi[:count])
                 _maximum_reduce(violation, axis=-1, out=witness_out[:, col])
             _maximum(witness_out, zero, out=witness_out)
-        if _isfinite(tv_out).all() and _isfinite(witness_out).all():
+            # each TV and clamped witness is >= 0 or NaN: the maximum is
+            # finite when every entry is (0 for a block of no step)
+            finite = (isfinite(_maximum_reduce(tv_out, initial=0.0))
+                      and isfinite(_maximum_reduce(witness_out, axis=None, initial=0.0)))
+        if finite:
             return None
         # only a row whose TV or witness is not finite can hold one
         spoilt = ~_isfinite(np.column_stack([tv_out, witness_out]))
@@ -192,16 +210,16 @@ def error_norms(
     linf_reg of an sl table grows under refinement (adv-jump: 0.011 at
     m = 19 to 0.30 at m = 639) and is not the error of the regular region.
     """
-    num = np.asarray(numeric, dtype=float)
-    err = np.abs(num - np.asarray(exact, dtype=float))
-    l1 = float(dx * np.sum(err))
-    l2 = float(np.sqrt(dx * np.sum(err * err)))
-    linf = float(np.max(err))
-    xx = np.asarray(x, dtype=float)
-    keep = np.ones(xx.shape, dtype=bool)
-    for p in singular_points:
-        keep &= np.abs(xx - p) > 3.0 * dx
-    linf_reg = float(np.max(err[keep])) if np.any(keep) else 0.0
+    err = _absolute(_subtract(np.asarray(numeric, dtype=float), np.asarray(exact, dtype=float)))
+    l1 = float(dx * _add_reduce(err, axis=None))
+    l2 = float(_sqrt(dx * _add_reduce(_multiply(err, err), axis=None)))
+    linf = float(_maximum_reduce(err, axis=None))
+    # keep[j]: x[j] lies beyond 3*dx of every point (of none listed too)
+    far = _absolute(_subtract.outer(np.asarray(singular_points, dtype=float),
+                                    np.asarray(x, dtype=float)))
+    keep = _logical_and_reduce(_greater(far, 3.0 * dx), axis=0)
+    linf_reg = (float(_maximum_reduce(err[keep], axis=None))
+                if _logical_or_reduce(keep, axis=None) else 0.0)
     return ErrorReport(l1=l1, l2=l2, linf=linf, linf_reg=linf_reg)
 
 

@@ -57,8 +57,13 @@ class Grid1D:
 
     @property
     def nodes(self) -> np.ndarray:
-        """Node coordinates x_j = a + j*dx, j = 0..m."""
-        return self.a + self.dx * np.arange(self.m + 1)
+        """Node coordinates x_j = a + j*dx, j = 0..m, computed on the
+        first read and shared by every later one, so read-only."""
+        nodes = self.__dict__.get("_nodes")
+        if nodes is None:  # the frozen grid keeps them outside its fields
+            nodes = self.__dict__["_nodes"] = self.a + self.dx * np.arange(self.m + 1)
+            nodes.flags.writeable = False
+        return nodes
 
     @property
     def centers(self) -> np.ndarray:
@@ -122,7 +127,7 @@ def init_point_values(grid: Grid1D, ic) -> np.ndarray:
         If `ic` does not return one value per node, or a value is not finite.
     """
     vals = _eval_on(ic, grid.nodes)
-    if not np.all(np.isfinite(vals)):
+    if not np.isfinite(vals).all():
         raise ValueError("initial condition produced non-finite node values")
     return vals
 
@@ -141,7 +146,8 @@ def init_cell_averages(grid: Grid1D, ic) -> np.ndarray:
         raise ValueError(
             "cell averages need an exact antiderivative attached as ic.antiderivative"
         )
-    vals = np.diff(_eval_on(antiderivative, grid.nodes)) / grid.dx
-    if not np.all(np.isfinite(vals)):
+    prim = _eval_on(antiderivative, grid.nodes)
+    vals = np.divide(np.subtract(prim[1:], prim[:-1]), grid.dx)
+    if not np.isfinite(vals).all():
         raise ValueError("initial condition produced non-finite cell averages")
     return vals

@@ -31,7 +31,7 @@ from .semi_lagrangian import advect_const_stepper, hj_stepper
 from .ultrabee import ub_min_stepper, ub_stepper
 # unused here, but benchmarks/tests/test_bench.py asserts it is ultrabee's
 from .ultrabee import ub_step_values
-from .coupled import CoupledState, RegularityParams, coupled_step, _indicator
+from .coupled import RegularityParams, coupled_states, coupled_step, _indicator
 from .diagnostics import (
     ErrorReport,
     TVSeries,
@@ -72,6 +72,8 @@ _BLOCK_VALUES = 16384
 _SUPPORT_PAD = 0.5
 
 _interp = np.interp
+_subtract, _divide, _absolute, _not_equal, _greater, _maximum_reduce = (
+    np.subtract, np.divide, np.absolute, np.not_equal, np.greater, np.maximum.reduce)
 
 
 def resolve_grid(problem: ProblemSpec, m: int) -> Grid1D:
@@ -129,7 +131,8 @@ def resolve_regularity(
     """Indicator thresholds for a run; absolute overrides win over the
     preset factors (which scale with the largest initial slope).  The
     guard is the problem's."""
-    scale = float(np.max(np.abs(np.diff(np.asarray(w0, dtype=float))))) / dx
+    w = np.asarray(w0, dtype=float)
+    scale = float(_maximum_reduce(_absolute(_subtract(w[1:], w[:-1])))) / dx
     scale = max(scale, 1e-300)
     return RegularityParams(
         delta=scale * problem.delta_factor if delta is None else float(delta),
@@ -246,16 +249,20 @@ class RunResult(NamedTuple):
 
 def _check_erosion_ic(ic, nodes: np.ndarray, values: np.ndarray) -> None:
     """Reject an hj `ic` its reference ic(|x| + r) does not cover: on the
-    run's nodes it must be even and nonincreasing along sorted |x|."""
-    odd = np.asarray(ic(-nodes), dtype=float) != values
-    order = np.argsort(np.abs(nodes), kind="stable")
-    rises = np.diff(values[order]) > 0.0
-    if odd.any():
-        j, need = int(np.argmax(odd)), "ic(-x) == ic(x)"
-    elif rises.any():
-        j, need = int(order[np.argmax(rises) + 1]), "ic nonincreasing in |x|"
+    run's nodes it must be even and nonincreasing along sorted |x|.  The
+    argmax of a mask is its first True entry, or 0 when it has none."""
+    odd = _not_equal(np.asarray(ic(-nodes), dtype=float), values)
+    j = int(odd.argmax())
+    if odd[j]:
+        need = "ic(-x) == ic(x)"
     else:
-        return
+        order = _absolute(nodes).argsort(kind="stable")
+        v = values[order]
+        rises = _greater(_subtract(v[1:], v[:-1]), 0.0)
+        k = int(rises.argmax())
+        if not rises[k]:
+            return
+        j, need = int(order[k + 1]), "ic nonincreasing in |x|"
     raise ValueError(f"the hj reference ic(|x| + r) needs {need}; it fails "
                      f"at node {j} (x = {float(nodes[j])!r})")
 
@@ -328,10 +335,7 @@ def run_scheme(
         sigma = np.empty((block_steps + 1, v.size), np.int8)
         carried, kept = (rows, bar, owned), ((sigma, sigma_history),)
         # each step's state, built once per run: row i - 1 read, row i written
-        states = [CoupledState(prev, out)
-                  for prev, out in zip(zip(rows, bar, owned),
-                                       zip(rows[1:], bar[1:], owned[1:], sigma[1:], cand[1:],
-                                           src[1:]))]
+        states = coupled_states(rows, bar, owned, sigma, cand, src)
         args = (ops.node_update, ops.cell_update, _indicator(v.size, grid.dx, params))
         layers = ((rows[:-1], cand[1:], ops.nu_node), (src[1:], bar[1:], ops.nu_cell))
         labels = (("total variation {tv}", alignment), ("node candidate", Alignment.NODE),
@@ -357,7 +361,8 @@ def run_scheme(
     rows[0] = v
     snapshots = {0: v.copy()} if 0 in snapshot_steps else {}
     later_snapshots = sorted(snapshot_steps - {0})
-    tv_history = np.full(n_steps + 1, total_variation(v))  # each flush writes its steps
+    tv_history = np.empty(n_steps + 1)  # each flush writes its steps
+    tv_history[0] = total_variation(v)
     witnesses = np.empty((n_steps, len(layers)))
     check = block_checker(rows[1:], layers)
     # raise FloatingPointError on each error the caller's numpy settings would not ignore
@@ -398,14 +403,14 @@ def run_scheme(
         sigma_history[0] = sigma_history[1]
     final = rows[0].copy()
     # a NaN stays; abs makes a -0.0 maximum +0.0
-    witness_max = abs(float(np.max(witnesses, initial=0.0)))
+    witness_max = abs(float(_maximum_reduce(witnesses, axis=None, initial=0.0)))
 
     t_final = dt * n_steps
     if alignment is Alignment.NODE:
         exact = np.asarray(problem.exact(grid.nodes, t_final), dtype=float)
     else:
         prim = np.asarray(problem.exact_antiderivative(grid.nodes, t_final), dtype=float)
-        exact = np.diff(prim) / grid.dx
+        exact = _divide(_subtract(prim[1:], prim[:-1]), grid.dx)
     errors = error_norms(final, exact, grid.dx, grid.coords(alignment),
                          singular_points(problem, t_final))
     tv = tv_monitor(tv_history, allowance)

@@ -42,11 +42,16 @@ def _dispatch(x, out):
 # initial profiles and exact antiderivatives
 
 
+def _bump(x: np.ndarray) -> np.ndarray:
+    """(1 - x^2)^4 on |x| <= 1, zero outside, into a fresh array; the
+    power, much the dearest operation, is taken inside only."""
+    return np.power(1.0 - x * x, 4, out=np.zeros(x.shape), where=np.abs(x) <= 1.0)
+
+
 def ic_smooth(x):
     """Quartic bump (1 - x^2)^4 on |x| <= 1, zero outside."""
     x = np.asarray(x, dtype=float)
-    inside = np.abs(x) <= 1.0
-    return _dispatch(x, np.where(inside, (1.0 - x * x) ** 4, 0.0))
+    return _dispatch(x, _bump(x))
 
 
 def _bump_primitive(x):
@@ -94,7 +99,7 @@ def ic_mix(x):
     """Hat on (-4,-2), quartic bump on (-1,1), box on (2,3)."""
     x = np.asarray(x, dtype=float)
     hat = np.where((x > -4.0) & (x < -2.0), 1.0 - np.abs(x + 3.0), 0.0)
-    bump = np.where(np.abs(x) <= 1.0, (1.0 - x * x) ** 4, 0.0)
+    bump = _bump(x)
     box = np.where((x >= 2.0) & (x <= 3.0), 1.0, 0.0)
     return _dispatch(x, hat + bump + box)
 
@@ -268,9 +273,9 @@ def singular_points(problem: ProblemSpec, t: float) -> np.ndarray:
     moved = problem.foot(pts, -t)
     if problem.kind != "hj":
         return moved
-    r = np.maximum(moved, 0.0)
+    r = np.maximum(moved, 0.0).tolist()
     # a set, not np.unique, whose first call imports numpy.ma
-    return np.array(sorted(set(np.concatenate([-r[r > 0.0], r]).tolist())))
+    return np.array(sorted({*(-p for p in r if p > 0.0), *r}))
 
 
 _LADDER_A = (19, 39, 79, 159, 319, 639)

@@ -77,12 +77,16 @@ def hj_stepper(nodes: np.ndarray, r: float):
     uniform `nodes`, prepared once with its feet and the CFL check r <= dx:
     update(values, out=None) writes min(interp(in, x_j - r),
     interp(in, x_j + r), in_j), the minimum of the P1 interpolant over
-    [x_j - r, x_j + r], into `out` (fresh when None)."""
+    [x_j - r, x_j + r], into `out` (fresh when None).  Both feet are read
+    in one `np.interp` call, which evaluates each point on its own, so the
+    two halves of its result are the bits of one call per foot."""
     check_cfl(r / (nodes[1] - nodes[0]))
-    lo, hi = nodes - r, nodes + r
+    n = len(nodes)
+    feet = np.concatenate((nodes - r, nodes + r))
 
     def update(v, out=None):
-        out = _minimum(_interp(lo, nodes, v), _interp(hi, nodes, v), out=out)
+        both = _interp(feet, nodes, v)
+        out = _minimum(both[:n], both[n:], out=out)
         return _minimum(out, v, out=out)
 
     return update

@@ -10,18 +10,21 @@ step is the minimum of two of its calls) for the Ultra-Bee update,
 `classify_reference` and `dilate_by_loop` for the indicator,
 `active_cells`, `project_to_cells` and `old_project_to_nodes` for the
 active cells and both projections, and `old_coupled_step`, which chains
-them with np.where, for the coupled step.
+them with np.where, for the coupled step.  `old_tv_monitor` and
+`old_error_norms` are the earlier bodies of the two diagnostics a run
+ends with, which `tests/test_diagnostics.py` holds the package's to
+byte for byte, with the same warnings.
 
 `flux_left` / `flux_right` run the Ultra-Bee kernel's own flux on one
 interface, `bracket_violations` writes the witness bracket out entry by
 entry, and `hopf_lax_oracle` computes the erosion reference by direct
 minimization.  `step_witness` checks one step through the run path, a
-`block_checker` of a one-step block.  `backward_slopes` gives the
-indicator's slopes on their own.  `fresh_coupled_step` and `stepper`
-call `coupled_step` as a run does, on a `CoupledState` of six fresh
-arrays with steppers and an indicator that `_indicator` prepares for
-the call's length, spacing and thresholds, and `initial_level` is the
-level a coupled run starts from.
+`block_checker` of a one-step block.  `fresh_coupled_step` and
+`stepper` call `coupled_step` as a run does, on the state that
+`coupled_states` builds for six fresh blocks of two rows, with steppers
+and an indicator that `_indicator` prepares for the call's length,
+spacing and thresholds, and `initial_level` is the level a coupled run
+starts from.
 """
 
 from __future__ import annotations
@@ -30,7 +33,7 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from slub.coupled import CoupledState, _indicator, coupled_step
+from slub.coupled import _indicator, coupled_states, coupled_step
 from slub.diagnostics import block_checker
 from slub.problems import _dispatch
 from slub.ultrabee import _NU_TINY, _flux_pos
@@ -74,16 +77,6 @@ def step_witness(old, new, nu) -> float:
     witness = np.empty((1, 1))
     block_checker(new, [(old, new, nu)])(1, np.empty(1), witness)
     return float(witness[0, 0])
-
-
-def backward_slopes(values, dx: float) -> np.ndarray:
-    """Backward divided differences with zero ghosts: entry j is
-    (v_j - v_{j-1})/dx, entries 0 and n (one past the end) are 0."""
-    v = np.asarray(values, dtype=float)
-    s = np.zeros(v.size + 1)
-    np.subtract(v[1:], v[:-1], out=s[1:-1])
-    s[1:-1] /= dx
-    return s
 
 
 def active_cells(sigma) -> np.ndarray:
@@ -224,14 +217,17 @@ def old_coupled_step(prev, dx, params, sl_update, ub_update):
 
 def fresh_coupled_step(prev, dx, params, node_update, cell_update):
     """One `coupled_step` from the level `prev` = (w, w_bar, owned), as a
-    run calls it: on the `CoupledState` of `prev` and six fresh arrays, in
-    that state's field order, with an `_indicator` built for n, dx and
+    run calls it: on the state `coupled_states` builds for six fresh
+    blocks of two rows in the field order of `CoupledState`, `prev` in
+    row 0 of the first three, with an `_indicator` built for n, dx and
     `params`."""
     n = np.size(prev[0])
-    out = (np.empty(n), np.empty(n - 1), np.empty(n - 1, bool), np.empty(n, np.int8),
-           np.empty(n), np.empty(n - 1))
-    return coupled_step(CoupledState(prev, out), node_update, cell_update,
-                        _indicator(n, dx, params))
+    blocks = (np.empty((2, n)), np.empty((2, n - 1)), np.empty((2, n - 1), bool),
+              np.empty((2, n), np.int8), np.empty((2, n)), np.empty((2, n - 1)))
+    for block, level in zip(blocks, prev):
+        block[0] = level
+    (state,) = coupled_states(*blocks)
+    return coupled_step(state, node_update, cell_update, _indicator(n, dx, params))
 
 
 def initial_level(w) -> tuple:
@@ -297,3 +293,33 @@ def hopf_lax_oracle(ic, c: float, x, t: float, n_samples: int = 2001):
     ymin = 0.5 * (lo + hi)
     out = np.minimum(V[np.arange(xa.size), k], np.asarray(ic(ymin), dtype=float))
     return _dispatch(x, out.reshape(np.shape(x)))
+
+
+# ---------------------------------------------------------------------------
+# the earlier forms of the diagnostics a run ends with
+
+
+def old_tv_monitor(tv_values, allowance: float) -> tuple:
+    """`tv_monitor` by numpy's functions: (values, envelope, flags)."""
+    tv = np.asarray(tv_values, dtype=float)
+    envelope = np.repeat(tv[:1], tv.size)  # [0] is TV(w0): inf * 0 would be NaN
+    envelope[1:] += allowance * np.arange(1, tv.size)
+    flags = np.zeros(tv.size, dtype=bool)
+    flags[1:] = ~(np.diff(tv) <= allowance + 1e-12 * (1.0 + np.abs(tv[:-1])))
+    return tv, envelope, flags
+
+
+def old_error_norms(numeric, exact, dx: float, x, singular_points) -> tuple:
+    """`error_norms` by numpy's functions, with a loop over the singular
+    points: (l1, l2, linf, linf_reg)."""
+    num = np.asarray(numeric, dtype=float)
+    err = np.abs(num - np.asarray(exact, dtype=float))
+    l1 = float(dx * np.sum(err))
+    l2 = float(np.sqrt(dx * np.sum(err * err)))
+    linf = float(np.max(err))
+    xx = np.asarray(x, dtype=float)
+    keep = np.ones(xx.shape, dtype=bool)
+    for p in singular_points:
+        keep &= np.abs(xx - p) > 3.0 * dx
+    linf_reg = float(np.max(err[keep])) if np.any(keep) else 0.0
+    return l1, l2, linf, linf_reg

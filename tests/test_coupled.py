@@ -18,7 +18,6 @@ from slub.semi_lagrangian import advect_const_stepper, advect_const_values
 from slub.ultrabee import ub_step_values, ub_stepper
 from reference import (
     active_cells,
-    backward_slopes,
     fresh_coupled_step,
     initial_level,
     project_to_cells,
@@ -51,12 +50,6 @@ def test_regularity_params_validation() -> None:
     for bad in ({"delta": np.nan, "flat_tol": 0.0}, {"delta": 1.0, "flat_tol": np.nan}):
         with pytest.raises(ValueError, match=r"need (delta|flat_tol) >= 0, got nan"):
             RegularityParams(guard=0, **bad)
-
-
-def test_backward_slopes_pads_with_zeros() -> None:
-    v = np.array([0.0, 2.0, 2.0, -1.0])
-    s = backward_slopes(v, 0.5)
-    np.testing.assert_allclose(s, [0.0, 4.0, 0.0, -6.0, 0.0])
 
 
 def test_classify_flat_field_is_regular() -> None:

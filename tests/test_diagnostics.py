@@ -5,9 +5,12 @@ diagnostics, and error norms."""
 
 from __future__ import annotations
 
+import math
+import warnings
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
@@ -24,7 +27,7 @@ from slub.grids import build_grid
 from slub.harness import run_scheme
 from slub.semi_lagrangian import advect_const_values
 from slub.ultrabee import ub_step_values
-from reference import bracket_violations, step_witness
+from reference import bracket_violations, old_error_norms, old_tv_monitor, step_witness
 
 TOL = 1e-12  # a step passes when its witness is at most this
 
@@ -119,6 +122,36 @@ def test_tv_monitor_envelope_starts_at_the_first_tv() -> None:
         assert env[1:].tobytes() == (2.0 + allowance * np.arange(1.0, 4.0)).tobytes()
     assert tv_monitor(tv, np.inf).ok
     assert tv_monitor(np.array([]), np.inf).envelope.size == 0
+
+
+def _outcome(f, *args) -> tuple:
+    """The bytes of each entry of f(*args), or the type and text of what
+    it raised, and the set of warnings (category, text) it gave."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            out = [np.asarray(v).tobytes() for v in f(*args)]
+        except Exception as exc:  # both forms must raise alike
+            out = (type(exc), str(exc))
+    return out, {(w.category, str(w.message)) for w in caught}
+
+
+# any float, and values whose steps straddle the roundoff margin or overflow
+ENTRIES = st.floats() | st.sampled_from([0.0, -0.0, 1.0, 1.0 + 1e-12, 1e308, -1e308])
+
+
+@given(tv=hnp.arrays(np.float64, st.integers(0, 10), elements=ENTRIES),
+       allowance=st.sampled_from([0.0, 1e-12, 0.3, 1e300, np.inf]) | st.floats(0.0, 10.0))
+@example(tv=np.array([]), allowance=np.inf)
+@example(tv=np.array([2.0]), allowance=0.0)
+@example(tv=np.array([1.0, np.nan, np.inf, np.inf, -np.inf, 1e308, -1e308]), allowance=np.inf)
+@settings(max_examples=300)
+def test_tv_monitor_is_its_earlier_form(tv: np.ndarray, allowance: float) -> None:
+    """Values, envelope and flags are those of the earlier body byte for
+    byte, with the same warnings, on series with NaN and +-inf entries
+    and steps that overflow, empty and one-entry series, and an infinite
+    allowance."""
+    assert _outcome(tv_monitor, tv, allowance) == _outcome(old_tv_monitor, tv, allowance)
 
 
 # ---------------------------------------------------------------------------
@@ -507,6 +540,44 @@ def test_error_norms_regular_part_never_exceeds_full_norm() -> None:
 def test_error_norms_shape_mismatch_raises() -> None:
     with pytest.raises(ValueError):
         error_norms(np.zeros(3), np.zeros(4), 0.1, np.zeros(4), ())
+
+
+@st.composite
+def _norm_cases(draw) -> tuple:
+    """(numeric, exact, dx, x, singular points) of 0 to 10 entries with
+    NaN and +-inf among them; x either any floats or a lattice of
+    spacing dx = 1/4, whose points 3*dx from a node are exactly 3*dx
+    away; 0 to 4 finite points as a list, a tuple or an array."""
+    n = draw(st.integers(0, 10))
+    numeric, exact = (draw(hnp.arrays(np.float64, n, elements=ENTRIES)) for _ in range(2))
+    if draw(st.booleans()):
+        dx = 0.25
+        x = dx * (np.arange(n) + draw(st.integers(-6, 6)))
+    else:
+        dx = draw(st.floats(1e-6, 1e3))
+        x = draw(hnp.arrays(np.float64, n, elements=ENTRIES))
+    near = [x[j] + k * dx for j in range(n) for k in (-3.0, 3.0)]
+    pick = st.sampled_from(near) if near else st.nothing()
+    points = draw(st.lists(pick | st.floats(-1e3, 1e3), max_size=4))
+    points = [p for p in points if math.isfinite(p)]
+    return numeric, exact, dx, x, draw(st.sampled_from([list, tuple, np.array]))(points)
+
+
+@given(case=_norm_cases())
+@example(case=(np.array([1.0, np.nan, 3.0]), np.array([1.0, 2.0, np.inf]), 0.25,
+               np.array([0.0, 0.25, 0.5]), ()))
+@example(case=(np.array([1.0, 2.0, 3.0]), np.array([1.5, 2.0, 3.0]), 0.25,
+               np.array([0.0, 0.25, 0.5]), [0.75, -0.75]))
+@example(case=(np.array([5.0]), np.array([4.0]), 1.0, np.array([0.0]), np.array([3.0])))
+@example(case=(np.array([]), np.array([]), 1.0, np.array([]), []))
+@settings(max_examples=300)
+def test_error_norms_is_its_earlier_form(case: tuple) -> None:
+    """The four norms are those of the earlier body, a loop over the
+    points, byte for byte, with the same warnings or the same error (an
+    empty profile has no maximum): NaN and +-inf entries, points exactly
+    3*dx from a node (excluded only nearer than that) and an empty point
+    list (linf_reg is linf) included."""
+    assert _outcome(error_norms, *case) == _outcome(old_error_norms, *case)
 
 
 def test_convergence_orders_recovers_power_law() -> None:

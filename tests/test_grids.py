@@ -45,6 +45,8 @@ def test_grid_accessors() -> None:
     np.testing.assert_array_equal(g.centers, [-1.5, -0.5, 0.5, 1.5])
     np.testing.assert_array_equal(g.coords(Alignment.NODE), g.nodes)
     np.testing.assert_array_equal(g.coords(Alignment.CELL), g.centers)
+    # the nodes are computed once per grid and shared, so no reader may write them
+    assert g.nodes is g.coords(Alignment.NODE) and not g.nodes.flags.writeable
 
 
 @pytest.mark.parametrize(

@@ -9,12 +9,14 @@ contracting-velocity solution).
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from slub.harness import make_operators, resolve_grid, run_scheme, time_ladder
 from slub.problems import (
@@ -53,6 +55,31 @@ def test_profiles_dispatch_scalar_and_array() -> None:
         assert isinstance(ic(0.1), float)
         out = ic(np.array([0.0, 0.1, 5.0]))
         assert isinstance(out, np.ndarray) and out.shape == (3,)
+
+
+@given(x=hnp.arrays(np.float64, st.integers(0, 40),
+                    elements=st.floats() | st.floats(-1.5, 1.5) | st.sampled_from([-1.0, 1.0])))
+@settings(max_examples=200)
+def test_the_bump_is_its_np_where_form(x: np.ndarray) -> None:
+    """ic_smooth, which takes its power inside |x| <= 1 only, is the
+    np.where form that took it everywhere byte for byte, and so is
+    ic_mix's bump.  Both warn alike (x*x overflows alike), except that
+    the earlier form's power of a discarded value far outside could also
+    overflow."""
+    def run(f):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            out = np.asarray(f(x)).tobytes()
+        return out, {(w.category, str(w.message)) for w in caught}
+
+    bump = lambda x: np.where(np.abs(x) <= 1.0, (1.0 - x * x) ** 4, 0.0)
+    hat = lambda x: np.where((x > -4.0) & (x < -2.0), 1.0 - np.abs(x + 3.0), 0.0)
+    box = lambda x: np.where((x >= 2.0) & (x <= 3.0), 1.0, 0.0)
+    discarded = {(RuntimeWarning, "overflow encountered in power")}
+    for ic, before in ((ic_smooth, bump), (ic_mix, lambda x: hat(x) + bump(x) + box(x))):
+        (out, warned), (out_before, warned_before) = run(ic), run(before)
+        assert out == out_before
+        assert warned <= warned_before and warned_before - warned <= discarded
 
 
 @pytest.mark.parametrize("ic", ALL_ICS)

@@ -28,7 +28,8 @@ The indicator's guard is also held to its window written out node by
 node, and `project_to_nodes` and `classify_regularity` on their own to
 their forms.  The coupled step is held to its np.where form into fresh
 arrays, and prepared as a run prepares it (one `CoupledState` per pair
-of block rows) across a block boundary and through a retaken step.  The
+of block rows, by `coupled_states`) across a block boundary and through
+a retaken step.  The
 witness bracket of a negative nu is held to the earlier form's
 right-neighbour bracket, and `block_checker` to the bytes of the earlier
 one-call `block_diagnostics`.
@@ -47,10 +48,10 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from slub.coupled import (
-    CoupledState,
     RegularityParams,
     _indicator,
     classify_regularity,
+    coupled_states,
     coupled_step,
     project_to_nodes,
 )
@@ -552,7 +553,8 @@ def test_prepared_coupled_step_across_a_block_boundary_and_a_retake(
     w: np.ndarray, data, nu: float, thresholds
 ) -> None:
     """The coupled step as a run prepares it: blocks of three rows past
-    row 0, one `CoupledState` per pair of rows, built once, and one
+    row 0, one `CoupledState` per pair of rows, built once by
+    `coupled_states`, and one
     prepared indicator.  Steps 1-3 fill the
     block and row 3 is carried into row 0; the next step goes into row 1,
     the one after into row 2 as if it trapped, and after row 1 is carried
@@ -566,8 +568,8 @@ def test_prepared_coupled_step_across_a_block_boundary_and_a_retake(
     rows, bar, own = blocks[:3]
     indicate = _indicator(n, 0.5, params)
     node, cell = advect_const_stepper(nu, n), ub_stepper(nu, n - 1)
-    states = [CoupledState(prev, out)
-              for prev, out in zip(zip(rows, bar, own), zip(*(b[1:] for b in blocks)))]
+    states = coupled_states(*blocks)
+    assert len(states) == 3
     sl = lambda u: advect_const_values(u, nu)
     ub = lambda u: ub_step_values(u, nu)
     level = tuple(a.copy() for a in level)

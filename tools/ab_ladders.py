@@ -19,6 +19,13 @@ after one untimed pass per side.  Prints both sides' median pass, the
 median and the quartiles over pairs of change / parent, and the number
 of pairs the change ran faster.
 
+`--workload runs` reads a run's fixed cost, what it pays outside its
+steps: it times each `run_scheme` call on its own, every rung of hj-abs
+(the 18 runs of an erosion pass) and the coarsest rung of each transport
+problem, for every scheme, alternating the sides run by run.  It prints
+each run's median microseconds per side and their ratio; a pair is the
+sum over all runs.
+
     python3 tools/ab_ladders.py --parent HEAD --workload transport --pairs 24
 
 `--change` defaults to the tree of the git index, so staged work can be
@@ -101,11 +108,58 @@ def timed_pass(slub, workload: str) -> float:
         return time.thread_time() - start
 
 
+def run_cases(slub) -> list:
+    """(problem, scheme, m) of the `runs` workload: every rung of the
+    erosion ladder and the coarsest rung of each transport ladder."""
+    cases = []
+    for name in PROBLEMS["erosion"] + PROBLEMS["transport"]:
+        ladder = slub.problems.get_problem(name).m_ladder
+        for scheme in slub.harness.SCHEMES:
+            cases += [(name, scheme, m) for m in (ladder if name in PROBLEMS["erosion"]
+                                                  else ladder[:1])]
+    return cases
+
+
+def timed_run(slub, case: tuple) -> float:
+    """Thread CPU seconds of one `run_scheme` call."""
+    start = time.thread_time()
+    slub.harness.run_scheme(*case)
+    return time.thread_time() - start
+
+
+def time_runs(sides: dict, pairs: int) -> dict:
+    """{side: [[seconds of each case] per pair]}, the sides alternating
+    case by case (the parent first in even pairs), after one untimed
+    call of each case per side."""
+    cases = run_cases(sides["parent"])
+    for slub in sides.values():
+        for case in cases:
+            timed_run(slub, case)  # warm-up
+    times = {side: [] for side in sides}
+    for k in range(pairs):
+        order = ("parent", "change") if k % 2 == 0 else ("change", "parent")
+        gc.collect()
+        row = {side: [] for side in sides}
+        for case in cases:
+            for side in order:
+                row[side].append(timed_run(sides[side], case))
+        for side in sides:
+            times[side].append(row[side])
+    print(f"{'problem':10} {'scheme':7} {'m':>5} {'parent us':>10} {'change us':>10} {'ratio':>6}")
+    for j, case in enumerate(cases):
+        parent, change = (statistics.median(t[j] for t in times[side]) * 1e6
+                          for side in ("parent", "change"))
+        print(f"{case[0]:10} {case[1]:7} {case[2]:5d} {parent:10.1f} {change:10.1f} "
+              f"{change / parent:6.3f}")
+    return {side: [sum(t) for t in rows] for side, rows in times.items()}
+
+
 def main(argv=None) -> int:
     p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     p.add_argument("--parent", required=True)
     p.add_argument("--change", default=None, help="default: the tree of the git index")
-    p.add_argument("--workload", choices=sorted(PROBLEMS) + ["cli", "import"], required=True)
+    p.add_argument("--workload", choices=sorted(PROBLEMS) + ["cli", "import", "runs"],
+                   required=True)
     p.add_argument("--pairs", type=int, default=16)
     args = p.parse_args(argv)
     if args.pairs < 1:
@@ -118,18 +172,22 @@ def main(argv=None) -> int:
         for side, ref in refs.items():
             export(ref, Path(tmp) / side)
             sides[side] = load(Path(tmp) / side / "src", f"slub_{side}")
-        for slub in sides.values():
-            timed_pass(slub, args.workload)  # warm-up
-        times = {side: [] for side in sides}
-        for k in range(args.pairs):
-            order = ("parent", "change") if k % 2 == 0 else ("change", "parent")
-            for side in order:
-                times[side].append(timed_pass(sides[side], args.workload))
+        if args.workload == "runs":
+            times = time_runs(sides, args.pairs)
+        else:
+            for slub in sides.values():
+                timed_pass(slub, args.workload)  # warm-up
+            times = {side: [] for side in sides}
+            for k in range(args.pairs):
+                order = ("parent", "change") if k % 2 == 0 else ("change", "parent")
+                for side in order:
+                    times[side].append(timed_pass(sides[side], args.workload))
     ratios = [c / p for p, c in zip(times["parent"], times["change"])]
     wins = sum(r < 1.0 for r in ratios)
     q1, _, q3 = (statistics.quantiles(ratios, n=4, method="inclusive") if len(ratios) > 1
                  else ratios * 3)
-    print(f"{args.workload}: {args.pairs} pairs, thread CPU seconds per pass")
+    unit = "all runs" if args.workload == "runs" else "pass"
+    print(f"{args.workload}: {args.pairs} pairs, thread CPU seconds per {unit}")
     for side in sides:
         print(f"  {side:6} {refs[side]:>12.12}  median {statistics.median(times[side]):.4f} s")
     print(f"  change / parent: median {statistics.median(ratios):.3f} "
