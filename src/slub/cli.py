@@ -20,13 +20,14 @@ from __future__ import annotations
 import argparse
 import functools
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import replace
 from pathlib import Path
 from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
 from .coupled import project_to_nodes
+from .diagnostics import ErrorReport
 from .grids import Alignment
 from .harness import SCHEMES, convergence_table, run_scheme, time_ladder
 # unused here, but benchmarks/tests/test_bench.py asserts it is harness's
@@ -46,8 +47,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class RunConfig:
+class RunConfig(NamedTuple):
     """One run request; None fields fall back to the problem preset."""
 
     problem: str
@@ -98,48 +98,65 @@ def _write(path: Path, lines) -> None:
     path.write_text("\n".join(lines) + "\n", encoding="ascii", newline="\n")
 
 
+def _parse_ints(text: Optional[str], what: str, items: str) -> Optional[tuple]:
+    """The ints of a comma list (None for None); `what` and `items` name
+    the list in the error."""
+    if text is None:
+        return None
+    try:
+        return tuple(int(s) for s in text.split(","))
+    except ValueError:
+        raise ValueError(f"bad {what} {text!r}: expected comma-separated {items}") from None
+
+
+# The manifest, one line per row in this order: the key, its text for a
+# resolved RunConfig, and the value that text reads back as.  `a` and
+# `b` are the two ends of `domain`.
+_MANIFEST = (
+    ("problem", lambda c: c.problem, str),
+    ("scheme", lambda c: c.scheme, str),
+    ("m", lambda c: str(c.m), int),
+    ("nu", lambda c: repr(float(c.nu)), float),
+    ("T", lambda c: repr(float(c.T)), float),
+    ("a", lambda c: repr(float(c.domain[0])), float),
+    ("b", lambda c: repr(float(c.domain[1])), float),
+    ("delta", lambda c: repr(float(c.delta)), float),
+    ("epsilon", lambda c: repr(float(c.epsilon)), float),
+    ("snapshots", lambda c: ",".join(map(str, c.snapshots)),
+     lambda s: _parse_ints(s, "snapshot list", "step indices") if s else ()),
+    ("out", lambda c: c.out, str),
+)
+
+
 def format_manifest(config: RunConfig) -> str:
     """key=value text, one pair per line; floats keep full precision so
     parsing the manifest reproduces the config exactly."""
-    a, b = config.domain
-    pairs = [
-        ("problem", config.problem),
-        ("scheme", config.scheme),
-        ("m", str(config.m)),
-        ("nu", repr(float(config.nu))),
-        ("T", repr(float(config.T))),
-        ("a", repr(float(a))),
-        ("b", repr(float(b))),
-        ("delta", repr(float(config.delta))),
-        ("epsilon", repr(float(config.epsilon))),
-        ("snapshots", ",".join(str(k) for k in config.snapshots)),
-        ("out", config.out),
-    ]
-    return "\n".join(f"{k}={v}" for k, v in pairs) + "\n"
+    return "".join(f"{key}={write(config)}\n" for key, write, _ in _MANIFEST)
 
 
 def parse_manifest(text: str) -> RunConfig:
-    """Inverse of format_manifest."""
+    """Inverse of format_manifest.  Each value is the text after the
+    first "=" of its line, byte for byte; only lines of whitespace alone
+    are skipped.
+
+    Raises
+    ------
+    ValueError
+        If a key is missing or unknown, naming it, or a value does not
+        read as its key's type.
+    """
     kv = {}
-    for line in text.splitlines():
-        line = line.strip()
-        if not line:
-            continue
-        key, _, value = line.partition("=")
-        kv[key] = value
-    snaps = tuple(int(s) for s in kv["snapshots"].split(",")) if kv["snapshots"] else ()
-    return RunConfig(
-        problem=kv["problem"],
-        scheme=kv["scheme"],
-        m=int(kv["m"]),
-        nu=float(kv["nu"]),
-        T=float(kv["T"]),
-        domain=(float(kv["a"]), float(kv["b"])),
-        delta=float(kv["delta"]),
-        epsilon=float(kv["epsilon"]),
-        snapshots=snaps,
-        out=kv["out"],
-    )
+    for line in text.split("\n"):
+        if line.strip():
+            key, _, value = line.partition("=")
+            kv[key] = value
+    keys = {key for key, _, _ in _MANIFEST}
+    missing, unknown = sorted(keys - kv.keys()), sorted(kv.keys() - keys)
+    if missing or unknown:
+        raise ValueError(f"bad manifest: missing keys {missing}, unknown keys {unknown}")
+    values = {key: read(kv[key]) for key, _, read in _MANIFEST}
+    values["domain"] = (values.pop("a"), values.pop("b"))
+    return RunConfig(**values)
 
 
 def _apply_overrides(problem_name: str, nu=None, T=None, domain=None):
@@ -175,8 +192,7 @@ def cmd_run(config: RunConfig) -> OutputBundle:
         snapshot_steps=snapshots,
     )
     prob, params = result.problem, result.params
-    resolved = replace(
-        config,
+    resolved = config._replace(
         nu=prob.nu,
         T=prob.T,
         domain=(prob.a, prob.b),
@@ -206,17 +222,8 @@ def cmd_run(config: RunConfig) -> OutputBundle:
     template = _row_template(range(tv.values.size), _NUM, _NUM)
     _write(tv_file, ["step,tv,bound", _rows(template, tv.values, tv.envelope)])
     error_file = out / "errors.csv"
-    e = result.errors
-    _write(
-        error_file,
-        [
-            "norm,value",
-            f"l1,{_fmt(e.l1)}",
-            f"l2,{_fmt(e.l2)}",
-            f"linf,{_fmt(e.linf)}",
-            f"linf_reg,{_fmt(e.linf_reg)}",
-        ],
-    )
+    norms = result.errors._asdict().items()
+    _write(error_file, ["norm,value"] + [f"{k},{_fmt(v)}" for k, v in norms])
     manifest_file = out / "manifest.txt"
     manifest_file.write_text(format_manifest(resolved), encoding="ascii", newline="\n")
     return OutputBundle(
@@ -226,17 +233,6 @@ def cmd_run(config: RunConfig) -> OutputBundle:
         error_file=error_file,
         manifest_file=manifest_file,
     )
-
-
-def _parse_ints(text: Optional[str], what: str, items: str) -> Optional[tuple]:
-    """The ints of a comma list (None for None); `what` and `items` name
-    the list in the error."""
-    if text is None:
-        return None
-    try:
-        return tuple(int(s) for s in text.split(","))
-    except ValueError:
-        raise ValueError(f"bad {what} {text!r}: expected comma-separated {items}") from None
 
 
 def cmd_convergence(
@@ -289,10 +285,8 @@ def cmd_compare(
     template = _row_template(grid.nodes, *[_NUM] * len(columns))
     _write(sol_path, [header, _rows(template, *columns)])
     err_path = out_dir / f"compare_{problem_name}_m{m}_errors.csv"
-    lines = ["scheme,l1,l2,linf,linf_reg"]
-    for s, res in zip(schemes, results):
-        e = res.errors
-        lines.append(f"{s},{_fmt(e.l1)},{_fmt(e.l2)},{_fmt(e.linf)},{_fmt(e.linf_reg)}")
+    lines = [",".join(("scheme",) + ErrorReport._fields)]
+    lines += [",".join([s, *map(_fmt, res.errors)]) for s, res in zip(schemes, results)]
     _write(err_path, lines)
     return results, sol_path, err_path
 
@@ -303,38 +297,33 @@ def build_parser() -> argparse.ArgumentParser:
         description="Coupled semi-Lagrangian / anti-dissipative transport runs.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    shared = argparse.ArgumentParser(add_help=False)  # the flags of run, convergence, compare
+    shared.add_argument("--problem", required=True)
+    shared.add_argument("--nu", type=float, default=None)
+    shared.add_argument("--T", type=float, default=None)
+    shared.add_argument("--out", default="runs")
 
-    run_p = sub.add_parser("run", help="run one scheme on one problem")
-    run_p.add_argument("--problem", required=True)
+    run_p = sub.add_parser("run", parents=[shared], help="run one scheme on one problem")
     run_p.add_argument("--scheme", required=True)
     run_p.add_argument("--m", type=int, default=None, help="cell count (default: preset)")
-    run_p.add_argument("--nu", type=float, default=None)
-    run_p.add_argument("--T", type=float, default=None)
     run_p.add_argument("--delta", type=float, default=None,
                        help="absolute slope threshold for the indicator")
     run_p.add_argument("--epsilon", type=float, default=None,
                        help="absolute flat-slope tolerance for the indicator")
     run_p.add_argument("--snapshots", default=None,
                        help="comma-separated step indices (default: 0 and final)")
-    run_p.add_argument("--out", default="runs")
 
-    conv_p = sub.add_parser("convergence", help="refinement ladder for one scheme")
-    conv_p.add_argument("--problem", required=True)
+    conv_p = sub.add_parser("convergence", parents=[shared],
+                            help="refinement ladder for one scheme")
     conv_p.add_argument("--scheme", required=True)
     conv_p.add_argument("--ladder", default=None,
                         help="comma-separated m list (default: the problem's own ladder)")
-    conv_p.add_argument("--nu", type=float, default=None)
-    conv_p.add_argument("--T", type=float, default=None)
-    conv_p.add_argument("--out", default="runs")
 
-    cmp_p = sub.add_parser("compare", help="schemes side by side at one resolution")
-    cmp_p.add_argument("--problem", required=True)
+    cmp_p = sub.add_parser("compare", parents=[shared],
+                           help="schemes side by side at one resolution")
     cmp_p.add_argument("--m", type=int, default=None)
     cmp_p.add_argument("--scheme", default="sl,ub,coupled",
                        help="comma-separated scheme list")
-    cmp_p.add_argument("--nu", type=float, default=None)
-    cmp_p.add_argument("--T", type=float, default=None)
-    cmp_p.add_argument("--out", default="runs")
 
     sub.add_parser("list-problems", help="show the problem registry")
     return parser
@@ -369,25 +358,13 @@ def _run_command(args: argparse.Namespace) -> int:
         return 0
 
     if args.command == "run":
-        m = args.m if args.m is not None else _default_m(args.problem)
-        config = RunConfig(
-            problem=args.problem,
-            scheme=args.scheme,
-            m=m,
-            nu=args.nu,
-            T=args.T,
-            delta=args.delta,
-            epsilon=args.epsilon,
+        config = RunConfig._make(map(vars(args).get, RunConfig._fields))._replace(
+            m=args.m if args.m is not None else _default_m(args.problem),
             snapshots=_parse_ints(args.snapshots, "snapshot list", "step indices"),
-            out=args.out,
         )
         bundle = cmd_run(config)
-        written = (
-            list(bundle.solution_files)
-            + list(bundle.sigma_files)
-            + [bundle.tv_file, bundle.error_file, bundle.manifest_file]
-        )
-        for path in written:
+        for path in (*bundle.solution_files, *bundle.sigma_files, bundle.tv_file,
+                     bundle.error_file, bundle.manifest_file):
             print(path)
         return 0
 
@@ -413,11 +390,7 @@ def _run_command(args: argparse.Namespace) -> int:
             args.problem, m, schemes, nu=args.nu, T=args.T, out=args.out
         )
         for s, res in zip(schemes, results):
-            e = res.errors
-            print(
-                f"{s}: l1={e.l1:.3E}  l2={e.l2:.3E}  "
-                f"linf={e.linf:.3E}  linf_reg={e.linf_reg:.3E}"
-            )
+            print(f"{s}: " + "  ".join(f"{k}={v:.3E}" for k, v in res.errors._asdict().items()))
         print(sol_path)
         print(err_path)
         return 0

@@ -27,7 +27,7 @@ from .grids import (
     init_point_values,
 )
 from .problems import ProblemSpec, get_problem, singular_points
-from .semi_lagrangian import advect_const_stepper, hj_stepper
+from .semi_lagrangian import advect_const_stepper, advect_var_stepper, hj_stepper
 from .ultrabee import ub_min_stepper, ub_stepper
 # unused here, but benchmarks/tests/test_bench.py asserts it is ultrabee's
 from .ultrabee import ub_step_values
@@ -71,7 +71,6 @@ _BLOCK_VALUES = 16384
 # Length an extended grid keeps past the transported support, for smearing.
 _SUPPORT_PAD = 0.5
 
-_interp = np.interp
 _subtract, _divide, _absolute, _not_equal, _greater, _maximum_reduce = (
     np.subtract, np.divide, np.absolute, np.not_equal, np.greater, np.maximum.reduce)
 
@@ -187,18 +186,9 @@ def make_operators(problem: ProblemSpec, grid: Grid1D, dt: float) -> StepOperato
         speeds = -(nodes - problem.x_bar)
         nu_node = speeds * dt / dx
         check_cfl(nu_node)
-        feet = nodes - speeds * dt
         nu_cell = nu_node[:-1]  # cell k inherits its left node
-
-        def node_update(v, out=None):
-            new = _interp(feet, nodes, v)  # np.interp has no out=
-            if out is None:
-                return new
-            out[...] = new
-            return out
-
         return StepOperators(
-            node_update=node_update,
+            node_update=advect_var_stepper(nodes, nodes - speeds * dt),
             cell_update=ub_stepper(nu_cell, grid.m),
             nu_node=nu_node,
             nu_cell=nu_cell,

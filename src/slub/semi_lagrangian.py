@@ -4,9 +4,9 @@ Point values are advanced by tracing characteristics back one step and
 reading the piecewise-linear (P1) interpolant there, with constant
 continuation past the grid ends.  Constant-velocity transport is the
 upwind convex combination that `advect_const_stepper` prepares once
-per run; variable-velocity transport reads the interpolant at per-node
-feet that the harness builds once per grid.  A stepper takes its float
-values as given, with no conversion per call.
+per run; variable-velocity transport (`advect_var_stepper`) reads the
+interpolant at per-node feet that the harness builds once per grid.
+A stepper takes its float values as given, with no conversion per call.
 
 For the erosion v_t + |c v_x| = 0, H(p) = |c p| has the convex
 conjugate 0 on [-c, c] and +inf outside, so the Hopf-Lax update is the
@@ -25,6 +25,7 @@ from .grids import check_cfl
 
 __all__ = [
     "advect_const_stepper",
+    "advect_var_stepper",
     "hj_stepper",
 ]
 
@@ -70,6 +71,23 @@ def advect_const_values(values: np.ndarray, nu: float) -> np.ndarray:
     as floats: each call checks nu.  Not exported;
     `benchmarks/kernels.py` times it."""
     return advect_const_stepper(nu, len(values))(np.asarray(values, dtype=float))
+
+
+def advect_var_stepper(nodes: np.ndarray, feet: np.ndarray):
+    """Variable-velocity transport on raw values at `nodes`, read at the
+    per-node `feet` that the caller traced back one step (and checked
+    against the CFL bound): update(values, out=None) returns
+    interp(feet, nodes, values), fresh when `out` is None and else
+    copied into `out`, since np.interp takes no `out`."""
+
+    def update(v, out=None):
+        new = _interp(feet, nodes, v)
+        if out is None:
+            return new
+        out[...] = new
+        return out
+
+    return update
 
 
 def hj_stepper(nodes: np.ndarray, r: float):

@@ -4,11 +4,14 @@ exit codes, and reproducibility."""
 from __future__ import annotations
 
 import dataclasses
+import re
 from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 import slub.cli
 import slub.harness
@@ -55,15 +58,52 @@ def _resolved_config(out: str) -> RunConfig:
 # manifests
 
 
-def test_manifest_round_trip_is_identity(tmp_path: Path) -> None:
-    config = _resolved_config(str(tmp_path))
-    assert parse_manifest(format_manifest(config)) == config
+def _bits(value):
+    """`value` with every float, also inside tuples, as its float.hex."""
+    if isinstance(value, tuple):
+        return tuple(map(_bits, value))
+    return value.hex() if isinstance(value, float) else value
+
+
+# printable ASCII (the manifest is written as ASCII), spaces and "=" included
+TEXT = st.text(st.characters(min_codepoint=32, max_codepoint=126), max_size=12)
+
+
+@given(config=st.builds(
+    RunConfig, problem=TEXT, scheme=TEXT, m=st.integers(), nu=st.floats(), T=st.floats(),
+    domain=st.tuples(st.floats(), st.floats()), delta=st.floats(), epsilon=st.floats(),
+    snapshots=st.lists(st.integers(), max_size=4).map(tuple), out=TEXT,
+))
+@example(config=_resolved_config("runs/a "))
+@example(config=_resolved_config(" a=b = ")._replace(nu=0.1 + 0.2, T=-0.0, snapshots=()))
+@example(config=_resolved_config("runs")._replace(domain=(5e-324, -2.2250738585072014e-308)))
+def test_manifest_round_trip_is_identity(config: RunConfig) -> None:
+    """Each field reads back as written, every float bit for bit (-0.0,
+    subnormals, infinities), every text byte for byte, spaces and "="
+    included, and an empty snapshot list as ()."""
+    back = parse_manifest(format_manifest(config))
+    assert type(back) is RunConfig and _bits(back) == _bits(config)
+    assert [type(v) for v in back] == [type(v) for v in config]
 
 
 def test_manifest_preserves_float_precision(tmp_path: Path) -> None:
-    config = replace(_resolved_config(str(tmp_path)), nu=0.1 + 0.2)
+    config = _resolved_config(str(tmp_path))._replace(nu=0.1 + 0.2)
     back = parse_manifest(format_manifest(config))
     assert back.nu == config.nu  # bit-exact, not just approximately equal
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [(lambda text: text.replace("delta=0.3\n", ""), "missing keys ['delta'], unknown keys []"),
+     (lambda text: text + "guard=3\n", "missing keys [], unknown keys ['guard']"),
+     (lambda text: text.replace("T=", "t="), "missing keys ['T'], unknown keys ['t']")],
+    ids=["missing", "unknown", "renamed"],
+)
+def test_parse_manifest_names_a_missing_or_unknown_key(edit, message: str) -> None:
+    """A manifest that lacks a key, or has one that a replay would not
+    read, is refused, not read as the preset."""
+    with pytest.raises(ValueError, match=re.escape(f"bad manifest: {message}")):
+        parse_manifest(edit(format_manifest(_resolved_config("runs"))))
 
 
 # ---------------------------------------------------------------------------
@@ -114,7 +154,7 @@ def test_cmd_run_rerun_from_manifest_is_byte_identical(tmp_path: Path) -> None:
     reproduces all artifacts exactly."""
     first = cmd_run(RunConfig(problem="adv-jump", scheme="coupled", m=39, out=str(tmp_path / "a")))
     config = parse_manifest(first.manifest_file.read_text())
-    second = cmd_run(replace(config, out=str(tmp_path / "b")))
+    second = cmd_run(config._replace(out=str(tmp_path / "b")))
 
     def payload(bundle):
         files = sorted(

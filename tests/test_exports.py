@@ -35,6 +35,7 @@ def test_package_lists_every_module_export() -> None:
     "module, kernel",
     [
         ("semi_lagrangian", "advect_const_stepper"),
+        ("semi_lagrangian", "advect_var_stepper"),
         ("semi_lagrangian", "hj_stepper"),
         ("ultrabee", "ub_stepper"),
     ],

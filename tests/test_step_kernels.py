@@ -11,10 +11,10 @@ prepared for another length; where the kernel has a one-call entry
 (`ub_step_values`, `advect_const_values`, `classify_regularity`), the
 entry takes the same inputs.  Each step kernel has one property test
 through it: the scalar, per-cell and erosion Ultra-Bee steppers, the
-constant-velocity and erosion node steppers, the adv-var node closure
-of `make_operators` (held to np.interp at the feet it closes over) and
-the prepared indicator.  The fixed Courant numbers and profiles that a
-test must always meet are its `@example`s.  On values that include NaN,
+constant-velocity, adv-var and erosion node steppers (the adv-var one
+as `make_operators` builds it, held to np.interp at the feet it closes
+over) and the prepared indicator.  The fixed Courant numbers and
+profiles that a test must always meet are its `@example`s.  On values that include NaN,
 infinities, signed zeros and overflowing magnitudes, each call gives:
 - the same bytes, every NaN read as one NaN: numpy gives a NaN from two
   NaN operands the sign of one or the other by its position in a
@@ -25,12 +25,11 @@ infinities, signed zeros and overflowing magnitudes, each call gives:
   result returned before it unchanged.
 
 The indicator's guard is also held to its window written out node by
-node, and `project_to_nodes` and `classify_regularity` on their own to
-their forms.  The coupled step is held to its np.where form into fresh
-arrays, and prepared as a run prepares it (one `CoupledState` per pair
-of block rows, by `coupled_states`) across a block boundary and through
-a retaken step.  The
-witness bracket of a negative nu is held to the earlier form's
+node, and `project_to_nodes` on its own to its form.  The coupled step
+is held to its np.where form into fresh arrays, and prepared as a run
+prepares it (one `CoupledState` per pair of block rows, by
+`coupled_states`) across a block boundary and through a retaken step.
+The witness bracket of a negative nu is held to the earlier form's
 right-neighbour bracket, and `block_checker` to the bytes of the earlier
 one-call `block_diagnostics`.
 """
@@ -104,6 +103,9 @@ def _values(min_size: int = 1, max_size: int = 60):
 # rows of one block; an input of another length)
 INPUTS = {k: (hnp.arrays(np.float64, st.tuples(st.integers(1, 4), st.integers(k, 60)),
                          elements=VALUES), _values(k)) for k in (1, 2, 4)}
+# 1 to 4 rows of one length drawn from the lattice alone
+LATTICE_ROWS = hnp.arrays(np.float64, st.tuples(st.integers(1, 4), st.integers(1, 60)),
+                          elements=LATTICE)
 
 
 @functools.cache
@@ -389,8 +391,9 @@ def test_hj_stepper_reuses_its_feet(frac: float, inputs, other) -> None:
 @given(inputs=INPUTS[4][0], other=INPUTS[4][1])
 @settings(max_examples=100)
 def test_adv_var_node_stepper_matches_np_interp(inputs, other) -> None:
-    """The closure `make_operators` builds for adv-var, which interpolates
-    into a fresh array and copies it into `out`; 4 to 60 nodes."""
+    """The `advect_var_stepper` that `make_operators` builds for adv-var,
+    which interpolates into a fresh array and copies it into `out`; 4 to
+    60 nodes."""
     _check(_adv_var, get_problem("adv-var"), inputs, other)
 
 
@@ -423,24 +426,31 @@ def _flags(indicate):
 
 @given(
     dx=st.sampled_from([1.0, 0.5, 1e-3]),
-    params=st.builds(RegularityParams, THRESHOLDS, THRESHOLDS, st.integers(0, 8)),
+    case=st.tuples(st.builds(RegularityParams, THRESHOLDS, THRESHOLDS, st.integers(0, 8)),
+                   INPUTS[1][0])
+    | st.tuples(st.builds(RegularityParams, THRESHOLDS, THRESHOLDS), LATTICE_ROWS),
     thresholds=st.tuples(THRESHOLDS, THRESHOLDS),
-    inputs=INPUTS[1][0],
     other=INPUTS[1][1],
 )
-@example(dx=1.0, params=RegularityParams(1.0, 0.0, 6), thresholds=(0.5, 0.5),
-         inputs=np.array([[0.0, 0.0] + [1.0] * 12 + [2.0]]), other=FIXED_OTHER)
-@example(dx=1.0, params=RegularityParams(3.0, 3.0, 6), thresholds=(0.5, 0.5),
-         inputs=np.array([[0.0, 3.0]]), other=FIXED_OTHER)
-@settings(max_examples=400)
-def test_prepared_indicator_reuses_its_workspace(dx, params, thresholds, inputs, other) -> None:
+@example(dx=1.0, case=(RegularityParams(1.0, 0.0, 6), np.array([[0.0, 0.0] + [1.0] * 12 + [2.0]])),
+         thresholds=(0.5, 0.5), other=FIXED_OTHER)
+@example(dx=1.0, case=(RegularityParams(3.0, 3.0, 6), np.array([[0.0, 3.0]])),
+         thresholds=(0.5, 0.5), other=FIXED_OTHER)
+@settings(max_examples=600)
+def test_prepared_indicator_reuses_its_workspace(dx, case, thresholds, other) -> None:
     """An indicator prepared for one length serves 1 to 4 inputs, between
     calls of one prepared for another length at other thresholds and the
     same guard, and gives each call, as `classify_regularity` does, the
     earlier form's flags: guards 0-8 on 1 to 60 nodes (so some fields
     are shorter than the guard window), slopes exactly at flat_tol and at
-    delta.  The fixed cases are a flat run of 12 nodes at guard 6, and two
-    nodes whose one slope is delta = flat_tol."""
+    delta.  The other branch draws guard 0 on the lattice alone, whose
+    slopes' pairwise products underflow (5e-324, 1e-300) or overflow
+    (1e308) most often: comparing signs gives the flags and warnings of
+    the product of the slopes' signs, which no product underflows.  The
+    fixed cases are a flat run of 12 nodes at guard 6, and two nodes
+    whose one slope is delta = flat_tol."""
+    params, inputs = case
+
     def build(n, p):
         return (_flags(_indicator(n, dx, p)), lambda v: classify_reference(v, dx, p),
                 lambda v: classify_regularity(v, dx, p))
@@ -462,25 +472,6 @@ def test_guard_windows_dilate_as_the_shifted_ands_do(flags: np.ndarray, guard: i
     new = _flags(_indicator(v.size, 1.0, params))(v)
     assert new.tobytes() == classify_reference(v, 1.0, params).tobytes()
     assert new.tobytes() == dilate_by_loop(base, guard).tobytes()
-
-
-@given(
-    v=hnp.arrays(np.float64, st.integers(1, 60), elements=LATTICE),
-    dx=st.sampled_from([1.0, 0.5, 1e-3]),
-    delta=THRESHOLDS,
-    flat_tol=THRESHOLDS,
-)
-@settings(max_examples=300)
-def test_sign_test_matches_the_product_form_where_it_does_not_underflow(
-    v: np.ndarray, dx: float, delta: float, flat_tol: float
-) -> None:
-    """On slopes whose pairwise products underflow (5e-324, 1e-300) or
-    overflow (1e308), NaN, infinities and signed zeros included,
-    comparing signs gives the flags and warnings of the product of the
-    slopes' signs, which no product underflows."""
-    params = RegularityParams(delta, flat_tol)
-    _assert_entry_matches(lambda x: classify_regularity(x, dx, params),
-                          lambda x: classify_reference(x, dx, params), v)
 
 
 @given(c=INPUTS[1][1])

@@ -19,6 +19,10 @@ after one untimed pass per side.  Prints both sides' median pass, the
 median and the quartiles over pairs of change / parent, and the number
 of pairs the change ran faster.
 
+On its first pair, `--workload cli` also compares the files both sides
+wrote, byte for byte, and exits with status 1, naming each file that
+differs, if any does.
+
 `--workload runs` reads a run's fixed cost, what it pays outside its
 steps: it times each `run_scheme` call on its own, every rung of hj-abs
 (the 18 runs of an erosion pass) and the coarsest rung of each transport
@@ -50,6 +54,7 @@ import sys
 import tempfile
 import time
 from pathlib import Path
+from typing import Optional
 
 sys.path.insert(0, str(Path(__file__).resolve().parent))
 from bench_pairs import export, git  # noqa: E402
@@ -78,10 +83,12 @@ def load(src: Path, name: str):
     return module
 
 
-def timed_pass(slub, workload: str) -> float:
+def timed_pass(slub, workload: str, written: Optional[dict] = None) -> float:
     """Thread CPU seconds of one pass: a ladder of every problem x
     scheme, or the cli calls, each into its own directory of a fresh
-    temporary one, their printed lines discarded, or a fresh import."""
+    temporary one, their printed lines discarded, or a fresh import.
+    A cli pass given `written` fills it, after its clock stops, with
+    {path in the temporary directory: bytes} of every file it wrote."""
     if workload == "import":
         name = slub.__name__
         for key in [k for k in sys.modules if k == name or k.startswith(f"{name}.")]:
@@ -105,7 +112,11 @@ def timed_pass(slub, workload: str) -> float:
         for k, argv in enumerate(CLI_CALLS):
             if main([*argv, "--out", f"call{k}"]) != 0:
                 raise RuntimeError(f"{slub.__name__}: {' '.join(argv)} failed")
-        return time.thread_time() - start
+        elapsed = time.thread_time() - start
+        if written is not None:
+            written.update((p.relative_to(tmp).as_posix(), p.read_bytes())
+                           for p in Path(tmp).rglob("*") if p.is_file())
+        return elapsed
 
 
 def run_cases(slub) -> list:
@@ -178,10 +189,17 @@ def main(argv=None) -> int:
             for slub in sides.values():
                 timed_pass(slub, args.workload)  # warm-up
             times = {side: [] for side in sides}
+            files = {side: {} for side in sides}
             for k in range(args.pairs):
                 order = ("parent", "change") if k % 2 == 0 else ("change", "parent")
                 for side in order:
-                    times[side].append(timed_pass(sides[side], args.workload))
+                    written = files[side] if k == 0 and args.workload == "cli" else None
+                    times[side].append(timed_pass(sides[side], args.workload, written))
+                if files["parent"] != files["change"]:
+                    names = sorted(n for n in files["parent"].keys() | files["change"].keys()
+                                   if files["parent"].get(n) != files["change"].get(n))
+                    print(f"cli: the sides wrote different files: {', '.join(names)}")
+                    return 1
     ratios = [c / p for p, c in zip(times["parent"], times["change"])]
     wins = sum(r < 1.0 for r in ratios)
     q1, _, q3 = (statistics.quantiles(ratios, n=4, method="inclusive") if len(ratios) > 1
